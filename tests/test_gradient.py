@@ -4,6 +4,8 @@ Force-chain reference numbers were frozen from an independent high-precision
 evaluation of the closed forms (see the cosine/footprint constants below).
 """
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -25,7 +27,12 @@ from lotuskit.gradient import (
     wall_for_fraction,
 )
 from lotuskit.lattice import DesignRules
-from lotuskit.wetting import Droplet, Material, spherical_cap_footprint_radius
+from lotuskit.wetting import (
+    WATER_ON_PMMA,
+    Droplet,
+    Material,
+    spherical_cap_footprint_radius,
+)
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -358,3 +365,36 @@ class TestTraceCsv:
         assert trace_to_csv(trace) == (
             "position_m,theta_front_deg,theta_rear_deg,net_force_N,moved\n"
         )
+
+
+class TestPinnedTraceBytes:
+    """sha256 of whole CSV traces, frozen so solver changes keep every byte."""
+
+    SPEC = GradientSpec(
+        length=10_000_000, lateral_width=200_000, pitch=4000,
+        f_start=0.19, f_end=0.4375,
+    )
+
+    @pytest.mark.parametrize(
+        ("hysteresis", "reason", "records", "digest"),
+        [
+            (
+                0.0, TerminalReason.REACHED_END, 2105,
+                "0dfba890f4bf6e014dd6dea45bb1ed4808bbda11fccc40020e2347d42320509b",
+            ),
+            (
+                5.0, TerminalReason.FORCE_BALANCE, 699,
+                "698aee5e98cbe30c348662873b93468aacb23e5336cfbad929826d03465a015b",
+            ),
+        ],
+    )
+    def test_trace_csv_digest(self, hysteresis, reason, records, digest):
+        material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
+        design = design_linear_gradient(self.SPEC)
+        trace = simulate_droplet(
+            design, Droplet(volume=1.1e-9, position=1e-3), material
+        )
+        assert trace.terminal_reason is reason
+        assert len(trace.steps) == records
+        text = trace_to_csv(trace)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
