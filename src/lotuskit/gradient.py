@@ -22,6 +22,14 @@ with ``r`` recomputed from the spherical-cap relation at the mean of the two
 local apparent angles so the cap stays consistent as wettability changes
 (a fixed point solved by bisection).  Positions are meters at this module's
 boundary; pattern geometry stays in integer nanometers.
+
+A simulation builds one footprint solver per (design, volume, material): it
+holds one apparent-angle table per design column, so the bisection looks
+angles up instead of re-evaluating Cassie-Baxter, and once both ends of the
+bisection bracket share one (front, rear) column pair the residual becomes
+``cap_radius(pair) - r`` with the cap radius computed once.  The bisection
+itself is kept, iteration for iteration, because a closed-form solve would
+round differently: the trace CSV stays byte-identical.
 """
 
 from __future__ import annotations
@@ -234,7 +242,9 @@ class TraceStep:
     """One force evaluation of the quasi-static stepping loop.
 
     ``moved`` is True when the droplet advanced by one step after this
-    evaluation and False on the terminal record.
+    evaluation and False on the terminal record.  ``footprint_radius`` and
+    ``retention`` are the solved footprint and the hysteresis retention
+    force the stop decision compared ``|net_force|`` against.
     """
 
     position: float  # m
@@ -242,6 +252,8 @@ class TraceStep:
     theta_rear: float  # degrees
     net_force: float  # N, positive toward +x
     moved: bool
+    footprint_radius: float  # m
+    retention: float  # N, >= 0
 
 
 @dataclass(frozen=True)
@@ -386,61 +398,131 @@ class _ForceState:
     net_force: float  # N
 
 
-def _force_state(
-    design: GradientDesign, position_m: float, volume_m3: float, material: Material
-) -> _ForceState:
-    """Solve the self-consistent footprint and evaluate the driving force.
+def _no_fit(position_m: float, r_max: float) -> FootprintError:
+    return FootprintError(
+        f"droplet footprint does not fit at {position_m!r} m: needs more "
+        f"than the {r_max!r} m available to the nearer design edge"
+    )
+
+
+class _FootprintSolver:
+    """Footprint fixed point and driving force of one droplet on one design.
 
     The footprint radius depends on the local mean angle, which depends on
     where the footprint ends sit — a fixed point r = cap_radius(mean(r)),
     solved by bisection on h(r) = cap_radius(mean(r)) - r over (0, r_max]
     with r_max the distance to the nearer design edge.  h(0+) > 0 always;
     h(r_max) > 0 means the droplet cannot fit, which raises FootprintError.
+
+    The apparent angle is piecewise constant per column, so it is tabulated
+    once per column through :func:`cassie_apparent_angle`.  Column(x +/- r)
+    is monotone in r, so once both ends of the bracket ``[low, high]`` map to
+    the same (front, rear) column pair, every later midpoint does too and
+    the residual is ``c - mid`` with ``c`` that pair's cap radius.  The
+    bisection is otherwise the original one, update for update, so the
+    radius is bit-identical to evaluating ``h`` afresh at every midpoint.
+    The retention force depends only on the droplet's own column and is
+    computed once per column visited.
     """
-    length_m = design.length_m
-    if not 0.0 <= position_m <= length_m:
-        raise FootprintError(
-            f"droplet center {position_m!r} m lies outside the design "
-            f"[0, {length_m!r}] m"
+
+    def __init__(
+        self, design: GradientDesign, volume_m3: float, material: Material
+    ) -> None:
+        self.design = design
+        self.volume = volume_m3
+        self.material = material
+        self.angles = [
+            cassie_apparent_angle(fraction, material.theta_flat)
+            for fraction in design.fractions
+        ]
+        self.length_m = design.length_m
+        self._length_nm = design.length_nm
+        self._pitch = design.spec.pitch
+        self._last = design.n_columns - 1
+        self._droplet = Droplet(volume=volume_m3)
+        self._retention: list[float | None] = [None] * design.n_columns
+
+    def column(self, x_m: float) -> int:
+        """Same quantization and range check as :meth:`GradientDesign.column_index`."""
+        x_nm = round(x_m * _NM_PER_M)
+        if not 0 <= x_nm <= self._length_nm:
+            return self.design.column_index(x_m)  # raises the range error
+        return min(x_nm // self._pitch, self._last)
+
+    def solve(self, position_m: float) -> _ForceState:
+        """Footprint radius, both angles and driving force at ``position_m``."""
+        length_m = self.length_m
+        if not 0.0 <= position_m <= length_m:
+            raise FootprintError(
+                f"droplet center {position_m!r} m lies outside the design "
+                f"[0, {length_m!r}] m"
+            )
+        r_max = min(position_m, length_m - position_m)
+        if r_max <= 0.0:
+            raise _no_fit(position_m, r_max)
+        angles, column, volume = self.angles, self.column, self.volume
+        cap_radius = spherical_cap_footprint_radius
+        front_high = column(position_m + r_max)
+        rear_high = column(position_m - r_max)
+        cap_high = cap_radius(volume, 0.5 * (angles[front_high] + angles[rear_high]))
+        if cap_high - r_max > 0.0:
+            raise _no_fit(position_m, r_max)
+
+        front_low = rear_low = column(position_m)
+        # Cap radius of the column pair both bracket ends share, else None.
+        shared = cap_high if (front_low, rear_low) == (front_high, rear_high) else None
+        low, high = 0.0, r_max
+        for _ in range(200):
+            mid = 0.5 * (low + high)
+            if mid <= low or mid >= high:
+                break
+            if shared is not None:
+                if shared - mid > 0.0:
+                    low = mid
+                else:
+                    high = mid
+            else:
+                front = column(position_m + mid)
+                rear = column(position_m - mid)
+                cap_mid = cap_radius(volume, 0.5 * (angles[front] + angles[rear]))
+                if cap_mid - mid > 0.0:
+                    low, front_low, rear_low = mid, front, rear
+                else:
+                    high, front_high, rear_high = mid, front, rear
+                if front_low == front_high and rear_low == rear_high:
+                    shared = cap_mid
+            if high - low <= 1e-13:
+                break
+        radius = high
+        front, rear = angles[front_high], angles[rear_high]
+        cos_front = math.cos(math.radians(front))
+        cos_rear = math.cos(math.radians(rear))
+        force = self.material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
+        return _ForceState(
+            footprint_radius=radius, theta_front=front, theta_rear=rear, net_force=force
         )
-    r_max = min(position_m, length_m - position_m)
 
-    def angles(radius: float) -> tuple[float, float]:
-        front = local_apparent_angle(design, position_m + radius, material)
-        rear = local_apparent_angle(design, position_m - radius, material)
-        return front, rear
+    def retention(self, position_m: float) -> float:
+        """:func:`retention_force` at the column containing ``position_m``."""
+        index = self.column(position_m)
+        holding = self._retention[index]
+        if holding is None:
+            holding = retention_force(
+                self._droplet, self.material, self.design.fractions[index]
+            )
+            self._retention[index] = holding
+        return holding
 
-    def residual(radius: float) -> float:
-        front, rear = angles(radius)
-        return (
-            spherical_cap_footprint_radius(volume_m3, 0.5 * (front + rear)) - radius
-        )
 
-    if r_max <= 0.0 or residual(r_max) > 0.0:
-        raise FootprintError(
-            f"droplet footprint does not fit at {position_m!r} m: needs more "
-            f"than the {r_max!r} m available to the nearer design edge"
-        )
+def _force_state(
+    design: GradientDesign, position_m: float, volume_m3: float, material: Material
+) -> _ForceState:
+    """Solve the self-consistent footprint and evaluate the driving force.
 
-    low, high = 0.0, r_max
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if mid <= low or mid >= high:
-            break
-        if residual(mid) > 0.0:
-            low = mid
-        else:
-            high = mid
-        if high - low <= 1e-13:
-            break
-    radius = high
-    front, rear = angles(radius)
-    cos_front = math.cos(math.radians(front))
-    cos_rear = math.cos(math.radians(rear))
-    force = material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
-    return _ForceState(
-        footprint_radius=radius, theta_front=front, theta_rear=rear, net_force=force
-    )
+    One-off entry point; repeated evaluations on one design should share a
+    :class:`_FootprintSolver`, which tabulates the design's angles once.
+    """
+    return _FootprintSolver(design, volume_m3, material).solve(position_m)
 
 
 def net_driving_force(
@@ -510,44 +592,37 @@ def simulate_droplet(
     """
     if step is None:
         step = design.spec.pitch * _M_PER_NM
-    if not step > 0.0:
-        raise ValueError(f"step must be > 0 m, got {step!r}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be a finite length > 0 m, got {step!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
 
+    solver = _FootprintSolver(design, droplet.volume, material)
     position = droplet.position
-    state = _force_state(design, position, droplet.volume, material)
+    state = solver.solve(position)
     steps: list[TraceStep] = []
     terminal = TerminalReason.MAX_STEPS
     for _ in range(max_steps):
-        holding = retention_force(droplet, material, design.fraction_at(position))
+        holding = solver.retention(position)
+        next_state = None
         if abs(state.net_force) <= holding:
-            steps.append(
-                TraceStep(
-                    position, state.theta_front, state.theta_rear,
-                    state.net_force, moved=False,
-                )
-            )
             terminal = TerminalReason.FORCE_BALANCE
-            break
-        next_position = position + math.copysign(step, state.net_force)
-        try:
-            next_state = _force_state(design, next_position, droplet.volume, material)
-        except FootprintError:
-            steps.append(
-                TraceStep(
-                    position, state.theta_front, state.theta_rear,
-                    state.net_force, moved=False,
-                )
-            )
-            terminal = TerminalReason.REACHED_END
-            break
+        else:
+            next_position = position + math.copysign(step, state.net_force)
+            try:
+                next_state = solver.solve(next_position)
+            except FootprintError:
+                terminal = TerminalReason.REACHED_END
         steps.append(
             TraceStep(
-                position, state.theta_front, state.theta_rear,
-                state.net_force, moved=True,
+                position, state.theta_front, state.theta_rear, state.net_force,
+                moved=next_state is not None,
+                footprint_radius=state.footprint_radius,
+                retention=holding,
             )
         )
+        if next_state is None:
+            break
         position, state = next_position, next_state
     return SimulationTrace(steps=tuple(steps), terminal_reason=terminal)
 

@@ -373,6 +373,16 @@ class TestCliSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_step_is_a_domain_error(self, capsys):
+        code = run(
+            ["simulate", "--length-nm", "10000000", "--f-start", "0.19",
+             "--f-end", "0.4375", "--step-nm", "inf"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "terminal_reason" not in captured.out
+        assert "step must be a finite length" in captured.err
+
 
 # --------------------------------------------------------------------------
 # Export

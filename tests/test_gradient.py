@@ -12,6 +12,7 @@ import pytest
 
 from lotuskit.gradient import (
     FootprintError,
+    _FootprintSolver,
     GradientDesign,
     GradientSpec,
     Measure,
@@ -334,6 +335,43 @@ class TestSimulateDroplet:
         with pytest.raises(ValueError):
             simulate_droplet(design, droplet, WATER, max_steps=0)
 
+    @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan])
+    def test_non_finite_step_rejected(self, step):
+        design = reference_gradient()
+        droplet = Droplet(volume=1.1e-9, position=1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_droplet(design, droplet, WATER, step=step)
+
+    def test_records_carry_footprint_and_retention(self):
+        design = reference_gradient()
+        droplet = Droplet(volume=1.1e-9, position=1e-3)
+        material = Material(name="x", theta_flat=81.0, hysteresis=2.0)
+        trace = simulate_droplet(design, droplet, material, max_steps=20)
+        for record in trace.steps:
+            state = _FootprintSolver(design, droplet.volume, material).solve(
+                record.position
+            )
+            assert record.footprint_radius == state.footprint_radius
+            assert record.retention == retention_force(
+                droplet, material, design.fraction_at(record.position)
+            )
+
+    def test_force_balance_stop_is_auditable(self):
+        spec = GradientSpec(
+            length=10_000_000, lateral_width=200_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        )
+        material = Material(name="x", theta_flat=81.0, hysteresis=5.0)
+        trace = simulate_droplet(
+            design_linear_gradient(spec), Droplet(volume=1.1e-9, position=1e-3),
+            material,
+        )
+        assert trace.terminal_reason is TerminalReason.FORCE_BALANCE
+        last = trace.steps[-1]
+        assert last.retention > 0.0
+        assert abs(last.net_force) <= last.retention
+        assert all(abs(r.net_force) > r.retention for r in trace.steps[:-1])
+
 
 class TestTraceCsv:
     def test_header_and_shape(self):
@@ -398,3 +436,143 @@ class TestPinnedTraceBytes:
         assert len(trace.steps) == records
         text = trace_to_csv(trace)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def oracle_force_state(design, position_m, volume_m3, material):
+    """The per-call footprint bisection the table-driven solver replaced.
+
+    Every residual looks both angles up afresh through
+    ``local_apparent_angle`` and recomputes the cap radius.  Returns
+    ``(radius, theta_front, theta_rear, force, on_jump)``, where ``on_jump``
+    says the converged bracket still straddles a column boundary, i.e. the
+    root sits on a jump of the residual.
+    """
+    length_m = design.length_m
+    if not 0.0 <= position_m <= length_m:
+        raise FootprintError(
+            f"droplet center {position_m!r} m lies outside the design "
+            f"[0, {length_m!r}] m"
+        )
+    r_max = min(position_m, length_m - position_m)
+
+    def angles(radius):
+        front = local_apparent_angle(design, position_m + radius, material)
+        rear = local_apparent_angle(design, position_m - radius, material)
+        return front, rear
+
+    def residual(radius):
+        front, rear = angles(radius)
+        return (
+            spherical_cap_footprint_radius(volume_m3, 0.5 * (front + rear)) - radius
+        )
+
+    if r_max <= 0.0 or residual(r_max) > 0.0:
+        raise FootprintError(
+            f"droplet footprint does not fit at {position_m!r} m: needs more "
+            f"than the {r_max!r} m available to the nearer design edge"
+        )
+
+    low, high = 0.0, r_max
+    for _ in range(200):
+        mid = 0.5 * (low + high)
+        if mid <= low or mid >= high:
+            break
+        if residual(mid) > 0.0:
+            low = mid
+        else:
+            high = mid
+        if high - low <= 1e-13:
+            break
+    radius = high
+    front, rear = angles(radius)
+    cos_front = math.cos(math.radians(front))
+    cos_rear = math.cos(math.radians(rear))
+    force = material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
+    pair = lambda r: (  # noqa: E731
+        design.column_index(position_m + r), design.column_index(position_m - r)
+    )
+    return radius, front, rear, force, pair(low) != pair(high)
+
+
+class TestSolverMatchesPerCallBisection:
+    """The table-driven solver must agree bit for bit with the old bisection."""
+
+    VOLUME = 1.1e-9
+
+    @pytest.mark.parametrize(
+        ("spec", "material"),
+        [
+            (
+                GradientSpec(
+                    length=10_000_000, lateral_width=200_000, pitch=4000,
+                    f_start=0.19, f_end=0.4375,
+                ),
+                WATER_ON_PMMA,
+            ),
+            (
+                GradientSpec(
+                    length=10_000_000, lateral_width=200_000, pitch=4000,
+                    f_start=0.30, f_end=0.12, measure=Measure.LINEAR_RATIO,
+                ),
+                Material(name="steep", theta_flat=100.0, hysteresis=4.0),
+            ),
+        ],
+    )
+    def test_radius_angles_and_force_are_identical(self, spec, material):
+        design = design_linear_gradient(spec)
+        solver = _FootprintSolver(design, self.VOLUME, material)
+        on_jump = 0
+        compared = 0
+        # An irregular stride so positions fall at every offset in a column.
+        for k in range(300):
+            position = 1.6e-3 + k * 7.3e-6 * (1.0 + 0.37 * (k % 7))
+            if position > design.length_m - 1.6e-3:
+                break
+            radius, front, rear, force, jump = oracle_force_state(
+                design, position, self.VOLUME, material
+            )
+            state = solver.solve(position)
+            assert state.footprint_radius == radius
+            assert state.theta_front == front
+            assert state.theta_rear == rear
+            assert state.net_force == force
+            compared += 1
+            on_jump += jump
+        assert compared >= 250
+        assert on_jump >= 3  # roots sitting on a column jump are covered
+
+    def test_footprint_inside_one_column(self):
+        # A droplet of 1e-19 m^3 spans well under one 4 um column, so near
+        # either design end both bracket ends start on the same column pair.
+        volume = 1e-19
+        spec = GradientSpec(
+            length=40_000, lateral_width=200_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        )
+        design = design_linear_gradient(spec)
+        solver = _FootprintSolver(design, volume, WATER_ON_PMMA)
+        positions = [k * 1e-7 for k in range(8, 20)]
+        positions += [design.length_m - x for x in positions]
+        for position in positions:
+            radius, front, rear, force, _ = oracle_force_state(
+                design, position, volume, WATER_ON_PMMA
+            )
+            assert radius < 2e-6
+            state = solver.solve(position)
+            assert state.footprint_radius == radius
+            assert (state.theta_front, state.theta_rear) == (front, rear)
+            assert state.net_force == force
+
+    @pytest.mark.parametrize("position", [-1e-3, 10.5e-3, float("nan"), 0.0, 1e-4])
+    def test_footprint_errors_keep_their_messages(self, position):
+        spec = GradientSpec(
+            length=10_000_000, lateral_width=200_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        )
+        design = design_linear_gradient(spec)
+        solver = _FootprintSolver(design, self.VOLUME, WATER_ON_PMMA)
+        with pytest.raises(FootprintError) as expected:
+            oracle_force_state(design, position, self.VOLUME, WATER_ON_PMMA)
+        with pytest.raises(FootprintError) as actual:
+            solver.solve(position)
+        assert str(actual.value) == str(expected.value)
