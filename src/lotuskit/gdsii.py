@@ -260,14 +260,15 @@ class Record:
         return record_name(self.record_type)
 
 
-def iter_records(data: bytes) -> Iterator[Record]:
+def iter_records(data: bytes, offset: int = 0) -> Iterator[Record]:
     """Walk a stream's records in order, validating framing as it goes.
 
-    Trailing NUL padding after the last record (some tools pad files to a
-    block size) is accepted and terminates the walk; any other framing
-    problem raises :class:`GdsParseError` with the byte offset.
+    The walk starts at byte ``offset`` (default: the start of the stream),
+    which must be a record boundary.  Trailing NUL padding after the last
+    record (some tools pad files to a block size) is accepted and
+    terminates the walk; any other framing problem raises
+    :class:`GdsParseError` with the byte offset.
     """
-    offset = 0
     total = len(data)
     while offset < total:
         if total - offset < 4:

@@ -12,8 +12,7 @@ Conventions
 * Mask hexagons are emitted whole (never clipped): a cell belongs to the
   zone or column containing its center, so abutting zones tile seamlessly
   without double-drawing, and edge hexagons may protrude up to half a comb
-  diameter past the extent.  SVG previews of zones use boundary-clipped
-  polygons instead, which keeps drawn areas exact.
+  diameter past the extent.  SVG previews draw the same whole hexagons.
 * ``arrayed`` mode writes one hexagon structure per distinct opening size
   plus two array references per zone or column (even rows and the
   half-pitch-shifted odd rows); GDSII arrays are rectangular, and the
@@ -33,6 +32,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Iterator, Union
 
 import numpy as np
@@ -244,8 +244,12 @@ class MaskGeometry:
     def expand(self, cell_name: str | None = None) -> list[MaskBoundary]:
         """Flatten a cell (default: the sole top cell) to absolute polygons.
 
-        Array references are unrolled instance by instance; nested
-        references are followed recursively with cycle detection.
+        The order is that of a depth-first walk: a cell's own boundaries,
+        then its SREFs, then its AREFs, each array instance by instance
+        (column index outer, row index inner).  Each cell is flattened
+        once, and array instances are placed by broadcasting; nested
+        references are followed recursively with cycle detection.  Every
+        returned polygon owns a fresh points array.
         """
         if cell_name is None:
             tops = self.top_cell_names()
@@ -255,37 +259,127 @@ class MaskGeometry:
                     f"pass cell_name explicitly"
                 )
             cell_name = tops[0]
-        flattened: list[MaskBoundary] = []
+        flattened: dict[str, list[_Run]] = {}
 
-        def walk(name: str, dx: int, dy: int, stack: frozenset[str]) -> None:
+        def flatten(name: str, stack: frozenset[str]) -> list[_Run]:
             if name not in self.cells:
                 raise ValueError(f"reference to undefined cell {name!r}")
             if name in stack:
                 raise ValueError(f"reference cycle through cell {name!r}")
+            if name in flattened:
+                return flattened[name]
             below = stack | {name}
             cell = self.cells[name]
-            for boundary in cell.boundaries:
-                flattened.append(boundary.translated(dx, dy))
-            for ref in cell.srefs:
-                walk(ref.cell, dx + ref.origin[0], dy + ref.origin[1], below)
-            for array in cell.arefs:
-                for i in range(array.cols):
-                    for j in range(array.rows):
-                        walk(
-                            array.cell,
-                            dx
-                            + array.origin[0]
-                            + i * array.col_vector[0]
-                            + j * array.row_vector[0],
-                            dy
-                            + array.origin[1]
-                            + i * array.col_vector[1]
-                            + j * array.row_vector[1],
-                            below,
-                        )
+            placements = [
+                (flatten(ref.cell, below), np.array([ref.origin], dtype=np.int64))
+                for ref in cell.srefs
+            ]
+            arrays = [array for array in cell.arefs if array.cols > 0 and array.rows > 0]
+            placements += zip(
+                [flatten(array.cell, below) for array in arrays],
+                _instance_offsets(arrays),
+            )
+            runs = _own_runs(cell.boundaries) + _placed(placements)
+            flattened[name] = runs
+            return runs
 
-        walk(cell_name, 0, 0, frozenset())
-        return flattened
+        return [
+            boundary
+            for layer, datatype, block in flatten(cell_name, frozenset())
+            for boundary in _boundaries(layer, datatype, block)
+        ]
+
+
+# A run of polygons sharing layer, datatype and vertex count: the
+# (n, k, 2) points block of n consecutive polygons.
+_Run = tuple[int, int, np.ndarray]
+
+
+def _boundaries(layer: int, datatype: int, block: np.ndarray) -> list[MaskBoundary]:
+    return [MaskBoundary(layer, datatype, points) for points in block]
+
+
+def _own_runs(boundaries: list[MaskBoundary]) -> list[_Run]:
+    """A cell's boundaries as runs, copied, in order.
+
+    Blocks take the dtype that adding int64 offsets gives, as translating
+    each polygon did.
+    """
+    runs = []
+    for (layer, datatype, _, dtype), group in groupby(boundaries, key=_boundary_key):
+        points = [boundary.points for boundary in group]
+        runs.append((layer, datatype, np.array(points, np.result_type(dtype, np.int64))))
+    return runs
+
+
+def _boundary_key(boundary: MaskBoundary) -> tuple:
+    return boundary.layer, boundary.datatype, boundary.points.shape, boundary.points.dtype
+
+
+def _instance_offsets(arrays: list[CellArray]) -> list[np.ndarray]:
+    """Each array's (cols * rows, 2) instance origins, column index outer.
+
+    All arrays of a cell are unrolled in one broadcast, then split.
+    """
+    if not arrays:
+        return []
+    counts = np.array([array.cols * array.rows for array in arrays])
+    owner = np.repeat(np.arange(len(arrays)), counts)
+    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = np.divmod(index, np.array([array.rows for array in arrays])[owner])
+    origin, col_vector, row_vector = (
+        np.array([getattr(array, name) for array in arrays], dtype=np.int64)[owner]
+        for name in ("origin", "col_vector", "row_vector")
+    )
+    offsets = origin + i[:, None] * col_vector + j[:, None] * row_vector
+    return np.split(offsets, np.cumsum(counts)[:-1])
+
+
+def _placed(placements: list[tuple[list[_Run], np.ndarray]]) -> list[_Run]:
+    """Translated copies of flattened cells, placement after placement.
+
+    A placement is a flattened cell and its (m, 2) instance offsets; each
+    instance holds all of the cell's runs in order.  Consecutive placements
+    of single-run cells with the same layer, datatype and block layout are
+    gathered into one run by a single fancy index.
+    """
+    runs: list[_Run] = []
+    for key, group in groupby(placements, key=_single_run_key):
+        group = list(group)
+        if key is None:
+            for cell_runs, offsets in group:
+                moved = [
+                    (layer, datatype, block + offsets[:, None, None, :])
+                    for layer, datatype, block in cell_runs
+                ]
+                runs += [
+                    (layer, datatype, blocks[index])
+                    for index in range(len(offsets))
+                    for layer, datatype, blocks in moved
+                ]
+            continue
+        blocks = [cell_runs[0][2] for cell_runs, _ in group]
+        lengths = [len(block) for block in blocks]
+        counts = [len(offsets) for _, offsets in group]
+        offsets = np.concatenate([offsets for _, offsets in group])
+        # Per instance: its block's polygon count and first row in the
+        # concatenated blocks; then per output polygon: its instance.
+        sizes = np.repeat(lengths, counts)
+        firsts = np.repeat(np.cumsum([0, *lengths[:-1]]), counts)
+        instance = np.repeat(np.arange(len(offsets)), sizes)
+        within = np.arange(len(instance)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        block = np.concatenate(blocks)[firsts[instance] + within]
+        block += offsets[instance, None, :]
+        runs.append((key[0], key[1], block))
+    return runs
+
+
+def _single_run_key(placement: tuple[list[_Run], np.ndarray]) -> tuple | None:
+    cell_runs, _ = placement
+    if len(cell_runs) != 1:
+        return None
+    layer, datatype, block = cell_runs[0]
+    return layer, datatype, block.shape[1:], block.dtype
 
 
 # --------------------------------------------------------------------------
@@ -423,6 +517,14 @@ def _target_arrays(kind: str, obj: Union[Layout, GradientDesign], grid: int) -> 
     return _design_arrays(obj)
 
 
+def _array_centers(array: _ArraySpec) -> Iterator[tuple[int, int]]:
+    """An array's cell centers as plain ints, row by row (row-major)."""
+    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
+    for j in range(array.rows):
+        for i in range(array.cols):
+            yield x0 + i * cx + j * rx, y0 + i * cy + j * ry
+
+
 def _iter_flat_cells(
     kind: str, obj: Union[Layout, GradientDesign], grid: int
 ) -> Iterator[tuple[int, int, int]]:
@@ -432,13 +534,8 @@ def _iter_flat_cells(
     expand to identical geometry by construction.
     """
     for array in _target_arrays(kind, obj, grid):
-        for j in range(array.rows):
-            for i in range(array.cols):
-                yield (
-                    array.comb,
-                    array.origin[0] + i * array.col_vector[0] + j * array.row_vector[0],
-                    array.origin[1] + i * array.col_vector[1] + j * array.row_vector[1],
-                )
+        for center_x, center_y in _array_centers(array):
+            yield array.comb, center_x, center_y
 
 
 def _background_rects(kind: str, obj: Union[Layout, GradientDesign]) -> list[tuple[int, int, int, int]]:
@@ -523,6 +620,65 @@ def _aref_bytes(array: _ArraySpec, cell_name: str, scale: int) -> bytes:
 def _hexagon_cell_points(comb: int, scale: int) -> list[tuple[int, int]]:
     offsets = np.rint(hexagon_offsets(comb)).astype(np.int64) * scale
     return [(int(x), int(y)) for x, y in offsets]
+
+
+_INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
+_FLAT_BLOCK_CELLS = 8192  # cells encoded per numpy block in flat mode
+
+
+def _write_flat_array(
+    out: bytearray, array: _ArraySpec, layer: int, datatype: int, scale: int
+) -> None:
+    """Append one boundary per cell of ``array``, in row-major order.
+
+    The boundary bytes of the hexagon centered at the origin are a template
+    of big-endian int32 words (every record here is a multiple of 4 bytes):
+    each cell adds its scaled center to the template's XY words.  The
+    coordinates are linear in the cell indices, so checking the four
+    corner cells proves that every word fits int32; otherwise the array is
+    encoded cell by cell, which raises the coordinate-overflow error at
+    the first cell that overflows.
+    """
+    hexagon = _hexagon_cell_points(array.comb, scale)
+    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
+    corners = [
+        (x0 + i * cx + j * rx, y0 + i * cy + j * ry)
+        for i in (0, array.cols - 1)
+        for j in (0, array.rows - 1)
+    ]
+    if not all(
+        _INT32_MIN <= x + center_x * scale <= _INT32_MAX
+        and _INT32_MIN <= y + center_y * scale <= _INT32_MAX
+        for center_x, center_y in corners
+        for x, y in hexagon
+    ):
+        for center_x, center_y in _array_centers(array):
+            out += _boundary_bytes(
+                layer,
+                datatype,
+                [(x + center_x * scale, y + center_y * scale) for x, y in hexagon],
+            )
+        return
+
+    template = np.frombuffer(
+        _boundary_bytes(layer, datatype, hexagon), dtype=">i4"
+    ).astype(np.int64)
+    # Words 0-4: BOUNDARY, LAYER, DATATYPE and the XY header; then the
+    # closed vertex list as x, y pairs; the last word is ENDEL.
+    xy_end = 5 + 2 * (len(hexagon) + 1)
+    along_x = np.zeros_like(template)
+    along_x[5:xy_end:2] = 1
+    along_y = np.zeros_like(template)
+    along_y[6:xy_end:2] = 1
+
+    i = np.arange(array.cols, dtype=np.int64)
+    step = max(1, _FLAT_BLOCK_CELLS // array.cols)
+    for first_row in range(0, array.rows, step):
+        j = np.arange(first_row, min(first_row + step, array.rows), dtype=np.int64)[:, None]
+        center_x = (x0 + i * cx + j * rx).reshape(-1, 1) * scale
+        center_y = (y0 + i * cy + j * ry).reshape(-1, 1) * scale
+        words = template + center_x * along_x + center_y * along_y
+        out += words.astype(">i4").data
 
 
 def write_gdsii(
@@ -612,18 +768,8 @@ def write_gdsii(
                 [(x0 * scale, y0 * scale), (x1 * scale, y0 * scale),
                  (x1 * scale, y1 * scale), (x0 * scale, y1 * scale)],
             )
-        hexagon_cache: dict[int, list[tuple[int, int]]] = {}
-        for comb, center_x, center_y in _iter_flat_cells(kind, obj, grid):
-            if comb not in hexagon_cache:
-                hexagon_cache[comb] = _hexagon_cell_points(comb, scale)
-            out += _boundary_bytes(
-                options.layer,
-                opening_datatype,
-                [
-                    (x + center_x * scale, y + center_y * scale)
-                    for x, y in hexagon_cache[comb]
-                ],
-            )
+        for array in _target_arrays(kind, obj, grid):
+            _write_flat_array(out, array, options.layer, opening_datatype, scale)
         close_structure()
 
     out += pack_record(ENDLIB, DATA_NONE)
@@ -644,41 +790,65 @@ def _expect(record: Record, wanted: int) -> Record:
     return record
 
 
+class _RecordCursor:
+    """Strict record walk over a stream that can skip past decoded bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.end = 0  # offset just past the last record returned
+        self._records = iter_records(data)
+
+    def next(self, context: str) -> Record:
+        try:
+            record = next(self._records)
+        except StopIteration:
+            raise GdsParseError(
+                f"unexpected end of stream while reading {context}", len(self.data)
+            ) from None
+        self.end = record.offset + 4 + len(record.payload)
+        return record
+
+    def skip_to(self, offset: int) -> None:
+        self._records = iter_records(self.data, offset)
+        self.end = offset
+
+    def extra(self) -> Record | None:
+        """The next record, or None at the end of the stream."""
+        return next(self._records, None)
+
+
 def read_gdsii(data: bytes) -> MaskGeometry:
     """Parse a GDSII stream into cells, references, and unit metadata.
 
     Array references are kept unexpanded; use :meth:`MaskGeometry.expand`
     to flatten.  Malformed streams raise :class:`GdsParseError` naming the
     byte offset and record type.
-    """
-    stream = iter_records(data)
 
-    def next_record(context: str) -> Record:
-        try:
-            return next(stream)
-        except StopIteration:
-            raise GdsParseError(
-                f"unexpected end of stream while reading {context}", len(data)
-            ) from None
+    Records are walked one at a time, except that the boundaries following
+    a parsed boundary with byte-identical framing (every byte outside the
+    XY payload) are decoded as one numpy block; see :func:`_boundary_run`.
+    """
+    cursor = _RecordCursor(data)
+    next_record = cursor.next
 
     header = _expect(next_record("HEADER"), HEADER)
     if not header.int16s():
         raise GdsParseError("HEADER carries no version", header.offset, HEADER)
     _expect(next_record("BGNLIB"), BGNLIB)
     library_name = _expect(next_record("LIBNAME"), LIBNAME).text()
-    units = _expect(next_record("UNITS"), UNITS).reals()
+    units_record = _expect(next_record("UNITS"), UNITS)
+    units = units_record.reals()
     if len(units) != 2:
         raise GdsParseError(
-            f"UNITS must carry 2 reals, found {len(units)}", header.offset, UNITS
+            f"UNITS must carry 2 reals, found {len(units)}", units_record.offset, UNITS
         )
 
     cells: dict[str, MaskCell] = {}
     while True:
         record = next_record("BGNSTR or ENDLIB")
         if record.record_type == ENDLIB:
-            try:
-                extra = next(stream)
-            except StopIteration:
+            extra = cursor.extra()
+            if extra is None:
                 break
             raise GdsParseError(
                 "records after ENDLIB", extra.offset, extra.record_type
@@ -696,7 +866,12 @@ def read_gdsii(data: bytes) -> MaskGeometry:
             if element.record_type == ENDSTR:
                 break
             if element.record_type == BOUNDARY:
-                cell.boundaries.append(_parse_boundary(element, next_record))
+                boundary, xy = _parse_boundary(element, next_record)
+                run = _boundary_run(data, element.offset, cursor.end, xy, boundary)
+                if run:
+                    size = cursor.end - element.offset
+                    cursor.skip_to(element.offset + len(run) * size)
+                cell.boundaries += run or [boundary]
             elif element.record_type == SREF:
                 cell.srefs.append(_parse_sref(next_record))
             elif element.record_type == AREF:
@@ -726,7 +901,8 @@ def _parse_xy_pairs(record: Record) -> np.ndarray:
     return np.asarray(values, dtype=np.int64).reshape(-1, 2)
 
 
-def _parse_boundary(start: Record, next_record) -> MaskBoundary:
+def _parse_boundary(start: Record, next_record) -> tuple[MaskBoundary, Record]:
+    """One boundary element after its BOUNDARY record, plus its XY record."""
     layer_record = _expect(next_record("LAYER"), LAYER)
     layer = layer_record.int16s()
     if not layer:
@@ -753,11 +929,62 @@ def _parse_boundary(start: Record, next_record) -> MaskBoundary:
             XY,
         )
     if not np.array_equal(points[0], points[-1]):
-        raise GdsParseError(
-            "boundary is not closed (first point must repeat last)", xy.offset, XY
-        )
+        raise GdsParseError(_UNCLOSED, xy.offset, XY)
     _expect(next_record("ENDEL"), ENDEL)
-    return MaskBoundary(layer=layer[0], datatype=datatype[0], points=points[:-1])
+    boundary = MaskBoundary(layer=layer[0], datatype=datatype[0], points=points[:-1])
+    return boundary, xy
+
+
+_UNCLOSED = "boundary is not closed (first point must repeat last)"
+_RUN_PROBE = 64  # elements compared by the first framing check of a run
+
+
+def _boundary_run(
+    data: bytes, start: int, end: int, xy: Record, first: MaskBoundary
+) -> list[MaskBoundary]:
+    """Decode the run of boundaries framed like the one at ``start:end``.
+
+    The element at ``start`` has been parsed strictly.  Every following
+    element whose bytes outside the XY payload equal that element's passes
+    every framing, record-type, LAYER, DATATYPE and point-count check
+    identically, so only closure is left to test, and it is tested on the
+    whole run at once; the first unclosed element raises the record walk's
+    error at its XY record.  The run ends at the first element that
+    differs, which the record walk then parses.  Returns the run's
+    boundaries, ``first``'s element included, or an empty list when the
+    next element differs.
+    """
+    size = end - start
+    xy_start = xy.offset + 4 - start
+    xy_end = xy_start + len(xy.payload)
+    head, tail = data[start : start + xy_start], data[start + xy_end : end]
+    if (
+        data[end : end + xy_start] != head
+        or data[end + xy_end : end + size] != tail
+    ):
+        return []
+    available = (len(data) - start) // size
+    elements = np.frombuffer(data, np.uint8, available * size, start).reshape(
+        available, size
+    )
+    count, probe = 2, _RUN_PROBE
+    while count < available:
+        block = elements[count : count + probe]
+        same = (block[:, :xy_start] == elements[0, :xy_start]).all(axis=1) & (
+            block[:, xy_end:] == elements[0, xy_end:]
+        ).all(axis=1)
+        if not same.all():
+            count += int(np.argmin(same))
+            break
+        count, probe = count + len(block), 2 * probe
+
+    payload = np.ascontiguousarray(elements[:count, xy_start:xy_end])
+    points = payload.view(">i4").astype(np.int64).reshape(count, -1, 2)
+    closed = (points[:, 0] == points[:, -1]).all(axis=1)
+    if not closed.all():
+        offset = start + int(np.argmin(closed)) * size + xy_start - 4
+        raise GdsParseError(_UNCLOSED, offset, XY)
+    return _boundaries(first.layer, first.datatype, points[:, :-1])
 
 
 def _parse_sref(next_record) -> CellRef:
@@ -879,15 +1106,22 @@ def write_svg(
             f'fill="{_SVG_BACKGROUND}"/>'
         )
 
-    def path_element(points) -> str:
-        coords = " L ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in points)
-        return f'<path d="M {coords} Z" fill="{_SVG_OPENING}"/>'
-
-    offset_cache: dict[int, np.ndarray] = {}
+    # Each distinct integer coordinate is formatted once.
+    x_text: dict[int, str] = {}
+    y_text: dict[int, str] = {}
+    hexagons: dict[int, list[tuple[int, int]]] = {}
     for comb, center_x, center_y in _iter_flat_cells(kind, obj, grid):
-        if comb not in offset_cache:
-            offset_cache[comb] = np.rint(hexagon_offsets(comb)).astype(np.int64)
-        parts.append(path_element(offset_cache[comb] + (center_x, center_y)))
+        if comb not in hexagons:
+            hexagons[comb] = _hexagon_cell_points(comb, 1)
+        coords = []
+        for dx, dy in hexagons[comb]:
+            x, y = center_x + dx, center_y + dy
+            if x not in x_text:
+                x_text[x] = f"{px(x):.3f}"
+            if y not in y_text:
+                y_text[y] = f"{py(y):.3f}"
+            coords.append(f"{x_text[x]},{y_text[y]}")
+        parts.append(f'<path d="M {" L ".join(coords)} Z" fill="{_SVG_OPENING}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -349,3 +349,10 @@ class TestLongRunStrictness:
         assert error.offset == offset
         assert str(error) == f"offset {offset} {message}"
 
+
+def test_units_error_reports_the_units_record_offset():
+    data = library(structure("TOP"), units_reals=1)
+    assert data[44 + 2] == 0x03  # HEADER 6 + BGNLIB 28 + LIBNAME 10 bytes
+    error = parse_error(data)
+    assert error.offset == 44
+    assert str(error) == "offset 44 (UNITS): UNITS must carry 2 reals, found 1"
