@@ -272,6 +272,61 @@ class TestCliFraction:
         assert abs(estimate - 0.4375) <= 5.0 * stderr
 
 
+REFERENCE_TWO_ZONE_STDOUT = """\
+label=reference two-zone
+material=water on PMMA
+theta_flat_deg=81.000000
+zone_count=2
+total_cells=14455000
+zone0.origin_nm=0,0
+zone0.size_nm=10000000,10000000
+zone0.pitch_nm=4000
+zone0.wall_nm=1000
+zone0.comb_diameter_nm=3000
+zone0.height_nm=4000
+zone0.cell_count=7227500
+zone0.linear_ratio=0.250000000
+zone0.area_fraction=0.437500000
+zone0.aspect_ratio=4.000000
+zone0.cassie_angle_linear_deg=135.307487
+zone0.cassie_angle_area_deg=119.607780
+zone1.origin_nm=10000000,0
+zone1.size_nm=10000000,10000000
+zone1.pitch_nm=4000
+zone1.wall_nm=400
+zone1.comb_diameter_nm=3600
+zone1.height_nm=4000
+zone1.cell_count=7227500
+zone1.linear_ratio=0.100000000
+zone1.area_fraction=0.190000000
+zone1.aspect_ratio=10.000000
+zone1.cassie_angle_linear_deg=152.172442
+zone1.cassie_angle_area_deg=141.285986
+drc_violations=0
+"""
+
+# The 2,500-column ramp of the mask benchmark's arrayed export.
+GRADIENT_STDOUT = """\
+material=water on PMMA
+theta_flat_deg=81.000000
+measure=area_fraction
+columns=2500
+pitch_nm=4000
+length_nm=10000000
+lateral_width_nm=200000
+height_nm=4000
+row_pitch_nm=3460
+lattice_rows=58
+total_cells=145000
+wall_start_nm=400
+wall_end_nm=1000
+fraction_start=0.190000000
+fraction_end=0.437500000
+cassie_angle_start_deg=141.285986
+cassie_angle_end_deg=119.607780
+"""
+
+
 class TestCliDesignAndCheck:
     def test_reference_two_zone_summary(self, capsys):
         assert run(["design", "two-zone", "--reference"]) == 0
@@ -311,6 +366,20 @@ class TestCliDesignAndCheck:
         assert "wall_end_nm=1000" in out
         assert "cassie_angle_start_deg=152.172442" in out
         assert "cassie_angle_end_deg=135.307487" in out
+
+    def test_reference_two_zone_stdout_bytes(self, capsys):
+        assert run(["design", "two-zone", "--reference"]) == 0
+        assert capsys.readouterr().out == REFERENCE_TWO_ZONE_STDOUT
+
+    def test_gradient_stdout_bytes(self, capsys):
+        code = run(
+            [
+                "design", "gradient", "--length-nm", "10000000",
+                "--width-nm", "200000", "--f-start", "0.19", "--f-end", "0.4375",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == GRADIENT_STDOUT
 
     def test_check_reference_passes(self, capsys):
         assert run(["check", "--reference"]) == 0

@@ -260,6 +260,16 @@ class TestWriteGdsii:
         with pytest.raises(ValueError, match="overflow"):
             write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT))
 
+    def test_far_origin_stays_exact(self):
+        # A lattice anchored at 2**62 nm: its coordinates fit no int32, so
+        # both GDSII modes refuse them, while the SVG preview, which has no
+        # word size, still draws every cell at its exact position.
+        zone = Zone(spec=WIDE, extent=Rect(2**62, 0, 8000, 8000))
+        for mode in (GdsMode.FLAT, GdsMode.ARRAYED):
+            with pytest.raises(ValueError, match="coordinate overflow"):
+                write_gdsii(zone, GdsOptions(mode=mode))
+        assert write_svg(zone).count("<path") == 6
+
     def test_database_unit_must_divide_nanometer(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
         with pytest.raises(ValueError):
