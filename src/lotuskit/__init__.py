@@ -27,7 +27,7 @@ from lotuskit.lattice import (
     honeycomb_linear_ratio,
     honeycomb_area_fraction,
     monte_carlo_fraction,
-    tile_zone,
+    lattice_arrays,
     cell_counts,
     build_two_zone_layout,
     check_design_rules,
@@ -76,7 +76,7 @@ __all__ = [
     "honeycomb_linear_ratio",
     "honeycomb_area_fraction",
     "monte_carlo_fraction",
-    "tile_zone",
+    "lattice_arrays",
     "cell_counts",
     "build_two_zone_layout",
     "check_design_rules",

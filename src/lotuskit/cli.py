@@ -166,48 +166,27 @@ def _gradient_from_args(args: argparse.Namespace, config: ProjectConfig) -> Grad
     return design_linear_gradient(spec, config.rules)
 
 
-def _print_zone_stats(stats: dict) -> None:
-    print(f"label={stats['label']}")
-    print(f"material={stats['material']}")
-    print(f"theta_flat_deg={_deg(stats['theta_flat_deg'])}")
-    print(f"zone_count={stats['zone_count']}")
-    print(f"total_cells={stats['total_cells']}")
-    for index, zone in enumerate(stats["zones"]):
-        prefix = f"zone{index}"
-        origin = zone["origin_nm"]
-        size = zone["size_nm"]
-        print(f"{prefix}.origin_nm={origin[0]},{origin[1]}")
-        print(f"{prefix}.size_nm={size[0]},{size[1]}")
-        print(f"{prefix}.pitch_nm={zone['pitch_nm']}")
-        print(f"{prefix}.wall_nm={zone['wall_nm']}")
-        print(f"{prefix}.comb_diameter_nm={zone['comb_diameter_nm']}")
-        print(f"{prefix}.height_nm={zone['height_nm']}")
-        print(f"{prefix}.cell_count={zone['cell_count']}")
-        print(f"{prefix}.linear_ratio={_frac(zone['linear_ratio'])}")
-        print(f"{prefix}.area_fraction={_frac(zone['area_fraction'])}")
-        print(f"{prefix}.aspect_ratio={_deg(zone['aspect_ratio'])}")
-        print(f"{prefix}.cassie_angle_linear_deg={_deg(zone['cassie_angle_linear_deg'])}")
-        print(f"{prefix}.cassie_angle_area_deg={_deg(zone['cassie_angle_area_deg'])}")
+def _print_stats(stats: dict, prefix: str = "") -> None:
+    """Print a :func:`layout_stats` dict as ``key=value`` lines, in key order.
 
-
-def _print_gradient_stats(stats: dict) -> None:
-    print(f"material={stats['material']}")
-    print(f"theta_flat_deg={_deg(stats['theta_flat_deg'])}")
-    print(f"measure={stats['measure']}")
-    print(f"columns={stats['columns']}")
-    print(f"pitch_nm={stats['pitch_nm']}")
-    print(f"length_nm={stats['length_nm']}")
-    print(f"lateral_width_nm={stats['lateral_width_nm']}")
-    print(f"height_nm={stats['height_nm']}")
-    print(f"row_pitch_nm={stats['row_pitch_nm']}")
-    print(f"lattice_rows={stats['lattice_rows']}")
-    print(f"total_cells={stats['total_cells']}")
-    print(f"wall_start_nm={stats['wall_start_nm']}")
-    print(f"wall_end_nm={stats['wall_end_nm']}")
-    print(f"fraction_start={_frac(stats['fraction_start'])}")
-    print(f"fraction_end={_frac(stats['fraction_end'])}")
-    print(f"cassie_angle_start_deg={_deg(stats['cassie_angle_start_deg'])}")
-    print(f"cassie_angle_end_deg={_deg(stats['cassie_angle_end_deg'])}")
+    Zones are printed as ``zone<i>.`` entries, lists are joined with
+    commas, ratios and fractions get 9 decimals and other floats 6.
+    """
+    for key, value in stats.items():
+        if key == "kind":
+            continue
+        if key == "zones":
+            for index, zone in enumerate(value):
+                _print_stats(zone, f"zone{index}.")
+            continue
+        if isinstance(value, list):
+            text = ",".join(str(item) for item in value)
+        elif isinstance(value, float):
+            fractional = key != "aspect_ratio" and ("ratio" in key or "fraction" in key)
+            text = _frac(value) if fractional else _deg(value)
+        else:
+            text = str(value)
+        print(f"{prefix}{key}={text}")
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +241,7 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int:
     layout = _two_zone_from_args(args, config)
-    _print_zone_stats(layout_stats(layout, config.material, config.rules.fabrication_grid))
+    _print_stats(layout_stats(layout, config.material, config.rules.fabrication_grid))
     violations = check_design_rules(layout, config.rules)
     print(f"drc_violations={len(violations)}")
     for index, violation in enumerate(violations):
@@ -272,9 +251,7 @@ def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int
 
 def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int:
     design = _gradient_from_args(args, config)
-    _print_gradient_stats(
-        layout_stats(design, config.material, config.rules.fabrication_grid)
-    )
+    _print_stats(layout_stats(design, config.material, config.rules.fabrication_grid))
     return 0
 
 

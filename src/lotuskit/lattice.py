@@ -15,8 +15,13 @@ Lattice conventions
   x, row spacing = ``pitch * sqrt(3)/2`` along y (snapped to the fabrication
   grid), and every other row shifted by ``pitch / 2``.
 * A cell belongs to a zone iff its center lies in the half-open extent
-  ``[x, x+width) x [y, y+height)``; its opening polygon is clipped to the
-  extent rectangle.
+  ``[x, x+width) x [y, y+height)``; its opening is always a whole hexagon
+  (never clipped), so edge openings may protrude up to half a comb
+  diameter past the extent.
+* The lattice is two interleaved rectangular arrays, even rows and
+  half-pitch-shifted odd rows (:func:`lattice_arrays`).  Mask export and
+  SVG previews read the arrays; :func:`cell_counts` is their closed-form
+  census.
 
 Two independent routes to the solid area fraction are provided: the closed
 form ``1 - (1 - wall/pitch)^2`` and a seeded Monte Carlo estimator with an
@@ -29,7 +34,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as _Rational
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,8 +46,8 @@ __all__ = [
     "Layout",
     "DesignRules",
     "RuleViolation",
-    "CellGrid",
     "CellCounts",
+    "LatticeArray",
     "DEFAULT_RULES",
     "ZONE_SIDE_NM",
     "square_pillar_fraction",
@@ -53,7 +58,7 @@ __all__ = [
     "row_pitch",
     "hexagon_offsets",
     "cell_counts",
-    "tile_zone",
+    "lattice_arrays",
     "build_two_zone_layout",
     "check_design_rules",
     "aspect_ratio",
@@ -477,159 +482,87 @@ def hexagon_offsets(comb_diameter: int) -> np.ndarray:
     )
 
 
-def _clip_convex_to_rect(points: list[tuple[float, float]], rect: Rect) -> list[tuple[float, float]]:
-    """Sutherland-Hodgman clip of a convex polygon to a rectangle."""
-
-    def clip_half_plane(poly, inside, intersect):
-        result = []
-        for index, current in enumerate(poly):
-            previous = poly[index - 1]
-            current_in = inside(current)
-            if inside(previous) != current_in:
-                result.append(intersect(previous, current))
-            if current_in:
-                result.append(current)
-        return result
-
-    def crossing_at_x(boundary_x):
-        def intersect(a, b):
-            t = (boundary_x - a[0]) / (b[0] - a[0])
-            return (boundary_x, a[1] + t * (b[1] - a[1]))
-
-        return intersect
-
-    def crossing_at_y(boundary_y):
-        def intersect(a, b):
-            t = (boundary_y - a[1]) / (b[1] - a[1])
-            return (a[0] + t * (b[0] - a[0]), boundary_y)
-
-        return intersect
-
-    poly = points
-    for inside, intersect in (
-        (lambda p: p[0] >= rect.x, crossing_at_x(rect.x)),
-        (lambda p: p[0] <= rect.x_max, crossing_at_x(rect.x_max)),
-        (lambda p: p[1] >= rect.y, crossing_at_y(rect.y)),
-        (lambda p: p[1] <= rect.y_max, crossing_at_y(rect.y_max)),
-    ):
-        poly = clip_half_plane(poly, inside, intersect)
-        if not poly:
-            return []
-    return poly
-
-
-def _dedupe_consecutive(points: np.ndarray) -> np.ndarray:
-    if len(points) < 2:
-        return points
-    keep = np.ones(len(points), dtype=bool)
-    keep[1:] = np.any(points[1:] != points[:-1], axis=1)
-    if np.array_equal(points[0], points[-1]) and len(points) > 1:
-        keep[-1] = False
-    return points[keep]
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
-class CellGrid:
-    """Lazy view of a zone's cell lattice.
+class LatticeArray:
+    """One rectangular sub-grid of honeycomb cells.
 
-    Holds the counting data only; centers and polygons are generated on
-    demand in row-major order (bottom row first, left to right).  This keeps
-    multi-million-cell zones cheap until geometry is actually needed.
+    Cell (i, j) for 0 <= i < cols, 0 <= j < rows is centered at
+    ``origin + i * col_vector + j * row_vector``; every opening is a whole
+    hexagon ``comb`` nm flat to flat.  This is exactly one GDSII array
+    reference, and a triangular lattice is two of them: see
+    :func:`lattice_arrays`.
     """
 
-    zone: Zone
-    fabrication_grid: int
-    row_pitch: int
-    counts: CellCounts
-
-    @property
-    def count(self) -> int:
-        return self.counts.total
-
-    def _row_centers_x(self, level: int) -> np.ndarray:
-        extent = self.zone.extent
-        pitch = self.zone.spec.pitch
-        if level % 2 == 0:
-            columns, shift = self.counts.base_columns, 0.0
-        else:
-            columns, shift = self.counts.offset_columns, pitch / 2.0
-        return extent.x + shift + pitch * np.arange(columns, dtype=np.float64)
-
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (center_y, center_xs) per lattice row, bottom to top."""
-        extent = self.zone.extent
-        for level in range(self.counts.levels):
-            yield extent.y + level * self.row_pitch, self._row_centers_x(level)
+    comb: int
+    origin: tuple[int, int]
+    cols: int
+    rows: int
+    col_vector: tuple[int, int]
+    row_vector: tuple[int, int]
 
     def centers(self) -> np.ndarray:
-        """All cell centers as an (N, 2) float array in nm, row-major."""
-        rows = []
-        for center_y, center_xs in self.iter_rows():
-            row = np.empty((center_xs.size, 2), dtype=np.float64)
-            row[:, 0] = center_xs
-            row[:, 1] = center_y
-            rows.append(row)
-        if not rows:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.vstack(rows)
+        """All cell centers as a (rows * cols, 2) array in nm, row-major.
 
-    def polygons(self) -> Iterator[np.ndarray]:
-        """Opening polygons as integer-nm (k, 2) arrays, clipped to the extent.
-
-        Interior hexagons keep all six vertices; cells whose hexagon crosses
-        the zone boundary are clipped and may have 3..7 vertices.  Vertices
-        are snapped to the 1 nm database grid after clipping.
+        The coordinates are exact integers: int64 when every center fits
+        64 bits (the centers are linear in i and j, so the four corner
+        cells decide), otherwise Python ints in an object array.
         """
-        extent = self.zone.extent
-        comb = self.zone.spec.comb_diameter
-        offsets = hexagon_offsets(comb)
-        int_offsets = np.rint(offsets).astype(np.int64)
-        half_width = comb / 2.0
-        apex_y = comb * math.sqrt(3.0) / 3.0
-        for center_y, center_xs in self.iter_rows():
-            clear_above = center_y + apex_y <= extent.y_max
-            clear_below = center_y - apex_y >= extent.y
-            for center_x in center_xs:
-                if (
-                    clear_above
-                    and clear_below
-                    and center_x - half_width >= extent.x
-                    and center_x + half_width <= extent.x_max
-                ):
-                    yield int_offsets + np.array(
-                        [round(center_x), round(center_y)], dtype=np.int64
-                    )
-                    continue
-                shifted = [
-                    (center_x + dx, center_y + dy) for dx, dy in offsets
-                ]
-                clipped = _clip_convex_to_rect(shifted, extent)
-                if len(clipped) < 3:
-                    continue
-                snapped = _dedupe_consecutive(
-                    np.rint(np.asarray(clipped)).astype(np.int64)
-                )
-                if len(snapped) >= 3:
-                    yield snapped
+        (x0, y0), (cx, cy), (rx, ry) = self.origin, self.col_vector, self.row_vector
+        fits = all(
+            _INT64_MIN <= value <= _INT64_MAX
+            for i in (0, self.cols - 1)
+            for j in (0, self.rows - 1)
+            for value in (x0 + i * cx + j * rx, y0 + i * cy + j * ry)
+        )
+        dtype = np.int64 if fits else object
+        i = np.arange(self.cols, dtype=dtype)
+        j = np.arange(self.rows, dtype=dtype)[:, None]
+        return np.stack(
+            [(x0 + i * cx + j * rx).ravel(), (y0 + i * cy + j * ry).ravel()], axis=1
+        )
 
 
-def tile_zone(zone: Zone, fabrication_grid: int = 10) -> CellGrid:
-    """Tile a zone with its honeycomb lattice.
+def lattice_arrays(zone: Zone, fabrication_grid: int = 10) -> list[LatticeArray]:
+    """A zone's triangular lattice as its even-row and odd-row arrays.
 
-    Returns a :class:`CellGrid` exposing the closed-form cell count plus
-    lazy row-major generators for cell centers and boundary-clipped opening
-    polygons.  The lattice anchors at the extent origin: the first cell
-    center sits exactly on ``(extent.x, extent.y)``.
+    Even lattice rows anchor at the extent origin, odd rows are shifted
+    half a pitch right and one row spacing up; each array steps by twice
+    the row spacing vertically.  The cells are those counted by
+    :func:`cell_counts`, and empty arrays are left out.
 
-    The row spacing ``pitch * sqrt(3)/2`` is snapped to the fabrication
-    grid so every feature lands on a writable address.
+    Raises ValueError for an odd pitch when the zone has odd rows, since
+    their half-pitch offset would fall off the 1 nm grid.
     """
-    return CellGrid(
-        zone=zone,
-        fabrication_grid=fabrication_grid,
-        row_pitch=row_pitch(zone.spec.pitch, fabrication_grid),
-        counts=cell_counts(zone, fabrication_grid),
-    )
+    pitch = zone.spec.pitch
+    extent = zone.extent
+    spacing = row_pitch(pitch, fabrication_grid)
+    counts = cell_counts(zone, fabrication_grid)
+    odd_rows = counts.levels // 2
+    if pitch % 2 and counts.offset_columns > 0 and odd_rows > 0:
+        raise ValueError(
+            f"odd lattice rows need an even pitch (the half-pitch row offset "
+            f"must land on the 1 nm grid), got {pitch} nm"
+        )
+    arrays = []
+    for origin, cols, rows in (
+        ((extent.x, extent.y), counts.base_columns, counts.levels - odd_rows),
+        ((extent.x + pitch // 2, extent.y + spacing), counts.offset_columns, odd_rows),
+    ):
+        if cols > 0 and rows > 0:
+            arrays.append(
+                LatticeArray(
+                    comb=zone.spec.comb_diameter,
+                    origin=origin,
+                    cols=cols,
+                    rows=rows,
+                    col_vector=(pitch, 0),
+                    row_vector=(0, 2 * spacing),
+                )
+            )
+    return arrays
 
 
 def build_two_zone_layout(

@@ -33,7 +33,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -71,13 +71,17 @@ from lotuskit.gdsii import (
 )
 from lotuskit.gradient import GradientDesign
 from lotuskit.lattice import (
+    HoneycombSpec,
+    LatticeArray,
     Layout,
+    Rect,
     Zone,
     aspect_ratio,
     cell_counts,
     hexagon_offsets,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
+    lattice_arrays,
     row_pitch,
 )
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
@@ -398,144 +402,24 @@ def _classify(target: Target) -> tuple[str, Union[Layout, GradientDesign]]:
     )
 
 
-def _design_levels(design: GradientDesign) -> tuple[int, int]:
-    """(row spacing nm, number of lattice rows) across the channel width."""
-    spacing = row_pitch(design.spec.pitch, design.fabrication_grid)
-    levels = -(-design.spec.lateral_width // spacing)
-    return spacing, levels
+def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
+    """A design column ``[x, x + pitch) x [0, lateral_width)`` as a zone."""
+    spec = design.spec
+    return Zone(
+        spec=HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height),
+        extent=Rect(x_nm, 0, spec.pitch, spec.lateral_width),
+    )
 
 
-def _total_cells(kind: str, obj: Union[Layout, GradientDesign], grid: int) -> int:
-    if kind == "layout":
-        return sum(cell_counts(zone, grid).total for zone in obj.zones)
-    _, levels = _design_levels(obj)
-    return obj.n_columns * levels
-
-
-@dataclass(frozen=True)
-class _ArraySpec:
-    """One rectangular sub-grid of hexagon centers (arrayed-mode AREF)."""
-
-    comb: int
-    origin: tuple[int, int]
-    cols: int
-    rows: int
-    col_vector: tuple[int, int]
-    row_vector: tuple[int, int]
-
-
-def _zone_arrays(zone: Zone, grid: int) -> list[_ArraySpec]:
-    """A zone's triangular lattice as two rectangular arrays.
-
-    Even lattice rows anchor at the extent origin, odd rows are shifted half
-    a pitch right and one row spacing up; each sub-grid has twice the row
-    spacing vertically.
-    """
-    pitch = zone.spec.pitch
-    comb = zone.spec.comb_diameter
-    extent = zone.extent
-    spacing = row_pitch(pitch, grid)
-    counts = cell_counts(zone, grid)
-    even_rows = (counts.levels + 1) // 2
-    odd_rows = counts.levels // 2
-    arrays = []
-    if counts.base_columns > 0 and even_rows > 0:
-        arrays.append(
-            _ArraySpec(
-                comb=comb,
-                origin=(extent.x, extent.y),
-                cols=counts.base_columns,
-                rows=even_rows,
-                col_vector=(pitch, 0),
-                row_vector=(0, 2 * spacing),
-            )
-        )
-    if counts.offset_columns > 0 and odd_rows > 0:
-        if pitch % 2:
-            raise ValueError(
-                f"arrayed mode needs an even pitch (half-pitch row offset must "
-                f"land on the 1 nm database grid), got {pitch} nm; use flat mode"
-            )
-        arrays.append(
-            _ArraySpec(
-                comb=comb,
-                origin=(extent.x + pitch // 2, extent.y + spacing),
-                cols=counts.offset_columns,
-                rows=odd_rows,
-                col_vector=(pitch, 0),
-                row_vector=(0, 2 * spacing),
-            )
-        )
-    return arrays
-
-
-def _design_arrays(design: GradientDesign) -> list[_ArraySpec]:
-    """A gradient's lattice as two single-column arrays per design column."""
-    pitch = design.spec.pitch
-    spacing, levels = _design_levels(design)
-    even_rows = (levels + 1) // 2
-    odd_rows = levels // 2
-    arrays = []
-    for x_nm, wall in design.columns:
-        comb = pitch - wall
-        if even_rows > 0:
-            arrays.append(
-                _ArraySpec(
-                    comb=comb,
-                    origin=(x_nm, 0),
-                    cols=1,
-                    rows=even_rows,
-                    col_vector=(pitch, 0),
-                    row_vector=(0, 2 * spacing),
-                )
-            )
-        if odd_rows > 0:
-            if pitch % 2:
-                raise ValueError(
-                    f"arrayed mode needs an even pitch, got {pitch} nm; "
-                    f"use flat mode"
-                )
-            arrays.append(
-                _ArraySpec(
-                    comb=comb,
-                    origin=(x_nm + pitch // 2, spacing),
-                    cols=1,
-                    rows=odd_rows,
-                    col_vector=(pitch, 0),
-                    row_vector=(0, 2 * spacing),
-                )
-            )
-    return arrays
-
-
-def _target_arrays(kind: str, obj: Union[Layout, GradientDesign], grid: int) -> list[_ArraySpec]:
-    if kind == "layout":
-        arrays: list[_ArraySpec] = []
-        for zone in obj.zones:
-            arrays.extend(_zone_arrays(zone, grid))
-        return arrays
-    return _design_arrays(obj)
-
-
-def _array_centers(array: _ArraySpec) -> Iterator[tuple[int, int]]:
-    """An array's cell centers as plain ints, row by row (row-major)."""
-    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
-    for j in range(array.rows):
-        for i in range(array.cols):
-            yield x0 + i * cx + j * rx, y0 + i * cy + j * ry
-
-
-def _iter_flat_cells(
+def _target_arrays(
     kind: str, obj: Union[Layout, GradientDesign], grid: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (comb, center_x, center_y) for every cell, deterministically.
-
-    Equivalent to unrolling :func:`_target_arrays` — flat and arrayed modes
-    expand to identical geometry by construction.
-    """
-    for array in _target_arrays(kind, obj, grid):
-        for center_x, center_y in _array_centers(array):
-            yield array.comb, center_x, center_y
+) -> list[LatticeArray]:
+    """Every zone's (or design column's) lattice arrays, in zone order."""
+    if kind == "layout":
+        zones = obj.zones
+    else:
+        zones = [_column_zone(obj, x_nm, wall) for x_nm, wall in obj.columns]
+    return [array for zone in zones for array in lattice_arrays(zone, grid)]
 
 
 def _background_rects(kind: str, obj: Union[Layout, GradientDesign]) -> list[tuple[int, int, int, int]]:
@@ -593,7 +477,7 @@ def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) ->
     )
 
 
-def _aref_bytes(array: _ArraySpec, cell_name: str, scale: int) -> bytes:
+def _aref_bytes(array: LatticeArray, cell_name: str, scale: int) -> bytes:
     if array.cols > _INT16_MAX or array.rows > _INT16_MAX:
         raise ValueError(
             f"array of {array.cols} x {array.rows} exceeds the 16-bit "
@@ -627,32 +511,27 @@ _FLAT_BLOCK_CELLS = 8192  # cells encoded per numpy block in flat mode
 
 
 def _write_flat_array(
-    out: bytearray, array: _ArraySpec, layer: int, datatype: int, scale: int
+    out: bytearray, array: LatticeArray, layer: int, datatype: int, scale: int
 ) -> None:
     """Append one boundary per cell of ``array``, in row-major order.
 
     The boundary bytes of the hexagon centered at the origin are a template
     of big-endian int32 words (every record here is a multiple of 4 bytes):
     each cell adds its scaled center to the template's XY words.  The
-    coordinates are linear in the cell indices, so checking the four
-    corner cells proves that every word fits int32; otherwise the array is
-    encoded cell by cell, which raises the coordinate-overflow error at
-    the first cell that overflows.
+    extreme centers, scaled in exact integers, show whether every word
+    fits int32; otherwise the array is encoded cell by cell, which raises
+    the coordinate-overflow error at the first cell that overflows.
     """
     hexagon = _hexagon_cell_points(array.comb, scale)
-    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
-    corners = [
-        (x0 + i * cx + j * rx, y0 + i * cy + j * ry)
-        for i in (0, array.cols - 1)
-        for j in (0, array.rows - 1)
-    ]
+    centers = array.centers()
+    low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
     if not all(
-        _INT32_MIN <= x + center_x * scale <= _INT32_MAX
-        and _INT32_MIN <= y + center_y * scale <= _INT32_MAX
-        for center_x, center_y in corners
-        for x, y in hexagon
+        _INT32_MIN <= offset + bound * scale <= _INT32_MAX
+        for point in hexagon
+        for axis, offset in enumerate(point)
+        for bound in (low[axis], high[axis])
     ):
-        for center_x, center_y in _array_centers(array):
+        for center_x, center_y in centers.tolist():
             out += _boundary_bytes(
                 layer,
                 datatype,
@@ -671,13 +550,10 @@ def _write_flat_array(
     along_y = np.zeros_like(template)
     along_y[6:xy_end:2] = 1
 
-    i = np.arange(array.cols, dtype=np.int64)
-    step = max(1, _FLAT_BLOCK_CELLS // array.cols)
-    for first_row in range(0, array.rows, step):
-        j = np.arange(first_row, min(first_row + step, array.rows), dtype=np.int64)[:, None]
-        center_x = (x0 + i * cx + j * rx).reshape(-1, 1) * scale
-        center_y = (y0 + i * cy + j * ry).reshape(-1, 1) * scale
-        words = template + center_x * along_x + center_y * along_y
+    scaled = centers * scale
+    for first in range(0, len(scaled), _FLAT_BLOCK_CELLS):
+        block = scaled[first : first + _FLAT_BLOCK_CELLS]
+        words = template + block[:, :1] * along_x + block[:, 1:] * along_y
         out += words.astype(">i4").data
 
 
@@ -1063,8 +939,8 @@ def write_svg(
         Rendering guard: exceeding it raises with a suggestion to crop.
     """
     kind, obj = _classify(target)
-    grid = getattr(obj, "fabrication_grid", 10)
-    total = _total_cells(kind, obj, grid)
+    arrays = _target_arrays(kind, obj, getattr(obj, "fabrication_grid", 10))
+    total = sum(array.cols * array.rows for array in arrays)
     if total > max_cells:
         raise ValueError(
             f"{total} cells exceed max_cells={max_cells}; render a cropped "
@@ -1110,18 +986,20 @@ def write_svg(
     x_text: dict[int, str] = {}
     y_text: dict[int, str] = {}
     hexagons: dict[int, list[tuple[int, int]]] = {}
-    for comb, center_x, center_y in _iter_flat_cells(kind, obj, grid):
-        if comb not in hexagons:
-            hexagons[comb] = _hexagon_cell_points(comb, 1)
-        coords = []
-        for dx, dy in hexagons[comb]:
-            x, y = center_x + dx, center_y + dy
-            if x not in x_text:
-                x_text[x] = f"{px(x):.3f}"
-            if y not in y_text:
-                y_text[y] = f"{py(y):.3f}"
-            coords.append(f"{x_text[x]},{y_text[y]}")
-        parts.append(f'<path d="M {" L ".join(coords)} Z" fill="{_SVG_OPENING}"/>')
+    for array in arrays:
+        if array.comb not in hexagons:
+            hexagons[array.comb] = _hexagon_cell_points(array.comb, 1)
+        hexagon = hexagons[array.comb]
+        for center_x, center_y in array.centers().tolist():
+            coords = []
+            for dx, dy in hexagon:
+                x, y = center_x + dx, center_y + dy
+                if x not in x_text:
+                    x_text[x] = f"{px(x):.3f}"
+                if y not in y_text:
+                    y_text[y] = f"{py(y):.3f}"
+                coords.append(f"{x_text[x]},{y_text[y]}")
+            parts.append(f'<path d="M {" L ".join(coords)} Z" fill="{_SVG_OPENING}"/>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -1178,7 +1056,8 @@ def layout_stats(
         }
 
     design = obj
-    spacing, levels = _design_levels(design)
+    grid = design.fabrication_grid
+    column = cell_counts(_column_zone(design, *design.columns[0]), grid)
     first_wall = design.columns[0][1]
     last_wall = design.columns[-1][1]
     return {
@@ -1191,9 +1070,9 @@ def layout_stats(
         "length_nm": design.length_nm,
         "lateral_width_nm": design.spec.lateral_width,
         "height_nm": design.spec.height,
-        "row_pitch_nm": spacing,
-        "lattice_rows": levels,
-        "total_cells": design.n_columns * levels,
+        "row_pitch_nm": row_pitch(design.spec.pitch, grid),
+        "lattice_rows": column.levels,
+        "total_cells": design.n_columns * column.total,
         "wall_start_nm": first_wall,
         "wall_end_nm": last_wall,
         "fraction_start": design.fractions[0],

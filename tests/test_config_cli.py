@@ -515,6 +515,19 @@ class TestCliExport:
         assert code == 1
         assert "max_cells" in capsys.readouterr().err
 
+    def test_odd_pitch_flat_export_is_a_domain_error(self, capsys, tmp_path):
+        code = run(
+            [
+                "export", "--wall-a", "401", "--wall-b", "401", "--pitch", "4001",
+                "--crop-um", "20", "--mode", "flat", "--out", str(tmp_path / "odd.gds"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "even pitch" in err
+        assert "mode" not in err
+        assert not (tmp_path / "odd.gds").exists()
+
     def test_default_name_lands_in_cwd(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["export", "--reference", "--crop-um", "20"]) == 0

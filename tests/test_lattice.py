@@ -1,4 +1,4 @@
-"""Honeycomb lattice geometry, fractions, tiling census, and design rules.
+"""Honeycomb lattice geometry, fractions, lattice arrays, and design rules.
 
 Closed-form fraction values and cell counts are checked against independent
 arithmetic (exact rationals, hand-derived counting), and the Monte Carlo
@@ -11,10 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import lotuskit
+from lotuskit import lattice
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    LatticeArray,
     Layout,
     PillarSpec,
     Rect,
@@ -26,16 +29,21 @@ from lotuskit.lattice import (
     hexagon_offsets,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
+    lattice_arrays,
     monte_carlo_fraction,
     polygon_area,
     row_pitch,
     snap_to_grid,
     square_pillar_fraction,
-    tile_zone,
 )
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
+
+
+def all_centers(zone: Zone) -> np.ndarray:
+    """A zone's cell centers in emission order: even rows, then odd rows."""
+    return np.concatenate([array.centers() for array in lattice_arrays(zone)])
 
 
 class TestSpecs:
@@ -145,12 +153,10 @@ class TestCounting:
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 4000, 3464))
         counts = cell_counts(zone)
         assert counts.total == 2
-        grid = tile_zone(zone)
-        assert grid.count == 2
-        centers = grid.centers()
+        centers = all_centers(zone)
         assert centers.shape == (2, 2)
         # Base row cell at the origin; offset row at (pitch/2, row_pitch).
-        assert centers.tolist() == [[0.0, 0.0], [2000.0, 3460.0]]
+        assert centers.tolist() == [[0, 0], [2000, 3460]]
 
     def test_full_zone_census(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 10_000_000, 10_000_000))
@@ -171,25 +177,26 @@ class TestCounting:
         spec = HoneycombSpec(pitch=4000, wall=400, height=4000)
         extent = Rect(0, 0, 37_130, 21_890)
         spacing = row_pitch(spec.pitch, 10)
-        brute = 0
+        brute = []
         level = 0
         while level * spacing < extent.height:
             offset = (spec.pitch // 2) if level % 2 else 0
             x = offset
             while x < extent.width:
-                brute += 1
+                brute.append([x, level * spacing])
                 x += spec.pitch
             level += 1
         zone = Zone(spec=spec, extent=extent)
-        assert cell_counts(zone).total == brute
-        assert tile_zone(zone).count == brute
+        assert cell_counts(zone).total == len(brute)
+        assert sorted(all_centers(zone).tolist()) == sorted(brute)
 
     def test_offset_origin_preserves_census(self):
         base = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
         moved = Zone(spec=WIDE, extent=Rect(10_000_000, 0, 100_000, 100_000))
         assert cell_counts(base).total == cell_counts(moved).total
-        shifted = tile_zone(moved).centers()
-        assert shifted[0].tolist() == [10_000_000.0, 0.0]
+        shifted = all_centers(moved)
+        assert len(shifted) == cell_counts(moved).total
+        assert shifted[0].tolist() == [10_000_000, 0]
 
 
 class TestHexagonGeometry:
@@ -234,46 +241,64 @@ class TestHexagonGeometry:
             assert gap_found, f"openings toward ({dx},{dy}) are not separated"
 
 
-class TestTiling:
-    def test_interior_polygons_are_whole_hexagons(self):
-        zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
-        polygons = list(tile_zone(zone).polygons())
-        assert len(polygons) == cell_counts(zone).total
-        interior = [p for p in polygons if len(p) == 6]
-        assert interior, "expected at least one unclipped hexagon"
-        full_area = polygon_area(hexagon_offsets(WIDE.comb_diameter))
-        for polygon in interior:
-            assert polygon_area(polygon) == pytest.approx(full_area, rel=2e-3)
+class TestLatticeArrays:
+    def test_even_and_odd_row_arrays(self):
+        zone = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
+        even, odd = lattice_arrays(zone)
+        assert even == LatticeArray(3000, (0, 0), 25, 15, (4000, 0), (0, 6920))
+        assert odd == LatticeArray(3000, (2000, 3460), 25, 14, (4000, 0), (0, 6920))
 
-    def test_boundary_polygons_clipped_to_extent(self):
-        zone = Zone(spec=WIDE, extent=Rect(0, 0, 10_000, 10_000))
-        for polygon in tile_zone(zone).polygons():
-            assert polygon[:, 0].min() >= 0
-            assert polygon[:, 1].min() >= 0
-            assert polygon[:, 0].max() <= 10_000
-            assert polygon[:, 1].max() <= 10_000
+    def test_centers_lie_in_the_half_open_extent(self):
+        extent = Rect(-7_000, 300, 30_000, 20_000)
+        zone = Zone(spec=WIDE, extent=extent)
+        centers = all_centers(zone)
+        assert len(centers) == cell_counts(zone).total
+        assert (centers[:, 0] >= extent.x).all() and (centers[:, 0] < extent.x_max).all()
+        assert (centers[:, 1] >= extent.y).all() and (centers[:, 1] < extent.y_max).all()
 
     def test_minimal_extent_still_covers(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 100, 100))
-        polygons = list(tile_zone(zone).polygons())
-        assert len(polygons) >= 1
+        assert len(all_centers(zone)) == cell_counts(zone).total == 1
 
     def test_area_ratio_approaches_area_fraction(self):
         # Opening area over extent area ~ 1 - area_fraction on a large crop.
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 200_000, 200_000))
-        opening_area = sum(polygon_area(p) for p in tile_zone(zone).polygons())
+        hexagon_area = polygon_area(hexagon_offsets(WIDE.comb_diameter))
+        opening_area = len(all_centers(zone)) * hexagon_area
         extent_area = 200_000.0**2
         expected_open = 1.0 - honeycomb_area_fraction(WIDE)
         assert opening_area / extent_area == pytest.approx(expected_open, rel=0.01)
 
     def test_row_major_ordering(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 30_000, 30_000))
-        centers = tile_zone(zone).centers()
-        ys = centers[:, 1]
-        assert (np.diff(ys) >= 0).all()
-        for y in np.unique(ys):
-            xs = centers[ys == y][:, 0]
-            assert (np.diff(xs) > 0).all()
+        for array in lattice_arrays(zone):
+            centers = array.centers()
+            ys = centers[:, 1]
+            assert (np.diff(ys) >= 0).all()
+            for y in np.unique(ys):
+                xs = centers[ys == y][:, 0]
+                assert (np.diff(xs) > 0).all()
+
+    def test_centers_stay_exact_beyond_64_bits(self):
+        zone = Zone(spec=WIDE, extent=Rect(2**63, 0, 8000, 8000))
+        even = [[2**63 + 4000 * i, 6920 * j] for j in range(2) for i in range(2)]
+        odd = [[2**63 + 2000 + 4000 * i, 3460] for i in range(2)]
+        assert all_centers(zone).tolist() == even + odd
+
+    def test_odd_pitch_needs_no_offset_without_odd_rows(self):
+        spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
+        single_row = Zone(spec=spec, extent=Rect(0, 0, 20_000, 3000))
+        (array,) = lattice_arrays(single_row)
+        assert (array.cols, array.rows) == (5, 1)
+        with pytest.raises(ValueError, match="even pitch"):
+            lattice_arrays(Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000)))
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module", [lotuskit, lattice], ids=lambda m: m.__name__)
+    def test_every_exported_name_resolves(self, module):
+        for name in module.__all__:
+            assert hasattr(module, name), name
 
 
 class TestTwoZoneLayout:

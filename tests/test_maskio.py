@@ -27,7 +27,7 @@ from lotuskit.lattice import (
     Rect,
     Zone,
     build_two_zone_layout,
-    tile_zone,
+    cell_counts,
 )
 from lotuskit.maskio import (
     CellRef,
@@ -260,6 +260,24 @@ class TestWriteGdsii:
         with pytest.raises(ValueError, match="overflow"):
             write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT))
 
+    @pytest.mark.parametrize("mode", [GdsMode.FLAT, GdsMode.ARRAYED, "svg"])
+    def test_odd_pitch_error_names_no_mode(self, mode):
+        spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
+        zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
+        design = design_linear_gradient(
+            GradientSpec(
+                length=100_000, lateral_width=20_000, pitch=4001,
+                f_start=0.19, f_end=0.3, measure=Measure.AREA_FRACTION,
+            )
+        )
+        for target in (zone, design):
+            with pytest.raises(ValueError, match="even pitch") as error:
+                if mode == "svg":
+                    write_svg(target)
+                else:
+                    write_gdsii(target, GdsOptions(mode=mode))
+            assert "mode" not in str(error.value)
+
     def test_far_origin_stays_exact(self):
         # A lattice anchored at 2**62 nm: its coordinates fit no int32, so
         # both GDSII modes refuse them, while the SVG preview, which has no
@@ -447,7 +465,7 @@ class TestRoundTrip:
         zone = Zone(spec=WIDE, extent=CROP)
         geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT)))
         boundaries = geometry.cells["TOP"].boundaries
-        assert len(boundaries) == tile_zone(zone).count == 725
+        assert len(boundaries) == cell_counts(zone).total == 725
 
     def test_two_zone_modes_expand_identically(self):
         crop_layout = Layout(
@@ -503,7 +521,7 @@ class TestRoundTrip:
         assert len(rects) == 1
         assert len(rects[0].points) == 4
         assert rects[0].points[:, 0].max() == 20_000
-        assert len(openings) == tile_zone(zone).count
+        assert len(openings) == cell_counts(zone).total
 
     def test_custom_layer_round_trips(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
