@@ -15,6 +15,8 @@ from lotuskit.config import (
     resolve_out_dir,
 )
 from lotuskit.gradient import Measure
+from lotuskit.lattice import DEFAULT_RULES, DesignRules
+from lotuskit.wetting import WATER_ON_PMMA, Material
 
 
 @pytest.fixture(autouse=True)
@@ -29,6 +31,187 @@ def write_config(tmp_path, payload) -> str:
         encoding="utf-8",
     )
     return str(path)
+
+
+_TOP_ALLOWED = "(allowed: ['height', 'material', 'measure', 'out_dir', 'pitch', 'rules'])"
+_MATERIAL_ALLOWED = "(allowed: ['hysteresis', 'name', 'surface_tension', 'theta_flat'])"
+_RULES_ALLOWED = (
+    "(allowed: ['fabrication_grid', 'max_aspect_ratio', 'max_height', 'min_wall'])"
+)
+_MEASURES = "['linear_ratio', 'area_fraction']"
+_BAND = "pushes the advancing/receding band outside (0, 180) degrees"
+
+# (config payload, the exact ConfigError.problems list).  Together the
+# cases reach every message of every key, in the order they are reported:
+# top-level unknown keys, material, rules, then pitch, height, measure and
+# out_dir; within a section unknown keys come sorted, bad keys in schema order.
+CONFIG_PROBLEMS = [
+    pytest.param(
+        {
+            "mystery": 1,
+            "material": {"theta_flat": 200.0, "color": "blue"},
+            "rules": {"min_wall": -3},
+            "pitch": 1,
+            "measure": "volume_fraction",
+            "out_dir": "",
+        },
+        [
+            f"unknown key 'mystery' {_TOP_ALLOWED}",
+            f"material: unknown key 'color' {_MATERIAL_ALLOWED}",
+            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 200.0",
+            "rules.min_wall: must be a positive integer (nm), got -3",
+            "pitch: must be an integer >= 2 nm, got 1",
+            f"measure: must be one of {_MEASURES}, got 'volume_fraction'",
+            "out_dir: must be a non-empty string, got ''",
+        ],
+        id="one-per-section",
+    ),
+    pytest.param(
+        {"material": [], "rules": "fine"},
+        ["material: must be an object, got list", "rules: must be an object, got str"],
+        id="sections-not-objects",
+    ),
+    pytest.param(
+        {
+            "material": {
+                "zeta": 1,
+                "alpha": 2,
+                "name": "",
+                "theta_flat": "81",
+                "hysteresis": -1,
+                "surface_tension": 0,
+            }
+        },
+        [
+            f"material: unknown key 'alpha' {_MATERIAL_ALLOWED}",
+            f"material: unknown key 'zeta' {_MATERIAL_ALLOWED}",
+            "material.name: must be a non-empty string",
+            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got '81'",
+            "material.hysteresis: must be a number >= 0 degrees, got -1",
+            "material.surface_tension: must be a number > 0 N/m, got 0",
+        ],
+        id="every-material-key",
+    ),
+    pytest.param(
+        {"material": {"theta_flat": 200.0, "hysteresis": 170.0}},
+        [
+            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 200.0",
+            f"material: theta_flat 81.0 with hysteresis 170.0 {_BAND}",
+        ],
+        id="band-uses-default-for-bad-theta",
+    ),
+    pytest.param(
+        {"material": {"theta_flat": 170, "hysteresis": 30}},
+        [f"material: theta_flat 170.0 with hysteresis 30.0 {_BAND}"],
+        id="band-above-180",
+    ),
+    pytest.param(
+        {"material": {"theta_flat": 1.0, "hysteresis": True}},
+        ["material.hysteresis: must be a number >= 0 degrees, got True"],
+        id="band-skipped-for-non-number",
+    ),
+    pytest.param(
+        {
+            "rules": {
+                "extra": None,
+                "max_aspect_ratio": 0,
+                "fabrication_grid": True,
+                "max_height": 1.5,
+                "min_wall": 0,
+            }
+        },
+        [
+            f"rules: unknown key 'extra' {_RULES_ALLOWED}",
+            "rules.min_wall: must be a positive integer (nm), got 0",
+            "rules.max_height: must be a positive integer (nm), got 1.5",
+            "rules.fabrication_grid: must be a positive integer (nm), got True",
+            "rules.max_aspect_ratio: must be a number > 0, got 0",
+        ],
+        id="every-rules-key",
+    ),
+    pytest.param(
+        {"out_dir": 5, "measure": [], "height": 0, "pitch": 4000.0},
+        [
+            "pitch: must be an integer >= 2 nm, got 4000.0",
+            "height: must be a positive integer (nm), got 0",
+            f"measure: must be one of {_MEASURES}, got []",
+            "out_dir: must be a non-empty string, got 5",
+        ],
+        id="every-top-level-key",
+    ),
+    pytest.param(
+        {
+            "pitch": True,
+            "height": False,
+            "material": {"surface_tension": False, "theta_flat": True},
+            "rules": {"max_aspect_ratio": True},
+        },
+        [
+            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got True",
+            "material.surface_tension: must be a number > 0 N/m, got False",
+            "rules.max_aspect_ratio: must be a number > 0, got True",
+            "pitch: must be an integer >= 2 nm, got True",
+            "height: must be a positive integer (nm), got False",
+        ],
+        id="booleans-are-not-numbers",
+    ),
+    pytest.param(
+        {"measure": None, "material": {"name": 7}, "rules": {"min_wall": "400"}, "z": 0, "a": 0},
+        [
+            f"unknown key 'a' {_TOP_ALLOWED}",
+            f"unknown key 'z' {_TOP_ALLOWED}",
+            "material.name: must be a non-empty string",
+            "rules.min_wall: must be a positive integer (nm), got '400'",
+            f"measure: must be one of {_MEASURES}, got None",
+        ],
+        id="wrong-types",
+    ),
+]
+
+# (config payload, the ProjectConfig it loads to); reprs are compared too,
+# so integer JSON values for float keys must come back as floats.
+CONFIG_RESULTS = [
+    (
+        {
+            "material": {
+                "name": "glycerol on PDMS",
+                "theta_flat": 100,
+                "hysteresis": 12,
+                "surface_tension": 0.0634,
+            },
+            "rules": {
+                "min_wall": 200,
+                "max_aspect_ratio": 25,
+                "max_height": 8000,
+                "fabrication_grid": 5,
+            },
+            "pitch": 2000,
+            "height": 3000,
+            "measure": "linear_ratio",
+            "out_dir": "artifacts",
+        },
+        ProjectConfig(
+            material=Material("glycerol on PDMS", 100.0, 12.0, 0.0634),
+            rules=DesignRules(200, 25.0, 8000, 5),
+            pitch=2000,
+            height=3000,
+            measure=Measure.LINEAR_RATIO,
+            out_dir="artifacts",
+        ),
+    ),
+    (
+        {"material": {"hysteresis": 20.5}, "rules": {"fabrication_grid": 20}, "pitch": 2},
+        ProjectConfig(
+            material=Material("water on PMMA", 81.0, 20.5, 72.8e-3),
+            rules=DesignRules(400, 10.0, 4000, 20),
+            pitch=2,
+        ),
+    ),
+    (
+        {"material": {}, "rules": {}, "measure": "area_fraction"},
+        ProjectConfig(material=WATER_ON_PMMA, rules=DEFAULT_RULES),
+    ),
+]
 
 
 # --------------------------------------------------------------------------
@@ -94,31 +277,18 @@ class TestConfig:
         assert config.measure is Measure.LINEAR_RATIO
         assert config.out_dir == "artifacts"
 
-    def test_all_problems_reported_not_first_only(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "mystery": 1,
-                "material": {"theta_flat": 200.0, "color": "blue"},
-                "rules": {"min_wall": -3},
-                "pitch": 1,
-                "measure": "volume_fraction",
-                "out_dir": "",
-            },
-        )
+    @pytest.mark.parametrize(("payload", "expected"), CONFIG_PROBLEMS)
+    def test_all_problems_reported_not_first_only(self, tmp_path, payload, expected):
         with pytest.raises(ConfigError) as info:
-            load_config(path)
-        problems = info.value.problems
-        assert len(problems) == 7
-        text = "\n".join(problems)
-        assert "unknown key 'mystery'" in text
-        assert "material: unknown key 'color'" in text
-        assert "material.theta_flat" in text
-        assert "rules.min_wall" in text
-        assert "pitch: must be an integer >= 2" in text
-        assert "measure" in text
-        assert "out_dir" in text
+            load_config(write_config(tmp_path, payload))
+        assert info.value.problems == expected
         assert str(info.value).startswith("invalid configuration: ")
+
+    @pytest.mark.parametrize(("payload", "expected"), CONFIG_RESULTS)
+    def test_valid_file_gives_exact_config(self, tmp_path, payload, expected):
+        config = load_config(write_config(tmp_path, payload))
+        assert config == expected
+        assert repr(config) == repr(expected)
 
     def test_json_syntax_error_reports_line_and_column(self, tmp_path):
         path = write_config(tmp_path, '{\n  "pitch": 4000,\n}\n')
