@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from lotuskit.gradient import Measure
 from lotuskit.lattice import DEFAULT_RULES, DesignRules
@@ -26,10 +27,6 @@ __all__ = [
     "load_config",
     "resolve_out_dir",
 ]
-
-_TOP_KEYS = {"material", "rules", "pitch", "height", "measure", "out_dir"}
-_MATERIAL_KEYS = {"name", "theta_flat", "hysteresis", "surface_tension"}
-_RULES_KEYS = {"min_wall", "max_aspect_ratio", "max_height", "fabrication_grid"}
 
 
 class ConfigError(ValueError):
@@ -67,6 +64,109 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_text(value: object) -> bool:
+    return isinstance(value, str) and value != ""
+
+
+# key -> (check on the raw JSON value, problem text, conversion), or None
+# for a nested section.  The problem text is formatted with the raw value.
+# NaN passes the ``not v <`` checks; the Material constructor rejects a NaN
+# hysteresis.
+_Entry = tuple[Callable[[object], bool], str, Callable[[object], object]]
+_MEASURES = [m.value for m in Measure]
+_POSITIVE_NM: _Entry = (
+    lambda v: _is_int(v) and v >= 1, "must be a positive integer (nm), got {!r}", int
+)
+
+# One table per section; "" is the top level.  The allowed keys of a section
+# are its table's keys, and its bad keys are reported in table order.
+_SCHEMA: dict[str, dict[str, _Entry | None]] = {
+    "": {
+        "material": None,
+        "rules": None,
+        "pitch": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2 nm, got {!r}", int),
+        "height": _POSITIVE_NM,
+        "measure": (lambda v: v in _MEASURES, f"must be one of {_MEASURES!r}, got {{!r}}", Measure),
+        "out_dir": (_is_text, "must be a non-empty string, got {!r}", str),
+    },
+    "material": {
+        "name": (_is_text, "must be a non-empty string", str),
+        "theta_flat": (
+            lambda v: _is_number(v) and 0.0 < v < 180.0,
+            "must be a number strictly between 0 and 180 degrees, got {!r}",
+            float,
+        ),
+        "hysteresis": (
+            lambda v: _is_number(v) and not v < 0.0,
+            "must be a number >= 0 degrees, got {!r}",
+            float,
+        ),
+        "surface_tension": (
+            lambda v: _is_number(v) and not v <= 0.0,
+            "must be a number > 0 N/m, got {!r}",
+            float,
+        ),
+    },
+    "rules": {
+        "min_wall": _POSITIVE_NM,
+        "max_height": _POSITIVE_NM,
+        "fabrication_grid": _POSITIVE_NM,
+        "max_aspect_ratio": (
+            lambda v: _is_number(v) and not v <= 0.0, "must be a number > 0, got {!r}", float
+        ),
+    },
+}
+
+
+def _band_problems(raw: dict, values: dict) -> list[str]:
+    """The advancing/receding band check of a material section.
+
+    It runs when both raw angles are numbers or absent, on the validated
+    value of each, or its default where that value was rejected.
+    """
+    if not all(_is_number(raw.get(key, 0.0)) for key in ("theta_flat", "hysteresis")):
+        return []
+    theta_flat = values.get("theta_flat", WATER_ON_PMMA.theta_flat)
+    hysteresis = values.get("hysteresis", WATER_ON_PMMA.hysteresis)
+    if theta_flat - hysteresis / 2.0 <= 0.0 or theta_flat + hysteresis / 2.0 >= 180.0:
+        return [
+            f"material: theta_flat {theta_flat} with hysteresis "
+            f"{hysteresis} pushes the advancing/receding band outside "
+            f"(0, 180) degrees"
+        ]
+    return []
+
+
+def _walk(raw: object, section: str, problems: list[str]) -> dict:
+    """Check one config section; return its valid keys, converted.
+
+    Appends to ``problems`` a non-object section, then unknown keys in
+    sorted order, then each bad key in table order, walking a nested
+    section where its table entry stands.
+    """
+    table = _SCHEMA[section]
+    head = f"{section}: " if section else ""
+    if not isinstance(raw, dict):
+        problems.append(f"{head}must be an object, got {type(raw).__name__}")
+        return {}
+    for key in sorted(raw.keys() - table.keys()):
+        problems.append(f"{head}unknown key {key!r} (allowed: {sorted(table)})")
+    values = {}
+    for key, entry in table.items():
+        if entry is None:
+            values[key] = _walk(raw.get(key, {}), key, problems)
+        elif key in raw:
+            check, problem, convert = entry
+            if check(raw[key]):
+                values[key] = convert(raw[key])
+            else:
+                label = f"{section}.{key}" if section else key
+                problems.append(f"{label}: " + problem.format(raw[key]))
+    if section == "material":
+        problems.extend(_band_problems(raw, values))
+    return values
+
+
 def load_config(path: str | Path) -> ProjectConfig:
     """Load and validate a JSON config file.
 
@@ -86,168 +186,22 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise ConfigError(
             [f"{path.name}:{exc.lineno}:{exc.colno}: {exc.msg}"]
         ) from None
-
-    problems: list[str] = []
     if not isinstance(raw, dict):
         raise ConfigError(
             [f"top level must be a JSON object, got {type(raw).__name__}"]
         )
-    for key in sorted(set(raw) - _TOP_KEYS):
-        problems.append(f"unknown key {key!r} (allowed: {sorted(_TOP_KEYS)})")
 
-    # -- material ----------------------------------------------------------
-    material_raw = raw.get("material", {})
-    name = WATER_ON_PMMA.name
-    theta_flat = WATER_ON_PMMA.theta_flat
-    hysteresis = WATER_ON_PMMA.hysteresis
-    surface_tension = WATER_ON_PMMA.surface_tension
-    if not isinstance(material_raw, dict):
-        problems.append(
-            f"material: must be an object, got {type(material_raw).__name__}"
-        )
-    else:
-        for key in sorted(set(material_raw) - _MATERIAL_KEYS):
-            problems.append(
-                f"material: unknown key {key!r} (allowed: {sorted(_MATERIAL_KEYS)})"
-            )
-        if "name" in material_raw:
-            if isinstance(material_raw["name"], str) and material_raw["name"]:
-                name = material_raw["name"]
-            else:
-                problems.append("material.name: must be a non-empty string")
-        if "theta_flat" in material_raw:
-            value = material_raw["theta_flat"]
-            if not _is_number(value) or not 0.0 < value < 180.0:
-                problems.append(
-                    f"material.theta_flat: must be a number strictly between "
-                    f"0 and 180 degrees, got {value!r}"
-                )
-            else:
-                theta_flat = float(value)
-        if "hysteresis" in material_raw:
-            value = material_raw["hysteresis"]
-            if not _is_number(value) or value < 0.0:
-                problems.append(
-                    f"material.hysteresis: must be a number >= 0 degrees, got {value!r}"
-                )
-            else:
-                hysteresis = float(value)
-        if "surface_tension" in material_raw:
-            value = material_raw["surface_tension"]
-            if not _is_number(value) or value <= 0.0:
-                problems.append(
-                    f"material.surface_tension: must be a number > 0 N/m, got {value!r}"
-                )
-            else:
-                surface_tension = float(value)
-        if _is_number(material_raw.get("theta_flat", theta_flat)) and _is_number(
-            material_raw.get("hysteresis", hysteresis)
-        ):
-            if theta_flat - hysteresis / 2.0 <= 0.0 or theta_flat + hysteresis / 2.0 >= 180.0:
-                problems.append(
-                    f"material: theta_flat {theta_flat} with hysteresis "
-                    f"{hysteresis} pushes the advancing/receding band outside "
-                    f"(0, 180) degrees"
-                )
-
-    # -- rules --------------------------------------------------------------
-    rules_raw = raw.get("rules", {})
-    min_wall = DEFAULT_RULES.min_wall
-    max_aspect_ratio = DEFAULT_RULES.max_aspect_ratio
-    max_height = DEFAULT_RULES.max_height
-    fabrication_grid = DEFAULT_RULES.fabrication_grid
-    if not isinstance(rules_raw, dict):
-        problems.append(f"rules: must be an object, got {type(rules_raw).__name__}")
-    else:
-        for key in sorted(set(rules_raw) - _RULES_KEYS):
-            problems.append(
-                f"rules: unknown key {key!r} (allowed: {sorted(_RULES_KEYS)})"
-            )
-        for key in ("min_wall", "max_height", "fabrication_grid"):
-            if key in rules_raw:
-                value = rules_raw[key]
-                if not _is_int(value) or value < 1:
-                    problems.append(
-                        f"rules.{key}: must be a positive integer (nm), got {value!r}"
-                    )
-                else:
-                    if key == "min_wall":
-                        min_wall = value
-                    elif key == "max_height":
-                        max_height = value
-                    else:
-                        fabrication_grid = value
-        if "max_aspect_ratio" in rules_raw:
-            value = rules_raw["max_aspect_ratio"]
-            if not _is_number(value) or value <= 0.0:
-                problems.append(
-                    f"rules.max_aspect_ratio: must be a number > 0, got {value!r}"
-                )
-            else:
-                max_aspect_ratio = float(value)
-
-    # -- scalars ------------------------------------------------------------
-    pitch = 4000
-    height = 4000
-    if "pitch" in raw:
-        value = raw["pitch"]
-        if not _is_int(value) or value < 2:
-            problems.append(f"pitch: must be an integer >= 2 nm, got {value!r}")
-        else:
-            pitch = value
-    if "height" in raw:
-        value = raw["height"]
-        if not _is_int(value) or value < 1:
-            problems.append(f"height: must be a positive integer (nm), got {value!r}")
-        else:
-            height = value
-
-    measure = Measure.AREA_FRACTION
-    if "measure" in raw:
-        value = raw["measure"]
-        try:
-            measure = Measure(value)
-        except ValueError:
-            problems.append(
-                f"measure: must be one of "
-                f"{[m.value for m in Measure]!r}, got {value!r}"
-            )
-
-    out_dir = None
-    if "out_dir" in raw:
-        value = raw["out_dir"]
-        if not isinstance(value, str) or not value:
-            problems.append(f"out_dir: must be a non-empty string, got {value!r}")
-        else:
-            out_dir = value
-
+    problems: list[str] = []
+    top = _walk(raw, "", problems)
     if problems:
         raise ConfigError(problems)
 
     try:
-        material = Material(
-            name=name,
-            theta_flat=theta_flat,
-            hysteresis=hysteresis,
-            surface_tension=surface_tension,
-        )
-        rules = DesignRules(
-            min_wall=min_wall,
-            max_aspect_ratio=max_aspect_ratio,
-            max_height=max_height,
-            fabrication_grid=fabrication_grid,
-        )
+        material = replace(WATER_ON_PMMA, **top.pop("material"))
+        rules = replace(DEFAULT_RULES, **top.pop("rules"))
     except ValueError as exc:  # safety net; the checks above should catch all
         raise ConfigError([str(exc)]) from None
-
-    return ProjectConfig(
-        material=material,
-        rules=rules,
-        pitch=pitch,
-        height=height,
-        measure=measure,
-        out_dir=out_dir,
-    )
+    return ProjectConfig(material=material, rules=rules, **top)
 
 
 def resolve_out_dir(config: ProjectConfig) -> Path:
