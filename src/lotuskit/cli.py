@@ -241,7 +241,7 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int:
     layout = _two_zone_from_args(args, config)
-    _print_stats(layout_stats(layout, config.material, config.rules.fabrication_grid))
+    _print_stats(layout_stats(layout, config.material))
     violations = check_design_rules(layout, config.rules)
     print(f"drc_violations={len(violations)}")
     for index, violation in enumerate(violations):
@@ -251,7 +251,7 @@ def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int
 
 def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int:
     design = _gradient_from_args(args, config)
-    _print_stats(layout_stats(design, config.material, config.rules.fabrication_grid))
+    _print_stats(layout_stats(design, config.material))
     return 0
 
 

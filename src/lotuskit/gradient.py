@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction as _Rational
 
-from lotuskit.lattice import DEFAULT_RULES, DesignRules, snap_to_grid
+from lotuskit.lattice import DEFAULT_RULES, DesignRules, _as_int_nm, snap_to_grid
 from lotuskit.wetting import (
     Droplet,
     Material,
@@ -119,16 +119,7 @@ class GradientSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "measure", Measure(self.measure))
         for name in ("length", "lateral_width", "pitch", "height"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                if isinstance(value, float) and value.is_integer():
-                    object.__setattr__(self, name, int(value))
-                else:
-                    raise ValueError(
-                        f"{name} must be an integer nanometer count, got {value!r}"
-                    )
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0 nm, got {value!r}")
+            object.__setattr__(self, name, _as_int_nm(getattr(self, name), name))
         if self.length < self.pitch:
             raise ValueError(
                 f"length ({self.length} nm) must cover at least one pitch "
@@ -514,17 +505,6 @@ class _FootprintSolver:
         return holding
 
 
-def _force_state(
-    design: GradientDesign, position_m: float, volume_m3: float, material: Material
-) -> _ForceState:
-    """Solve the self-consistent footprint and evaluate the driving force.
-
-    One-off entry point; repeated evaluations on one design should share a
-    :class:`_FootprintSolver`, which tabulates the design's angles once.
-    """
-    return _FootprintSolver(design, volume_m3, material).solve(position_m)
-
-
 def net_driving_force(
     design: GradientDesign, droplet: Droplet, material: Material
 ) -> float:
@@ -540,8 +520,8 @@ def net_driving_force(
     FootprintError
         If the footprint would overhang either end of the design.
     """
-    state = _force_state(design, droplet.position, droplet.volume, material)
-    return state.net_force
+    solver = _FootprintSolver(design, droplet.volume, material)
+    return solver.solve(droplet.position).net_force
 
 
 def retention_force(droplet: Droplet, material: Material, f_local: float) -> float:

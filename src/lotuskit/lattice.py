@@ -77,9 +77,9 @@ def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     """Coerce a length to integer nanometers, rejecting fractional values."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
         raise TypeError(f"{name} must be a number in integer nanometers, got {value!r}")
-    as_int = int(value)
-    if as_int != value:
+    if isinstance(value, float) and not value.is_integer():  # also NaN and inf
         raise ValueError(f"{name} must be an integer nanometer count, got {value!r}")
+    as_int = int(value)
     if as_int < minimum:
         raise ValueError(f"{name} must be >= {minimum} nm, got {value!r}")
     return as_int

@@ -30,7 +30,7 @@ Conventions
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
 from typing import Union
@@ -411,15 +411,33 @@ def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
     )
 
 
-def _target_arrays(
-    kind: str, obj: Union[Layout, GradientDesign], grid: int
-) -> list[LatticeArray]:
-    """Every zone's (or design column's) lattice arrays, in zone order."""
+def _fabrication_grid(obj: Union[Layout, GradientDesign]) -> int:
+    """The grid that row pitches snap to: a design's own, else 10 nm.
+
+    A layout carries no grid of its own, so its writers and its census use
+    10 nm whatever the project rules say.
+    """
+    return obj.fabrication_grid if isinstance(obj, GradientDesign) else 10
+
+
+def _target_arrays(kind: str, obj: Union[Layout, GradientDesign]) -> list[LatticeArray]:
+    """Every zone's (or design column's) lattice arrays, in zone order.
+
+    Design columns share pitch and width, so column k's arrays are column
+    0's shifted by ``k * pitch`` with its own comb.
+    """
+    grid = _fabrication_grid(obj)
     if kind == "layout":
-        zones = obj.zones
-    else:
-        zones = [_column_zone(obj, x_nm, wall) for x_nm, wall in obj.columns]
-    return [array for zone in zones for array in lattice_arrays(zone, grid)]
+        return [array for zone in obj.zones for array in lattice_arrays(zone, grid)]
+    pitch = obj.spec.pitch
+    first = lattice_arrays(_column_zone(obj, *obj.columns[0]), grid)
+    return [
+        replace(
+            array, comb=pitch - wall, origin=(array.origin[0] + k * pitch, array.origin[1])
+        )
+        for k, (_, wall) in enumerate(obj.columns)
+        for array in first
+    ]
 
 
 def _background_rects(kind: str, obj: Union[Layout, GradientDesign]) -> list[tuple[int, int, int, int]]:
@@ -584,7 +602,6 @@ def write_gdsii(
         raise ValueError(f"polarity must be 'openings' or 'walls', got {polarity!r}")
     kind, obj = _classify(target)
     scale = _db_scale(options.database_unit)
-    grid = getattr(obj, "fabrication_grid", 10)
 
     opening_datatype = options.datatype + (1 if polarity == "walls" else 0)
     if opening_datatype > 255:
@@ -615,38 +632,30 @@ def write_gdsii(
         out.extend(pack_record(ENDSTR, DATA_NONE))
 
     background = _background_rects(kind, obj) if polarity == "walls" else []
+    arrays = _target_arrays(kind, obj)
+    arrayed = options.mode is GdsMode.ARRAYED
 
-    if options.mode is GdsMode.ARRAYED:
-        arrays = _target_arrays(kind, obj, grid)
+    if arrayed:
         for comb in sorted({array.comb for array in arrays}):
             open_structure(f"HEX_{comb}")
             out += _boundary_bytes(
                 options.layer, opening_datatype, _hexagon_cell_points(comb, scale)
             )
             close_structure()
-        open_structure(options.top_cell_name)
-        for x0, y0, x1, y1 in background:
-            out += _boundary_bytes(
-                options.layer,
-                options.datatype,
-                [(x0 * scale, y0 * scale), (x1 * scale, y0 * scale),
-                 (x1 * scale, y1 * scale), (x0 * scale, y1 * scale)],
-            )
-        for array in arrays:
+    open_structure(options.top_cell_name)
+    for x0, y0, x1, y1 in background:
+        out += _boundary_bytes(
+            options.layer,
+            options.datatype,
+            [(x0 * scale, y0 * scale), (x1 * scale, y0 * scale),
+             (x1 * scale, y1 * scale), (x0 * scale, y1 * scale)],
+        )
+    for array in arrays:
+        if arrayed:
             out += _aref_bytes(array, f"HEX_{array.comb}", scale)
-        close_structure()
-    else:
-        open_structure(options.top_cell_name)
-        for x0, y0, x1, y1 in background:
-            out += _boundary_bytes(
-                options.layer,
-                options.datatype,
-                [(x0 * scale, y0 * scale), (x1 * scale, y0 * scale),
-                 (x1 * scale, y1 * scale), (x0 * scale, y1 * scale)],
-            )
-        for array in _target_arrays(kind, obj, grid):
+        else:
             _write_flat_array(out, array, options.layer, opening_datatype, scale)
-        close_structure()
+    close_structure()
 
     out += pack_record(ENDLIB, DATA_NONE)
     return bytes(out)
@@ -939,7 +948,7 @@ def write_svg(
         Rendering guard: exceeding it raises with a suggestion to crop.
     """
     kind, obj = _classify(target)
-    arrays = _target_arrays(kind, obj, getattr(obj, "fabrication_grid", 10))
+    arrays = _target_arrays(kind, obj)
     total = sum(array.cols * array.rows for array in arrays)
     if total > max_cells:
         raise ValueError(
@@ -1009,19 +1018,18 @@ def write_svg(
 # Stats
 # --------------------------------------------------------------------------
 
-def layout_stats(
-    target: Target,
-    material: Material = WATER_ON_PMMA,
-    fabrication_grid: int = 10,
-) -> dict:
+def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     """Numeric summary of a layout or gradient design.
 
     For layouts: per-zone extents, cell counts (closed form), both fraction
     measures, aspect ratios, and predicted composite-state contact angles
     for the given material.  For gradient designs: the column census and
     endpoint geometry/fractions/angles.  Output is a plain JSON-ready dict.
+    Counts and the row pitch are those of the mask that :func:`write_gdsii`
+    and :func:`write_svg` emit for the same target.
     """
     kind, obj = _classify(target)
+    grid = _fabrication_grid(obj)
     theta = material.theta_flat
     if kind == "layout":
         zones = []
@@ -1037,7 +1045,7 @@ def layout_stats(
                     "wall_nm": spec.wall,
                     "comb_diameter_nm": spec.comb_diameter,
                     "height_nm": spec.height,
-                    "cell_count": cell_counts(zone, fabrication_grid).total,
+                    "cell_count": cell_counts(zone, grid).total,
                     "linear_ratio": linear,
                     "area_fraction": area,
                     "aspect_ratio": aspect_ratio(spec),
@@ -1056,7 +1064,6 @@ def layout_stats(
         }
 
     design = obj
-    grid = design.fabrication_grid
     column = cell_counts(_column_zone(design, *design.columns[0]), grid)
     first_wall = design.columns[0][1]
     last_wall = design.columns[-1][1]

@@ -16,6 +16,7 @@ from lotuskit.config import (
 )
 from lotuskit.gradient import Measure
 from lotuskit.lattice import DEFAULT_RULES, DesignRules
+from lotuskit.maskio import read_gdsii
 from lotuskit.wetting import WATER_ON_PMMA, Material
 
 
@@ -809,6 +810,34 @@ class TestCliWithConfig:
         out = capsys.readouterr().out
         assert "pitch_nm=2000" in out
         assert "linear_ratio=0.250000000" in out
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ["--reference"],
+            ["--length-nm", "10000000", "--width-nm", "200000", "--f-start", "0.19",
+             "--f-end", "0.4375"],
+        ],
+        ids=["two-zone", "gradient"],
+    )
+    def test_design_census_is_the_exported_census(self, capsys, tmp_path, target):
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 5}})
+        kind = "gradient" if "--f-start" in target else "two-zone"
+        assert run(["--config", config_path, "design", kind, *target]) == 0
+        stats = dict(
+            line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        out_path = tmp_path / "mask.gds"
+        flag = ["--gradient"] if kind == "gradient" else []
+        code = run(
+            ["--config", config_path, "export", *flag, *target, "--out", str(out_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        geometry = read_gdsii(out_path.read_bytes())
+        (top,) = geometry.top_cell_names()
+        exported = sum(array.cols * array.rows for array in geometry.cells[top].arefs)
+        assert int(stats["total_cells"]) == exported
 
     def test_config_measure_feeds_gradient(self, capsys, tmp_path):
         config_path = write_config(tmp_path, {"measure": "linear_ratio"})

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from lotuskit.gradient import (
@@ -130,6 +131,25 @@ class TestDesignLinearGradient:
             GradientDesign(columns=((0, 400), (4001, 800)), spec=spec)
         with pytest.raises(ValueError, match="non-decreasing"):
             GradientDesign(columns=((0, 800), (4000, 400)), spec=spec)
+
+    def test_spec_lengths_use_the_integer_nm_validator(self):
+        def spec(**lengths):
+            fields = dict(length=8000, lateral_width=100_000, pitch=4000, height=4000)
+            fields.update(lengths)
+            return GradientSpec(f_start=0.1, f_end=0.2, **fields)
+
+        exact = spec(length=np.int64(8000), pitch=np.int32(4000), height=4000.0)
+        assert (exact.length, exact.pitch, exact.height) == (8000, 4000, 4000)
+        assert all(type(v) is int for v in (exact.length, exact.pitch, exact.height))
+        for name in ("length", "lateral_width", "pitch", "height"):
+            for bad in (True, "4000", None):
+                with pytest.raises(TypeError, match=f"{name} must be a number"):
+                    spec(**{name: bad})
+            for bad in (2.5, math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be an integer nanometer count"):
+                    spec(**{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be >= 1 nm, got 0"):
+                spec(**{name: 0})
 
 
 class TestColumnLookup:
