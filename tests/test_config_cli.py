@@ -157,6 +157,28 @@ CONFIG_PROBLEMS = [
         id="booleans-are-not-numbers",
     ),
     pytest.param(
+        {
+            "material": {"theta_flat": float("nan"), "surface_tension": float("inf")},
+            "rules": {"max_aspect_ratio": float("-inf")},
+        },
+        [
+            "material.theta_flat: must be a finite number, got nan",
+            "material.surface_tension: must be a finite number, got inf",
+            "rules.max_aspect_ratio: must be a finite number, got -inf",
+        ],
+        id="non-finite-numbers",
+    ),
+    pytest.param(
+        {"material": {"hysteresis": 10**400}, "rules": {"max_aspect_ratio": -(10**309)}},
+        [
+            "material.hysteresis: must be a number within the float range, "
+            "got an integer of 401 digits",
+            "rules.max_aspect_ratio: must be a number within the float range, "
+            "got an integer of 310 digits",
+        ],
+        id="integers-beyond-the-float-range",
+    ),
+    pytest.param(
         {"measure": None, "material": {"name": 7}, "rules": {"min_wall": "400"}, "z": 0, "a": 0},
         [
             f"unknown key 'a' {_TOP_ALLOWED}",
@@ -566,6 +588,22 @@ class TestCliDesignAndCheck:
         assert "max_height" in out
         assert "result=pass" not in out
 
+    def test_gradient_rules_are_the_check_rules(self, capsys, tmp_path):
+        off_grid = ["--pitch", "4005", "--height", "3995"]
+        ramp = ["--length-nm", "100000", "--f-start", "0.2", "--f-end", "0.3", *off_grid]
+        out_path = tmp_path / "gradient.gds"
+        assert run(["check", "--wall", "400", *off_grid]) == 1
+        checked = capsys.readouterr().out
+        assert run(["design", "gradient", *ramp]) == 1
+        designed = capsys.readouterr()
+        assert run(["export", "--gradient", *ramp, "--out", str(out_path)]) == 1
+        exported = capsys.readouterr()
+        assert designed.out == exported.out == ""
+        assert not out_path.exists()
+        for rule in ("fabrication_grid(pitch)", "fabrication_grid(height)"):
+            assert checked.count(rule) == 1
+            assert designed.err.count(rule) == exported.err.count(rule) == 1
+
     def test_check_needs_a_target(self, capsys):
         assert run(["check"]) == 2
         assert run(["check", "--reference", "--wall", "400"]) == 2
@@ -755,8 +793,8 @@ class TestCliReport:
         assert "need not match" in out
 
     def test_reference_designs_flag_accepted(self, capsys):
-        assert run(["report", "--reference-designs"]) == 0
-        assert "107.0 +/- 6.0" in capsys.readouterr().out
+        assert run(["report", "--reference-designs"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_json_report(self, capsys):
         assert run(["report", "--json"]) == 0
@@ -798,6 +836,20 @@ class TestCliWithConfig:
         err = capsys.readouterr().err
         assert "error: invalid configuration" in err
         assert err.count("  - ") == 3
+
+    def test_infinite_surface_tension_is_a_config_problem(self, capsys, tmp_path):
+        config_path = write_config(tmp_path, '{"material": {"surface_tension": Infinity}}')
+        code = run(
+            ["--config", config_path, "simulate", "--length-nm", "10000000",
+             "--f-start", "0.19", "--f-end", "0.4375"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid configuration\n"
+            "  - material.surface_tension: must be a finite number, got inf\n"
+        )
 
     def test_missing_config_file_exits_one(self, capsys, tmp_path):
         code = run(["--config", str(tmp_path / "nope.json"), "report"])

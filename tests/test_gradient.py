@@ -7,6 +7,7 @@ evaluation of the closed forms (see the cosine/footprint constants below).
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from lotuskit.gradient import (
     trace_to_csv,
     wall_for_fraction,
 )
-from lotuskit.lattice import DesignRules
+from lotuskit.lattice import DesignRules, HoneycombSpec, check_design_rules
 from lotuskit.wetting import (
     WATER_ON_PMMA,
     Droplet,
@@ -121,6 +122,57 @@ class TestDesignLinearGradient:
         lax = DesignRules(min_wall=100, max_aspect_ratio=50.0)
         design = design_linear_gradient(spec, lax)
         assert design.columns[0][1] == 200
+
+    def test_off_grid_pitch_and_height_rejected(self):
+        spec = GradientSpec(
+            length=100_000, lateral_width=100_000, pitch=4005,
+            f_start=0.2, f_end=0.3, height=3995,
+        )
+        with pytest.raises(ValueError, match="gradient violates design rules") as error:
+            design_linear_gradient(spec)
+        message = str(error.value)
+        assert message.count("fabrication_grid(pitch)") == 1
+        assert message.count("fabrication_grid(height)") == 1
+
+    @pytest.mark.parametrize(
+        ("ramp", "rules"),
+        [
+            ((100_000, 4005, 3995, 0.2, 0.3, Measure.AREA_FRACTION), DesignRules()),
+            ((400_000, 4000, 4000, 0.05, 0.25, Measure.LINEAR_RATIO), DesignRules()),
+            (
+                (200_000, 4000, 6000, 0.3, 0.1, Measure.LINEAR_RATIO),
+                DesignRules(min_wall=300, max_aspect_ratio=12.5, max_height=5000,
+                            fabrication_grid=20),
+            ),
+            (
+                (120_000, 6000, 4000, 0.1, 0.2, Measure.LINEAR_RATIO),
+                DesignRules(fabrication_grid=40),
+            ),
+        ],
+    )
+    def test_violations_are_the_spec_checks_of_each_distinct_wall(self, ramp, rules):
+        length, pitch, height, f_start, f_end, measure = ramp
+        spec = GradientSpec(length, 100_000, pitch, f_start, f_end, measure, height)
+        n_columns = length // pitch
+        expected = {}  # (rule, value) -> first column with that violation
+        for index in range(n_columns):
+            target = f_start + (f_end - f_start) * index / (n_columns - 1)
+            wall = wall_for_fraction(target, pitch, measure, rules.fabrication_grid)
+            for violation in check_design_rules(HoneycombSpec(pitch, wall, height), rules):
+                expected.setdefault((violation.rule, float(violation.value)), index)
+        with pytest.raises(ValueError, match="gradient violates design rules") as error:
+            design_linear_gradient(spec, rules)
+        message = str(error.value)
+        shown = {
+            (rule, float(value)): int(column)
+            for column, rule, value in re.findall(
+                r"column (\d+): (\S+): value (\S+) violates limit", message
+            )
+        }
+        more = re.search(r"\(\+(\d+) more\)$", message)
+        assert len(shown) == min(len(expected), 5)
+        assert len(shown) + (int(more.group(1)) if more else 0) == len(expected)
+        assert shown == {key: expected[key] for key in shown}
 
     def test_manual_columns_validated(self):
         spec = GradientSpec(

@@ -22,6 +22,7 @@ import pytest
 from lotuskit.gdsii import GdsParseError
 from lotuskit.gradient import GradientSpec, Measure, design_linear_gradient
 from lotuskit.lattice import (
+    DesignRules,
     HoneycombSpec,
     Layout,
     Rect,
@@ -268,7 +269,8 @@ class TestWriteGdsii:
             GradientSpec(
                 length=100_000, lateral_width=20_000, pitch=4001,
                 f_start=0.19, f_end=0.3, measure=Measure.AREA_FRACTION,
-            )
+            ),
+            DesignRules(fabrication_grid=1),
         )
         for target in (zone, design):
             with pytest.raises(ValueError, match="even pitch") as error:
