@@ -486,10 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_export)
 
     p = sub.add_parser("report", help="predictions vs the built-in measured dataset")
-    p.add_argument(
-        "--reference-designs", action="store_true",
-        help="compare against the built-in reference dataset (the default and only dataset)",
-    )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(handler=_cmd_report)
 

@@ -11,6 +11,7 @@ the standard design rules, and the reference 4000 nm pitch / 4000 nm height.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -68,10 +69,25 @@ def _is_text(value: object) -> bool:
     return isinstance(value, str) and value != ""
 
 
+def _float_problem(value: object) -> str | None:
+    """Why a number cannot become a finite float, or None if it can.
+
+    JSON admits ``Infinity``, ``NaN`` and integers of any size.
+    """
+    if not _is_number(value):
+        return None
+    try:
+        if math.isfinite(value):
+            return None
+    except OverflowError:
+        digits = len(str(abs(value)))
+        return f"must be a number within the float range, got an integer of {digits} digits"
+    return f"must be a finite number, got {value!r}"
+
+
 # key -> (check on the raw JSON value, problem text, conversion), or None
 # for a nested section.  The problem text is formatted with the raw value.
-# NaN passes the ``not v <`` checks; the Material constructor rejects a NaN
-# hysteresis.
+# A number for a key converted by ``float`` must be finite first.
 _Entry = tuple[Callable[[object], bool], str, Callable[[object], object]]
 _MEASURES = [m.value for m in Measure]
 _POSITIVE_NM: _Entry = (
@@ -157,11 +173,13 @@ def _walk(raw: object, section: str, problems: list[str]) -> dict:
             values[key] = _walk(raw.get(key, {}), key, problems)
         elif key in raw:
             check, problem, convert = entry
-            if check(raw[key]):
-                values[key] = convert(raw[key])
+            value = raw[key]
+            failure = _float_problem(value) if convert is float else None
+            if failure is None and check(value):
+                values[key] = convert(value)
             else:
                 label = f"{section}.{key}" if section else key
-                problems.append(f"{label}: " + problem.format(raw[key]))
+                problems.append(f"{label}: " + (failure or problem.format(value)))
     if section == "material":
         problems.extend(_band_problems(raw, values))
     return values

@@ -39,7 +39,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction as _Rational
 
-from lotuskit.lattice import DEFAULT_RULES, DesignRules, _as_int_nm, snap_to_grid
+from lotuskit.lattice import (
+    DEFAULT_RULES,
+    DesignRules,
+    HoneycombSpec,
+    _as_int_nm,
+    _check_spec,
+    snap_to_grid,
+)
 from lotuskit.wetting import (
     Droplet,
     Material,
@@ -176,13 +183,10 @@ class GradientDesign:
         elif self.spec.f_start > self.spec.f_end:
             if any(b > a for a, b in zip(walls, walls[1:])):
                 raise ValueError("walls must be non-increasing for a falling ramp")
-        object.__setattr__(
-            self,
-            "fractions",
-            tuple(
-                fraction_for_wall(wall, pitch, self.spec.measure) for wall in walls
-            ),
-        )
+        fraction_of = {
+            wall: fraction_for_wall(wall, pitch, self.spec.measure) for wall in set(walls)
+        }
+        object.__setattr__(self, "fractions", tuple(fraction_of[wall] for wall in walls))
 
     @property
     def n_columns(self) -> int:
@@ -210,10 +214,6 @@ class GradientDesign:
                 f"[0, {self.length_m!r}] m"
             )
         return min(x_nm // self.spec.pitch, self.n_columns - 1)
-
-    def wall_at(self, x_m: float) -> int:
-        """Wall thickness (nm) of the column containing ``x_m`` (meters)."""
-        return self.columns[self.column_index(x_m)][1]
 
     def fraction_at(self, x_m: float) -> float:
         """Solid fraction (in the design's measure convention) at ``x_m`` (meters)."""
@@ -323,9 +323,11 @@ def design_linear_gradient(
     One column per lattice period: N = floor(length / pitch) columns, column
     k targeting ``f_k = f_start + (f_end - f_start) * k / (N - 1)`` (a single
     column gets f_start).  Each target is converted by
-    :func:`wall_for_fraction` and the finished profile is checked against the
-    design rules; any violation aborts the design with an error naming the
-    offending columns.
+    :func:`wall_for_fraction`, and each distinct wall's
+    ``HoneycombSpec(pitch, wall, height)`` is checked against the design
+    rules as :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
+    violation aborts the design; the error lists each (rule, value) once,
+    under the first column that breaks it.
     """
     n_columns = spec.length // spec.pitch
     walls = []
@@ -340,22 +342,16 @@ def design_linear_gradient(
             wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
         )
 
-    problems = []
+    first_column: dict[int, int] = {}
     for index, wall in enumerate(walls):
-        if wall < rules.min_wall:
-            problems.append(
-                f"column {index}: wall {wall} nm below min_wall {rules.min_wall} nm"
-            )
-        if spec.height / wall > rules.max_aspect_ratio:
-            problems.append(
-                f"column {index}: aspect ratio {spec.height / wall:g} above "
-                f"max_aspect_ratio {rules.max_aspect_ratio:g}"
-            )
-    if spec.height > rules.max_height:
-        problems.append(
-            f"height {spec.height} nm above max_height {rules.max_height} nm"
-        )
-    if problems:
+        first_column.setdefault(wall, index)
+    violations = {}
+    for wall, index in first_column.items():
+        column = HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height)
+        for violation in _check_spec(column, rules, f"column {index}"):
+            violations.setdefault((violation.rule, violation.value), violation)
+    if violations:
+        problems = [str(violation) for violation in violations.values()]
         shown = "; ".join(problems[:5])
         extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         raise ValueError(f"gradient violates design rules: {shown}{extra}")

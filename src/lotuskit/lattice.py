@@ -62,7 +62,6 @@ __all__ = [
     "build_two_zone_layout",
     "check_design_rules",
     "aspect_ratio",
-    "polygon_area",
 ]
 
 #: Side length of one layout zone in the standard two-zone arrangement: 10 mm.
@@ -619,12 +618,10 @@ def check_design_rules(
     so the result is independent of zone ordering.  Limits are boundary
     inclusive: a value exactly at its limit passes.
     """
+    if isinstance(target, Zone):
+        target = Layout(zones=(target,))
     if isinstance(target, HoneycombSpec):
         violations = _check_spec(target, rules, "spec")
-    elif isinstance(target, Zone):
-        violations = _check_spec(
-            target.spec, rules, f"zone@({target.extent.x},{target.extent.y})nm"
-        )
     elif isinstance(target, Layout):
         violations = []
         for zone in target.zones:
@@ -638,11 +635,3 @@ def check_design_rules(
             f"expected HoneycombSpec, Zone, or Layout, got {type(target).__name__}"
         )
     return sorted(violations, key=lambda v: (v.subject, v.rule))
-
-
-def polygon_area(points: np.ndarray) -> float:
-    """Unsigned polygon area by the shoelace formula (vertices as (k, 2))."""
-    coords = np.asarray(points, dtype=np.float64)
-    x = coords[:, 0]
-    y = coords[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

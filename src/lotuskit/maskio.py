@@ -189,9 +189,6 @@ class MaskBoundary:
     datatype: int
     points: np.ndarray  # (k, 2) int64, closure vertex not repeated
 
-    def translated(self, dx: int, dy: int) -> "MaskBoundary":
-        return MaskBoundary(self.layer, self.datatype, self.points + (dx, dy))
-
 
 @dataclass(frozen=True)
 class CellRef:
@@ -390,13 +387,11 @@ def _single_run_key(placement: tuple[list[_Run], np.ndarray]) -> tuple | None:
 # Geometry enumeration shared by the writers
 # --------------------------------------------------------------------------
 
-def _classify(target: Target) -> tuple[str, Union[Layout, GradientDesign]]:
+def _as_layout(target: Union[Layout, Zone]) -> Layout:
     if isinstance(target, Zone):
-        return "layout", Layout(zones=(target,), label="zone")
+        return Layout(zones=(target,), label="zone")
     if isinstance(target, Layout):
-        return "layout", target
-    if isinstance(target, GradientDesign):
-        return "design", target
+        return target
     raise TypeError(
         f"expected Layout, Zone, or GradientDesign, got {type(target).__name__}"
     )
@@ -411,43 +406,38 @@ def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
     )
 
 
-def _fabrication_grid(obj: Union[Layout, GradientDesign]) -> int:
+def _fabrication_grid(target: Target) -> int:
     """The grid that row pitches snap to: a design's own, else 10 nm.
 
     A layout carries no grid of its own, so its writers and its census use
     10 nm whatever the project rules say.
     """
-    return obj.fabrication_grid if isinstance(obj, GradientDesign) else 10
+    return target.fabrication_grid if isinstance(target, GradientDesign) else 10
 
 
-def _target_arrays(kind: str, obj: Union[Layout, GradientDesign]) -> list[LatticeArray]:
-    """Every zone's (or design column's) lattice arrays, in zone order.
+def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
+    """The lattice arrays a target is written as, and its extent rectangles.
 
+    Arrays come zone by zone (design column by column), on the grid of
+    :func:`_fabrication_grid`; the rectangles are ``(x, y, x_max, y_max)``.
     Design columns share pitch and width, so column k's arrays are column
     0's shifted by ``k * pitch`` with its own comb.
     """
-    grid = _fabrication_grid(obj)
-    if kind == "layout":
-        return [array for zone in obj.zones for array in lattice_arrays(zone, grid)]
-    pitch = obj.spec.pitch
-    first = lattice_arrays(_column_zone(obj, *obj.columns[0]), grid)
-    return [
-        replace(
-            array, comb=pitch - wall, origin=(array.origin[0] + k * pitch, array.origin[1])
-        )
-        for k, (_, wall) in enumerate(obj.columns)
-        for array in first
-    ]
-
-
-def _background_rects(kind: str, obj: Union[Layout, GradientDesign]) -> list[tuple[int, int, int, int]]:
-    """Extent rectangles (x, y, x_max, y_max) for walls-polarity output."""
-    if kind == "layout":
-        return [
-            (z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max)
-            for z in obj.zones
+    grid = _fabrication_grid(target)
+    if isinstance(target, GradientDesign):
+        pitch = target.spec.pitch
+        first = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
+        arrays = [
+            replace(
+                array, comb=pitch - wall, origin=(array.origin[0] + k * pitch, array.origin[1])
+            )
+            for k, (_, wall) in enumerate(target.columns)
+            for array in first
         ]
-    return [(0, 0, obj.length_nm, obj.spec.lateral_width)]
+        return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
+    zones = _as_layout(target).zones
+    arrays = [array for zone in zones for array in lattice_arrays(zone, grid)]
+    return arrays, [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +527,7 @@ def _write_flat_array(
     of big-endian int32 words (every record here is a multiple of 4 bytes):
     each cell adds its scaled center to the template's XY words.  The
     extreme centers, scaled in exact integers, show whether every word
-    fits int32; otherwise the array is encoded cell by cell, which raises
-    the coordinate-overflow error at the first cell that overflows.
+    fits int32: on each axis they belong to real cells.
     """
     hexagon = _hexagon_cell_points(array.comb, scale)
     centers = array.centers()
@@ -549,13 +538,10 @@ def _write_flat_array(
         for axis, offset in enumerate(point)
         for bound in (low[axis], high[axis])
     ):
-        for center_x, center_y in centers.tolist():
-            out += _boundary_bytes(
-                layer,
-                datatype,
-                [(x + center_x * scale, y + center_y * scale) for x, y in hexagon],
-            )
-        return
+        raise ValueError(
+            "coordinate overflow: XY values must fit signed 32-bit database "
+            f"units (cell centers span {low} to {high} nm)"
+        )
 
     template = np.frombuffer(
         _boundary_bytes(layer, datatype, hexagon), dtype=">i4"
@@ -600,7 +586,6 @@ def write_gdsii(
         options = GdsOptions()
     if polarity not in ("openings", "walls"):
         raise ValueError(f"polarity must be 'openings' or 'walls', got {polarity!r}")
-    kind, obj = _classify(target)
     scale = _db_scale(options.database_unit)
 
     opening_datatype = options.datatype + (1 if polarity == "walls" else 0)
@@ -631,8 +616,8 @@ def write_gdsii(
     def close_structure() -> None:
         out.extend(pack_record(ENDSTR, DATA_NONE))
 
-    background = _background_rects(kind, obj) if polarity == "walls" else []
-    arrays = _target_arrays(kind, obj)
+    arrays, rects = _emitted(target)
+    background = rects if polarity == "walls" else []
     arrayed = options.mode is GdsMode.ARRAYED
 
     if arrayed:
@@ -947,8 +932,7 @@ def write_svg(
     max_cells:
         Rendering guard: exceeding it raises with a suggestion to crop.
     """
-    kind, obj = _classify(target)
-    arrays = _target_arrays(kind, obj)
+    arrays, rects = _emitted(target)
     total = sum(array.cols * array.rows for array in arrays)
     if total > max_cells:
         raise ValueError(
@@ -956,7 +940,6 @@ def write_svg(
             f"extent or raise max_cells"
         )
 
-    rects = _background_rects(kind, obj)
     if not rects:
         min_x = min_y = 0
         max_x = max_y = 1
@@ -1028,62 +1011,60 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     Counts and the row pitch are those of the mask that :func:`write_gdsii`
     and :func:`write_svg` emit for the same target.
     """
-    kind, obj = _classify(target)
-    grid = _fabrication_grid(obj)
+    grid = _fabrication_grid(target)
     theta = material.theta_flat
-    if kind == "layout":
-        zones = []
-        for zone in obj.zones:
-            spec = zone.spec
-            linear = honeycomb_linear_ratio(spec)
-            area = honeycomb_area_fraction(spec)
-            zones.append(
-                {
-                    "origin_nm": [zone.extent.x, zone.extent.y],
-                    "size_nm": [zone.extent.width, zone.extent.height],
-                    "pitch_nm": spec.pitch,
-                    "wall_nm": spec.wall,
-                    "comb_diameter_nm": spec.comb_diameter,
-                    "height_nm": spec.height,
-                    "cell_count": cell_counts(zone, grid).total,
-                    "linear_ratio": linear,
-                    "area_fraction": area,
-                    "aspect_ratio": aspect_ratio(spec),
-                    "cassie_angle_linear_deg": cassie_apparent_angle(linear, theta),
-                    "cassie_angle_area_deg": cassie_apparent_angle(area, theta),
-                }
-            )
+    if isinstance(target, GradientDesign):
+        spec = target.spec
+        column = cell_counts(_column_zone(target, *target.columns[0]), grid)
         return {
-            "kind": "layout",
-            "label": obj.label,
+            "kind": "gradient",
             "material": material.name,
             "theta_flat_deg": theta,
-            "zone_count": len(zones),
-            "total_cells": sum(z["cell_count"] for z in zones),
-            "zones": zones,
+            "measure": spec.measure.value,
+            "columns": target.n_columns,
+            "pitch_nm": spec.pitch,
+            "length_nm": target.length_nm,
+            "lateral_width_nm": spec.lateral_width,
+            "height_nm": spec.height,
+            "row_pitch_nm": row_pitch(spec.pitch, grid),
+            "lattice_rows": column.levels,
+            "total_cells": target.n_columns * column.total,
+            "wall_start_nm": target.columns[0][1],
+            "wall_end_nm": target.columns[-1][1],
+            "fraction_start": target.fractions[0],
+            "fraction_end": target.fractions[-1],
+            "cassie_angle_start_deg": cassie_apparent_angle(target.fractions[0], theta),
+            "cassie_angle_end_deg": cassie_apparent_angle(target.fractions[-1], theta),
         }
 
-    design = obj
-    column = cell_counts(_column_zone(design, *design.columns[0]), grid)
-    first_wall = design.columns[0][1]
-    last_wall = design.columns[-1][1]
+    layout = _as_layout(target)
+    zones = []
+    for zone in layout.zones:
+        spec = zone.spec
+        linear = honeycomb_linear_ratio(spec)
+        area = honeycomb_area_fraction(spec)
+        zones.append(
+            {
+                "origin_nm": [zone.extent.x, zone.extent.y],
+                "size_nm": [zone.extent.width, zone.extent.height],
+                "pitch_nm": spec.pitch,
+                "wall_nm": spec.wall,
+                "comb_diameter_nm": spec.comb_diameter,
+                "height_nm": spec.height,
+                "cell_count": cell_counts(zone, grid).total,
+                "linear_ratio": linear,
+                "area_fraction": area,
+                "aspect_ratio": aspect_ratio(spec),
+                "cassie_angle_linear_deg": cassie_apparent_angle(linear, theta),
+                "cassie_angle_area_deg": cassie_apparent_angle(area, theta),
+            }
+        )
     return {
-        "kind": "gradient",
+        "kind": "layout",
+        "label": layout.label,
         "material": material.name,
         "theta_flat_deg": theta,
-        "measure": design.spec.measure.value,
-        "columns": design.n_columns,
-        "pitch_nm": design.spec.pitch,
-        "length_nm": design.length_nm,
-        "lateral_width_nm": design.spec.lateral_width,
-        "height_nm": design.spec.height,
-        "row_pitch_nm": row_pitch(design.spec.pitch, grid),
-        "lattice_rows": column.levels,
-        "total_cells": design.n_columns * column.total,
-        "wall_start_nm": first_wall,
-        "wall_end_nm": last_wall,
-        "fraction_start": design.fractions[0],
-        "fraction_end": design.fractions[-1],
-        "cassie_angle_start_deg": cassie_apparent_angle(design.fractions[0], theta),
-        "cassie_angle_end_deg": cassie_apparent_angle(design.fractions[-1], theta),
+        "zone_count": len(zones),
+        "total_cells": sum(z["cell_count"] for z in zones),
+        "zones": zones,
     }

@@ -11,7 +11,7 @@ with signed deviations instead of pretending they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
@@ -140,19 +140,7 @@ class ValidationReport:
         return {
             "material": self.material_name,
             "theta_flat_deg": self.theta_flat_deg,
-            "rows": [
-                {
-                    "label": row.label,
-                    "wall_nm": row.wall_nm,
-                    "measured_deg": row.measured_deg,
-                    "uncertainty_deg": row.uncertainty_deg,
-                    "predicted_linear_deg": row.predicted_linear_deg,
-                    "predicted_area_deg": row.predicted_area_deg,
-                    "deviation_linear_deg": row.deviation_linear_deg,
-                    "deviation_area_deg": row.deviation_area_deg,
-                }
-                for row in self.rows
-            ],
+            "rows": [asdict(row) for row in self.rows],
             "drc_violations": [str(v) for v in self.drc_violations],
             "drc_pass": not self.drc_violations,
         }

@@ -145,7 +145,7 @@ class TestDesignLinearGradient:
                             fabrication_grid=20),
             ),
             (
-                (120_000, 6000, 4000, 0.1, 0.2, Measure.LINEAR_RATIO),
+                (120_000, 6000, 4000, 0.05, 0.1, Measure.LINEAR_RATIO),
                 DesignRules(fabrication_grid=40),
             ),
         ],

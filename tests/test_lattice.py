@@ -31,7 +31,6 @@ from lotuskit.lattice import (
     honeycomb_linear_ratio,
     lattice_arrays,
     monte_carlo_fraction,
-    polygon_area,
     row_pitch,
     snap_to_grid,
     square_pillar_fraction,
@@ -39,6 +38,14 @@ from lotuskit.lattice import (
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
+
+
+def polygon_area(points: np.ndarray) -> float:
+    """Unsigned polygon area by the shoelace formula (vertices as (k, 2))."""
+    coords = np.asarray(points, dtype=np.float64)
+    x = coords[:, 0]
+    y = coords[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def all_centers(zone: Zone) -> np.ndarray:
