@@ -179,6 +179,15 @@ CONFIG_PROBLEMS = [
         id="integers-beyond-the-float-range",
     ),
     pytest.param(
+        '{"material": {"hysteresis": 1%s}, "pitch": -2%s}' % ("0" * 5000, "0" * 5000),
+        [
+            "material.hysteresis: must be a number within the float range, "
+            "got an integer of 5001 digits",
+            "pitch: must be an integer >= 2 nm, got an integer too long to read (5001 digits)",
+        ],
+        id="integers-beyond-the-digit-limit",
+    ),
+    pytest.param(
         {"measure": None, "material": {"name": 7}, "rules": {"min_wall": "400"}, "z": 0, "a": 0},
         [
             f"unknown key 'a' {_TOP_ALLOWED}",
@@ -737,6 +746,15 @@ class TestCliExport:
         assert "mode" not in err
         assert not (tmp_path / "odd.gds").exists()
 
+    def test_unknown_mode_lists_the_modes(self, capsys):
+        assert run(["export", "--reference", "--mode", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "lotus export: error: argument --mode: invalid choice: 'bogus' "
+            "(choose from 'flat', 'arrayed')\n"
+        )
+
     def test_default_name_lands_in_cwd(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["export", "--reference", "--crop-um", "20"]) == 0
@@ -849,6 +867,19 @@ class TestCliWithConfig:
         assert captured.err == (
             "error: invalid configuration\n"
             "  - material.surface_tension: must be a finite number, got inf\n"
+        )
+
+    def test_integer_beyond_the_digit_limit_is_a_config_problem(self, capsys, tmp_path):
+        config_path = write_config(
+            tmp_path, '{"material": {"hysteresis": 1%s}}' % ("0" * 5000)
+        )
+        assert run(["--config", config_path, "angle", "--f", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid configuration\n"
+            "  - material.hysteresis: must be a number within the float range, "
+            "got an integer of 5001 digits\n"
         )
 
     def test_missing_config_file_exits_one(self, capsys, tmp_path):

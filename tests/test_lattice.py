@@ -6,6 +6,7 @@ estimator is treated as an oracle sharing no code with the closed forms.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,20 @@ class TestSpecs:
     def test_accepts_integral_floats(self):
         spec = HoneycombSpec(pitch=4000.0, wall=1000, height=4000)
         assert spec.pitch == 4000 and isinstance(spec.pitch, int)
+
+    def test_numpy_scalars_follow_the_integer_nm_rules(self):
+        spec = HoneycombSpec(pitch=np.int64(4000), wall=np.int32(1000), height=4000)
+        assert (spec.pitch, spec.wall) == (4000, 1000)
+        assert type(spec.pitch) is int and type(spec.wall) is int
+        rect = Rect(np.int32(-5), np.int32(7), np.int32(10), np.int64(20))
+        assert (rect.x, rect.y, rect.width, rect.height) == (-5, 7, 10, 20)
+        assert all(type(v) is int for v in (rect.x, rect.y, rect.width, rect.height))
+        half = np.float64(1.5)
+        message = f"pitch must be an integer nanometer count, got {half!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HoneycombSpec(pitch=half, wall=1000, height=4000)
+        with pytest.raises(TypeError, match=r"^width must be a number in integer nanometers, got True$"):
+            Rect(0, 0, True, 10)
 
     def test_rect_overlap_is_strict_interior(self):
         a = Rect(0, 0, 10, 10)
@@ -306,6 +321,25 @@ class TestPublicNames:
     def test_every_exported_name_resolves(self, module):
         for name in module.__all__:
             assert hasattr(module, name), name
+
+    def test_mask_names_import_from_the_package(self):
+        from lotuskit import MaskGeometry, layout_stats, write_gdsii
+        from lotuskit import maskio
+
+        assert (write_gdsii, MaskGeometry, layout_stats) == (
+            maskio.write_gdsii, maskio.MaskGeometry, maskio.layout_stats,
+        )
+
+    def test_star_import_binds_every_exported_name(self):
+        namespace: dict = {}
+        exec("from lotuskit import *", namespace)
+        assert set(lotuskit.__all__) <= namespace.keys()
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lotuskit.no_such_name
+        with pytest.raises(ImportError):
+            exec("from lotuskit import no_such_name", {})
 
 
 class TestTwoZoneLayout:
