@@ -46,16 +46,22 @@ from lotuskit.gradient import (
     simulate_droplet,
     trace_to_csv,
 )
-from lotuskit.maskio import (
-    GdsOptions,
-    MaskGeometry,
-    write_gdsii,
-    read_gdsii,
-    write_svg,
-    layout_stats,
-)
 
 __version__ = "0.1.0"
+
+# The mask codec needs numpy; its names are resolved on first use, so that
+# importing lotuskit (and every command that writes no mask) starts without it.
+_MASKIO_NAMES = frozenset(
+    {"GdsOptions", "MaskGeometry", "write_gdsii", "read_gdsii", "write_svg", "layout_stats"}
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _MASKIO_NAMES:
+        from lotuskit import maskio
+
+        return getattr(maskio, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Material",

@@ -23,6 +23,9 @@ numeric output carries units in its key names, and identical inputs
 (argv + config + seed) produce byte-identical output.  Output files land
 in --out if absolute, else under the config ``out_dir``, the
 ``LOTUS_OUT_DIR`` environment variable, or the working directory.
+
+The mask writers, and with them numpy, are imported by the ``design`` and
+``export`` handlers only, so the other commands start without numpy.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from lotuskit.config import (
     load_config,
     resolve_out_dir,
 )
+from lotuskit.gdsii import GdsMode
 from lotuskit.gradient import (
     GradientDesign,
     GradientSpec,
@@ -62,7 +66,6 @@ from lotuskit.lattice import (
     monte_carlo_fraction,
     square_pillar_fraction,
 )
-from lotuskit.maskio import GdsMode, GdsOptions, layout_stats, write_gdsii, write_svg
 from lotuskit.reference import ValidationReport, build_validation_report, reference_two_zone_layout
 from lotuskit.wetting import Droplet, cassie_apparent_angle
 
@@ -240,6 +243,8 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 
 def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int:
+    from lotuskit.maskio import layout_stats
+
     layout = _two_zone_from_args(args, config)
     _print_stats(layout_stats(layout, config.material))
     violations = check_design_rules(layout, config.rules)
@@ -250,6 +255,8 @@ def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int
 
 
 def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int:
+    from lotuskit.maskio import layout_stats
+
     design = _gradient_from_args(args, config)
     _print_stats(layout_stats(design, config.material))
     return 0
@@ -302,6 +309,8 @@ def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
+    from lotuskit.maskio import GdsOptions, write_gdsii, write_svg
+
     wants_gradient = args.gradient
     wants_two_zone = args.reference or args.wall_a is not None or args.wall_b is not None
     if wants_gradient and wants_two_zone:

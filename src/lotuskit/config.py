@@ -69,20 +69,45 @@ def _is_text(value: object) -> bool:
     return isinstance(value, str) and value != ""
 
 
+class _LongInteger:
+    """A JSON integer too long for ``int`` to read.
+
+    Python limits integer string conversion (4,300 digits by default), so
+    :func:`load_config` reads such a number as this marker and the key that
+    holds it is reported like any other bad value.
+    """
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"an integer too long to read ({self.digits} digits)"
+
+
+def _read_int(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
 def _float_problem(value: object) -> str | None:
     """Why a number cannot become a finite float, or None if it can.
 
     JSON admits ``Infinity``, ``NaN`` and integers of any size.
     """
-    if not _is_number(value):
+    if isinstance(value, _LongInteger):
+        digits = value.digits
+    elif not _is_number(value):
         return None
-    try:
-        if math.isfinite(value):
-            return None
-    except OverflowError:
-        digits = len(str(abs(value)))
-        return f"must be a number within the float range, got an integer of {digits} digits"
-    return f"must be a finite number, got {value!r}"
+    else:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            digits = len(str(abs(value)))
+        else:
+            return None if finite else f"must be a finite number, got {value!r}"
+    return f"must be a number within the float range, got an integer of {digits} digits"
 
 
 # key -> (check on the raw JSON value, problem text, conversion), or None
@@ -199,7 +224,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path.name}:{exc.lineno}:{exc.colno}: {exc.msg}"]

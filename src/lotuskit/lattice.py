@@ -31,12 +31,16 @@ exact point-in-hexagon test.  They deliberately share no geometry code.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as _Rational
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+# numpy is imported where arrays are built (the Monte Carlo sampler, the
+# hexagon offsets, the lattice centers), so the scalar code starts without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "HoneycombSpec",
@@ -74,7 +78,7 @@ _MC_CHUNK = 1 << 18
 
 def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     """Coerce a length to integer nanometers, rejecting fractional values."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
         raise TypeError(f"{name} must be a number in integer nanometers, got {value!r}")
     if isinstance(value, float) and not value.is_integer():  # also NaN and inf
         raise ValueError(f"{name} must be an integer nanometer count, got {value!r}")
@@ -319,6 +323,8 @@ def _mc_chunk_solid_count(
     Each chunk derives its own generator from (seed, chunk_index), so the
     full stream is independent of how chunks are distributed over workers.
     """
+    import numpy as np
+
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
     )
@@ -466,6 +472,8 @@ def hexagon_offsets(comb_diameter: int) -> np.ndarray:
 
     Flat sides face +/-x; vertices sit at the top and bottom.
     """
+    import numpy as np
+
     half_width = comb_diameter / 2.0
     edge_y = comb_diameter * math.sqrt(3.0) / 6.0
     apex_y = comb_diameter * math.sqrt(3.0) / 3.0
@@ -509,6 +517,8 @@ class LatticeArray:
         64 bits (the centers are linear in i and j, so the four corner
         cells decide), otherwise Python ints in an object array.
         """
+        import numpy as np
+
         (x0, y0), (cx, cy), (rx, ry) = self.origin, self.col_vector, self.row_vector
         fits = all(
             _INT64_MIN <= value <= _INT64_MAX

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from itertools import groupby
 from typing import Union
 
@@ -60,6 +59,7 @@ from lotuskit.gdsii import (
     STRNAME,
     UNITS,
     XY,
+    GdsMode,
     GdsParseError,
     Record,
     encode_ascii,
@@ -105,13 +105,6 @@ _MAX_BOUNDARY_POINTS = 8191  # coordinate pairs per boundary, closure included
 _INT16_MAX = 32767
 
 Target = Union[Layout, Zone, GradientDesign]
-
-
-class GdsMode(Enum):
-    """How geometry is laid down in the stream."""
-
-    FLAT = "flat"
-    ARRAYED = "arrayed"
 
 
 @dataclass(frozen=True)
