@@ -48,27 +48,20 @@ def _probe(commands: list[list[str]]) -> list[list]:
 
 def test_scalar_commands_run_without_numpy(tmp_path):
     csv = str(tmp_path / "trace.csv")
-    seen = _probe(
+    commands = [
+        ["angle", "--f", "0.19"],
+        ["fraction", "--wall", "400"],
+        ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"],
+        ["check", "--reference"],
+        ["report", "--json"],
         [
-            ["angle", "--f", "0.19"],
-            ["fraction", "--wall", "400"],
-            ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"],
-            ["check", "--reference"],
-            ["report", "--json"],
-            [
-                "simulate", "--length-nm", "10000000", "--f-start", "0.19",
-                "--f-end", "0.4375", "--width-nm", "200000", "--csv", csv,
-            ],
-        ]
-    )
-    assert [(name, code) for name, code, _ in seen] == [
-        ("import lotuskit.cli", 0),
-        ("angle --f 0.19", 0),
-        ("fraction --wall 400", 0),
-        ("fraction --pillar-width 1000 --pillar-spacing 3000", 0),
-        ("check --reference", 0),
-        ("report --json", 0),
-        (f"simulate --length-nm 10000000 --f-start 0.19 --f-end 0.4375 --width-nm 200000 --csv {csv}", 0),
+            "simulate", "--length-nm", "10000000", "--f-start", "0.19",
+            "--f-end", "0.4375", "--width-nm", "200000", "--csv", csv,
+        ],
+    ]
+    seen = _probe(commands)
+    assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
+        (" ".join(argv), 0) for argv in commands
     ]
     assert [name for name, _, numpy_loaded in seen if numpy_loaded] == []
     assert Path(csv).read_text(encoding="utf-8").startswith("position_m,")
