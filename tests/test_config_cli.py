@@ -466,6 +466,19 @@ class TestCliFraction:
         assert "mc_fraction=" in outputs[0]
         assert "mc_stderr=" in outputs[0]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_monte_carlo_pinned_values(self, capsys, workers):
+        code = run(
+            [
+                "fraction", "--wall", "400", "--mc-samples", "1000000",
+                "--seed", "0", "--workers", workers,
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mc_fraction=0.189686000\n" in out
+        assert "mc_stderr=3.920526e-04\n" in out
+
     def test_monte_carlo_close_to_closed_form(self, capsys):
         assert run(["fraction", "--wall", "1000", "--mc-samples", "200000"]) == 0
         out = capsys.readouterr().out

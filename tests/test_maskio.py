@@ -607,11 +607,12 @@ class TestWriteSvg:
         # Solid (background minus openings) areas of equal crops relate as
         # the two area fractions: 0.4375 / 0.19, within 1%.  The window is
         # lattice-commensurate (25 columns x 28 rows) so every opening is
-        # a whole hexagon of the window's own lattice.
+        # a whole hexagon of the window's own lattice.  The preview of this
+        # 100 um wide window is drawn at 100_000 / 800 = 125 nm per pixel.
         window = Rect(0, 0, 25 * 4000, 28 * ROW_SPACING)
         solids = {}
         for key, spec in (("wide", WIDE), ("fine", FINE)):
-            svg = write_svg(Zone(spec=spec, extent=window), scale=125.0)
+            svg = write_svg(Zone(spec=spec, extent=window))
             polygons = svg_path_polygons(svg)
             assert len(polygons) == 700
             opening_area = sum(shoelace(p) for p in polygons)
