@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
 from typing import TYPE_CHECKING, Union
 
@@ -54,6 +54,7 @@ __all__ = [
     "LatticeArray",
     "DEFAULT_RULES",
     "ZONE_SIDE_NM",
+    "LAYOUT_GRID_NM",
     "square_pillar_fraction",
     "honeycomb_linear_ratio",
     "honeycomb_area_fraction",
@@ -70,6 +71,11 @@ __all__ = [
 
 #: Side length of one layout zone in the standard two-zone arrangement: 10 mm.
 ZONE_SIDE_NM = 10_000_000
+
+#: Grid that layout row pitches snap to when written, nm.  A layout carries
+#: no grid of its own, so its writers and census use this one whatever the
+#: project rules say; :func:`check_design_rules` checks the result.
+LAYOUT_GRID_NM = 10
 
 #: Monte Carlo work unit.  Fixed so that the estimate for a given
 #: (samples, seed) is bitwise identical no matter how many workers run.
@@ -104,15 +110,13 @@ class HoneycombSpec:
         Structure height (metadata for aspect-ratio rules; the lattice
         itself is 2D), > 0.
     comb_diameter:
-        Flat-to-flat width of the hexagonal opening.  Derived as
-        ``pitch - wall`` when omitted; if given it must satisfy
-        ``comb_diameter + wall == pitch`` exactly.
+        Flat-to-flat width of the hexagonal opening, always ``pitch - wall``.
     """
 
     pitch: int
     wall: int
     height: int
-    comb_diameter: int = None  # type: ignore[assignment]  # derived when omitted
+    comb_diameter: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pitch", _as_int_nm(self.pitch, "pitch"))
@@ -122,17 +126,7 @@ class HoneycombSpec:
             raise ValueError(
                 f"wall ({self.wall} nm) must be thinner than pitch ({self.pitch} nm)"
             )
-        if self.comb_diameter is None:
-            object.__setattr__(self, "comb_diameter", self.pitch - self.wall)
-        else:
-            object.__setattr__(
-                self, "comb_diameter", _as_int_nm(self.comb_diameter, "comb_diameter")
-            )
-        if self.comb_diameter + self.wall != self.pitch:
-            raise ValueError(
-                f"comb_diameter + wall must equal pitch exactly: "
-                f"{self.comb_diameter} + {self.wall} != {self.pitch}"
-            )
+        object.__setattr__(self, "comb_diameter", self.pitch - self.wall)
 
 
 @dataclass(frozen=True)
@@ -399,20 +393,13 @@ def monte_carlo_fraction(
     chunk_sizes = [
         min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)
     ]
-    if workers == 1:
-        counts = [
-            _mc_chunk_solid_count(spec, index, size, seed)
-            for index, size in enumerate(chunk_sizes)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda item: _mc_chunk_solid_count(spec, item[0], item[1], seed),
-                    enumerate(chunk_sizes),
-                )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        solid = sum(
+            pool.map(
+                lambda item: _mc_chunk_solid_count(spec, item[0], item[1], seed),
+                enumerate(chunk_sizes),
             )
-    solid = sum(counts)
+        )
     estimate = solid / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return estimate, std_error
@@ -437,7 +424,7 @@ class CellCounts:
         return base_rows * self.base_columns + offset_rows * self.offset_columns
 
 
-def row_pitch(pitch: int, fabrication_grid: int = 10) -> int:
+def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
     """Vertical lattice row spacing: ``pitch * sqrt(3)/2`` snapped to the grid."""
     spacing = snap_to_grid(pitch * math.sqrt(3.0) / 2.0, fabrication_grid)
     if spacing <= 0:
@@ -448,7 +435,7 @@ def row_pitch(pitch: int, fabrication_grid: int = 10) -> int:
     return spacing
 
 
-def cell_counts(zone: Zone, fabrication_grid: int = 10) -> CellCounts:
+def cell_counts(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> CellCounts:
     """Cell census of a zone without materializing any geometry.
 
     Rows sit at ``y = extent.y + level * row_pitch`` for levels 0, 1, ...;
@@ -534,7 +521,7 @@ class LatticeArray:
         )
 
 
-def lattice_arrays(zone: Zone, fabrication_grid: int = 10) -> list[LatticeArray]:
+def lattice_arrays(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> list[LatticeArray]:
     """A zone's triangular lattice as its even-row and odd-row arrays.
 
     Even lattice rows anchor at the extent origin, odd rows are shifted
@@ -626,7 +613,9 @@ def check_design_rules(
 
     Returns a list of violations (empty = pass), sorted by (subject, rule)
     so the result is independent of zone ordering.  Limits are boundary
-    inclusive: a value exactly at its limit passes.
+    inclusive: a value exactly at its limit passes.  A zone's row pitch is
+    checked as written, on the :data:`LAYOUT_GRID_NM` grid, against the
+    fabrication grid; one that snaps to zero is reported as value 0.
     """
     if isinstance(target, Zone):
         target = Layout(zones=(target,))
@@ -635,11 +624,18 @@ def check_design_rules(
     elif isinstance(target, Layout):
         violations = []
         for zone in target.zones:
-            violations.extend(
-                _check_spec(
-                    zone.spec, rules, f"zone@({zone.extent.x},{zone.extent.y})nm"
+            subject = f"zone@({zone.extent.x},{zone.extent.y})nm"
+            violations.extend(_check_spec(zone.spec, rules, subject))
+            try:
+                spacing = row_pitch(zone.spec.pitch)
+            except ValueError:  # collapses to zero: no row can be written
+                spacing = 0
+            if spacing == 0 or spacing % rules.fabrication_grid != 0:
+                violations.append(
+                    RuleViolation(
+                        "fabrication_grid(row_pitch)", spacing, rules.fabrication_grid, subject
+                    )
                 )
-            )
     else:
         raise TypeError(
             f"expected HoneycombSpec, Zone, or Layout, got {type(target).__name__}"

@@ -6,9 +6,8 @@ previews, and summarizes layouts numerically.
 
 Conventions
 -----------
-* Geometry source coordinates are integer nanometers; the default database
-  unit is 1 nm, so quantization is exact.  Other database units must divide
-  1 nm evenly.
+* Geometry source coordinates are integer nanometers and the database unit
+  is 1 nm, so every coordinate is written as is.
 * Mask hexagons are emitted whole (never clipped): a cell belongs to the
   zone or column containing its center, so abutting zones tile seamlessly
   without double-drawing, and edge hexagons may protrude up to half a comb
@@ -19,8 +18,8 @@ Conventions
   triangular lattice is exactly two interleaved rectangular grids.  ``flat``
   mode writes every hexagon as an explicit boundary — fine for crops,
   enormous for full zones.
-* Output bytes depend only on inputs and options: structure timestamps are
-  zeroed unless an explicit timestamp option is set.
+* Output bytes depend only on inputs and options: timestamps are always
+  zeroed, the library is ``LOTUS`` and the top cell is ``TOP``.
 * Resist polarity: by default the hexagonal *openings* are the drawn
   regions.  ``polarity="walls"`` instead marks the solid field: each extent
   is drawn as a background rectangle on the base datatype with the openings
@@ -71,6 +70,7 @@ from lotuskit.gdsii import (
 )
 from lotuskit.gradient import GradientDesign
 from lotuskit.lattice import (
+    LAYOUT_GRID_NM,
     HoneycombSpec,
     LatticeArray,
     Layout,
@@ -100,7 +100,6 @@ __all__ = [
     "layout_stats",
 ]
 
-_GDS_VERSION = 600
 _MAX_BOUNDARY_POINTS = 8191  # coordinate pairs per boundary, closure included
 _INT16_MAX = 32767
 
@@ -113,61 +112,22 @@ class GdsOptions:
 
     Attributes
     ----------
-    database_unit:
-        Physical size of one database unit in meters (default 1 nm).  Must
-        divide 1 nm evenly, since source geometry is integer nanometers.
-    user_unit_in_db_units:
-        Database units per user unit (default 1000: user unit = 1 um).
     layer, datatype:
         Layer/datatype pair for drawn polygons, each 0..255.
     mode:
         ``arrayed`` (compact, hierarchical) or ``flat`` (explicit polygons).
-    library_name, top_cell_name:
-        ASCII names written to LIBNAME / the top structure.
-    timestamp:
-        Optional (year, month, day, hour, minute, second) stamped into
-        BGNLIB/BGNSTR; None (default) writes zeros so output is
-        byte-reproducible.
     """
 
-    database_unit: float = 1e-9
-    user_unit_in_db_units: float = 1000.0
     layer: int = 1
     datatype: int = 0
     mode: GdsMode = GdsMode.ARRAYED
-    library_name: str = "LOTUS"
-    top_cell_name: str = "TOP"
-    timestamp: tuple[int, int, int, int, int, int] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", GdsMode(self.mode))
-        if not self.database_unit > 0.0:
-            raise ValueError(f"database_unit must be > 0 m, got {self.database_unit!r}")
-        if not self.user_unit_in_db_units > 0.0:
-            raise ValueError(
-                f"user_unit_in_db_units must be > 0, got {self.user_unit_in_db_units!r}"
-            )
         for name in ("layer", "datatype"):
             value = getattr(self, name)
             if not isinstance(value, int) or not 0 <= value <= 255:
                 raise ValueError(f"{name} must be an integer in 0..255, got {value!r}")
-        if not self.library_name:
-            raise ValueError("library_name must be non-empty")
-        try:
-            self.library_name.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise ValueError(
-                f"library_name must be ASCII, got {self.library_name!r}"
-            ) from exc
-        validate_cell_name(self.top_cell_name)
-        if self.timestamp is not None:
-            stamp = tuple(self.timestamp)
-            if len(stamp) != 6 or not all(isinstance(part, int) for part in stamp):
-                raise ValueError(
-                    f"timestamp must be six integers (y, m, d, h, m, s), got "
-                    f"{self.timestamp!r}"
-                )
-            object.__setattr__(self, "timestamp", stamp)
 
 
 # --------------------------------------------------------------------------
@@ -400,12 +360,8 @@ def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
 
 
 def _fabrication_grid(target: Target) -> int:
-    """The grid that row pitches snap to: a design's own, else 10 nm.
-
-    A layout carries no grid of its own, so its writers and its census use
-    10 nm whatever the project rules say.
-    """
-    return target.fabrication_grid if isinstance(target, GradientDesign) else 10
+    """The grid that row pitches snap to: a design's own, else the layout grid."""
+    return target.fabrication_grid if isinstance(target, GradientDesign) else LAYOUT_GRID_NM
 
 
 def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
@@ -437,15 +393,16 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
 # Writer
 # --------------------------------------------------------------------------
 
-def _db_scale(database_unit: float) -> int:
-    """Integer database units per nanometer (source geometry is integer nm)."""
-    ratio = 1e-9 / database_unit
-    scale = round(ratio)
-    if scale < 1 or abs(ratio - scale) > 1e-6 * scale:
-        raise ValueError(
-            f"database_unit {database_unit!r} m must evenly divide 1 nm"
-        )
-    return scale
+_ZERO_STAMPS = bytes(24)  # BGNLIB/BGNSTR modification and access times
+
+#: Every stream's head: version 600, zeroed stamps, library ``LOTUS``, and
+#: units of 1 nm per database unit and 1000 database units per user unit.
+_STREAM_HEAD = (
+    pack_record(HEADER, DATA_INT16, struct.pack(">h", 600))
+    + pack_record(BGNLIB, DATA_INT16, _ZERO_STAMPS)
+    + pack_record(LIBNAME, DATA_ASCII, encode_ascii("LOTUS"))
+    + pack_record(UNITS, DATA_REAL8, encode_real8(1e-3) + encode_real8(1e-9))
+)
 
 
 def _xy_payload(points: list[tuple[int, int]]) -> bytes:
@@ -478,20 +435,20 @@ def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) ->
     )
 
 
-def _aref_bytes(array: LatticeArray, cell_name: str, scale: int) -> bytes:
+def _aref_bytes(array: LatticeArray, cell_name: str) -> bytes:
     if array.cols > _INT16_MAX or array.rows > _INT16_MAX:
         raise ValueError(
             f"array of {array.cols} x {array.rows} exceeds the 16-bit "
             f"column/row limit; split the extent"
         )
-    origin = (array.origin[0] * scale, array.origin[1] * scale)
+    origin = array.origin
     col_end = (
-        origin[0] + array.cols * array.col_vector[0] * scale,
-        origin[1] + array.cols * array.col_vector[1] * scale,
+        origin[0] + array.cols * array.col_vector[0],
+        origin[1] + array.cols * array.col_vector[1],
     )
     row_end = (
-        origin[0] + array.rows * array.row_vector[0] * scale,
-        origin[1] + array.rows * array.row_vector[1] * scale,
+        origin[0] + array.rows * array.row_vector[0],
+        origin[1] + array.rows * array.row_vector[1],
     )
     return (
         pack_record(AREF, DATA_NONE)
@@ -502,8 +459,8 @@ def _aref_bytes(array: LatticeArray, cell_name: str, scale: int) -> bytes:
     )
 
 
-def _hexagon_cell_points(comb: int, scale: int) -> list[tuple[int, int]]:
-    offsets = np.rint(hexagon_offsets(comb)).astype(np.int64) * scale
+def _hexagon_cell_points(comb: int) -> list[tuple[int, int]]:
+    offsets = np.rint(hexagon_offsets(comb)).astype(np.int64)
     return [(int(x), int(y)) for x, y in offsets]
 
 
@@ -511,22 +468,20 @@ _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _FLAT_BLOCK_CELLS = 8192  # cells encoded per numpy block in flat mode
 
 
-def _write_flat_array(
-    out: bytearray, array: LatticeArray, layer: int, datatype: int, scale: int
-) -> None:
+def _write_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype: int) -> None:
     """Append one boundary per cell of ``array``, in row-major order.
 
     The boundary bytes of the hexagon centered at the origin are a template
     of big-endian int32 words (every record here is a multiple of 4 bytes):
-    each cell adds its scaled center to the template's XY words.  The
-    extreme centers, scaled in exact integers, show whether every word
-    fits int32: on each axis they belong to real cells.
+    each cell adds its center to the template's XY words.  The extreme
+    centers, in exact integers, show whether every word fits int32: on each
+    axis they belong to real cells.
     """
-    hexagon = _hexagon_cell_points(array.comb, scale)
+    hexagon = _hexagon_cell_points(array.comb)
     centers = array.centers()
     low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
     if not all(
-        _INT32_MIN <= offset + bound * scale <= _INT32_MAX
+        _INT32_MIN <= offset + bound <= _INT32_MAX
         for point in hexagon
         for axis, offset in enumerate(point)
         for bound in (low[axis], high[axis])
@@ -547,9 +502,8 @@ def _write_flat_array(
     along_y = np.zeros_like(template)
     along_y[6:xy_end:2] = 1
 
-    scaled = centers * scale
-    for first in range(0, len(scaled), _FLAT_BLOCK_CELLS):
-        block = scaled[first : first + _FLAT_BLOCK_CELLS]
+    for first in range(0, len(centers), _FLAT_BLOCK_CELLS):
+        block = centers[first : first + _FLAT_BLOCK_CELLS]
         words = template + block[:, :1] * along_x + block[:, 1:] * along_y
         out += words.astype(">i4").data
 
@@ -564,7 +518,7 @@ def write_gdsii(
     target:
         A :class:`Layout`, single :class:`Zone`, or :class:`GradientDesign`.
     options:
-        Units, layer, mode, and naming; see :class:`GdsOptions`.
+        Layer, datatype and mode; see :class:`GdsOptions`.
     polarity:
         ``"openings"`` (default) draws the hexagonal openings;
         ``"walls"`` additionally draws each extent as a background rectangle
@@ -579,7 +533,6 @@ def write_gdsii(
         options = GdsOptions()
     if polarity not in ("openings", "walls"):
         raise ValueError(f"polarity must be 'openings' or 'walls', got {polarity!r}")
-    scale = _db_scale(options.database_unit)
 
     opening_datatype = options.datatype + (1 if polarity == "walls" else 0)
     if opening_datatype > 255:
@@ -588,22 +541,10 @@ def write_gdsii(
             f"beyond 255; pick a lower base datatype"
         )
 
-    stamp = options.timestamp if options.timestamp is not None else (0, 0, 0, 0, 0, 0)
-    begin_payload = struct.pack(">12h", *(stamp * 2))  # modification + access
-
-    out = bytearray()
-    out += pack_record(HEADER, DATA_INT16, struct.pack(">h", _GDS_VERSION))
-    out += pack_record(BGNLIB, DATA_INT16, begin_payload)
-    out += pack_record(LIBNAME, DATA_ASCII, encode_ascii(options.library_name))
-    out += pack_record(
-        UNITS,
-        DATA_REAL8,
-        encode_real8(1.0 / options.user_unit_in_db_units)
-        + encode_real8(options.database_unit),
-    )
+    out = bytearray(_STREAM_HEAD)
 
     def open_structure(name: str) -> None:
-        out.extend(pack_record(BGNSTR, DATA_INT16, begin_payload))
+        out.extend(pack_record(BGNSTR, DATA_INT16, _ZERO_STAMPS))
         out.extend(pack_record(STRNAME, DATA_ASCII, encode_ascii(validate_cell_name(name))))
 
     def close_structure() -> None:
@@ -616,23 +557,18 @@ def write_gdsii(
     if arrayed:
         for comb in sorted({array.comb for array in arrays}):
             open_structure(f"HEX_{comb}")
-            out += _boundary_bytes(
-                options.layer, opening_datatype, _hexagon_cell_points(comb, scale)
-            )
+            out += _boundary_bytes(options.layer, opening_datatype, _hexagon_cell_points(comb))
             close_structure()
-    open_structure(options.top_cell_name)
+    open_structure("TOP")
     for x0, y0, x1, y1 in background:
         out += _boundary_bytes(
-            options.layer,
-            options.datatype,
-            [(x0 * scale, y0 * scale), (x1 * scale, y0 * scale),
-             (x1 * scale, y1 * scale), (x0 * scale, y1 * scale)],
+            options.layer, options.datatype, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
         )
     for array in arrays:
         if arrayed:
-            out += _aref_bytes(array, f"HEX_{array.comb}", scale)
+            out += _aref_bytes(array, f"HEX_{array.comb}")
         else:
-            _write_flat_array(out, array, options.layer, opening_datatype, scale)
+            _write_flat_array(out, array, options.layer, opening_datatype)
     close_structure()
 
     out += pack_record(ENDLIB, DATA_NONE)
@@ -907,21 +843,18 @@ _SVG_BACKGROUND = "#3b4252"  # solid structure tops
 _SVG_OPENING = "#a3d5ff"  # air-filled openings
 
 
-def write_svg(
-    target: Target, scale: float | None = None, max_cells: int = 20000
-) -> str:
+def write_svg(target: Target, max_cells: int = 20000) -> str:
     """Render a layout or gradient design as an SVG 1.1 document.
 
     One ``<path>`` element per opening over a solid background rectangle
     per extent.  Openings are drawn as whole hexagons — exactly the
     polygons :func:`write_gdsii` emits — so the preview shows the mask
     content faithfully (including cells straddling zone boundaries);
-    the viewBox crops the visual at the extents.
+    the viewBox crops the visual at the extents.  The drawing is about
+    800 px wide, at ``max(width / 800, 1)`` nm per pixel.
 
     Parameters
     ----------
-    scale:
-        Nanometers per pixel; default sizes the drawing to ~800 px wide.
     max_cells:
         Rendering guard: exceeding it raises with a suggestion to crop.
     """
@@ -941,10 +874,7 @@ def write_svg(
         min_y = min(r[1] for r in rects)
         max_x = max(r[2] for r in rects)
         max_y = max(r[3] for r in rects)
-    if scale is None:
-        scale = max((max_x - min_x) / 800.0, 1.0)
-    if not scale > 0:
-        raise ValueError(f"scale must be > 0 nm per pixel, got {scale!r}")
+    scale = max((max_x - min_x) / 800.0, 1.0)
 
     def px(x: float) -> float:
         return (x - min_x) / scale
@@ -973,7 +903,7 @@ def write_svg(
     hexagons: dict[int, list[tuple[int, int]]] = {}
     for array in arrays:
         if array.comb not in hexagons:
-            hexagons[array.comb] = _hexagon_cell_points(array.comb, 1)
+            hexagons[array.comb] = _hexagon_cell_points(array.comb)
         hexagon = hexagons[array.comb]
         for center_x, center_y in array.centers().tolist():
             coords = []

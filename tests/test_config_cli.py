@@ -852,7 +852,45 @@ class TestCliReport:
 # Config through the CLI
 # --------------------------------------------------------------------------
 
+ROW_PITCH_VIOLATIONS = [
+    "zone@(0,0)nm: fabrication_grid(row_pitch): value 3460 violates limit 40",
+    "zone@(10000000,0)nm: fabrication_grid(row_pitch): value 3460 violates limit 40",
+]
+
+
 class TestCliWithConfig:
+    def test_check_reference_checks_the_written_row_pitch(self, capsys, tmp_path):
+        # Two-zone layouts are written with a 3460 nm row pitch (the 10 nm
+        # layout grid), which a 40 nm fabrication grid does not divide.
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 40}})
+        assert run(["--config", config_path, "check", "--reference"]) == 1
+        assert capsys.readouterr().out == "".join(
+            [
+                "violations=2\n",
+                *(f"violation{i}={line}\n" for i, line in enumerate(ROW_PITCH_VIOLATIONS)),
+            ]
+        )
+
+    def test_design_two_zone_lists_the_row_pitch_violations(self, capsys, tmp_path):
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 40}})
+        assert run(["--config", config_path, "design", "two-zone", "--reference"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "".join(
+                [
+                    "drc_violations=2\n",
+                    *(f"drc{i}={line}\n" for i, line in enumerate(ROW_PITCH_VIOLATIONS)),
+                ]
+            )
+        )
+
+    @pytest.mark.parametrize("grid", [5, 20])
+    def test_check_reference_passes_on_grids_dividing_the_row_pitch(
+        self, capsys, tmp_path, grid
+    ):
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": grid}})
+        assert run(["--config", config_path, "check", "--reference"]) == 0
+        assert capsys.readouterr().out == "violations=0\nresult=pass\n"
+
     def test_material_angle_default_from_config(self, capsys, tmp_path):
         config_path = write_config(tmp_path, {"material": {"theta_flat": 70.0}})
         assert run(["--config", config_path, "angle", "--f", "0.5"]) == 0

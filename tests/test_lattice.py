@@ -59,12 +59,6 @@ class TestSpecs:
         assert WIDE.comb_diameter == 3000
         assert FINE.comb_diameter == 3600
 
-    def test_explicit_comb_diameter_must_satisfy_identity(self):
-        spec = HoneycombSpec(pitch=4000, wall=1000, height=4000, comb_diameter=3000)
-        assert spec.comb_diameter == 3000
-        with pytest.raises(ValueError):
-            HoneycombSpec(pitch=4000, wall=1000, height=4000, comb_diameter=2999)
-
     def test_rejects_wall_not_smaller_than_pitch(self):
         with pytest.raises(ValueError):
             HoneycombSpec(pitch=4000, wall=4000, height=4000)
@@ -401,6 +395,31 @@ class TestDesignRules:
         assert len(violations) == 1
         assert violations[0].subject == "zone@(10000000,0)nm"
         assert "min_wall" in str(violations[0])
+
+    def test_row_pitch_checked_as_written(self):
+        # Odd rows are written one row pitch up, snapped to the 10 nm layout
+        # grid: 3460 nm for a 4000 nm pitch, off a 40 nm fabrication grid.
+        zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
+        assert lattice_arrays(zone)[1].origin == (2000, 3460)
+        violations = check_design_rules(zone, DesignRules(fabrication_grid=40))
+        assert [(v.rule, v.value, v.limit, v.subject) for v in violations] == [
+            ("fabrication_grid(row_pitch)", 3460, 40, "zone@(0,0)nm")
+        ]
+        # A bare spec has no written rows; grids dividing 3460 nm pass.
+        assert check_design_rules(WIDE, DesignRules(fabrication_grid=40)) == []
+        for grid in (5, 20):
+            assert check_design_rules(zone, DesignRules(fabrication_grid=grid)) == []
+
+    def test_collapsed_row_pitch_is_a_violation(self):
+        # A 4 nm pitch has no row pitch on the 10 nm layout grid, so no
+        # writer accepts the zone; the check reports it instead of raising.
+        tiny = Zone(HoneycombSpec(pitch=4, wall=1, height=10), Rect(0, 0, 100, 100))
+        with pytest.raises(ValueError, match="collapses to zero"):
+            lattice_arrays(tiny)
+        lax = DesignRules(min_wall=1, fabrication_grid=1)
+        assert [str(v) for v in check_design_rules(tiny, lax)] == [
+            "zone@(0,0)nm: fabrication_grid(row_pitch): value 0 violates limit 1"
+        ]
 
     def test_custom_rules(self):
         lax = DesignRules(min_wall=100, max_aspect_ratio=50.0, max_height=20_000)
