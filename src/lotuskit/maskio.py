@@ -441,20 +441,14 @@ def _aref_bytes(array: LatticeArray, cell_name: str) -> bytes:
             f"array of {array.cols} x {array.rows} exceeds the 16-bit "
             f"column/row limit; split the extent"
         )
-    origin = array.origin
-    col_end = (
-        origin[0] + array.cols * array.col_vector[0],
-        origin[1] + array.cols * array.col_vector[1],
-    )
-    row_end = (
-        origin[0] + array.rows * array.row_vector[0],
-        origin[1] + array.rows * array.row_vector[1],
-    )
+    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
+    col_end = (x0 + array.cols * cx, y0 + array.cols * cy)
+    row_end = (x0 + array.rows * rx, y0 + array.rows * ry)
     return (
         pack_record(AREF, DATA_NONE)
         + pack_record(SNAME, DATA_ASCII, encode_ascii(cell_name))
         + pack_record(COLROW, DATA_INT16, struct.pack(">2h", array.cols, array.rows))
-        + pack_record(XY, DATA_INT32, _xy_payload([origin, col_end, row_end]))
+        + pack_record(XY, DATA_INT32, _xy_payload([(x0, y0), col_end, row_end]))
         + pack_record(ENDEL, DATA_NONE)
     )
 
