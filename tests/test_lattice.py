@@ -206,6 +206,30 @@ class TestCounting:
         assert cell_counts(zone).total == len(brute)
         assert sorted(all_centers(zone).tolist()) == sorted(brute)
 
+    @pytest.mark.parametrize("grid", [10, 20])
+    @pytest.mark.parametrize("pitch", [4000, 5000])
+    @pytest.mark.parametrize("origin", [(0, 0), (-7_130, -2_350)])
+    def test_census_sweep_matches_brute_force(self, pitch, grid, origin):
+        # Extents down to one cell: widths at and around half a pitch (no
+        # odd-row columns), heights at and around one row pitch (no odd rows).
+        spacing = row_pitch(pitch, grid)
+        widths = (1, pitch // 2 - 1, pitch // 2, pitch // 2 + 1, pitch, 3 * pitch + 1, 37_130)
+        heights = (1, spacing - 1, spacing, spacing + 1, 2 * spacing + 1, 21_890)
+        for width in widths:
+            for height in heights:
+                extent = Rect(origin[0], origin[1], width, height)
+                brute = [
+                    (x, extent.y + level * spacing)
+                    for level in range(-(-height // spacing))
+                    for x in range(extent.x + (pitch // 2 if level % 2 else 0), extent.x_max, pitch)
+                ]
+                zone = Zone(spec=HoneycombSpec(pitch=pitch, wall=400, height=4000), extent=extent)
+                arrays = lattice_arrays(zone, grid)
+                assert sum(a.cols * a.rows for a in arrays) == len(brute), (width, height)
+                assert cell_counts(zone, grid).total == len(brute), (width, height)
+                centers = np.concatenate([a.centers() for a in arrays])
+                assert sorted(map(tuple, centers.tolist())) == sorted(brute)
+
     def test_offset_origin_preserves_census(self):
         base = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
         moved = Zone(spec=WIDE, extent=Rect(10_000_000, 0, 100_000, 100_000))
