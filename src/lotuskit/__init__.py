@@ -28,7 +28,6 @@ from lotuskit.lattice import (
     honeycomb_area_fraction,
     monte_carlo_fraction,
     lattice_arrays,
-    cell_counts,
     build_two_zone_layout,
     check_design_rules,
     aspect_ratio,
@@ -83,7 +82,6 @@ __all__ = [
     "honeycomb_area_fraction",
     "monte_carlo_fraction",
     "lattice_arrays",
-    "cell_counts",
     "build_two_zone_layout",
     "check_design_rules",
     "aspect_ratio",

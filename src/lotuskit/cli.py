@@ -214,11 +214,7 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
             raise _UsageError("pillar patterns need both --pillar-width and --pillar-spacing")
         if args.mc_samples is not None:
             raise _UsageError("the Monte Carlo check supports honeycomb patterns only")
-        spec = PillarSpec(
-            width_a=args.pillar_width,
-            spacing_b=args.pillar_spacing,
-            height=args.height if args.height is not None else config.height,
-        )
+        spec = PillarSpec(width_a=args.pillar_width, spacing_b=args.pillar_spacing)
         print(f"pillar_width_nm={spec.width_a}")
         print(f"pillar_spacing_nm={spec.spacing_b}")
         print(f"solid_fraction={_frac(square_pillar_fraction(spec))}")

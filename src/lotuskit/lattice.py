@@ -19,9 +19,8 @@ Lattice conventions
   (never clipped), so edge openings may protrude up to half a comb
   diameter past the extent.
 * The lattice is two interleaved rectangular arrays, even rows and
-  half-pitch-shifted odd rows (:func:`lattice_arrays`).  Mask export and
-  SVG previews read the arrays; :func:`cell_counts` is their closed-form
-  census.
+  half-pitch-shifted odd rows (:func:`lattice_arrays`).  Mask export, SVG
+  previews and the cell census all read the arrays.
 
 Two independent routes to the solid area fraction are provided: the closed
 form ``1 - (1 - wall/pitch)^2`` and a seeded Monte Carlo estimator with an
@@ -50,7 +49,6 @@ __all__ = [
     "Layout",
     "DesignRules",
     "RuleViolation",
-    "CellCounts",
     "LatticeArray",
     "DEFAULT_RULES",
     "ZONE_SIDE_NM",
@@ -62,7 +60,6 @@ __all__ = [
     "snap_to_grid",
     "row_pitch",
     "hexagon_offsets",
-    "cell_counts",
     "lattice_arrays",
     "build_two_zone_layout",
     "check_design_rules",
@@ -139,14 +136,12 @@ class PillarSpec:
 
     width_a: int
     spacing_b: int
-    height: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "width_a", _as_int_nm(self.width_a, "width_a"))
         object.__setattr__(
             self, "spacing_b", _as_int_nm(self.spacing_b, "spacing_b", minimum=0)
         )
-        object.__setattr__(self, "height", _as_int_nm(self.height, "height"))
 
 
 @dataclass(frozen=True)
@@ -221,7 +216,8 @@ class DesignRules:
     max_height:
         Tallest allowed structure, nm.
     fabrication_grid:
-        Writing-address grid, nm; wall, pitch, and height must be multiples.
+        Writing-address grid, nm; wall, pitch, half pitch (the odd-row
+        offset) and height must be multiples.
     """
 
     min_wall: int = 400
@@ -409,21 +405,6 @@ def monte_carlo_fraction(
 # Tiling
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellCounts:
-    """Closed-form cell census of a tiled zone."""
-
-    levels: int
-    base_columns: int
-    offset_columns: int
-
-    @property
-    def total(self) -> int:
-        base_rows = (self.levels + 1) // 2
-        offset_rows = self.levels // 2
-        return base_rows * self.base_columns + offset_rows * self.offset_columns
-
-
 def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
     """Vertical lattice row spacing: ``pitch * sqrt(3)/2`` snapped to the grid."""
     spacing = snap_to_grid(pitch * math.sqrt(3.0) / 2.0, fabrication_grid)
@@ -433,25 +414,6 @@ def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
             f"(pitch {pitch} nm is too small)"
         )
     return spacing
-
-
-def cell_counts(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> CellCounts:
-    """Cell census of a zone without materializing any geometry.
-
-    Rows sit at ``y = extent.y + level * row_pitch`` for levels 0, 1, ...;
-    even levels start at ``extent.x``, odd levels are shifted half a pitch.
-    A cell is counted iff its center lies inside the half-open extent.
-    """
-    pitch = zone.spec.pitch
-    extent = zone.extent
-    row_spacing = row_pitch(pitch, fabrication_grid)
-    levels = -(-extent.height // row_spacing)
-    base_columns = -(-extent.width // pitch)
-    if 2 * extent.width > pitch:
-        offset_columns = -(-(2 * extent.width - pitch) // (2 * pitch))
-    else:
-        offset_columns = 0
-    return CellCounts(levels=levels, base_columns=base_columns, offset_columns=offset_columns)
 
 
 def hexagon_offsets(comb_diameter: int) -> np.ndarray:
@@ -526,8 +488,9 @@ def lattice_arrays(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> list[L
 
     Even lattice rows anchor at the extent origin, odd rows are shifted
     half a pitch right and one row spacing up; each array steps by twice
-    the row spacing vertically.  The cells are those counted by
-    :func:`cell_counts`, and empty arrays are left out.
+    the row spacing vertically.  A cell is kept iff its center lies inside
+    the half-open extent, and empty arrays are left out.  The arrays are
+    built in closed form, so ``sum(cols * rows)`` is an O(1) cell census.
 
     Raises ValueError for an odd pitch when the zone has odd rows, since
     their half-pitch offset would fall off the 1 nm grid.
@@ -535,17 +498,20 @@ def lattice_arrays(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> list[L
     pitch = zone.spec.pitch
     extent = zone.extent
     spacing = row_pitch(pitch, fabrication_grid)
-    counts = cell_counts(zone, fabrication_grid)
-    odd_rows = counts.levels // 2
-    if pitch % 2 and counts.offset_columns > 0 and odd_rows > 0:
+    levels = -(-extent.height // spacing)
+    odd_rows = levels // 2
+    base_columns = -(-extent.width // pitch)
+    # Odd-row centers sit at x + pitch/2 + k * pitch: none if 2 * width <= pitch.
+    offset_columns = -(-(2 * extent.width - pitch) // (2 * pitch))
+    if pitch % 2 and offset_columns > 0 and odd_rows > 0:
         raise ValueError(
             f"odd lattice rows need an even pitch (the half-pitch row offset "
             f"must land on the 1 nm grid), got {pitch} nm"
         )
     arrays = []
     for origin, cols, rows in (
-        ((extent.x, extent.y), counts.base_columns, counts.levels - odd_rows),
-        ((extent.x + pitch // 2, extent.y + spacing), counts.offset_columns, odd_rows),
+        ((extent.x, extent.y), base_columns, levels - odd_rows),
+        ((extent.x + pitch // 2, extent.y + spacing), offset_columns, odd_rows),
     ):
         if cols > 0 and rows > 0:
             arrays.append(
@@ -598,7 +564,9 @@ def _check_spec(
             RuleViolation("max_height", spec.height, rules.max_height, subject)
         )
     grid = rules.fabrication_grid
-    for name, value in (("wall", spec.wall), ("pitch", spec.pitch), ("height", spec.height)):
+    half_pitch = spec.pitch / 2 if spec.pitch % 2 else spec.pitch // 2  # the odd-row offset
+    dimensions = {"wall": spec.wall, "pitch": spec.pitch, "half_pitch": half_pitch, "height": spec.height}
+    for name, value in dimensions.items():
         if value % grid != 0:
             violations.append(
                 RuleViolation(f"fabrication_grid({name})", value, grid, subject)

@@ -77,7 +77,6 @@ from lotuskit.lattice import (
     Rect,
     Zone,
     aspect_ratio,
-    cell_counts,
     hexagon_offsets,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
@@ -921,10 +920,10 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
 def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     """Numeric summary of a layout or gradient design.
 
-    For layouts: per-zone extents, cell counts (closed form), both fraction
-    measures, aspect ratios, and predicted composite-state contact angles
-    for the given material.  For gradient designs: the column census and
-    endpoint geometry/fractions/angles.  Output is a plain JSON-ready dict.
+    For layouts: per-zone extents, cell counts, both fraction measures,
+    aspect ratios, and predicted composite-state contact angles for the
+    given material.  For gradient designs: the column census and endpoint
+    geometry/fractions/angles.  Output is a plain JSON-ready dict.
     Counts and the row pitch are those of the mask that :func:`write_gdsii`
     and :func:`write_svg` emit for the same target.
     """
@@ -932,7 +931,9 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     theta = material.theta_flat
     if isinstance(target, GradientDesign):
         spec = target.spec
-        column = cell_counts(_column_zone(target, *target.columns[0]), grid)
+        # Every column has column 0's arrays, and a pitch-wide column has an
+        # odd-row array whenever it has odd rows.
+        column = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
         return {
             "kind": "gradient",
             "material": material.name,
@@ -944,8 +945,8 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             "lateral_width_nm": spec.lateral_width,
             "height_nm": spec.height,
             "row_pitch_nm": row_pitch(spec.pitch, grid),
-            "lattice_rows": column.levels,
-            "total_cells": target.n_columns * column.total,
+            "lattice_rows": sum(array.rows for array in column),
+            "total_cells": target.n_columns * sum(a.cols * a.rows for a in column),
             "wall_start_nm": target.columns[0][1],
             "wall_end_nm": target.columns[-1][1],
             "fraction_start": target.fractions[0],
@@ -968,7 +969,7 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
                 "wall_nm": spec.wall,
                 "comb_diameter_nm": spec.comb_diameter,
                 "height_nm": spec.height,
-                "cell_count": cell_counts(zone, grid).total,
+                "cell_count": sum(a.cols * a.rows for a in lattice_arrays(zone, grid)),
                 "linear_ratio": linear,
                 "area_fraction": area,
                 "aspect_ratio": aspect_ratio(spec),

@@ -154,7 +154,7 @@ def build_validation_report(
     Predictions use both fraction conventions (wall/pitch and true area
     fraction) mapped through the Cassie-Baxter relation at the material's
     flat angle; the flat reference row uses the identity case f = 1.
-    Design-rule results for both reference designs are attached.
+    Design-rule results for the reference two-zone layout are attached.
     """
     rows = []
     for entry in MEASURED_ANGLES:
@@ -185,13 +185,9 @@ def build_validation_report(
                 deviation_area_deg=predicted_area - entry.angle_deg,
             )
         )
-    violations = [
-        *check_design_rules(WIDE_WALL_DESIGN, rules),
-        *check_design_rules(FINE_WALL_DESIGN, rules),
-    ]
     return ValidationReport(
         material_name=material.name,
         theta_flat_deg=material.theta_flat,
         rows=tuple(rows),
-        drc_violations=tuple(violations),
+        drc_violations=tuple(check_design_rules(reference_two_zone_layout(), rules)),
     )

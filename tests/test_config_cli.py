@@ -428,6 +428,16 @@ class TestCliFraction:
         assert code == 0
         assert "solid_fraction=0.250000000" in capsys.readouterr().out
 
+    def test_pillar_fraction_ignores_the_lattice_flags(self, capsys):
+        # A square-pillar pattern has no lattice pitch or structure height.
+        pillars = ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"]
+        assert run(pillars) == 0
+        expected = capsys.readouterr().out
+        assert expected.endswith("solid_fraction=0.062500000\n")
+        for flags in (["--height", "0"], ["--pitch", "0"]):
+            assert run([*pillars, *flags]) == 0
+            assert capsys.readouterr().out == expected
+
     def test_wall_and_pillar_flags_conflict(self, capsys):
         code = run(["fraction", "--wall", "400", "--pillar-width", "1000"])
         assert code == 2
@@ -625,6 +635,13 @@ class TestCliDesignAndCheck:
         for rule in ("fabrication_grid(pitch)", "fabrication_grid(height)"):
             assert checked.count(rule) == 1
             assert designed.err.count(rule) == exported.err.count(rule) == 1
+
+    def test_check_flags_an_off_grid_half_pitch(self, capsys):
+        assert run(["check", "--wall", "400", "--pitch", "4010"]) == 1
+        assert capsys.readouterr().out == (
+            "violations=1\n"
+            "violation0=spec: fabrication_grid(half_pitch): value 2005 violates limit 10\n"
+        )
 
     def test_check_needs_a_target(self, capsys):
         assert run(["check"]) == 2
@@ -890,6 +907,73 @@ class TestCliWithConfig:
         config_path = write_config(tmp_path, {"rules": {"fabrication_grid": grid}})
         assert run(["--config", config_path, "check", "--reference"]) == 0
         assert capsys.readouterr().out == "violations=0\nresult=pass\n"
+
+    @pytest.mark.parametrize(
+        "rules, expected",
+        [
+            ({"fabrication_grid": 40}, ROW_PITCH_VIOLATIONS),
+            ({"min_wall": 500}, ["zone@(10000000,0)nm: min_wall: value 400 violates limit 500"]),
+        ],
+        ids=["grid-40", "min-wall-500"],
+    )
+    def test_report_lists_the_violations_of_check_reference(
+        self, capsys, tmp_path, rules, expected
+    ):
+        config_path = write_config(tmp_path, {"rules": rules})
+        assert run(["--config", config_path, "check", "--reference"]) == 1
+        checked = [line.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert checked == expected
+        assert run(["--config", config_path, "report"]) == 0
+        out = capsys.readouterr().out
+        assert "drc=FAIL\n" in out
+        reported = [
+            line.split("=", 1)[1] for line in out.splitlines() if line.startswith("drc_violation")
+        ]
+        assert reported == expected
+        assert run(["--config", config_path, "report", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["drc_pass"] is False
+        assert payload["drc_violations"] == expected
+
+    def test_design_refuses_what_export_refuses(self, capsys, tmp_path):
+        # On a 1 nm grid an odd pitch passes the spec rules of the zones,
+        # but the writers cannot place its half-pitch odd rows.
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 1}})
+        walls = ["--wall-a", "1001", "--wall-b", "401", "--pitch", "4001"]
+        out_path = tmp_path / "odd.gds"
+        assert run(["--config", config_path, "design", "two-zone", *walls]) == 1
+        designed = capsys.readouterr()
+        assert run(["--config", config_path, "export", *walls, "--out", str(out_path)]) == 1
+        exported = capsys.readouterr()
+        assert designed.out == exported.out == ""
+        assert designed.err == exported.err == (
+            "error: odd lattice rows need an even pitch (the half-pitch row offset "
+            "must land on the 1 nm grid), got 4001 nm\n"
+        )
+        assert not out_path.exists()
+        ramp = ["--length-nm", "40000", "--f-start", "0.19", "--f-end", "0.3", "--pitch", "4001"]
+        assert run(["--config", config_path, "design", "gradient", *ramp]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: gradient violates design rules: column 0: "
+            "fabrication_grid(half_pitch): value 2000.5 violates limit 1\n",
+        )
+
+    def test_gradient_half_pitch_must_lie_on_the_grid(self, capsys, tmp_path):
+        # Pitch 4000 is on an 800 nm grid; its odd rows, 2000 nm across, are not.
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 800}})
+        out_path = tmp_path / "gradient.gds"
+        ramp = [
+            "--length-nm", "40000", "--f-start", "0.36", "--f-end", "0.36",
+            "--width-nm", "20000", "--out", str(out_path),
+        ]
+        assert run(["--config", config_path, "export", "--gradient", *ramp]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: gradient violates design rules: column 0: "
+            "fabrication_grid(half_pitch): value 2000 violates limit 800\n",
+        )
+        assert not out_path.exists()
 
     def test_material_angle_default_from_config(self, capsys, tmp_path):
         config_path = write_config(tmp_path, {"material": {"theta_flat": 70.0}})

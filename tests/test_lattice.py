@@ -5,7 +5,9 @@ arithmetic (exact rationals, hand-derived counting), and the Monte Carlo
 estimator is treated as an oracle sharing no code with the closed forms.
 """
 
+import importlib
 import math
+import pkgutil
 import re
 from fractions import Fraction
 
@@ -25,7 +27,6 @@ from lotuskit.lattice import (
     Zone,
     aspect_ratio,
     build_two_zone_layout,
-    cell_counts,
     check_design_rules,
     hexagon_offsets,
     honeycomb_area_fraction,
@@ -47,6 +48,11 @@ def polygon_area(points: np.ndarray) -> float:
     x = coords[:, 0]
     y = coords[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def census(zone: Zone) -> int:
+    """A zone's cell count from its arrays, without building any centers."""
+    return sum(array.cols * array.rows for array in lattice_arrays(zone))
 
 
 def all_centers(zone: Zone) -> np.ndarray:
@@ -119,9 +125,9 @@ class TestFractions:
         assert honeycomb_area_fraction(FINE) == pytest.approx(0.19, abs=1e-12)
 
     def test_square_pillar_fraction(self):
-        spec = PillarSpec(width_a=1000, spacing_b=1000, height=4000)
+        spec = PillarSpec(width_a=1000, spacing_b=1000)
         assert square_pillar_fraction(spec) == 0.25
-        solid = PillarSpec(width_a=1000, spacing_b=0, height=4000)
+        solid = PillarSpec(width_a=1000, spacing_b=0)
         assert square_pillar_fraction(solid) == 1.0
 
     def test_aspect_ratio(self):
@@ -167,8 +173,7 @@ class TestCounting:
 
     def test_two_cell_example(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 4000, 3464))
-        counts = cell_counts(zone)
-        assert counts.total == 2
+        assert census(zone) == 2
         centers = all_centers(zone)
         assert centers.shape == (2, 2)
         # Base row cell at the origin; offset row at (pitch/2, row_pitch).
@@ -176,17 +181,15 @@ class TestCounting:
 
     def test_full_zone_census(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 10_000_000, 10_000_000))
-        counts = cell_counts(zone)
-        assert counts.levels == 2891
-        assert counts.base_columns == 2500
-        assert counts.total == 7_227_500
+        # 2891 rows of 2500 cells: 1446 even, 1445 odd.
+        assert [(a.cols, a.rows) for a in lattice_arrays(zone)] == [(2500, 1446), (2500, 1445)]
+        assert census(zone) == 7_227_500
 
     def test_crop_census(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
-        counts = cell_counts(zone)
-        assert counts.levels == 29
-        assert counts.base_columns == 25
-        assert counts.total == 725
+        # 29 rows of 25 cells: 15 even, 14 odd.
+        assert [(a.cols, a.rows) for a in lattice_arrays(zone)] == [(25, 15), (25, 14)]
+        assert census(zone) == 725
 
     def test_census_matches_brute_force(self):
         # Independent O(n^2) enumeration over a small irregular extent.
@@ -203,7 +206,7 @@ class TestCounting:
                 x += spec.pitch
             level += 1
         zone = Zone(spec=spec, extent=extent)
-        assert cell_counts(zone).total == len(brute)
+        assert census(zone) == len(brute)
         assert sorted(all_centers(zone).tolist()) == sorted(brute)
 
     @pytest.mark.parametrize("grid", [10, 20])
@@ -226,16 +229,15 @@ class TestCounting:
                 zone = Zone(spec=HoneycombSpec(pitch=pitch, wall=400, height=4000), extent=extent)
                 arrays = lattice_arrays(zone, grid)
                 assert sum(a.cols * a.rows for a in arrays) == len(brute), (width, height)
-                assert cell_counts(zone, grid).total == len(brute), (width, height)
                 centers = np.concatenate([a.centers() for a in arrays])
                 assert sorted(map(tuple, centers.tolist())) == sorted(brute)
 
     def test_offset_origin_preserves_census(self):
         base = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
         moved = Zone(spec=WIDE, extent=Rect(10_000_000, 0, 100_000, 100_000))
-        assert cell_counts(base).total == cell_counts(moved).total
+        assert census(base) == census(moved)
         shifted = all_centers(moved)
-        assert len(shifted) == cell_counts(moved).total
+        assert len(shifted) == census(moved)
         assert shifted[0].tolist() == [10_000_000, 0]
 
 
@@ -292,13 +294,13 @@ class TestLatticeArrays:
         extent = Rect(-7_000, 300, 30_000, 20_000)
         zone = Zone(spec=WIDE, extent=extent)
         centers = all_centers(zone)
-        assert len(centers) == cell_counts(zone).total
+        assert len(centers) == census(zone)
         assert (centers[:, 0] >= extent.x).all() and (centers[:, 0] < extent.x_max).all()
         assert (centers[:, 1] >= extent.y).all() and (centers[:, 1] < extent.y_max).all()
 
     def test_minimal_extent_still_covers(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 100, 100))
-        assert len(all_centers(zone)) == cell_counts(zone).total == 1
+        assert len(all_centers(zone)) == census(zone) == 1
 
     def test_area_ratio_approaches_area_fraction(self):
         # Opening area over extent area ~ 1 - area_fraction on a large crop.
@@ -334,8 +336,18 @@ class TestLatticeArrays:
             lattice_arrays(Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000)))
 
 
+MODULES = [
+    lotuskit,
+    *(importlib.import_module(f"lotuskit.{info.name}") for info in pkgutil.iter_modules(lotuskit.__path__)),
+]
+
+
 class TestPublicNames:
-    @pytest.mark.parametrize("module", [lotuskit, lattice], ids=lambda m: m.__name__)
+    def test_every_module_is_listed(self):
+        names = {module.__name__ for module in MODULES}
+        assert {"lotuskit", "lotuskit.lattice", "lotuskit.maskio", "lotuskit.reference"} <= names
+
+    @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
     def test_every_exported_name_resolves(self, module):
         for name in module.__all__:
             assert hasattr(module, name), name
@@ -433,6 +445,27 @@ class TestDesignRules:
         assert check_design_rules(WIDE, DesignRules(fabrication_grid=40)) == []
         for grid in (5, 20):
             assert check_design_rules(zone, DesignRules(fabrication_grid=grid)) == []
+
+    def test_half_pitch_checked_against_the_grid(self):
+        # Odd rows start half a pitch right: 2005 nm for a 4010 nm pitch,
+        # off the 10 nm grid that the pitch itself is on.
+        spec = HoneycombSpec(pitch=4010, wall=400, height=4000)
+        zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
+        assert lattice_arrays(zone)[1].origin == (2005, 3470)
+        assert [str(v) for v in check_design_rules(spec)] == [
+            "spec: fabrication_grid(half_pitch): value 2005 violates limit 10"
+        ]
+        assert [str(v) for v in check_design_rules(zone)] == [
+            "zone@(0,0)nm: fabrication_grid(half_pitch): value 2005 violates limit 10"
+        ]
+        # An odd pitch has an x.5 half pitch, which no grid divides.
+        odd = HoneycombSpec(pitch=4001, wall=401, height=4000)
+        assert [str(v) for v in check_design_rules(odd, DesignRules(fabrication_grid=1))] == [
+            "spec: fabrication_grid(half_pitch): value 2000.5 violates limit 1"
+        ]
+        # The reference half pitch, 2000 nm, lies on each of these grids.
+        for grid in (5, 10, 20, 40, 400):
+            assert check_design_rules(FINE, DesignRules(min_wall=1, fabrication_grid=grid)) == []
 
     def test_collapsed_row_pitch_is_a_violation(self):
         # A 4 nm pitch has no row pitch on the 10 nm layout grid, so no

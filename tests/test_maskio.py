@@ -19,15 +19,14 @@ import xml.etree.ElementTree as ElementTree
 import pytest
 
 from lotuskit.gdsii import GdsParseError
-from lotuskit.gradient import GradientSpec, Measure, design_linear_gradient
+from lotuskit.gradient import GradientDesign, GradientSpec, Measure, design_linear_gradient
 from lotuskit.lattice import (
-    DesignRules,
     HoneycombSpec,
     Layout,
     Rect,
     Zone,
     build_two_zone_layout,
-    cell_counts,
+    lattice_arrays,
 )
 from lotuskit.maskio import (
     CellRef,
@@ -258,12 +257,15 @@ class TestWriteGdsii:
     def test_odd_pitch_error_names_no_mode(self, mode):
         spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
         zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
-        design = design_linear_gradient(
-            GradientSpec(
-                length=100_000, lateral_width=20_000, pitch=4001,
+        # Built directly: design_linear_gradient rejects the x.5 half pitch
+        # first, and this checks the writers' own message.
+        design = GradientDesign(
+            columns=((0, 401), (4001, 601)),
+            spec=GradientSpec(
+                length=8002, lateral_width=20_000, pitch=4001,
                 f_start=0.19, f_end=0.3, measure=Measure.AREA_FRACTION,
             ),
-            DesignRules(fabrication_grid=1),
+            fabrication_grid=1,
         )
         for target in (zone, design):
             with pytest.raises(ValueError, match="even pitch") as error:
@@ -440,7 +442,7 @@ class TestRoundTrip:
         zone = Zone(spec=WIDE, extent=CROP)
         geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT)))
         boundaries = geometry.cells["TOP"].boundaries
-        assert len(boundaries) == cell_counts(zone).total == 725
+        assert len(boundaries) == sum(a.cols * a.rows for a in lattice_arrays(zone)) == 725
 
     def test_two_zone_modes_expand_identically(self):
         crop_layout = Layout(
@@ -496,7 +498,7 @@ class TestRoundTrip:
         assert len(rects) == 1
         assert len(rects[0].points) == 4
         assert rects[0].points[:, 0].max() == 20_000
-        assert len(openings) == cell_counts(zone).total
+        assert len(openings) == sum(a.cols * a.rows for a in lattice_arrays(zone))
 
     def test_custom_layer_round_trips(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
