@@ -12,6 +12,7 @@
 """
 
 import hashlib
+import random
 import struct
 
 import numpy as np
@@ -249,6 +250,95 @@ class TestExpansionOrder:
         second = geometry.expand("PAD")
         assert second[1].points[0, 0] == 1500
         assert geometry.cells["PAD"].boundaries[1].points[0, 0] == 1500
+
+
+# Random libraries for the order oracle: each cell references at most two
+# of the cells defined before it, so one child recurs both consecutively
+# and alternating with another.  Broken libraries may also reference
+# undefined cells and any cell at all, cycles included.
+ORACLE_SEEDS = range(200)
+
+
+def random_point(rng: random.Random, reach: int) -> tuple[int, int]:
+    return rng.randint(-reach, reach), rng.randint(-reach, reach)
+
+
+def random_library(rng: random.Random, broken: bool = False) -> bytes:
+    names = [f"C{k}" for k in range(rng.randint(2, 6))]
+    structures = []
+    for k, name in enumerate(names):
+        elements = [
+            boundary(
+                rng.randint(1, 2),
+                rng.randint(0, 1),
+                [random_point(rng, 20_000) for _ in range(rng.choice((4, 6)))],
+            )
+            for _ in range(rng.randint(0, 3))
+        ]
+        pool = rng.sample(names[:k], min(2, k))
+        if broken:
+            pool += [rng.choice(names), f"U{k}"]
+        if pool:
+            elements += [
+                sref(rng.choice(pool), *random_point(rng, 50_000))
+                for _ in range(rng.randint(0, 3))
+            ]
+            elements += [
+                aref(
+                    rng.choice(pool),
+                    rng.randint(1, 3),
+                    rng.randint(1, 3),
+                    random_point(rng, 50_000),
+                    random_point(rng, 5000),
+                    random_point(rng, 5000),
+                )
+                for _ in range(rng.randint(0, 3))
+            ]
+        rng.shuffle(elements)
+        structures.append(structure(name, *elements))
+    return library(*structures)
+
+
+def reference_patterns(cell) -> set[str]:
+    """Which of the oracle's reference patterns a cell shows, in expand order."""
+    children = [ref.cell for ref in (*cell.srefs, *cell.arefs)]
+    patterns = set()
+    if not (cell.boundaries or children):
+        patterns.add("empty cell")
+    if any(a == b for a, b in zip(children, children[1:])):
+        patterns.add("consecutive")
+    if any(a == c != b for a, b, c in zip(children, children[1:], children[2:])):
+        patterns.add("alternating")
+    if cell.srefs and cell.arefs and cell.srefs[-1].cell == cell.arefs[0].cell:
+        patterns.add("sref then aref")
+    return patterns
+
+
+class TestRandomExpansionOrder:
+    def test_random_libraries_match_old_walk(self):
+        seen = set()
+        for seed in ORACLE_SEEDS:
+            geometry = read_gdsii(random_library(random.Random(seed)))
+            for name, cell in geometry.cells.items():
+                seen |= reference_patterns(cell)
+                assert_same_order(geometry.expand(name), old_expand(geometry, name))
+        assert seen == {"empty cell", "consecutive", "alternating", "sref then aref"}
+
+    def test_random_broken_libraries_fail_like_old_walk(self):
+        failures = set()
+        for seed in ORACLE_SEEDS:
+            geometry = read_gdsii(random_library(random.Random(seed), broken=True))
+            for name in geometry.cells:
+                try:
+                    expected = old_expand(geometry, name)
+                except ValueError as error:
+                    with pytest.raises(ValueError) as excinfo:
+                        geometry.expand(name)
+                    assert str(excinfo.value) == str(error), (seed, name)
+                    failures.add(str(error).split(" ")[1])
+                    continue
+                assert_same_order(geometry.expand(name), expected)
+        assert failures == {"to", "cycle"}
 
 
 # --------------------------------------------------------------------------
