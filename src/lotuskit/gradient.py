@@ -156,27 +156,30 @@ class GradientDesign:
     fractions: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "columns", tuple(tuple(c) for c in self.columns))
-        if not self.columns:
+        columns = tuple(self.columns)
+        if not columns:
             raise ValueError("a gradient design needs at least one column")
         pitch = self.spec.pitch
-        for index, (x_nm, wall) in enumerate(self.columns):
+        walls = []
+        for index, (x_nm, wall) in enumerate(columns):
             if x_nm != index * pitch:
                 raise ValueError(
                     f"column {index} must start at {index * pitch} nm "
                     f"(one column per pitch), got {x_nm!r}"
                 )
-            if not isinstance(wall, int) or not 0 < wall < pitch:
+            wall = _as_int_nm(wall, f"column {index} wall")
+            if wall >= pitch:
                 raise ValueError(
-                    f"column {index} wall must be an integer in (0, {pitch}) nm, "
-                    f"got {wall!r}"
+                    f"column {index} wall must be below the {pitch} nm pitch, got {wall}"
                 )
             if wall % self.fabrication_grid != 0:
                 raise ValueError(
                     f"column {index} wall {wall} nm is off the "
                     f"{self.fabrication_grid} nm fabrication grid"
                 )
-        walls = [wall for _, wall in self.columns]
+            walls.append(wall)
+        columns = tuple((index * pitch, wall) for index, wall in enumerate(walls))
+        object.__setattr__(self, "columns", columns)
         if self.spec.f_start < self.spec.f_end:
             if any(b < a for a, b in zip(walls, walls[1:])):
                 raise ValueError("walls must be non-decreasing for a rising ramp")

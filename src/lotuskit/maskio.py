@@ -99,7 +99,6 @@ __all__ = [
     "layout_stats",
 ]
 
-_MAX_BOUNDARY_POINTS = 8191  # coordinate pairs per boundary, closure included
 _INT16_MAX = 32767
 
 Target = Union[Layout, Zone, GradientDesign]
@@ -200,9 +199,10 @@ class MaskGeometry:
         The order is that of a depth-first walk: a cell's own boundaries,
         then its SREFs, then its AREFs, each array instance by instance
         (column index outer, row index inner).  Each cell is flattened
-        once, and array instances are placed by broadcasting; nested
-        references are followed recursively with cycle detection.  Every
-        returned polygon owns a fresh points array.
+        once; consecutive references to one child, an SREF counting as a
+        1 x 1 array, are placed by broadcasting.  Nested references are
+        followed recursively with cycle detection.  Every returned polygon
+        owns a fresh points array.
         """
         if cell_name is None:
             tops = self.top_cell_names()
@@ -223,16 +223,11 @@ class MaskGeometry:
                 return flattened[name]
             below = stack | {name}
             cell = self.cells[name]
-            placements = [
-                (flatten(ref.cell, below), np.array([ref.origin], dtype=np.int64))
-                for ref in cell.srefs
-            ]
-            arrays = [array for array in cell.arefs if array.cols > 0 and array.rows > 0]
-            placements += zip(
-                [flatten(array.cell, below) for array in arrays],
-                _instance_offsets(arrays),
-            )
-            runs = _own_runs(cell.boundaries) + _placed(placements)
+            refs = [CellArray(ref.cell, ref.origin, 1, 1, (0, 0), (0, 0)) for ref in cell.srefs]
+            refs += [array for array in cell.arefs if array.cols > 0 and array.rows > 0]
+            runs = _own_runs(cell.boundaries)
+            for child, group in groupby(refs, key=lambda ref: ref.cell):
+                runs += _placed(flatten(child, below), _instance_offsets(list(group)))
             flattened[name] = runs
             return runs
 
@@ -269,13 +264,8 @@ def _boundary_key(boundary: MaskBoundary) -> tuple:
     return boundary.layer, boundary.datatype, boundary.points.shape, boundary.points.dtype
 
 
-def _instance_offsets(arrays: list[CellArray]) -> list[np.ndarray]:
-    """Each array's (cols * rows, 2) instance origins, column index outer.
-
-    All arrays of a cell are unrolled in one broadcast, then split.
-    """
-    if not arrays:
-        return []
+def _instance_offsets(arrays: list[CellArray]) -> np.ndarray:
+    """The (n, 2) instance origins of arrays, array by array, column index outer."""
     counts = np.array([array.cols * array.rows for array in arrays])
     owner = np.repeat(np.arange(len(arrays)), counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -284,55 +274,27 @@ def _instance_offsets(arrays: list[CellArray]) -> list[np.ndarray]:
         np.array([getattr(array, name) for array in arrays], dtype=np.int64)[owner]
         for name in ("origin", "col_vector", "row_vector")
     )
-    offsets = origin + i[:, None] * col_vector + j[:, None] * row_vector
-    return np.split(offsets, np.cumsum(counts)[:-1])
+    return origin + i[:, None] * col_vector + j[:, None] * row_vector
 
 
-def _placed(placements: list[tuple[list[_Run], np.ndarray]]) -> list[_Run]:
-    """Translated copies of flattened cells, placement after placement.
+def _placed(cell_runs: list[_Run], offsets: np.ndarray) -> list[_Run]:
+    """Translated copies of a flattened cell, one per (m, 2) instance offset.
 
-    A placement is a flattened cell and its (m, 2) instance offsets; each
-    instance holds all of the cell's runs in order.  Consecutive placements
-    of single-run cells with the same layer, datatype and block layout are
-    gathered into one run by a single fancy index.
+    Each run is moved to every instance in one broadcast.  Each instance
+    holds all of the cell's runs in order, so a one-run cell stays one run.
     """
-    runs: list[_Run] = []
-    for key, group in groupby(placements, key=_single_run_key):
-        group = list(group)
-        if key is None:
-            for cell_runs, offsets in group:
-                moved = [
-                    (layer, datatype, block + offsets[:, None, None, :])
-                    for layer, datatype, block in cell_runs
-                ]
-                runs += [
-                    (layer, datatype, blocks[index])
-                    for index in range(len(offsets))
-                    for layer, datatype, blocks in moved
-                ]
-            continue
-        blocks = [cell_runs[0][2] for cell_runs, _ in group]
-        lengths = [len(block) for block in blocks]
-        counts = [len(offsets) for _, offsets in group]
-        offsets = np.concatenate([offsets for _, offsets in group])
-        # Per instance: its block's polygon count and first row in the
-        # concatenated blocks; then per output polygon: its instance.
-        sizes = np.repeat(lengths, counts)
-        firsts = np.repeat(np.cumsum([0, *lengths[:-1]]), counts)
-        instance = np.repeat(np.arange(len(offsets)), sizes)
-        within = np.arange(len(instance)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        block = np.concatenate(blocks)[firsts[instance] + within]
-        block += offsets[instance, None, :]
-        runs.append((key[0], key[1], block))
-    return runs
-
-
-def _single_run_key(placement: tuple[list[_Run], np.ndarray]) -> tuple | None:
-    cell_runs, _ = placement
-    if len(cell_runs) != 1:
-        return None
-    layer, datatype, block = cell_runs[0]
-    return layer, datatype, block.shape[1:], block.dtype
+    moved = [
+        (layer, datatype, block + offsets[:, None, None, :])
+        for layer, datatype, block in cell_runs
+    ]
+    if len(moved) == 1:
+        layer, datatype, blocks = moved[0]
+        return [(layer, datatype, blocks.reshape(-1, *blocks.shape[2:]))]
+    return [
+        (layer, datatype, blocks[index])
+        for index in range(len(offsets))
+        for layer, datatype, blocks in moved
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -420,11 +382,6 @@ def _xy_payload(points: list[tuple[int, int]]) -> bytes:
 
 def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) -> bytes:
     closed = [*points, points[0]]
-    if len(closed) > _MAX_BOUNDARY_POINTS:
-        raise ValueError(
-            f"boundary with {len(closed)} points exceeds the "
-            f"{_MAX_BOUNDARY_POINTS}-point record limit"
-        )
     return (
         pack_record(BOUNDARY, DATA_NONE)
         + pack_record(LAYER, DATA_INT16, struct.pack(">h", layer))
@@ -710,13 +667,6 @@ def _parse_boundary(start: Record, next_record) -> tuple[MaskBoundary, Record]:
     if len(points) < 4:
         raise GdsParseError(
             f"boundary needs at least 4 points (closed triangle), got {len(points)}",
-            xy.offset,
-            XY,
-        )
-    if len(points) > _MAX_BOUNDARY_POINTS:
-        raise GdsParseError(
-            f"boundary with {len(points)} points exceeds the "
-            f"{_MAX_BOUNDARY_POINTS}-point limit",
             xy.offset,
             XY,
         )

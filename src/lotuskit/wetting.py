@@ -32,8 +32,8 @@ __all__ = [
     "spherical_cap_volume",
 ]
 
-# Cosines may spill outside [-1, 1] by a few ulp through rounding; anything
-# beyond this band is a logic error upstream, not floating-point noise.
+# An inverted fraction may exceed 1 by a few ulp through rounding and is
+# clamped; a larger excess means the apparent angle is below the flat one.
 _COSINE_CLAMP_TOL = 1e-12
 
 
@@ -137,29 +137,6 @@ def _require_open_angle(value: float, name: str) -> None:
         )
 
 
-def _acos_guarded(cosine: float) -> float:
-    """arccos in radians, tolerating at most `_COSINE_CLAMP_TOL` of spill.
-
-    Values within the tolerance band outside [-1, 1] are rounding noise and
-    get clamped; larger excursions indicate a defect upstream and raise.
-    """
-    if cosine > 1.0:
-        if cosine - 1.0 > _COSINE_CLAMP_TOL:
-            raise ValueError(
-                f"cosine argument {cosine!r} exceeds +1 beyond the "
-                f"{_COSINE_CLAMP_TOL} rounding tolerance"
-            )
-        cosine = 1.0
-    elif cosine < -1.0:
-        if -1.0 - cosine > _COSINE_CLAMP_TOL:
-            raise ValueError(
-                f"cosine argument {cosine!r} falls below -1 beyond the "
-                f"{_COSINE_CLAMP_TOL} rounding tolerance"
-            )
-        cosine = -1.0
-    return math.acos(cosine)
-
-
 def cassie_apparent_angle(solid_fraction: float, theta_flat: float) -> float:
     """Apparent contact angle on a composite (air-cushioned) surface.
 
@@ -185,10 +162,12 @@ def cassie_apparent_angle(solid_fraction: float, theta_flat: float) -> float:
     """
     _require_fraction(solid_fraction)
     _require_open_angle(theta_flat, "theta_flat")
+    # With f in [0, 1] and |cos| <= 1, rounding is monotone at each step:
+    # f*cos lands in [-f, f], adding f in [0, 2f], subtracting 1 in [-1, 1].
     cos_apparent = (
         solid_fraction * math.cos(math.radians(theta_flat)) + solid_fraction - 1.0
     )
-    return math.degrees(_acos_guarded(cos_apparent))
+    return math.degrees(math.acos(cos_apparent))
 
 
 def invert_cassie_fraction(apparent_angle: float, theta_flat: float) -> float:

@@ -1,8 +1,10 @@
 """Project configuration loading and the command-line interface."""
 
 import json
+import shlex
 import struct
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import pytest
 
@@ -408,6 +410,28 @@ class TestCliBasics:
         capsys.readouterr()
 
 
+def readme_quick_start() -> list[tuple[str, str]]:
+    """Each ``$ lotus ...`` command of README's Quick start, with its output."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ ")[1:]:
+        command, output = chunk.split("\n", 1)
+        examples.append((command, output.rstrip("\n") + "\n"))
+    return examples
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [pytest.param(command, output, id=command) for command, output in readme_quick_start()],
+)
+def test_readme_quick_start_prints_its_block(command, output, capsys):
+    program, *args = shlex.split(command)
+    assert program == "lotus"
+    assert run(args) == 0
+    assert capsys.readouterr().out == output
+
+
 class TestCliFraction:
     def test_honeycomb_values(self, capsys):
         assert run(["fraction", "--wall", "1000"]) == 0
@@ -757,6 +781,21 @@ class TestCliExport:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--gradient"], "a gradient needs --length-nm, --f-start, and --f-end"),
+            (["--reference", "--crop-um", "0"], "--crop-um must be > 0"),
+        ],
+    )
+    def test_usage_errors_write_nothing(self, args, message, capsys, tmp_path):
+        out_path = tmp_path / "mask.gds"
+        assert run(["export", *args, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {message}\n"
+        assert not out_path.exists()
 
     def test_svg_cell_budget_maps_to_domain_error(self, capsys):
         code = run(["export", "--reference", "--format", "svg"])

@@ -184,6 +184,41 @@ class TestDesignLinearGradient:
         with pytest.raises(ValueError, match="non-decreasing"):
             GradientDesign(columns=((0, 800), (4000, 400)), spec=spec)
 
+    @pytest.mark.parametrize(
+        "walls, f_end, message",
+        [
+            ((), 0.2, "a gradient design needs at least one column"),
+            ((400, 400.5), 0.2, "column 1 wall must be an integer nanometer count, got 400.5"),
+            ((400, 4000), 0.2, "column 1 wall must be below the 4000 nm pitch, got 4000"),
+            ((400, 405), 0.2, "column 1 wall 405 nm is off the 10 nm fabrication grid"),
+            ((400, 800), 0.05, "walls must be non-increasing for a falling ramp"),
+        ],
+        ids=["empty", "fractional", "at-pitch", "off-grid", "rising-on-falling"],
+    )
+    def test_column_walls_rejected(self, walls, f_end, message):
+        spec = GradientSpec(
+            length=8000, lateral_width=100_000, pitch=4000,
+            f_start=0.1, f_end=f_end, measure=Measure.LINEAR_RATIO,
+        )
+        columns = tuple((4000 * k, wall) for k, wall in enumerate(walls))
+        with pytest.raises(ValueError) as excinfo:
+            GradientDesign(columns=columns, spec=spec)
+        assert str(excinfo.value) == message
+
+    def test_numpy_integer_walls_are_stored_as_ints(self):
+        spec = GradientSpec(
+            length=8000, lateral_width=100_000, pitch=4000,
+            f_start=0.1, f_end=0.2, measure=Measure.LINEAR_RATIO,
+        )
+        design = GradientDesign(
+            columns=((np.int64(0), np.int64(400)), (4000, np.int32(800))), spec=spec
+        )
+        assert design.columns == ((0, 400), (4000, 800))
+        assert all(type(value) is int for column in design.columns for value in column)
+        assert design.fractions == GradientDesign(
+            columns=((0, 400), (4000, 800)), spec=spec
+        ).fractions
+
     def test_spec_lengths_use_the_integer_nm_validator(self):
         def spec(**lengths):
             fields = dict(length=8000, lateral_width=100_000, pitch=4000, height=4000)

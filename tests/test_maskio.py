@@ -573,6 +573,13 @@ class TestWriteSvg:
         root = ElementTree.fromstring(write_svg(zone))
         assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
+    def test_empty_layout_is_a_one_pixel_document(self):
+        root = ElementTree.fromstring(write_svg(Layout(zones=())))
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert (root.get("width"), root.get("height")) == ("1.00", "1.00")
+        assert root.get("viewBox") == "0 0 1.00 1.00"
+        assert len(root) == 0
+
     def test_cell_budget_enforced_with_suggestion(self):
         layout = build_two_zone_layout(WIDE, FINE)
         with pytest.raises(ValueError, match="max_cells"):

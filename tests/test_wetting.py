@@ -7,7 +7,9 @@ constants, not against the code under test.
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lotuskit.wetting import (
@@ -72,6 +74,19 @@ class TestCassieApparentAngle:
         for theta in (0.0, -5.0, 180.0, 200.0):
             with pytest.raises(ValueError):
                 cassie_apparent_angle(0.5, theta)
+
+    @pytest.mark.parametrize(
+        "fraction",
+        [0.0, 5e-324, 2.2250738585072014e-308, 0.5, 1.0 - 2.0**-53, 1.0,
+         np.float32(1.0 - 2.0**-24), np.float16(0.999), Fraction(1, 3)],
+    )
+    @pytest.mark.parametrize(
+        "theta", [5e-324, 1e-12, 81.0, 180.0 - 1e-12, math.nextafter(180.0, 0.0)]
+    )
+    def test_rounding_extremes_stay_in_the_acos_domain(self, fraction, theta):
+        angle = cassie_apparent_angle(fraction, theta)
+        assert math.isfinite(angle)
+        assert 0.0 <= angle <= 180.0
 
 
 class TestInvertCassieFraction:
