@@ -14,7 +14,8 @@ check
 simulate
     Quasi-static droplet transport along a gradient, with CSV trace output.
 export
-    Write GDSII or SVG mask artifacts.
+    Write GDSII or SVG mask artifacts; exits 1, writing nothing, when the
+    design breaks a rule.
 report
     Model predictions next to the built-in measured dataset.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -59,6 +61,7 @@ from lotuskit.lattice import (
     PillarSpec,
     Rect,
     Zone,
+    _violation_error,
     build_two_zone_layout,
     check_design_rules,
     honeycomb_area_fraction,
@@ -323,6 +326,8 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
             raise _UsageError("--crop-um applies to zone layouts only")
         if not args.crop_um > 0:
             raise _UsageError("--crop-um must be > 0")
+        if not math.isfinite(args.crop_um):
+            raise _UsageError("--crop-um must be finite")
         crop_nm = int(round(args.crop_um * 1000.0))
         target = Layout(
             zones=tuple(
@@ -340,8 +345,6 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
             label=target.label,
         )
 
-    default_name = "lotus_mask.gds" if args.format == "gdsii" else "lotus_mask.svg"
-    path = _resolve_out_path(args.out if args.out else default_name, config)
     if args.format == "gdsii":
         options = GdsOptions(
             layer=args.layer,
@@ -349,16 +352,21 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
             mode=GdsMode(args.mode),
         )
         payload = write_gdsii(target, options, polarity=args.polarity)
-        path.write_bytes(payload)
-        size = len(payload)
     else:
-        text = write_svg(target, max_cells=args.max_cells)
-        payload = text.encode("utf-8")
-        path.write_bytes(payload)
-        size = len(payload)
+        payload = write_svg(target, max_cells=args.max_cells).encode("utf-8")
+    # After the writers, so that their own refusals come first; gradients
+    # were checked by design_linear_gradient.
+    if wants_two_zone:
+        violations = check_design_rules(target, config.rules)
+        if violations:
+            raise _violation_error("mask", violations)
+
+    default_name = "lotus_mask.gds" if args.format == "gdsii" else "lotus_mask.svg"
+    path = _resolve_out_path(args.out if args.out else default_name, config)
+    path.write_bytes(payload)
     print(f"format={args.format}")
     print(f"out={path}")
-    print(f"bytes={size}")
+    print(f"bytes={len(payload)}")
     return 0
 
 

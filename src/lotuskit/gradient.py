@@ -45,6 +45,7 @@ from lotuskit.lattice import (
     HoneycombSpec,
     _as_int_nm,
     _check_spec,
+    _violation_error,
     snap_to_grid,
 )
 from lotuskit.wetting import (
@@ -354,10 +355,7 @@ def design_linear_gradient(
         for violation in _check_spec(column, rules, f"column {index}"):
             violations.setdefault((violation.rule, violation.value), violation)
     if violations:
-        problems = [str(violation) for violation in violations.values()]
-        shown = "; ".join(problems[:5])
-        extra = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise ValueError(f"gradient violates design rules: {shown}{extra}")
+        raise _violation_error("gradient", list(violations.values()))
 
     columns = tuple(
         (index * spec.pitch, wall) for index, wall in enumerate(walls)

@@ -255,6 +255,13 @@ class RuleViolation:
         return f"{self.subject}: {self.rule}: value {self.value} violates limit {self.limit}"
 
 
+def _violation_error(what: str, violations: list[RuleViolation]) -> ValueError:
+    """The error refusing ``what``: its first five violations, then ``(+N more)``."""
+    shown = "; ".join(str(violation) for violation in violations[:5])
+    extra = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
+    return ValueError(f"{what} violates design rules: {shown}{extra}")
+
+
 def square_pillar_fraction(spec: PillarSpec) -> float:
     """Solid fraction of a square-pillar pattern: ``a^2 / (a + b)^2``.
 

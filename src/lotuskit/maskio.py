@@ -165,14 +165,29 @@ class CellArray:
     row_vector: tuple[int, int]
 
 
+# A run of polygons sharing layer, datatype and vertex count: the
+# (n, k, 2) points block of n consecutive polygons.
+_Run = tuple[int, int, np.ndarray]
+
+
 @dataclass
 class MaskCell:
-    """One structure: its polygons and the references it places."""
+    """One structure: its polygons and the references it places.
+
+    ``runs`` holds the cell's own polygons in stream order as
+    ``(layer, datatype, points)`` runs, each ``points`` an ``(n, k, 2)``
+    block of n polygons of k vertices, closure vertex not repeated.
+    """
 
     name: str
-    boundaries: list[MaskBoundary] = field(default_factory=list)
+    runs: list[_Run] = field(default_factory=list)
     srefs: list[CellRef] = field(default_factory=list)
     arefs: list[CellArray] = field(default_factory=list)
+
+    @property
+    def boundaries(self) -> list[MaskBoundary]:
+        """The own polygons one by one, as views into ``runs``."""
+        return _polygons(self.runs)
 
 
 @dataclass
@@ -196,8 +211,8 @@ class MaskGeometry:
     def expand(self, cell_name: str | None = None) -> list[MaskBoundary]:
         """Flatten a cell (default: the sole top cell) to absolute polygons.
 
-        The order is that of a depth-first walk: a cell's own boundaries,
-        then its SREFs, then its AREFs, each array instance by instance
+        The order is that of a depth-first walk: a cell's own runs, then
+        its SREFs, then its AREFs, each array instance by instance
         (column index outer, row index inner).  Each cell is flattened
         once; consecutive references to one child, an SREF counting as a
         1 x 1 array, are placed by broadcasting.  Nested references are
@@ -225,43 +240,25 @@ class MaskGeometry:
             cell = self.cells[name]
             refs = [CellArray(ref.cell, ref.origin, 1, 1, (0, 0), (0, 0)) for ref in cell.srefs]
             refs += [array for array in cell.arefs if array.cols > 0 and array.rows > 0]
-            runs = _own_runs(cell.boundaries)
+            # Own runs are copied, in the dtype that adding int64 offsets gives.
+            runs = [
+                (layer, datatype, block.astype(np.result_type(block.dtype, np.int64)))
+                for layer, datatype, block in cell.runs
+            ]
             for child, group in groupby(refs, key=lambda ref: ref.cell):
                 runs += _placed(flatten(child, below), _instance_offsets(list(group)))
             flattened[name] = runs
             return runs
 
-        return [
-            boundary
-            for layer, datatype, block in flatten(cell_name, frozenset())
-            for boundary in _boundaries(layer, datatype, block)
-        ]
+        return _polygons(flatten(cell_name, frozenset()))
 
 
-# A run of polygons sharing layer, datatype and vertex count: the
-# (n, k, 2) points block of n consecutive polygons.
-_Run = tuple[int, int, np.ndarray]
-
-
-def _boundaries(layer: int, datatype: int, block: np.ndarray) -> list[MaskBoundary]:
-    return [MaskBoundary(layer, datatype, points) for points in block]
-
-
-def _own_runs(boundaries: list[MaskBoundary]) -> list[_Run]:
-    """A cell's boundaries as runs, copied, in order.
-
-    Blocks take the dtype that adding int64 offsets gives, as translating
-    each polygon did.
-    """
-    runs = []
-    for (layer, datatype, _, dtype), group in groupby(boundaries, key=_boundary_key):
-        points = [boundary.points for boundary in group]
-        runs.append((layer, datatype, np.array(points, np.result_type(dtype, np.int64))))
-    return runs
-
-
-def _boundary_key(boundary: MaskBoundary) -> tuple:
-    return boundary.layer, boundary.datatype, boundary.points.shape, boundary.points.dtype
+def _polygons(runs: list[_Run]) -> list[MaskBoundary]:
+    return [
+        MaskBoundary(layer, datatype, points)
+        for layer, datatype, block in runs
+        for points in block
+    ]
 
 
 def _instance_offsets(arrays: list[CellArray]) -> np.ndarray:
@@ -576,6 +573,7 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     Records are walked one at a time, except that the boundaries following
     a parsed boundary with byte-identical framing (every byte outside the
     XY payload) are decoded as one numpy block; see :func:`_boundary_run`.
+    Each such block becomes one entry of the cell's :attr:`MaskCell.runs`.
     """
     cursor = _RecordCursor(data)
     next_record = cursor.next
@@ -615,12 +613,12 @@ def read_gdsii(data: bytes) -> MaskGeometry:
             if element.record_type == ENDSTR:
                 break
             if element.record_type == BOUNDARY:
-                boundary, xy = _parse_boundary(element, next_record)
-                run = _boundary_run(data, element.offset, cursor.end, xy, boundary)
-                if run:
+                layer, datatype, points, xy = _parse_boundary(next_record)
+                block = _boundary_run(data, element.offset, cursor.end, xy, points)
+                if len(block) > 1:
                     size = cursor.end - element.offset
-                    cursor.skip_to(element.offset + len(run) * size)
-                cell.boundaries += run or [boundary]
+                    cursor.skip_to(element.offset + len(block) * size)
+                cell.runs.append((layer, datatype, block))
             elif element.record_type == SREF:
                 cell.srefs.append(_parse_sref(next_record))
             elif element.record_type == AREF:
@@ -650,8 +648,8 @@ def _parse_xy_pairs(record: Record) -> np.ndarray:
     return np.asarray(values, dtype=np.int64).reshape(-1, 2)
 
 
-def _parse_boundary(start: Record, next_record) -> tuple[MaskBoundary, Record]:
-    """One boundary element after its BOUNDARY record, plus its XY record."""
+def _parse_boundary(next_record) -> tuple[int, int, np.ndarray, Record]:
+    """Layer, datatype, open points and XY record of a boundary after BOUNDARY."""
     layer_record = _expect(next_record("LAYER"), LAYER)
     layer = layer_record.int16s()
     if not layer:
@@ -673,8 +671,7 @@ def _parse_boundary(start: Record, next_record) -> tuple[MaskBoundary, Record]:
     if not np.array_equal(points[0], points[-1]):
         raise GdsParseError(_UNCLOSED, xy.offset, XY)
     _expect(next_record("ENDEL"), ENDEL)
-    boundary = MaskBoundary(layer=layer[0], datatype=datatype[0], points=points[:-1])
-    return boundary, xy
+    return layer[0], datatype[0], points[:-1], xy
 
 
 _UNCLOSED = "boundary is not closed (first point must repeat last)"
@@ -682,8 +679,8 @@ _RUN_PROBE = 64  # elements compared by the first framing check of a run
 
 
 def _boundary_run(
-    data: bytes, start: int, end: int, xy: Record, first: MaskBoundary
-) -> list[MaskBoundary]:
+    data: bytes, start: int, end: int, xy: Record, first: np.ndarray
+) -> np.ndarray:
     """Decode the run of boundaries framed like the one at ``start:end``.
 
     The element at ``start`` has been parsed strictly.  Every following
@@ -693,8 +690,8 @@ def _boundary_run(
     whole run at once; the first unclosed element raises the record walk's
     error at its XY record.  The run ends at the first element that
     differs, which the record walk then parses.  Returns the run's
-    boundaries, ``first``'s element included, or an empty list when the
-    next element differs.
+    ``(n, k, 2)`` points block, ``first``'s open points included; when the
+    next element differs, ``first`` alone.
     """
     size = end - start
     xy_start = xy.offset + 4 - start
@@ -704,7 +701,7 @@ def _boundary_run(
         data[end : end + xy_start] != head
         or data[end + xy_end : end + size] != tail
     ):
-        return []
+        return first[None]
     available = (len(data) - start) // size
     elements = np.frombuffer(data, np.uint8, available * size, start).reshape(
         available, size
@@ -726,7 +723,7 @@ def _boundary_run(
     if not closed.all():
         offset = start + int(np.argmin(closed)) * size + xy_start - 4
         raise GdsParseError(_UNCLOSED, offset, XY)
-    return _boundaries(first.layer, first.datatype, points[:, :-1])
+    return points[:, :-1]
 
 
 def _parse_sref(next_record) -> CellRef:

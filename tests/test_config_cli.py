@@ -1,5 +1,6 @@
 """Project configuration loading and the command-line interface."""
 
+import itertools
 import json
 import shlex
 import struct
@@ -787,6 +788,7 @@ class TestCliExport:
         [
             (["--gradient"], "a gradient needs --length-nm, --f-start, and --f-end"),
             (["--reference", "--crop-um", "0"], "--crop-um must be > 0"),
+            (["--reference", "--crop-um", "inf"], "--crop-um must be finite"),
         ],
     )
     def test_usage_errors_write_nothing(self, args, message, capsys, tmp_path):
@@ -997,6 +999,37 @@ class TestCliWithConfig:
             "error: gradient violates design rules: column 0: "
             "fabrication_grid(half_pitch): value 2000.5 violates limit 1\n",
         )
+
+    def test_export_writes_exactly_the_masks_that_pass_drc(self, capsys, tmp_path):
+        # A refused export lists the violations that design two-zone prints,
+        # in the gradient's format: the first five, then (+N more).
+        out_path = tmp_path / "mask.gds"
+        clean_cases = 0
+        walls = (300, 400, 1000)
+        for grid, pitch, wall_a, wall_b in itertools.product((10, 40), (4000, 4010), walls, walls):
+            config_path = write_config(tmp_path, {"rules": {"fabrication_grid": grid}})
+            flags = ["--wall-a", str(wall_a), "--wall-b", str(wall_b), "--pitch", str(pitch)]
+            case = (grid, *flags)
+            assert run(["--config", config_path, "design", "two-zone", *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            found = [line.split("=", 1)[1] for line in lines if line.startswith("drc")]
+            drc_count, violations = int(found[0]), found[1:]
+            code = run(["--config", config_path, "export", *flags,
+                        "--crop-um", "20", "--out", str(out_path)])
+            exported = capsys.readouterr()
+            assert (code == 0) == (drc_count == 0), case
+            assert out_path.exists() == (code == 0), case
+            if code == 0:
+                clean_cases += 1
+                out_path.unlink()
+                continue
+            more = f" (+{drc_count - 5} more)" if drc_count > 5 else ""
+            assert code == 1, case
+            assert exported.out == "", case
+            assert exported.err == (
+                f"error: mask violates design rules: {'; '.join(violations[:5])}{more}\n"
+            ), case
+        assert clean_cases == 4  # walls 400 and 1000 at pitch 4000 on the 10 nm grid
 
     def test_gradient_half_pitch_must_lie_on_the_grid(self, capsys, tmp_path):
         # Pitch 4000 is on an 800 nm grid; its odd rows, 2000 nm across, are not.

@@ -11,6 +11,8 @@
   identical boundaries and compute the expected error message and byte
   offset arithmetically from the element index; every other rejected
   element is pinned on a stream holding just that element.
+* The run-model tests pin how read-back groups a cell's own polygons into
+  ``(layer, datatype, points)`` runs of ``(n, k, 2)`` vertex blocks.
 """
 
 import hashlib
@@ -23,7 +25,14 @@ import pytest
 from lotuskit.cli import run
 from lotuskit.gdsii import GdsParseError
 from lotuskit.lattice import HoneycombSpec, Layout, Rect, Zone
-from lotuskit.maskio import GdsMode, GdsOptions, read_gdsii, write_gdsii
+from lotuskit.maskio import (
+    GdsMode,
+    GdsOptions,
+    MaskCell,
+    MaskGeometry,
+    read_gdsii,
+    write_gdsii,
+)
 
 # --------------------------------------------------------------------------
 # Pinned artifacts
@@ -440,6 +449,62 @@ class TestLongRunStrictness:
         offset = len(data) if at is None else element_offset(k) + at
         assert error.offset == offset
         assert str(error) == f"offset {offset} {message}"
+
+
+# --------------------------------------------------------------------------
+# Run model: a cell's own polygons as vertex blocks
+# --------------------------------------------------------------------------
+
+def read_pinned_export(name: str, tmp_path) -> MaskGeometry:
+    out = tmp_path / name
+    assert run(["export", *PINNED_EXPORTS[name][0], "--out", str(out)]) == 0
+    return read_gdsii(out.read_bytes())
+
+
+class TestRunModel:
+    def test_flat_export_reads_as_one_block(self, tmp_path, capsys):
+        geometry = read_pinned_export("flat.gds", tmp_path)
+        capsys.readouterr()
+        [(layer, datatype, block)] = geometry.cells["TOP"].runs
+        assert (layer, datatype) == (1, 0)
+        assert block.shape == (52_200, 6, 2)
+        assert block.dtype == np.int64
+
+    def test_gradient_hexagon_cells_hold_one_polygon(self, tmp_path, capsys):
+        geometry = read_pinned_export("gradient.gds", tmp_path)
+        capsys.readouterr()
+        hexagon_cells = [cell for name, cell in geometry.cells.items() if name.startswith("HEX_")]
+        assert hexagon_cells
+        for cell in hexagon_cells:
+            [(layer, datatype, block)] = cell.runs
+            assert (layer, datatype) == (1, 0)
+            assert block.shape == (1, 6, 2)
+
+    def test_interrupted_run_reads_as_three_runs(self):
+        elements = [boundary(1, 0, hexagon(4000 * k, 0)) for k in range(300)]
+        elements.insert(200, boundary(2, 0, rectangle(0, 0, 9000, 9000)))
+        geometry = read_gdsii(run_stream(elements))
+        cell = geometry.cells["TOP"]
+        assert [(layer, datatype, block.shape) for layer, datatype, block in cell.runs] == [
+            (1, 0, (200, 6, 2)),
+            (2, 0, (1, 4, 2)),
+            (1, 0, (100, 6, 2)),
+        ]
+        assert np.array_equal(cell.runs[2][2][0], hexagon(4000 * 200, 0))
+        expanded = geometry.expand()
+        assert len(cell.boundaries) == len(expanded) == 301
+        for own, placed in zip(cell.boundaries, expanded):
+            assert (own.layer, own.datatype) == (placed.layer, placed.datatype)
+            assert np.array_equal(own.points, placed.points)
+
+    def test_int32_block_expands_to_int64(self):
+        block = np.array([hexagon(0, 0), hexagon(3000, 0)], dtype=np.int32)
+        cell = MaskCell(name="TOP", runs=[(1, 0, block)])
+        geometry = MaskGeometry("LOTUS", 1e-3, 1e-9, {"TOP": cell})
+        expanded = geometry.expand()
+        assert [polygon.points.dtype for polygon in expanded] == [np.int64, np.int64]
+        assert np.array_equal(expanded[1].points, hexagon(3000, 0))
+        assert block.dtype == np.int32
 
 
 def test_units_error_reports_the_units_record_offset():
