@@ -60,6 +60,91 @@ def all_centers(zone: Zone) -> np.ndarray:
     return np.concatenate([array.centers() for array in lattice_arrays(zone)])
 
 
+def old_mc_chunk_solid_count(
+    spec: HoneycombSpec, chunk_index: int, chunk_samples: int, seed: int
+) -> int:
+    """Frozen copy of the original Monte Carlo kernel: four candidate openings.
+
+    Samples span one full period (pitch wide, two rows tall); each is tested
+    against the two bracketing columns of the two bracketing rows.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    )
+    pitch = float(spec.pitch)
+    row_spacing = pitch * math.sqrt(3.0) / 2.0
+    points = rng.random((chunk_samples, 2))
+    xs = points[:, 0] * pitch
+    ys = points[:, 1] * (2.0 * row_spacing)
+
+    half_comb = spec.comb_diameter / 2.0
+    sqrt3_half = math.sqrt(3.0) / 2.0
+    inside_opening = np.zeros(chunk_samples, dtype=bool)
+    base_row = np.floor(ys / row_spacing).astype(np.int64)
+    for row_step in (0, 1):
+        row = base_row + row_step
+        center_y = row * row_spacing
+        offset_x = np.where(row % 2 == 0, 0.0, pitch / 2.0)
+        base_col = np.floor((xs - offset_x) / pitch)
+        for col_step in (0, 1):
+            center_x = offset_x + (base_col + col_step) * pitch
+            dx = xs - center_x
+            dy = ys - center_y
+            proj_a = np.abs(dx)
+            proj_b = np.abs(0.5 * dx + sqrt3_half * dy)
+            proj_c = np.abs(0.5 * dx - sqrt3_half * dy)
+            inside_opening |= (
+                np.maximum(proj_a, np.maximum(proj_b, proj_c)) <= half_comb
+            )
+    return int(chunk_samples - np.count_nonzero(inside_opening))
+
+
+class FixedPoints:
+    """Stands in for a numpy Generator whose ``random`` returns given points."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+
+    def random(self, shape):
+        assert shape == self.points.shape
+        return self.points.copy()
+
+
+def edge_points(spec: HoneycombSpec, per_edge: int = 64, ulps: int = 3) -> np.ndarray:
+    """Unit-square samples on and a few ulps around every opening edge.
+
+    Covers the five openings that reach one period (pitch wide, two rows
+    tall) and the fold lines u = 1/2 and v = 1/2, where rounding decides
+    which side of a boundary a point lands on.
+    """
+    pitch = float(spec.pitch)
+    period_y = pitch * math.sqrt(3.0)
+    vertices = hexagon_offsets(spec.comb_diameter)
+    t = np.linspace(0.0, 1.0, per_edge)[:, None]
+    centers = [(0.0, 0.0), (pitch, 0.0), (pitch / 2.0, period_y / 2.0), (0.0, period_y), (pitch, period_y)]
+    on_edges = np.concatenate(
+        [
+            np.array(center) + start + t * (end - start)
+            for center in centers
+            for start, end in zip(vertices, np.roll(vertices, -1, axis=0))
+        ]
+    )
+    across = np.linspace(0.0, 1.0, per_edge)
+    half = np.full(per_edge, 0.5)
+    u = np.concatenate([on_edges[:, 0] / pitch, half, across])
+    v = np.concatenate([on_edges[:, 1] / period_y, across, half])
+    shifted = []
+    for du in range(-ulps, ulps + 1):
+        for dv in range(-ulps, ulps + 1):
+            su, sv = u, v
+            for _ in range(abs(du)):
+                su = np.nextafter(su, math.copysign(math.inf, du))
+            for _ in range(abs(dv)):
+                sv = np.nextafter(sv, math.copysign(math.inf, dv))
+            shifted.append(np.stack([su, sv], axis=1))
+    return np.clip(np.concatenate(shifted), 0.0, np.nextafter(1.0, 0.0))
+
+
 class TestSpecs:
     def test_comb_diameter_derived(self):
         assert WIDE.comb_diameter == 3000
@@ -163,6 +248,53 @@ class TestMonteCarlo:
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(ValueError):
             monte_carlo_fraction(WIDE, samples=999, seed=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_benchmark_input_is_pinned(self, workers):
+        # The benchmark's mc_w1/mc_w2 input: 4e6 samples on the 400 nm wall.
+        estimate, _ = monte_carlo_fraction(FINE, 4_000_000, seed=0, workers=workers)
+        assert estimate == 0.18992425
+
+
+class TestMonteCarloKernel:
+    """The chunk kernel counts exactly what the frozen four-candidate one counts."""
+
+    @pytest.mark.parametrize(
+        "pitch, wall",
+        [(pitch, wall) for pitch in (4000, 3001) for wall in (1, DEFAULT_RULES.min_wall, pitch - 1)]
+        + [(2, 1)],
+    )
+    def test_counts_equal_the_frozen_kernel(self, pitch, wall):
+        spec = HoneycombSpec(pitch=pitch, wall=wall, height=4000)
+        for seed in (0, 1, 2**64 - 1):
+            for chunk_index in (0, 7, 10**6):
+                for samples in (4096, 1001):
+                    assert lattice._mc_chunk_solid_count(
+                        spec, chunk_index, samples, seed
+                    ) == old_mc_chunk_solid_count(spec, chunk_index, samples, seed)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FINE, WIDE, HoneycombSpec(3001, 1, 10), HoneycombSpec(3001, 3000, 10),
+         HoneycombSpec(2, 1, 10)],
+        ids=["fine", "wide", "odd-pitch-thin", "odd-pitch-thick", "pitch-2"],
+    )
+    def test_counts_equal_on_edges_and_fold_lines(self, spec, monkeypatch):
+        # Points on the hexagon edges and the fold lines, give or take a few
+        # ulps, are where a different rounding would change the count.
+        points = edge_points(spec)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed_seq: FixedPoints(points))
+        new = lattice._mc_chunk_solid_count(spec, 0, len(points), 0)
+        old = old_mc_chunk_solid_count(spec, 0, len(points), 0)
+        assert new == old
+        assert 0 < new < len(points)
+
+    def test_partial_last_chunk(self):
+        samples = lattice._MC_CHUNK + 777
+        estimate, _ = monte_carlo_fraction(FINE, samples, seed=3)
+        solid = old_mc_chunk_solid_count(FINE, 0, lattice._MC_CHUNK, 3)
+        solid += old_mc_chunk_solid_count(FINE, 1, 777, 3)
+        assert estimate == solid / samples
 
 
 class TestCounting:
