@@ -25,6 +25,10 @@ Lattice conventions
 Two independent routes to the solid area fraction are provided: the closed
 form ``1 - (1 - wall/pitch)^2`` and a seeded Monte Carlo estimator with an
 exact point-in-hexagon test.  They deliberately share no geometry code.
+The estimator mirror-folds each sample into a quarter period, where only
+two openings can contain it; every step of the fold is exact in floating
+point, so it counts the same solid points as testing the four openings
+around the unfolded sample.
 """
 
 from __future__ import annotations
@@ -331,28 +335,26 @@ def _mc_chunk_solid_count(
     xs = points[:, 0] * pitch
     ys = points[:, 1] * (2.0 * row_spacing)  # one full two-row period
 
+    # The lattice is mirror-symmetric about x = p/2 and y = rs, so each
+    # point is folded into the quarter period [0, p/2] x [0, rs], which
+    # only two openings reach: the even-row one at (0, 0) and the odd-row
+    # one at (p/2, rs).  The fold is exact, so the count equals a test of
+    # the four bracketing openings of the unfolded point:
+    # * p - x for x >= p/2 and 2rs - y for y >= rs are exact (Sterbenz).
+    # * The odd-row offsets p/2 - x and rs - y after the fold are the
+    #   unfolded offsets with their sign flipped, or exactly representable
+    #   differences (x - p/2 and y - rs, again by Sterbenz).
+    # * With both offsets non-negative, 0.5 dx + (sqrt3/2) dy is the larger
+    #   of the two oblique projections |0.5 dx +- (sqrt3/2) dy|, because
+    #   rounding is monotone; the smaller one never decides the test.
+    np.minimum(xs, pitch - xs, out=xs)
+    np.minimum(ys, 2.0 * row_spacing - ys, out=ys)
+
     half_comb = spec.comb_diameter / 2.0
     sqrt3_half = math.sqrt(3.0) / 2.0
     inside_opening = np.zeros(chunk_samples, dtype=bool)
-
-    # Nearest candidate openings: the two bracketing rows, and within each
-    # row the two bracketing columns (rows alternate a half-pitch shift).
-    base_row = np.floor(ys / row_spacing).astype(np.int64)
-    for row_step in (0, 1):
-        row = base_row + row_step
-        center_y = row * row_spacing
-        offset_x = np.where(row % 2 == 0, 0.0, pitch / 2.0)
-        base_col = np.floor((xs - offset_x) / pitch)
-        for col_step in (0, 1):
-            center_x = offset_x + (base_col + col_step) * pitch
-            dx = xs - center_x
-            dy = ys - center_y
-            proj_a = np.abs(dx)
-            proj_b = np.abs(0.5 * dx + sqrt3_half * dy)
-            proj_c = np.abs(0.5 * dx - sqrt3_half * dy)
-            inside_opening |= (
-                np.maximum(proj_a, np.maximum(proj_b, proj_c)) <= half_comb
-            )
+    for dx, dy in ((xs, ys), (pitch / 2.0 - xs, row_spacing - ys)):
+        inside_opening |= (dx <= half_comb) & (0.5 * dx + sqrt3_half * dy <= half_comb)
     return int(chunk_samples - np.count_nonzero(inside_opening))
 
 
@@ -362,10 +364,15 @@ def monte_carlo_fraction(
     """Estimate the solid area fraction by uniform random sampling.
 
     Points are drawn uniformly over one lattice period (pitch wide, two
-    rows tall) and classified by an exact point-in-hexagon test against the
-    nearby openings; a point is solid iff it lies in no opening.  This
-    shares no code with :func:`honeycomb_area_fraction` and serves as its
-    independent check.
+    rows tall) and classified by an exact point-in-hexagon test; a point is
+    solid iff it lies in no opening.  Each point is first mirrored into the
+    quarter period ``[0, pitch/2] x [0, row spacing]``, which only two
+    openings reach.  The mirror images ``pitch - x`` and
+    ``2 * row spacing - y`` are exact (Sterbenz lemma), and so is every
+    offset to the two openings, so the count is the one a test of the four
+    openings around the unfolded point gives, not just a statistically
+    equal one.  This shares no code with :func:`honeycomb_area_fraction`
+    and serves as its independent check.
 
     Parameters
     ----------
@@ -374,7 +381,8 @@ def monte_carlo_fraction(
     samples:
         Number of random points, >= 1000.
     seed:
-        Non-negative 64-bit seed.  Results for a given (samples, seed) are
+        Any non-negative integer, of any size: it is the entropy of a numpy
+        ``SeedSequence``.  Results for a given (samples, seed) are
         bitwise identical regardless of ``workers``: work is split into
         fixed-size chunks, each with a generator derived from
         (seed, chunk_index), and chunk counts are summed in index order.
