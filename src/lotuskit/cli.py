@@ -225,15 +225,17 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
     if args.wall is None:
         raise _UsageError("provide --wall (honeycomb) or --pillar-width/--pillar-spacing")
     spec = _honeycomb(config, args.wall, args.pitch, args.height)
+    # Sample before printing, so that a refused estimate leaves stdout empty.
+    if args.mc_samples is not None:
+        estimate, std_error = monte_carlo_fraction(
+            spec, args.mc_samples, args.seed, args.workers
+        )
     print(f"pitch_nm={spec.pitch}")
     print(f"wall_nm={spec.wall}")
     print(f"comb_diameter_nm={spec.comb_diameter}")
     print(f"linear_ratio={_frac(honeycomb_linear_ratio(spec))}")
     print(f"area_fraction={_frac(honeycomb_area_fraction(spec))}")
     if args.mc_samples is not None:
-        estimate, std_error = monte_carlo_fraction(
-            spec, args.mc_samples, args.seed, args.workers
-        )
         print(f"mc_samples={args.mc_samples}")
         print(f"mc_seed={args.seed}")
         print(f"mc_fraction={_frac(estimate)}")
@@ -329,6 +331,8 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         if not math.isfinite(args.crop_um):
             raise _UsageError("--crop-um must be finite")
         crop_nm = int(round(args.crop_um * 1000.0))
+        if crop_nm < 1:
+            raise _UsageError("--crop-um must round to at least 1 nm")
         target = Layout(
             zones=tuple(
                 Zone(

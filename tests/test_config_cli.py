@@ -514,6 +514,20 @@ class TestCliFraction:
         assert "mc_fraction=0.189686000\n" in out
         assert "mc_stderr=3.920526e-04\n" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mc-samples", "999"], "samples must be >= 1000, got 999"),
+            (["--mc-samples", "1000", "--workers", "0"], "workers must be >= 1, got 0"),
+            (["--mc-samples", "1000", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_refused_monte_carlo_prints_nothing(self, capsys, flags, message):
+        assert run(["fraction", "--wall", "400", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_monte_carlo_close_to_closed_form(self, capsys):
         assert run(["fraction", "--wall", "1000", "--mc-samples", "200000"]) == 0
         out = capsys.readouterr().out
@@ -789,6 +803,7 @@ class TestCliExport:
             (["--gradient"], "a gradient needs --length-nm, --f-start, and --f-end"),
             (["--reference", "--crop-um", "0"], "--crop-um must be > 0"),
             (["--reference", "--crop-um", "inf"], "--crop-um must be finite"),
+            (["--reference", "--crop-um", "0.0001"], "--crop-um must round to at least 1 nm"),
         ],
     )
     def test_usage_errors_write_nothing(self, args, message, capsys, tmp_path):
