@@ -158,6 +158,7 @@ def rectangle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
 def old_expand(geometry, cell_name: str) -> list[tuple[int, int, np.ndarray]]:
     """Frozen copy of the original recursive, instance-by-instance walk."""
     flattened = []
+    boundaries = {}  # each cell's boundaries, read once: every read rebuilds them
 
     def walk(name, dx, dy, stack):
         if name not in geometry.cells:
@@ -166,7 +167,9 @@ def old_expand(geometry, cell_name: str) -> list[tuple[int, int, np.ndarray]]:
             raise ValueError(f"reference cycle through cell {name!r}")
         below = stack | {name}
         cell = geometry.cells[name]
-        for b in cell.boundaries:
+        if name not in boundaries:
+            boundaries[name] = cell.boundaries
+        for b in boundaries[name]:
             flattened.append((b.layer, b.datatype, b.points + (dx, dy)))
         for ref in cell.srefs:
             walk(ref.cell, dx + ref.origin[0], dy + ref.origin[1], below)
