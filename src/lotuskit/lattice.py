@@ -368,11 +368,12 @@ def monte_carlo_fraction(
     solid iff it lies in no opening.  Each point is first mirrored into the
     quarter period ``[0, pitch/2] x [0, row spacing]``, which only two
     openings reach.  The mirror images ``pitch - x`` and
-    ``2 * row spacing - y`` are exact (Sterbenz lemma), and so is every
-    offset to the two openings, so the count is the one a test of the four
+    ``2 * row spacing - y`` are exact (Sterbenz lemma), and each folded
+    offset to the two openings equals, up to sign, the rounded offset of
+    the unfolded point, so the count is the one a test of the four
     openings around the unfolded point gives, not just a statistically
-    equal one.  This shares no code with :func:`honeycomb_area_fraction`
-    and serves as its independent check.
+    equal one.  This shares no code with
+    :func:`honeycomb_area_fraction` and serves as its independent check.
 
     Parameters
     ----------
