@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction as _Rational
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
@@ -46,6 +45,8 @@ from lotuskit.lattice import (
     _as_int_nm,
     _check_spec,
     _violation_error,
+    honeycomb_area_fraction,
+    honeycomb_linear_ratio,
     snap_to_grid,
 )
 from lotuskit.wetting import (
@@ -65,7 +66,6 @@ __all__ = [
     "TerminalReason",
     "FootprintError",
     "wall_for_fraction",
-    "fraction_for_wall",
     "design_linear_gradient",
     "local_apparent_angle",
     "net_driving_force",
@@ -187,8 +187,14 @@ class GradientDesign:
         elif self.spec.f_start > self.spec.f_end:
             if any(b > a for a, b in zip(walls, walls[1:])):
                 raise ValueError("walls must be non-increasing for a falling ramp")
+        fraction = (
+            honeycomb_linear_ratio
+            if self.spec.measure is Measure.LINEAR_RATIO
+            else honeycomb_area_fraction
+        )
         fraction_of = {
-            wall: fraction_for_wall(wall, pitch, self.spec.measure) for wall in set(walls)
+            wall: fraction(HoneycombSpec(pitch=pitch, wall=wall, height=self.spec.height))
+            for wall in set(walls)
         }
         object.__setattr__(self, "fractions", tuple(fraction_of[wall] for wall in walls))
 
@@ -290,11 +296,14 @@ def wall_for_fraction(
         )
     if pitch <= 0:
         raise ValueError(f"pitch must be > 0 nm, got {pitch!r}")
-    measure = Measure(measure)
-    if measure is Measure.LINEAR_RATIO:
-        exact = target_fraction * pitch
+    try:
+        pitch_nm = float(pitch)
+    except OverflowError:
+        raise ValueError(f"pitch {pitch} nm is beyond the float range") from None
+    if Measure(measure) is Measure.LINEAR_RATIO:
+        exact = target_fraction * pitch_nm
     else:
-        exact = pitch * (1.0 - math.sqrt(1.0 - target_fraction))
+        exact = pitch_nm * (1.0 - math.sqrt(1.0 - target_fraction))
     wall = snap_to_grid(exact, fabrication_grid)
     if not 0 < wall < pitch:
         raise ValueError(
@@ -303,20 +312,6 @@ def wall_for_fraction(
             f"(0, {pitch}) nm"
         )
     return wall
-
-
-def fraction_for_wall(wall: int, pitch: int, measure: Measure) -> float:
-    """Solid fraction realized by a wall thickness, per the given measure.
-
-    Exact-rational evaluation of ``w/p`` (linear ratio) or ``2q - q^2``
-    (area fraction), rounded once to float.
-    """
-    if not 0 < wall < pitch:
-        raise ValueError(f"wall must lie in (0, {pitch}) nm, got {wall!r}")
-    q = _Rational(wall, pitch)
-    if Measure(measure) is Measure.LINEAR_RATIO:
-        return float(q)
-    return float(2 * q - q * q)
 
 
 def design_linear_gradient(

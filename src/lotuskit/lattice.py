@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
 from typing import TYPE_CHECKING, Union
 
-# numpy is imported where arrays are built (the Monte Carlo sampler, the
-# hexagon offsets, the lattice centers), so the scalar code starts without it.
+# numpy is imported where arrays are built (the Monte Carlo sampler and the
+# lattice centers), so the scalar code starts without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -63,7 +63,7 @@ __all__ = [
     "monte_carlo_fraction",
     "snap_to_grid",
     "row_pitch",
-    "hexagon_offsets",
+    "hexagon_vertices",
     "lattice_arrays",
     "build_two_zone_layout",
     "check_design_rules",
@@ -301,8 +301,14 @@ def honeycomb_area_fraction(spec: HoneycombSpec) -> float:
 
 
 def aspect_ratio(spec: HoneycombSpec) -> float:
-    """Structure height over wall thickness (the demolding-risk number)."""
-    return spec.height / spec.wall
+    """Structure height over wall thickness (the demolding-risk number).
+
+    A ratio beyond the float range is ``inf``, which every limit rejects.
+    """
+    try:
+        return spec.height / spec.wall
+    except OverflowError:
+        return math.inf
 
 
 def snap_to_grid(value_nm: float, grid_nm: int) -> int:
@@ -422,8 +428,15 @@ def monte_carlo_fraction(
 # --------------------------------------------------------------------------
 
 def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
-    """Vertical lattice row spacing: ``pitch * sqrt(3)/2`` snapped to the grid."""
-    spacing = snap_to_grid(pitch * math.sqrt(3.0) / 2.0, fabrication_grid)
+    """Vertical lattice row spacing: ``pitch * sqrt(3)/2`` snapped to the grid.
+
+    Rounds half up, exactly: ``(isqrt(3 p^2) + g) // 2g`` grid steps, since
+    flooring the root first leaves the outer floor unchanged.
+    """
+    if fabrication_grid <= 0:
+        raise ValueError(f"fabrication_grid must be > 0, got {fabrication_grid!r}")
+    grid = fabrication_grid
+    spacing = (math.isqrt(3 * pitch * pitch) + grid) // (2 * grid) * grid
     if spacing <= 0:
         raise ValueError(
             f"row pitch collapses to zero on a {fabrication_grid} nm grid "
@@ -432,26 +445,24 @@ def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
     return spacing
 
 
-def hexagon_offsets(comb_diameter: int) -> np.ndarray:
-    """Vertex offsets of a flat-to-flat ``comb_diameter`` hexagon, CCW.
+def hexagon_vertices(comb: int) -> list[tuple[int, int]]:
+    """Integer vertices of a flat-to-flat ``comb`` hexagon, counter-clockwise.
 
-    Flat sides face +/-x; vertices sit at the top and bottom.
+    Flat sides face +/-x; vertices sit at the top and bottom.  ``comb/2``
+    rounds half to even; ``comb*sqrt(3)/6`` and ``comb*sqrt(3)/3`` never
+    tie and round to nearest, exactly, as in :func:`row_pitch`.
     """
-    import numpy as np
-
-    half_width = comb_diameter / 2.0
-    edge_y = comb_diameter * math.sqrt(3.0) / 6.0
-    apex_y = comb_diameter * math.sqrt(3.0) / 3.0
-    return np.array(
-        [
-            (half_width, -edge_y),
-            (half_width, edge_y),
-            (0.0, apex_y),
-            (-half_width, edge_y),
-            (-half_width, -edge_y),
-            (0.0, -apex_y),
-        ]
-    )
+    half_width = round(_Rational(comb, 2))
+    edge_y = (math.isqrt(3 * comb * comb) + 3) // 6
+    apex_y = (math.isqrt(12 * comb * comb) + 3) // 6
+    return [
+        (half_width, -edge_y),
+        (half_width, edge_y),
+        (0, apex_y),
+        (-half_width, edge_y),
+        (-half_width, -edge_y),
+        (0, -apex_y),
+    ]
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -478,9 +489,10 @@ class LatticeArray:
     def centers(self) -> np.ndarray:
         """All cell centers as a (rows * cols, 2) array in nm, row-major.
 
-        The coordinates are exact integers: int64 when every center fits
-        64 bits (the centers are linear in i and j, so the four corner
-        cells decide), otherwise Python ints in an object array.
+        The coordinates are exact integers: int64 when every center and
+        both vectors fit 64 bits (the centers are linear in i and j, so the
+        four corner cells decide; a vector can exceed them in a single
+        row or column), otherwise Python ints in an object array.
         """
         import numpy as np
 
@@ -489,7 +501,7 @@ class LatticeArray:
             _INT64_MIN <= value <= _INT64_MAX
             for i in (0, self.cols - 1)
             for j in (0, self.rows - 1)
-            for value in (x0 + i * cx + j * rx, y0 + i * cy + j * ry)
+            for value in (cx, cy, rx, ry, x0 + i * cx + j * rx, y0 + i * cy + j * ry)
         )
         dtype = np.int64 if fits else object
         i = np.arange(self.cols, dtype=dtype)
@@ -580,7 +592,12 @@ def _check_spec(
             RuleViolation("max_height", spec.height, rules.max_height, subject)
         )
     grid = rules.fabrication_grid
-    half_pitch = spec.pitch / 2 if spec.pitch % 2 else spec.pitch // 2  # the odd-row offset
+    half_pitch = spec.pitch // 2  # the odd-row offset
+    if spec.pitch % 2:
+        try:
+            half_pitch = spec.pitch / 2
+        except OverflowError:  # beyond the float range: kept exact
+            half_pitch = _Rational(spec.pitch, 2)
     dimensions = {"wall": spec.wall, "pitch": spec.pitch, "half_pitch": half_pitch, "height": spec.height}
     for name, value in dimensions.items():
         if value % grid != 0:

@@ -77,7 +77,7 @@ from lotuskit.lattice import (
     Rect,
     Zone,
     aspect_ratio,
-    hexagon_offsets,
+    hexagon_vertices,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
     lattice_arrays,
@@ -406,11 +406,6 @@ def _aref_bytes(array: LatticeArray, cell_name: str) -> bytes:
     )
 
 
-def _hexagon_cell_points(comb: int) -> list[tuple[int, int]]:
-    offsets = np.rint(hexagon_offsets(comb)).astype(np.int64)
-    return [(int(x), int(y)) for x, y in offsets]
-
-
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
 _FLAT_BLOCK_CELLS = 8192  # cells encoded per numpy block in flat mode
 
@@ -424,7 +419,7 @@ def _write_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype:
     centers, in exact integers, show whether every word fits int32: on each
     axis they belong to real cells.
     """
-    hexagon = _hexagon_cell_points(array.comb)
+    hexagon = hexagon_vertices(array.comb)
     centers = array.centers()
     low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
     if not all(
@@ -504,7 +499,7 @@ def write_gdsii(
     if arrayed:
         for comb in sorted({array.comb for array in arrays}):
             open_structure(f"HEX_{comb}")
-            out += _boundary_bytes(options.layer, opening_datatype, _hexagon_cell_points(comb))
+            out += _boundary_bytes(options.layer, opening_datatype, hexagon_vertices(comb))
             close_structure()
     open_structure("TOP")
     for x0, y0, x1, y1 in background:
@@ -783,6 +778,16 @@ _SVG_BACKGROUND = "#3b4252"  # solid structure tops
 _SVG_OPENING = "#a3d5ff"  # air-filled openings
 
 
+def _svg_pixels(offset_nm: int, scale: float) -> float:
+    """An offset from the drawing's edge in pixels, refused beyond the float range."""
+    try:
+        return offset_nm / scale
+    except OverflowError:
+        raise ValueError(
+            f"coordinate overflow: SVG offsets must fit a float, got {offset_nm} nm"
+        ) from None
+
+
 def write_svg(target: Target, max_cells: int = 20000) -> str:
     """Render a layout or gradient design as an SVG 1.1 document.
 
@@ -816,11 +821,11 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
         max_y = max(r[3] for r in rects)
     scale = max((max_x - min_x) / 800.0, 1.0)
 
-    def px(x: float) -> float:
-        return (x - min_x) / scale
+    def px(x: int) -> float:
+        return _svg_pixels(x - min_x, scale)
 
-    def py(y: float) -> float:
-        return (max_y - y) / scale
+    def py(y: int) -> float:
+        return _svg_pixels(max_y - y, scale)
 
     width = (max_x - min_x) / scale
     height = (max_y - min_y) / scale
@@ -840,11 +845,8 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     # Each distinct integer coordinate is formatted once.
     x_text: dict[int, str] = {}
     y_text: dict[int, str] = {}
-    hexagons: dict[int, list[tuple[int, int]]] = {}
     for array in arrays:
-        if array.comb not in hexagons:
-            hexagons[array.comb] = _hexagon_cell_points(array.comb)
-        hexagon = hexagons[array.comb]
+        hexagon = hexagon_vertices(array.comb)
         for center_x, center_y in array.centers().tolist():
             coords = []
             for dx, dy in hexagon:

@@ -239,6 +239,14 @@ def apparent_advancing_receding(
     return advancing, receding
 
 
+def _cap_shape(theta: float) -> float:
+    """The spherical-cap shape factor ``k(theta)``, in half-angle form."""
+    half = math.radians(theta) / 2.0
+    sin_half = math.sin(half)
+    cos_half = math.cos(half)
+    return sin_half * (3.0 - 2.0 * sin_half * sin_half) / (2.0 * cos_half**3)
+
+
 def spherical_cap_footprint_radius(volume: float, theta: float) -> float:
     """Contact-patch radius of a spherical-cap droplet.
 
@@ -270,11 +278,7 @@ def spherical_cap_footprint_radius(volume: float, theta: float) -> float:
     if not volume > 0.0:
         raise ValueError(f"volume must be > 0 m^3, got {volume!r}")
     _require_open_angle(theta, "theta")
-    half = math.radians(theta) / 2.0
-    sin_half = math.sin(half)
-    cos_half = math.cos(half)
-    shape = sin_half * (3.0 - 2.0 * sin_half * sin_half) / (2.0 * cos_half**3)
-    return (3.0 * volume / (math.pi * shape)) ** (1.0 / 3.0)
+    return (3.0 * volume / (math.pi * _cap_shape(theta))) ** (1.0 / 3.0)
 
 
 def spherical_cap_volume(footprint_radius: float, theta: float) -> float:
@@ -286,8 +290,4 @@ def spherical_cap_volume(footprint_radius: float, theta: float) -> float:
     if not footprint_radius > 0.0:
         raise ValueError(f"footprint_radius must be > 0 m, got {footprint_radius!r}")
     _require_open_angle(theta, "theta")
-    half = math.radians(theta) / 2.0
-    sin_half = math.sin(half)
-    cos_half = math.cos(half)
-    shape = sin_half * (3.0 - 2.0 * sin_half * sin_half) / (2.0 * cos_half**3)
-    return math.pi * footprint_radius**3 * shape / 3.0
+    return math.pi * footprint_radius**3 * _cap_shape(theta) / 3.0

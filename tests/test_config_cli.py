@@ -878,6 +878,45 @@ class TestCliExport:
 
 
 # --------------------------------------------------------------------------
+# Lengths beyond the float range
+# --------------------------------------------------------------------------
+
+HUGE_NM = "1" + "0" * 400  # 401 digits, far beyond the largest float
+_RAMP = ["--f-start", "0.19", "--f-end", "0.4375"]
+_CROPPED_PAIR = ["--wall-a", "1000", "--wall-b", "400", "--crop-um", "20"]
+HUGE_LENGTH_COMMANDS = {
+    "design-two-zone": ["design", "two-zone", "--wall-a", "1000", "--wall-b", "400"],
+    "design-gradient": ["design", "gradient", *_RAMP],
+    "check": ["check", "--wall", "400"],
+    "export-gdsii": ["export", *_CROPPED_PAIR],
+    "export-svg": ["export", *_CROPPED_PAIR, "--format", "svg"],
+    "simulate": ["simulate", *_RAMP],
+}
+
+
+@pytest.mark.parametrize("flag", ["--pitch", "--height"])
+@pytest.mark.parametrize("command", HUGE_LENGTH_COMMANDS)
+def test_huge_lengths_end_in_data_or_one_error_line(command, flag, capsys, tmp_path):
+    argv = [*HUGE_LENGTH_COMMANDS[command], flag, HUGE_NM]
+    if command.startswith("export"):
+        argv += ["--out", str(tmp_path / "mask")]
+    if command in ("design-gradient", "simulate"):
+        # One column as long as a huge pitch, so that the pitch reaches the design.
+        argv += ["--length-nm", HUGE_NM if flag == "--pitch" else "200000"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    if code == 1 and command == "check":  # violations are data on stdout
+        assert errors == [] and captured.out.startswith("violations=")
+    elif code == 1:
+        assert len(errors) == 1 and captured.out == ""
+    else:
+        assert errors == []
+
+
+# --------------------------------------------------------------------------
 # Report
 # --------------------------------------------------------------------------
 

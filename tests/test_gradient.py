@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from lotuskit.gradient import (
     SimulationTrace,
     TerminalReason,
     design_linear_gradient,
-    fraction_for_wall,
     local_apparent_angle,
     net_driving_force,
     retention_force,
@@ -78,10 +78,26 @@ class TestWallForFraction:
             wall_for_fraction(0.0004, 4000, Measure.LINEAR_RATIO)
 
     def test_round_trip_on_grid_points(self):
-        for wall in range(400, 1001, 10):
-            for measure in Measure:
-                fraction = fraction_for_wall(wall, 4000, measure)
+        # A design's fractions are w/p or 2q - q^2 in exact rationals,
+        # rounded once, and wall_for_fraction maps each back to its wall.
+        walls = range(400, 1001, 10)
+        columns = tuple((4000 * k, wall) for k, wall in enumerate(walls))
+        for measure in Measure:
+            spec = GradientSpec(
+                length=4000 * len(walls), lateral_width=4000, pitch=4000,
+                f_start=0.1, f_end=0.4, measure=measure,
+            )
+            design = GradientDesign(columns=columns, spec=spec)
+            for wall, fraction in zip(walls, design.fractions):
+                q = Fraction(wall, 4000)
+                exact = q if measure is Measure.LINEAR_RATIO else 2 * q - q * q
+                assert fraction == float(exact)
                 assert wall_for_fraction(fraction, 4000, measure) == wall
+
+    def test_pitch_beyond_the_float_range_is_named(self):
+        pitch = 10**400
+        with pytest.raises(ValueError, match=f"^pitch {pitch} nm is beyond the float range$"):
+            wall_for_fraction(0.19, pitch)
 
 
 class TestDesignLinearGradient:

@@ -28,7 +28,7 @@ from lotuskit.lattice import (
     aspect_ratio,
     build_two_zone_layout,
     check_design_rules,
-    hexagon_offsets,
+    hexagon_vertices,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
     lattice_arrays,
@@ -99,6 +99,33 @@ def old_mc_chunk_solid_count(
     return int(chunk_samples - np.count_nonzero(inside_opening))
 
 
+def old_hexagon_offsets(comb_diameter: int) -> np.ndarray:
+    """Frozen copy of the original float hexagon: the ideal vertices, CCW.
+
+    The writers emitted these rounded with ``np.rint``; it stays as the
+    reference for the ideal-hexagon tests and for :func:`hexagon_vertices`.
+    """
+    half_width = comb_diameter / 2.0
+    edge_y = comb_diameter * math.sqrt(3.0) / 6.0
+    apex_y = comb_diameter * math.sqrt(3.0) / 3.0
+    return np.array(
+        [
+            (half_width, -edge_y),
+            (half_width, edge_y),
+            (0.0, apex_y),
+            (-half_width, edge_y),
+            (-half_width, -edge_y),
+            (0.0, -apex_y),
+        ]
+    )
+
+
+def old_row_pitch(pitch: int, fabrication_grid: int) -> int:
+    """Frozen copy of the original float row pitch, snapped half up."""
+    spacing = pitch * math.sqrt(3.0) / 2.0
+    return int(math.floor(spacing / fabrication_grid + 0.5)) * fabrication_grid
+
+
 class FixedPoints:
     """Stands in for a numpy Generator whose ``random`` returns given points."""
 
@@ -119,7 +146,7 @@ def edge_points(spec: HoneycombSpec, per_edge: int = 64, ulps: int = 3) -> np.nd
     """
     pitch = float(spec.pitch)
     period_y = pitch * math.sqrt(3.0)
-    vertices = hexagon_offsets(spec.comb_diameter)
+    vertices = old_hexagon_offsets(spec.comb_diameter)
     t = np.linspace(0.0, 1.0, per_edge)[:, None]
     centers = [(0.0, 0.0), (pitch, 0.0), (pitch / 2.0, period_y / 2.0), (0.0, period_y), (pitch, period_y)]
     on_edges = np.concatenate(
@@ -375,7 +402,7 @@ class TestCounting:
 
 class TestHexagonGeometry:
     def test_vertex_set(self):
-        offsets = hexagon_offsets(3000)
+        offsets = old_hexagon_offsets(3000)
         assert offsets.shape == (6, 2)
         xs = sorted(offsets[:, 0].tolist())
         # Flat sides face +/-x: extreme x = +/- comb/2 (two vertices each).
@@ -388,7 +415,7 @@ class TestHexagonGeometry:
 
     def test_hexagon_area_closed_form(self):
         # Area of a flat-to-flat width c hexagon: c^2 * sqrt(3)/2.
-        area = polygon_area(hexagon_offsets(3000))
+        area = polygon_area(old_hexagon_offsets(3000))
         assert area == pytest.approx(3000.0**2 * math.sqrt(3.0) / 2.0, rel=1e-12)
 
     def test_neighbor_openings_are_disjoint(self):
@@ -397,7 +424,7 @@ class TestHexagonGeometry:
         # directions stays below pitch but polygons never intersect.
         spec = WIDE
         spacing = spec.pitch * math.sqrt(3.0) / 2.0
-        hexagon = hexagon_offsets(spec.comb_diameter)
+        hexagon = old_hexagon_offsets(spec.comb_diameter)
         neighbors = [
             (spec.pitch, 0.0),
             (spec.pitch / 2.0, spacing),
@@ -413,6 +440,71 @@ class TestHexagonGeometry:
                 if a.max() < b.min() or b.max() < a.min():
                     gap_found = True
             assert gap_found, f"openings toward ({dx},{dy}) are not separated"
+
+
+class TestIntegerGeometry:
+    """The emitted hexagon and row pitch are exact integers, equal to the
+    frozen float forms wherever those are exact enough to round right."""
+
+    # Small and large lengths; the float forms were checked equal on every
+    # comb and pitch from 1 to 200,000 nm, which takes too long for tier-1.
+    SWEEP = [*range(1, 5_001), *range(199_001, 200_001)]
+
+    def test_vertices_equal_the_rounded_float_hexagon(self):
+        for comb in self.SWEEP:
+            rounded = np.rint(old_hexagon_offsets(comb)).astype(np.int64)
+            assert hexagon_vertices(comb) == list(map(tuple, rounded.tolist())), comb
+
+    def test_row_pitch_equals_the_float_snap(self):
+        def spacing_or_zero(pitch, grid):
+            try:
+                return row_pitch(pitch, grid)
+            except ValueError:  # collapsed: the float form snaps to 0
+                return 0
+
+        for grid in (1, 2, 5, 10, 20, 40, 100):
+            for pitch in self.SWEEP[1:]:
+                assert spacing_or_zero(pitch, grid) == old_row_pitch(pitch, grid), (pitch, grid)
+
+    def test_exact_vertices(self):
+        assert hexagon_vertices(3000) == [
+            (1500, -866), (1500, 866), (0, 1732), (-1500, 866), (-1500, -866), (0, -1732),
+        ]
+        # An odd comb's half width rounds half to even, on both sides.
+        assert [x for x, _ in hexagon_vertices(3001)] == [1500, 1500, 0, -1500, -1500, 0]
+        assert [x for x, _ in hexagon_vertices(3003)] == [1502, 1502, 0, -1502, -1502, 0]
+
+    @pytest.mark.parametrize("length", [2**53 + 1, 10**400, 10**400 + 1])
+    def test_rounding_holds_beyond_the_float_range(self, length):
+        # Nearest-integer rounding of x = sqrt(n) / d, checked by squaring:
+        # (d (k - 1/2))^2 <= n < (d (k + 1/2))^2, with no tie for n > 0.
+        _, (_, edge), (_, apex), *_ = hexagon_vertices(length)
+        assert (6 * edge - 3) ** 2 < 3 * length**2 < (6 * edge + 3) ** 2
+        assert (6 * apex - 3) ** 2 < 12 * length**2 < (6 * apex + 3) ** 2
+        for grid in (1, 10):
+            steps = row_pitch(length, grid) // grid
+            assert (grid * (2 * steps - 1)) ** 2 <= 3 * length**2 < (grid * (2 * steps + 1)) ** 2
+
+    def test_row_pitch_refuses_a_grid_below_one(self):
+        with pytest.raises(ValueError, match="^fabrication_grid must be > 0, got 0$"):
+            row_pitch(4000, 0)
+
+    def test_lengths_beyond_the_float_range_are_data(self):
+        big = 10**400
+        tall = HoneycombSpec(pitch=4000, wall=400, height=big)
+        assert aspect_ratio(tall) == math.inf
+        assert [(v.rule, v.value) for v in check_design_rules(tall)] == [
+            ("max_aspect_ratio", math.inf), ("max_height", big),
+        ]
+        odd = HoneycombSpec(pitch=big + 1, wall=400, height=4000)
+        assert [(v.rule, v.value) for v in check_design_rules(odd)] == [
+            ("fabrication_grid(half_pitch)", Fraction(big + 1, 2)),
+            ("fabrication_grid(pitch)", big + 1),
+        ]
+        # A single cell whose lattice vectors exceed 64 bits.
+        (even,) = lattice_arrays(Zone(HoneycombSpec(pitch=big, wall=400, height=4000), Rect(0, 0, 10, 10)))
+        assert even.col_vector == (big, 0)
+        assert even.centers().tolist() == [[0, 0]]
 
 
 class TestLatticeArrays:
@@ -437,7 +529,7 @@ class TestLatticeArrays:
     def test_area_ratio_approaches_area_fraction(self):
         # Opening area over extent area ~ 1 - area_fraction on a large crop.
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 200_000, 200_000))
-        hexagon_area = polygon_area(hexagon_offsets(WIDE.comb_diameter))
+        hexagon_area = polygon_area(hexagon_vertices(WIDE.comb_diameter))
         opening_area = len(all_centers(zone)) * hexagon_area
         extent_area = 200_000.0**2
         expected_open = 1.0 - honeycomb_area_fraction(WIDE)
