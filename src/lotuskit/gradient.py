@@ -326,9 +326,17 @@ def design_linear_gradient(
     ``HoneycombSpec(pitch, wall, height)`` is checked against the design
     rules as :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
     violation aborts the design; the error lists each (rule, value) once,
-    under the first column that breaks it.
+    under the first column that breaks it.  A length whose column count is
+    beyond the float range is refused before any column is built.
     """
     n_columns = spec.length // spec.pitch
+    try:
+        float(n_columns)
+    except OverflowError:
+        raise ValueError(
+            f"length {spec.length} nm spans more columns than the float range "
+            f"holds at pitch {spec.pitch} nm"
+        ) from None
     walls = []
     for index in range(n_columns):
         if n_columns == 1:

@@ -407,6 +407,10 @@ def monte_carlo_fraction(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    try:
+        float(spec.pitch)
+    except OverflowError:
+        raise ValueError(f"pitch {spec.pitch} nm is beyond the float range") from None
 
     chunk_sizes = [
         min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)

@@ -88,8 +88,6 @@ from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 __all__ = [
     "GdsMode",
     "GdsOptions",
-    "MaskBoundary",
-    "CellRef",
     "CellArray",
     "MaskCell",
     "MaskGeometry",
@@ -133,28 +131,12 @@ class GdsOptions:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MaskBoundary:
-    """One polygon: layer, datatype, open vertex list in database units."""
-
-    layer: int
-    datatype: int
-    points: np.ndarray  # (k, 2) int64, closure vertex not repeated
-
-
-@dataclass(frozen=True)
-class CellRef:
-    """Single placement of a named cell."""
-
-    cell: str
-    origin: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class CellArray:
     """Rectangular array placement of a named cell.
 
     Instance (i, j) for 0 <= i < cols, 0 <= j < rows sits at
-    ``origin + i * col_vector + j * row_vector``.
+    ``origin + i * col_vector + j * row_vector``.  A single placement
+    (SREF) is the 1 x 1 array ``CellArray(cell, origin, 1, 1, (0, 0), (0, 0))``.
     """
 
     cell: str
@@ -177,17 +159,14 @@ class MaskCell:
     ``runs`` holds the cell's own polygons in stream order as
     ``(layer, datatype, points)`` runs, each ``points`` an ``(n, k, 2)``
     block of n polygons of k vertices, closure vertex not repeated.
+    ``srefs`` holds the single placements as 1 x 1 arrays, ``arefs`` the
+    array placements, each in stream order.
     """
 
     name: str
     runs: list[_Run] = field(default_factory=list)
-    srefs: list[CellRef] = field(default_factory=list)
+    srefs: list[CellArray] = field(default_factory=list)
     arefs: list[CellArray] = field(default_factory=list)
-
-    @property
-    def boundaries(self) -> list[MaskBoundary]:
-        """The own polygons one by one, as views into ``runs``."""
-        return _polygons(self.runs)
 
 
 @dataclass
@@ -208,16 +187,18 @@ class MaskGeometry:
         }
         return [name for name in self.cells if name not in referenced]
 
-    def expand(self, cell_name: str | None = None) -> list[MaskBoundary]:
+    def expand(self, cell_name: str | None = None) -> list[tuple[int, int, np.ndarray]]:
         """Flatten a cell (default: the sole top cell) to absolute polygons.
 
-        The order is that of a depth-first walk: a cell's own runs, then
-        its SREFs, then its AREFs, each array instance by instance
-        (column index outer, row index inner).  Each cell is flattened
-        once; consecutive references to one child, an SREF counting as a
-        1 x 1 array, are placed by broadcasting.  Nested references are
-        followed recursively with cycle detection.  Every returned polygon
-        owns a fresh points array.
+        Each polygon is a ``(layer, datatype, points)`` tuple, ``points`` a
+        ``(k, 2)`` int64 vertex list, closure vertex not repeated: the form
+        of one polygon of a :attr:`MaskCell.runs` entry.  The order is that
+        of a depth-first walk: a cell's own runs, then its SREFs, then its
+        AREFs, each array instance by instance (column index outer, row
+        index inner).  Each cell is flattened once; consecutive references
+        to one child are placed by broadcasting.  Nested references are
+        followed recursively with cycle detection.  The returned vertices
+        never alias the cells' own runs or an earlier result.
         """
         if cell_name is None:
             tops = self.top_cell_names()
@@ -238,8 +219,7 @@ class MaskGeometry:
                 return flattened[name]
             below = stack | {name}
             cell = self.cells[name]
-            refs = [CellArray(ref.cell, ref.origin, 1, 1, (0, 0), (0, 0)) for ref in cell.srefs]
-            refs += [array for array in cell.arefs if array.cols > 0 and array.rows > 0]
+            refs = [ref for ref in (*cell.srefs, *cell.arefs) if ref.cols > 0 and ref.rows > 0]
             # Own runs are copied, in the dtype that adding int64 offsets gives.
             runs = [
                 (layer, datatype, block.astype(np.result_type(block.dtype, np.int64)))
@@ -250,15 +230,11 @@ class MaskGeometry:
             flattened[name] = runs
             return runs
 
-        return _polygons(flatten(cell_name, frozenset()))
-
-
-def _polygons(runs: list[_Run]) -> list[MaskBoundary]:
-    return [
-        MaskBoundary(layer, datatype, points)
-        for layer, datatype, block in runs
-        for points in block
-    ]
+        return [
+            (layer, datatype, points)
+            for layer, datatype, block in flatten(cell_name, frozenset())
+            for points in block
+        ]
 
 
 def _instance_offsets(arrays: list[CellArray]) -> np.ndarray:
@@ -634,13 +610,14 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     )
 
 
-def _parse_xy_pairs(record: Record) -> np.ndarray:
+def _xy_coords(record: Record) -> tuple[int, ...]:
+    """An XY record's coordinates, x and y alternating."""
     values = record.int32s()
     if len(values) % 2:
         raise GdsParseError(
             "XY carries an odd number of coordinates", record.offset, XY
         )
-    return np.asarray(values, dtype=np.int64).reshape(-1, 2)
+    return values
 
 
 def _parse_boundary(next_record) -> tuple[int, int, np.ndarray, Record]:
@@ -656,7 +633,7 @@ def _parse_boundary(next_record) -> tuple[int, int, np.ndarray, Record]:
             "DATATYPE carries no value", datatype_record.offset, DATATYPE
         )
     xy = _expect(next_record("XY"), XY)
-    points = _parse_xy_pairs(xy)
+    points = np.asarray(_xy_coords(xy), dtype=np.int64).reshape(-1, 2)
     if len(points) < 4:
         raise GdsParseError(
             f"boundary needs at least 4 points (closed triangle), got {len(points)}",
@@ -721,16 +698,17 @@ def _boundary_run(
     return points[:, :-1]
 
 
-def _parse_sref(next_record) -> CellRef:
+def _parse_sref(next_record) -> CellArray:
+    """An SREF after its SREF record, as a 1 x 1 array."""
     name = _expect(next_record("SNAME"), SNAME).text()
     xy = _expect(next_record("XY"), XY)
-    points = _parse_xy_pairs(xy)
-    if len(points) != 1:
+    origin = _xy_coords(xy)
+    if len(origin) != 2:
         raise GdsParseError(
-            f"SREF XY must carry exactly 1 point, got {len(points)}", xy.offset, XY
+            f"SREF XY must carry exactly 1 point, got {len(origin) // 2}", xy.offset, XY
         )
     _expect(next_record("ENDEL"), ENDEL)
-    return CellRef(cell=name, origin=(int(points[0, 0]), int(points[0, 1])))
+    return CellArray(name, origin, 1, 1, (0, 0), (0, 0))
 
 
 def _parse_aref(next_record) -> CellArray:
@@ -745,14 +723,15 @@ def _parse_aref(next_record) -> CellArray:
         )
     cols, rows = counts
     xy = _expect(next_record("XY"), XY)
-    points = _parse_xy_pairs(xy)
-    if len(points) != 3:
+    coords = _xy_coords(xy)
+    if len(coords) != 6:
         raise GdsParseError(
-            f"AREF XY must carry exactly 3 points, got {len(points)}", xy.offset, XY
+            f"AREF XY must carry exactly 3 points, got {len(coords) // 2}", xy.offset, XY
         )
-    origin = (int(points[0, 0]), int(points[0, 1]))
-    col_span = (int(points[1, 0]) - origin[0], int(points[1, 1]) - origin[1])
-    row_span = (int(points[2, 0]) - origin[0], int(points[2, 1]) - origin[1])
+    x0, y0, col_x, col_y, row_x, row_y = coords
+    origin = (x0, y0)
+    col_span = (col_x - x0, col_y - y0)
+    row_span = (row_x - x0, row_y - y0)
     if col_span[0] % cols or col_span[1] % cols or row_span[0] % rows or row_span[1] % rows:
         raise GdsParseError(
             "AREF spacing is not an integer number of database units",

@@ -433,6 +433,13 @@ def test_readme_quick_start_prints_its_block(command, output, capsys):
     assert capsys.readouterr().out == output
 
 
+def test_readme_python_api_block_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "read_gdsii(crop).expand()" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 class TestCliFraction:
     def test_honeycomb_values(self, capsys):
         assert run(["fraction", "--wall", "1000"]) == 0
@@ -892,15 +899,26 @@ HUGE_LENGTH_COMMANDS = {
     "export-svg": ["export", *_CROPPED_PAIR, "--format", "svg"],
     "simulate": ["simulate", *_RAMP],
 }
+# Commands tried with one flag only: a ramp of more columns than the float
+# range holds, and Monte Carlo sampling over a huge pitch.
+HUGE_ONE_FLAG_COMMANDS = {
+    "export-gradient": ["export", "--gradient", *_RAMP],
+    "fraction-mc": ["fraction", "--wall", "400", "--mc-samples", "1000"],
+}
+_GRADIENTS = ("design-gradient", "simulate", "export-gradient")
+HUGE_LENGTH_CASES = [
+    *((command, flag) for command in HUGE_LENGTH_COMMANDS for flag in ("--pitch", "--height")),
+    *((command, "--length-nm") for command in _GRADIENTS),
+    ("fraction-mc", "--pitch"),
+]
 
 
-@pytest.mark.parametrize("flag", ["--pitch", "--height"])
-@pytest.mark.parametrize("command", HUGE_LENGTH_COMMANDS)
+@pytest.mark.parametrize("command, flag", HUGE_LENGTH_CASES)
 def test_huge_lengths_end_in_data_or_one_error_line(command, flag, capsys, tmp_path):
-    argv = [*HUGE_LENGTH_COMMANDS[command], flag, HUGE_NM]
+    argv = [*{**HUGE_LENGTH_COMMANDS, **HUGE_ONE_FLAG_COMMANDS}[command], flag, HUGE_NM]
     if command.startswith("export"):
         argv += ["--out", str(tmp_path / "mask")]
-    if command in ("design-gradient", "simulate"):
+    if command in _GRADIENTS and flag != "--length-nm":
         # One column as long as a huge pitch, so that the pitch reaches the design.
         argv += ["--length-nm", HUGE_NM if flag == "--pitch" else "200000"]
     code = run(argv)

@@ -155,10 +155,15 @@ def rectangle(x0: int, y0: int, x1: int, y1: int) -> list[tuple[int, int]]:
 # Expansion order
 # --------------------------------------------------------------------------
 
+def own_polygons(cell) -> list[tuple[int, int, np.ndarray]]:
+    """A cell's own polygons one by one, as views into its runs."""
+    return [(layer, datatype, points) for layer, datatype, block in cell.runs for points in block]
+
+
 def old_expand(geometry, cell_name: str) -> list[tuple[int, int, np.ndarray]]:
     """Frozen copy of the original recursive, instance-by-instance walk."""
     flattened = []
-    boundaries = {}  # each cell's boundaries, read once: every read rebuilds them
+    polygons = {}  # each cell's own polygons, split out of its runs once
 
     def walk(name, dx, dy, stack):
         if name not in geometry.cells:
@@ -167,10 +172,10 @@ def old_expand(geometry, cell_name: str) -> list[tuple[int, int, np.ndarray]]:
             raise ValueError(f"reference cycle through cell {name!r}")
         below = stack | {name}
         cell = geometry.cells[name]
-        if name not in boundaries:
-            boundaries[name] = cell.boundaries
-        for b in boundaries[name]:
-            flattened.append((b.layer, b.datatype, b.points + (dx, dy)))
+        if name not in polygons:
+            polygons[name] = own_polygons(cell)
+        for layer, datatype, points in polygons[name]:
+            flattened.append((layer, datatype, points + (dx, dy)))
         for ref in cell.srefs:
             walk(ref.cell, dx + ref.origin[0], dy + ref.origin[1], below)
         for array in cell.arefs:
@@ -191,11 +196,13 @@ def old_expand(geometry, cell_name: str) -> list[tuple[int, int, np.ndarray]]:
 
 def assert_same_order(expanded, expected) -> None:
     assert len(expanded) == len(expected)
-    for index, (got, (layer, datatype, points)) in enumerate(zip(expanded, expected)):
-        assert (got.layer, got.datatype) == (layer, datatype), index
-        assert got.points.dtype == np.int64
-        assert got.points.shape == points.shape, index
-        assert np.array_equal(got.points, points), index
+    for index, ((got_layer, got_datatype, got), (layer, datatype, points)) in enumerate(
+        zip(expanded, expected)
+    ):
+        assert (got_layer, got_datatype) == (layer, datatype), index
+        assert got.dtype == np.int64
+        assert got.shape == points.shape, index
+        assert np.array_equal(got, points), index
 
 
 # Stream order inside MID is AREF, SREF, boundary: expansion must still put
@@ -237,8 +244,8 @@ class TestExpansionOrder:
         expected = old_expand(geometry, "TOP")
         assert len(expected) == 6 * (1 + 1 + 6 * 3 + 3 + 3) + 1 + 26 + 4 + 4 * 2
         assert_same_order(expanded, expected)
-        assert {len(b.points) for b in expanded} == {4, 6}
-        assert {(b.layer, b.datatype) for b in expanded} == {(1, 0), (1, 1), (2, 0)}
+        assert {len(points) for _, _, points in expanded} == {4, 6}
+        assert {(layer, datatype) for layer, datatype, _ in expanded} == {(1, 0), (1, 1), (2, 0)}
 
     def test_inner_cells_match_old_walk(self):
         geometry = read_gdsii(NESTED_LIBRARY)
@@ -260,10 +267,10 @@ class TestExpansionOrder:
     def test_expand_returns_fresh_arrays(self):
         geometry = read_gdsii(NESTED_LIBRARY)
         first = geometry.expand("PAD")
-        first[1].points[0, 0] = 123_456
+        first[1][2][0, 0] = 123_456
         second = geometry.expand("PAD")
-        assert second[1].points[0, 0] == 1500
-        assert geometry.cells["PAD"].boundaries[1].points[0, 0] == 1500
+        assert second[1][2][0, 0] == 1500
+        assert own_polygons(geometry.cells["PAD"])[1][2][0, 0] == 1500
 
 
 # Random libraries for the order oracle: each cell references at most two
@@ -317,7 +324,7 @@ def reference_patterns(cell) -> set[str]:
     """Which of the oracle's reference patterns a cell shows, in expand order."""
     children = [ref.cell for ref in (*cell.srefs, *cell.arefs)]
     patterns = set()
-    if not (cell.boundaries or children):
+    if not (cell.runs or children):
         patterns.add("empty cell")
     if any(a == b for a, b in zip(children, children[1:])):
         patterns.add("consecutive")
@@ -392,13 +399,13 @@ class TestLongRunStrictness:
     def test_intact_run_decodes(self):
         assert len(ELEMENT) == 80
         geometry = read_gdsii(run_stream([ELEMENT] * RUN_LENGTH))
-        boundaries = geometry.cells["TOP"].boundaries
-        assert len(boundaries) == RUN_LENGTH
+        polygons = own_polygons(geometry.cells["TOP"])
+        assert len(polygons) == RUN_LENGTH
         expected = np.array(hexagon(0, 0), dtype=np.int64)
-        for b in boundaries:
-            assert (b.layer, b.datatype) == (1, 0)
-            assert b.points.dtype == np.int64
-            assert np.array_equal(b.points, expected)
+        for layer, datatype, points in polygons:
+            assert (layer, datatype) == (1, 0)
+            assert points.dtype == np.int64
+            assert np.array_equal(points, expected)
 
     @pytest.mark.parametrize("k", RUN_INDICES)
     def test_unclosed_element(self, k):
@@ -432,7 +439,7 @@ class TestLongRunStrictness:
     def test_changed_data_type_is_tolerated_like_before(self, k):
         # The reader never checked data-type bytes; a run must not either.
         geometry = read_gdsii(corrupted(k, 7, b"\x03"))
-        assert len(geometry.cells["TOP"].boundaries) == RUN_LENGTH
+        assert len(own_polygons(geometry.cells["TOP"])) == RUN_LENGTH
 
     @pytest.mark.parametrize("k", RUN_INDICES)
     @pytest.mark.parametrize(
@@ -495,18 +502,21 @@ class TestRunModel:
         ]
         assert np.array_equal(cell.runs[2][2][0], hexagon(4000 * 200, 0))
         expanded = geometry.expand()
-        assert len(cell.boundaries) == len(expanded) == 301
-        for own, placed in zip(cell.boundaries, expanded):
-            assert (own.layer, own.datatype) == (placed.layer, placed.datatype)
-            assert np.array_equal(own.points, placed.points)
+        own = own_polygons(cell)
+        assert len(own) == len(expanded) == 301
+        for (layer, datatype, points), (placed_layer, placed_datatype, placed) in zip(
+            own, expanded
+        ):
+            assert (layer, datatype) == (placed_layer, placed_datatype)
+            assert np.array_equal(points, placed)
 
     def test_int32_block_expands_to_int64(self):
         block = np.array([hexagon(0, 0), hexagon(3000, 0)], dtype=np.int32)
         cell = MaskCell(name="TOP", runs=[(1, 0, block)])
         geometry = MaskGeometry("LOTUS", 1e-3, 1e-9, {"TOP": cell})
         expanded = geometry.expand()
-        assert [polygon.points.dtype for polygon in expanded] == [np.int64, np.int64]
-        assert np.array_equal(expanded[1].points, hexagon(3000, 0))
+        assert [points.dtype for _, _, points in expanded] == [np.int64, np.int64]
+        assert np.array_equal(expanded[1][2], hexagon(3000, 0))
         assert block.dtype == np.int32
 
 

@@ -29,7 +29,7 @@ from lotuskit.lattice import (
     lattice_arrays,
 )
 from lotuskit.maskio import (
-    CellRef,
+    CellArray,
     GdsMode,
     GdsOptions,
     MaskCell,
@@ -312,19 +312,21 @@ class TestReadExternalStreams:
         assert geometry.db_unit_in_user_units == 0.001
         assert geometry.database_unit == 1e-9
         assert list(geometry.cells) == ["HEX"]
-        boundary = geometry.cells["HEX"].boundaries[0]
-        assert boundary.layer == 1
-        assert boundary.datatype == 0
-        assert canonical([boundary.points]) == canonical(
+        layer, datatype, block = geometry.cells["HEX"].runs[0]
+        assert layer == 1
+        assert datatype == 0
+        assert canonical([block[0]]) == canonical(
             [independent_hexagon(3000, 0, 0)]
         )
 
     def test_sref_translation(self):
         geometry = read_gdsii(EXTERNAL_SREF_STREAM)
         assert geometry.top_cell_names() == ["TOP"]
-        assert geometry.cells["TOP"].srefs == [CellRef(cell="HEX", origin=(100, 200))]
+        assert geometry.cells["TOP"].srefs == [
+            CellArray("HEX", (100, 200), 1, 1, (0, 0), (0, 0))
+        ]
         expanded = geometry.expand()
-        assert canonical(b.points for b in expanded) == canonical(
+        assert canonical(points for _, _, points in expanded) == canonical(
             [independent_hexagon(3000, 100, 200)]
         )
 
@@ -340,7 +342,7 @@ class TestReadExternalStreams:
             for i in range(3)
             for j in range(2)
         ]
-        assert canonical(b.points for b in expanded) == canonical(expected)
+        assert canonical(points for _, _, points in expanded) == canonical(expected)
 
     def test_truncation_reports_offset(self):
         data = EXTERNAL_HEX_STREAM[:-4]  # drop ENDLIB
@@ -434,15 +436,15 @@ class TestRoundTrip:
         zone = Zone(spec=WIDE, extent=CROP)
         geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=mode)))
         expanded = geometry.expand("TOP")
-        assert canonical(b.points for b in expanded) == canonical(
+        assert canonical(points for _, _, points in expanded) == canonical(
             self.expected_crop_polygons(WIDE)
         )
 
     def test_flat_boundary_count_equals_tiling_census(self):
         zone = Zone(spec=WIDE, extent=CROP)
         geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT)))
-        boundaries = geometry.cells["TOP"].boundaries
-        assert len(boundaries) == sum(a.cols * a.rows for a in lattice_arrays(zone)) == 725
+        count = sum(len(block) for _, _, block in geometry.cells["TOP"].runs)
+        assert count == sum(a.cols * a.rows for a in lattice_arrays(zone)) == 725
 
     def test_two_zone_modes_expand_identically(self):
         crop_layout = Layout(
@@ -453,8 +455,8 @@ class TestRoundTrip:
         )
         flat = read_gdsii(write_gdsii(crop_layout, GdsOptions(mode=GdsMode.FLAT)))
         arrayed = read_gdsii(write_gdsii(crop_layout, GdsOptions(mode=GdsMode.ARRAYED)))
-        flat_polygons = canonical(b.points for b in flat.expand("TOP"))
-        arrayed_polygons = canonical(b.points for b in arrayed.expand("TOP"))
+        flat_polygons = canonical(points for _, _, points in flat.expand("TOP"))
+        arrayed_polygons = canonical(points for _, _, points in arrayed.expand("TOP"))
         assert flat_polygons == arrayed_polygons
         assert len(flat_polygons) > 0
 
@@ -466,8 +468,8 @@ class TestRoundTrip:
         design = design_linear_gradient(spec)
         flat = read_gdsii(write_gdsii(design, GdsOptions(mode=GdsMode.FLAT)))
         arrayed = read_gdsii(write_gdsii(design, GdsOptions(mode=GdsMode.ARRAYED)))
-        flat_polygons = canonical(b.points for b in flat.expand("TOP"))
-        assert flat_polygons == canonical(b.points for b in arrayed.expand("TOP"))
+        flat_polygons = canonical(points for _, _, points in flat.expand("TOP"))
+        assert flat_polygons == canonical(points for _, _, points in arrayed.expand("TOP"))
         # Independent reconstruction: per-column combs on the shared lattice.
         walls = {k: wall for (x, wall) in design.columns for k in [x // 4000]}
         expected = []
@@ -492,12 +494,12 @@ class TestRoundTrip:
         geometry = read_gdsii(
             write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT), polarity="walls")
         )
-        boundaries = geometry.cells["TOP"].boundaries
-        rects = [b for b in boundaries if b.datatype == 0]
-        openings = [b for b in boundaries if b.datatype == 1]
+        runs = geometry.cells["TOP"].runs
+        rects = [points for _, datatype, block in runs if datatype == 0 for points in block]
+        openings = [points for _, datatype, block in runs if datatype == 1 for points in block]
         assert len(rects) == 1
-        assert len(rects[0].points) == 4
-        assert rects[0].points[:, 0].max() == 20_000
+        assert len(rects[0]) == 4
+        assert rects[0][:, 0].max() == 20_000
         assert len(openings) == sum(a.cols * a.rows for a in lattice_arrays(zone))
 
     def test_custom_layer_round_trips(self):
@@ -505,16 +507,20 @@ class TestRoundTrip:
         geometry = read_gdsii(
             write_gdsii(zone, GdsOptions(layer=7, datatype=3, mode=GdsMode.FLAT))
         )
-        for boundary in geometry.cells["TOP"].boundaries:
-            assert boundary.layer == 7
-            assert boundary.datatype == 3
+        for layer, datatype, _ in geometry.cells["TOP"].runs:
+            assert layer == 7
+            assert datatype == 3
 
 
 class TestMaskGeometryModel:
     def test_expand_rejects_undefined_reference(self):
         geometry = MaskGeometry(
             library_name="X", db_unit_in_user_units=0.001, database_unit=1e-9,
-            cells={"TOP": MaskCell(name="TOP", srefs=[CellRef("GHOST", (0, 0))])},
+            cells={
+                "TOP": MaskCell(
+                    name="TOP", srefs=[CellArray("GHOST", (0, 0), 1, 1, (0, 0), (0, 0))]
+                )
+            },
         )
         with pytest.raises(ValueError, match="undefined cell"):
             geometry.expand("TOP")
@@ -523,8 +529,8 @@ class TestMaskGeometryModel:
         geometry = MaskGeometry(
             library_name="X", db_unit_in_user_units=0.001, database_unit=1e-9,
             cells={
-                "A": MaskCell(name="A", srefs=[CellRef("B", (0, 0))]),
-                "B": MaskCell(name="B", srefs=[CellRef("A", (0, 0))]),
+                "A": MaskCell(name="A", srefs=[CellArray("B", (0, 0), 1, 1, (0, 0), (0, 0))]),
+                "B": MaskCell(name="B", srefs=[CellArray("A", (0, 0), 1, 1, (0, 0), (0, 0))]),
             },
         )
         with pytest.raises(ValueError, match="cycle"):
