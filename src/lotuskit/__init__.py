@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 # The mask codec needs numpy; its names are resolved on first use, so that
 # importing lotuskit (and every command that writes no mask) starts without it.
 _MASKIO_NAMES = frozenset(
-    {"GdsOptions", "MaskGeometry", "write_gdsii", "read_gdsii", "write_svg", "layout_stats"}
+    {"MaskGeometry", "write_gdsii", "read_gdsii", "write_svg", "layout_stats"}
 )
 
 
@@ -96,7 +96,6 @@ __all__ = [
     "retention_force",
     "simulate_droplet",
     "trace_to_csv",
-    "GdsOptions",
     "MaskGeometry",
     "write_gdsii",
     "read_gdsii",

@@ -46,7 +46,6 @@ from lotuskit.config import (
     load_config,
     resolve_out_dir,
 )
-from lotuskit.gdsii import GdsMode
 from lotuskit.gradient import (
     GradientDesign,
     GradientSpec,
@@ -310,7 +309,7 @@ def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
-    from lotuskit.maskio import GdsOptions, write_gdsii, write_svg
+    from lotuskit.maskio import write_gdsii, write_svg
 
     wants_gradient = args.gradient
     wants_two_zone = args.reference or args.wall_a is not None or args.wall_b is not None
@@ -350,12 +349,9 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         )
 
     if args.format == "gdsii":
-        options = GdsOptions(
-            layer=args.layer,
-            datatype=args.datatype,
-            mode=GdsMode(args.mode),
+        payload = write_gdsii(
+            target, layer=args.layer, datatype=args.datatype, mode=args.mode, polarity=args.polarity
         )
-        payload = write_gdsii(target, options, polarity=args.polarity)
     else:
         payload = write_svg(target, max_cells=args.max_cells).encode("utf-8")
     # After the writers, so that their own refusals come first; gradients
@@ -493,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_gradient_flags(p, required=False)
     _add_lattice_defaults(p)
     p.add_argument("--format", choices=("gdsii", "svg"), default="gdsii", help="artifact format (default gdsii)")
-    p.add_argument("--mode", choices=[m.value for m in GdsMode], default="arrayed", help="GDSII geometry mode (default arrayed)")
+    p.add_argument("--mode", choices=("flat", "arrayed"), default="arrayed", help="GDSII geometry mode (default arrayed)")
     p.add_argument("--polarity", choices=("openings", "walls"), default="openings", help="GDSII drawn regions (default openings)")
     p.add_argument("--layer", type=int, default=1, help="GDSII layer number (default 1)")
     p.add_argument("--datatype", type=int, default=0, help="GDSII datatype number (default 0)")

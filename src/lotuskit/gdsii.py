@@ -18,8 +18,7 @@ biased by 64), then 56 mantissa bits encoding a fraction in [1/16, 1), so
 Encoding here is exact for every IEEE double whose value fits the format's
 range; round-tripping any finite double returns it bit-identically.
 
-This module knows nothing about layouts — it only packs and walks records,
-and names the two ways geometry is laid down in them (:class:`GdsMode`).
+This module knows nothing about layouts — it only packs and walks records.
 Geometry-level writing/reading lives in :mod:`lotuskit.maskio`.
 """
 
@@ -28,11 +27,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 __all__ = [
-    "GdsMode",
     "GdsParseError",
     "Record",
     "iter_records",
@@ -66,13 +63,6 @@ __all__ = [
     "DATA_REAL8",
     "DATA_ASCII",
 ]
-
-
-class GdsMode(Enum):
-    """How geometry is laid down in the stream."""
-
-    FLAT = "flat"
-    ARRAYED = "arrayed"
 
 
 # Record type bytes (the subset this toolkit emits and accepts).

@@ -28,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import groupby
@@ -58,7 +59,6 @@ from lotuskit.gdsii import (
     STRNAME,
     UNITS,
     XY,
-    GdsMode,
     GdsParseError,
     Record,
     encode_ascii,
@@ -86,8 +86,6 @@ from lotuskit.lattice import (
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 
 __all__ = [
-    "GdsMode",
-    "GdsOptions",
     "CellArray",
     "MaskCell",
     "MaskGeometry",
@@ -100,30 +98,6 @@ __all__ = [
 _INT16_MAX = 32767
 
 Target = Union[Layout, Zone, GradientDesign]
-
-
-@dataclass(frozen=True)
-class GdsOptions:
-    """Knobs of the GDSII writer.
-
-    Attributes
-    ----------
-    layer, datatype:
-        Layer/datatype pair for drawn polygons, each 0..255.
-    mode:
-        ``arrayed`` (compact, hierarchical) or ``flat`` (explicit polygons).
-    """
-
-    layer: int = 1
-    datatype: int = 0
-    mode: GdsMode = GdsMode.ARRAYED
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", GdsMode(self.mode))
-        for name in ("layer", "datatype"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or not 0 <= value <= 255:
-                raise ValueError(f"{name} must be an integer in 0..255, got {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -427,7 +401,12 @@ def _write_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype:
 
 
 def write_gdsii(
-    target: Target, options: GdsOptions | None = None, polarity: str = "openings"
+    target: Target,
+    *,
+    layer: int = 1,
+    datatype: int = 0,
+    mode: str = "arrayed",
+    polarity: str = "openings",
 ) -> bytes:
     """Emit a layout or gradient design as a GDSII stream.
 
@@ -435,8 +414,13 @@ def write_gdsii(
     ----------
     target:
         A :class:`Layout`, single :class:`Zone`, or :class:`GradientDesign`.
-    options:
-        Layer, datatype and mode; see :class:`GdsOptions`.
+    layer, datatype:
+        Layer/datatype pair for drawn polygons, each an integer in 0..255;
+        a ``bool`` is refused, a numpy integer accepted.
+    mode:
+        ``"arrayed"`` (default) writes one hexagon structure per opening
+        size plus two array references per zone or column; ``"flat"``
+        writes every hexagon as an explicit boundary.
     polarity:
         ``"openings"`` (default) draws the hexagonal openings;
         ``"walls"`` additionally draws each extent as a background rectangle
@@ -447,12 +431,19 @@ def write_gdsii(
     bytes
         The complete stream, byte-reproducible for identical inputs.
     """
-    if options is None:
-        options = GdsOptions()
+    for name, value in (("layer", layer), ("datatype", datatype)):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or not 0 <= value <= 255
+        ):
+            raise ValueError(f"{name} must be an integer in 0..255, got {value!r}")
+    if mode not in ("flat", "arrayed"):
+        raise ValueError(f"mode must be 'flat' or 'arrayed', got {mode!r}")
     if polarity not in ("openings", "walls"):
         raise ValueError(f"polarity must be 'openings' or 'walls', got {polarity!r}")
-
-    opening_datatype = options.datatype + (1 if polarity == "walls" else 0)
+    layer, datatype = int(layer), int(datatype)  # datatype + 1 must not wrap
+    opening_datatype = datatype + (1 if polarity == "walls" else 0)
     if opening_datatype > 255:
         raise ValueError(
             f"walls polarity places openings on datatype {opening_datatype}, "
@@ -470,23 +461,21 @@ def write_gdsii(
 
     arrays, rects = _emitted(target)
     background = rects if polarity == "walls" else []
-    arrayed = options.mode is GdsMode.ARRAYED
+    arrayed = mode == "arrayed"
 
     if arrayed:
         for comb in sorted({array.comb for array in arrays}):
             open_structure(f"HEX_{comb}")
-            out += _boundary_bytes(options.layer, opening_datatype, hexagon_vertices(comb))
+            out += _boundary_bytes(layer, opening_datatype, hexagon_vertices(comb))
             close_structure()
     open_structure("TOP")
     for x0, y0, x1, y1 in background:
-        out += _boundary_bytes(
-            options.layer, options.datatype, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-        )
+        out += _boundary_bytes(layer, datatype, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
     for array in arrays:
         if arrayed:
             out += _aref_bytes(array, f"HEX_{array.comb}")
         else:
-            _write_flat_array(out, array, options.layer, opening_datatype)
+            _write_flat_array(out, array, layer, opening_datatype)
     close_structure()
 
     out += pack_record(ENDLIB, DATA_NONE)

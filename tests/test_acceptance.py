@@ -33,7 +33,7 @@ from lotuskit.lattice import (
     lattice_arrays,
     monte_carlo_fraction,
 )
-from lotuskit.maskio import GdsMode, GdsOptions, read_gdsii, write_gdsii
+from lotuskit.maskio import read_gdsii, write_gdsii
 from lotuskit.reference import (
     build_validation_report,
     reference_two_zone_layout,
@@ -184,24 +184,24 @@ def test_criterion_5_gdsii_artifacts():
             x += 4000
         level += 1
     expected.sort()
-    for mode in (GdsMode.FLAT, GdsMode.ARRAYED):
-        geometry = read_gdsii(write_gdsii(crop, GdsOptions(mode=mode)))
+    for mode in ("flat", "arrayed"):
+        geometry = read_gdsii(write_gdsii(crop, mode=mode))
         polygons = sorted(
             tuple(sorted((int(px), int(py)) for px, py in points))
             for _, _, points in geometry.expand("TOP")
         )
-        checks.append((f"round trip exact vertices ({mode.value})", polygons == expected))
+        checks.append((f"round trip exact vertices ({mode})", polygons == expected))
 
     # (c) arrayed export of a full 10x10 mm zone: < 1 s and < 10 kB
     full = Zone(spec=WIDE, extent=Rect(0, 0, 10_000_000, 10_000_000))
     start = time.perf_counter()
-    data = write_gdsii(full, GdsOptions(mode=GdsMode.ARRAYED))
+    data = write_gdsii(full, mode="arrayed")
     elapsed = time.perf_counter() - start
     checks.append(("arrayed full zone < 1 s", elapsed < 1.0))
     checks.append(("arrayed full zone < 10 kB", len(data) < 10_000))
 
     # (d) flat-mode crop boundary count == tiling census count
-    flat_geometry = read_gdsii(write_gdsii(crop, GdsOptions(mode=GdsMode.FLAT)))
+    flat_geometry = read_gdsii(write_gdsii(crop, mode="flat"))
     boundary_count = sum(len(block) for _, _, block in flat_geometry.cells["TOP"].runs)
     census = sum(array.cols * array.rows for array in lattice_arrays(crop))
     checks.append(("flat boundary count == census", boundary_count == census))

@@ -94,6 +94,21 @@ class TestWallForFraction:
                 assert fraction == float(exact)
                 assert wall_for_fraction(fraction, 4000, measure) == wall
 
+    @pytest.mark.parametrize(
+        "fraction, pitch, message",
+        [
+            (0.0, 4000, "target_fraction must lie strictly inside (0, 1), got 0.0"),
+            (1.0, 4000, "target_fraction must lie strictly inside (0, 1), got 1.0"),
+            (math.nan, 4000, "target_fraction must lie strictly inside (0, 1), got nan"),
+            (0.19, 0, "pitch must be > 0 nm, got 0"),
+            (0.19, -4000, "pitch must be > 0 nm, got -4000"),
+        ],
+        ids=["fraction-0", "fraction-1", "fraction-nan", "pitch-0", "pitch-negative"],
+    )
+    def test_inputs_outside_the_domain_rejected(self, fraction, pitch, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wall_for_fraction(fraction, pitch)
+
     def test_pitch_beyond_the_float_range_is_named(self):
         pitch = 10**400
         with pytest.raises(ValueError, match=f"^pitch {pitch} nm is beyond the float range$"):
@@ -253,6 +268,22 @@ class TestDesignLinearGradient:
                     spec(**{name: bad})
             with pytest.raises(ValueError, match=f"{name} must be >= 1 nm, got 0"):
                 spec(**{name: 0})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"length": 3999}, "length (3999 nm) must cover at least one pitch (4000 nm)"),
+            ({"f_start": 0.0}, "f_start must lie strictly inside (0, 1), got 0.0"),
+            ({"f_start": math.nan}, "f_start must lie strictly inside (0, 1), got nan"),
+            ({"f_end": 1.0}, "f_end must lie strictly inside (0, 1), got 1.0"),
+            ({"f_end": -0.1}, "f_end must lie strictly inside (0, 1), got -0.1"),
+        ],
+        ids=["short", "f_start-0", "f_start-nan", "f_end-1", "f_end-negative"],
+    )
+    def test_spec_outside_the_domain_rejected(self, fields, message):
+        values = dict(length=8000, lateral_width=100_000, pitch=4000, f_start=0.1, f_end=0.2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradientSpec(**{**values, **fields})
 
 
 class TestColumnLookup:

@@ -329,6 +329,9 @@ class TestCounting:
         assert row_pitch(4000, 10) == 3460  # snap(4000 * sqrt(3)/2 = 3464.1)
         assert snap_to_grid(3464.1, 10) == 3460
         assert snap_to_grid(3465.0, 10) == 3470  # round-half-up
+        for grid in (0, -10):
+            with pytest.raises(ValueError, match=f"^grid_nm must be > 0, got {grid}$"):
+                snap_to_grid(3464.1, grid)
 
     def test_two_cell_example(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 4000, 3464))
@@ -628,6 +631,12 @@ class TestDesignRules:
         # wall 400, height 4000 -> ratio exactly 10 with limit 10: passes.
         assert aspect_ratio(FINE) == DEFAULT_RULES.max_aspect_ratio
         assert check_design_rules(FINE) == []
+
+    @pytest.mark.parametrize("limit", [0, -1.0, math.nan])
+    def test_rejects_nonpositive_aspect_limit(self, limit):
+        message = f"max_aspect_ratio must be > 0, got {limit!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DesignRules(max_aspect_ratio=limit)
 
     def test_thin_wall_flagged(self):
         thin = HoneycombSpec(pitch=4000, wall=300, height=3000)

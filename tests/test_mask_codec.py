@@ -26,8 +26,6 @@ from lotuskit.cli import run
 from lotuskit.gdsii import GdsParseError
 from lotuskit.lattice import HoneycombSpec, Layout, Rect, Zone
 from lotuskit.maskio import (
-    GdsMode,
-    GdsOptions,
     MaskCell,
     MaskGeometry,
     read_gdsii,
@@ -258,9 +256,9 @@ class TestExpansionOrder:
             Zone(HoneycombSpec(pitch=4000, wall=400, height=4000),
                  Rect(30_000, 0, 30_000, 20_000)),
         ))
-        for mode in (GdsMode.ARRAYED, GdsMode.FLAT):
+        for mode in ("arrayed", "flat"):
             geometry = read_gdsii(
-                write_gdsii(layout, GdsOptions(mode=mode), polarity="walls")
+                write_gdsii(layout, mode=mode, polarity="walls")
             )
             assert_same_order(geometry.expand(), old_expand(geometry, "TOP"))
 

@@ -16,6 +16,7 @@ import math
 import struct
 import xml.etree.ElementTree as ElementTree
 
+import numpy as np
 import pytest
 
 from lotuskit.gdsii import GdsParseError
@@ -30,8 +31,6 @@ from lotuskit.lattice import (
 )
 from lotuskit.maskio import (
     CellArray,
-    GdsMode,
-    GdsOptions,
     MaskCell,
     MaskGeometry,
     layout_stats,
@@ -199,7 +198,7 @@ class TestWriteGdsii:
 
     def test_full_zone_arrayed_is_small(self):
         layout = build_two_zone_layout(WIDE, FINE)
-        data = write_gdsii(layout, GdsOptions(mode=GdsMode.ARRAYED))
+        data = write_gdsii(layout, mode="arrayed")
         assert len(data) < 10_000
 
     def test_record_grammar_validated_by_standalone_walker(self):
@@ -246,14 +245,21 @@ class TestWriteGdsii:
         spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
         zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
         with pytest.raises(ValueError, match="even pitch"):
-            write_gdsii(zone, GdsOptions(mode=GdsMode.ARRAYED))
+            write_gdsii(zone, mode="arrayed")
+
+    def test_array_beyond_16_bits_rejected(self):
+        zone = Zone(spec=WIDE, extent=Rect(0, 0, 32768 * 4000, 1000))
+        with pytest.raises(
+            ValueError, match="array of 32768 x 1 exceeds the 16-bit column/row limit"
+        ):
+            write_gdsii(zone)
 
     def test_coordinate_overflow_rejected(self):
         zone = Zone(spec=WIDE, extent=Rect(2_200_000_000, 0, 20_000, 20_000))
         with pytest.raises(ValueError, match="overflow"):
-            write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT))
+            write_gdsii(zone, mode="flat")
 
-    @pytest.mark.parametrize("mode", [GdsMode.FLAT, GdsMode.ARRAYED, "svg"])
+    @pytest.mark.parametrize("mode", ["flat", "arrayed", "svg"])
     def test_odd_pitch_error_names_no_mode(self, mode):
         spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
         zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
@@ -272,7 +278,7 @@ class TestWriteGdsii:
                 if mode == "svg":
                     write_svg(target)
                 else:
-                    write_gdsii(target, GdsOptions(mode=mode))
+                    write_gdsii(target, mode=mode)
             assert "mode" not in str(error.value)
 
     def test_far_origin_stays_exact(self):
@@ -280,21 +286,35 @@ class TestWriteGdsii:
         # both GDSII modes refuse them, while the SVG preview, which has no
         # word size, still draws every cell at its exact position.
         zone = Zone(spec=WIDE, extent=Rect(2**62, 0, 8000, 8000))
-        for mode in (GdsMode.FLAT, GdsMode.ARRAYED):
+        for mode in ("flat", "arrayed"):
             with pytest.raises(ValueError, match="coordinate overflow"):
-                write_gdsii(zone, GdsOptions(mode=mode))
+                write_gdsii(zone, mode=mode)
         assert write_svg(zone).count("<path") == 6
 
     def test_bad_options_rejected(self):
         with pytest.raises(ValueError):
-            GdsOptions(layer=256)
+            write_gdsii(Layout(zones=()), layer=256)
         with pytest.raises(ValueError):
-            GdsOptions(layer=-1)
+            write_gdsii(Layout(zones=()), layer=-1)
+
+    def test_settings_follow_the_integer_rule(self):
+        # As for lengths in nanometers: a bool is no number here, while a
+        # numpy integer is one.
+        zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
+        with pytest.raises(ValueError, match=r"layer must be an integer in 0\.\.255, got True"):
+            write_gdsii(zone, layer=True)
+        with pytest.raises(ValueError, match=r"datatype must be an integer in 0\.\.255, got False"):
+            write_gdsii(zone, datatype=False)
+        assert write_gdsii(zone, layer=np.int64(7)) == write_gdsii(zone, layer=7)
+        with pytest.raises(ValueError, match="openings on datatype 256, beyond 255"):
+            write_gdsii(zone, datatype=np.uint8(255), polarity="walls")
+        with pytest.raises(ValueError, match="mode must be 'flat' or 'arrayed', got 'bogus'"):
+            write_gdsii(zone, mode="bogus")
 
     def test_walls_polarity_needs_datatype_headroom(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
         with pytest.raises(ValueError, match="datatype"):
-            write_gdsii(zone, GdsOptions(datatype=255), polarity="walls")
+            write_gdsii(zone, datatype=255, polarity="walls")
 
     def test_unknown_polarity_rejected(self):
         with pytest.raises(ValueError, match="polarity"):
@@ -431,10 +451,10 @@ class TestRoundTrip:
             for cx, cy in independent_centers(CROP, spec.pitch)
         ]
 
-    @pytest.mark.parametrize("mode", [GdsMode.FLAT, GdsMode.ARRAYED])
+    @pytest.mark.parametrize("mode", ["flat", "arrayed"])
     def test_crop_round_trip_matches_independent_geometry(self, mode):
         zone = Zone(spec=WIDE, extent=CROP)
-        geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=mode)))
+        geometry = read_gdsii(write_gdsii(zone, mode=mode))
         expanded = geometry.expand("TOP")
         assert canonical(points for _, _, points in expanded) == canonical(
             self.expected_crop_polygons(WIDE)
@@ -442,7 +462,7 @@ class TestRoundTrip:
 
     def test_flat_boundary_count_equals_tiling_census(self):
         zone = Zone(spec=WIDE, extent=CROP)
-        geometry = read_gdsii(write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT)))
+        geometry = read_gdsii(write_gdsii(zone, mode="flat"))
         count = sum(len(block) for _, _, block in geometry.cells["TOP"].runs)
         assert count == sum(a.cols * a.rows for a in lattice_arrays(zone)) == 725
 
@@ -453,8 +473,8 @@ class TestRoundTrip:
                 Zone(spec=FINE, extent=Rect(60_000, 0, 60_000, 60_000)),
             )
         )
-        flat = read_gdsii(write_gdsii(crop_layout, GdsOptions(mode=GdsMode.FLAT)))
-        arrayed = read_gdsii(write_gdsii(crop_layout, GdsOptions(mode=GdsMode.ARRAYED)))
+        flat = read_gdsii(write_gdsii(crop_layout, mode="flat"))
+        arrayed = read_gdsii(write_gdsii(crop_layout, mode="arrayed"))
         flat_polygons = canonical(points for _, _, points in flat.expand("TOP"))
         arrayed_polygons = canonical(points for _, _, points in arrayed.expand("TOP"))
         assert flat_polygons == arrayed_polygons
@@ -466,8 +486,8 @@ class TestRoundTrip:
             f_start=0.10, f_end=0.25, measure=Measure.LINEAR_RATIO,
         )
         design = design_linear_gradient(spec)
-        flat = read_gdsii(write_gdsii(design, GdsOptions(mode=GdsMode.FLAT)))
-        arrayed = read_gdsii(write_gdsii(design, GdsOptions(mode=GdsMode.ARRAYED)))
+        flat = read_gdsii(write_gdsii(design, mode="flat"))
+        arrayed = read_gdsii(write_gdsii(design, mode="arrayed"))
         flat_polygons = canonical(points for _, _, points in flat.expand("TOP"))
         assert flat_polygons == canonical(points for _, _, points in arrayed.expand("TOP"))
         # Independent reconstruction: per-column combs on the shared lattice.
@@ -492,7 +512,7 @@ class TestRoundTrip:
     def test_walls_polarity_adds_background_rect(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
         geometry = read_gdsii(
-            write_gdsii(zone, GdsOptions(mode=GdsMode.FLAT), polarity="walls")
+            write_gdsii(zone, mode="flat", polarity="walls")
         )
         runs = geometry.cells["TOP"].runs
         rects = [points for _, datatype, block in runs if datatype == 0 for points in block]
@@ -505,7 +525,7 @@ class TestRoundTrip:
     def test_custom_layer_round_trips(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
         geometry = read_gdsii(
-            write_gdsii(zone, GdsOptions(layer=7, datatype=3, mode=GdsMode.FLAT))
+            write_gdsii(zone, layer=7, datatype=3, mode="flat")
         )
         for layer, datatype, _ in geometry.cells["TOP"].runs:
             assert layer == 7

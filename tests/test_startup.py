@@ -3,7 +3,7 @@
 Every ``lotus`` command is a fresh interpreter, so what it imports is part
 of its run time.  Only the commands that build arrays (export, design,
 Monte Carlo fractions, the GDSII read-back) may load numpy; the scalar
-commands must start and run without it.
+commands must start and run without it, and without the mask codec.
 """
 
 import json
@@ -18,28 +18,31 @@ import lotuskit
 _SRC = str(Path(lotuskit.__file__).resolve().parent.parent)
 
 # Each command runs in the same child after ``import lotuskit.cli``; the
-# child prints, as JSON, the exit code of each and whether numpy was loaded
-# once it had finished.
+# child prints, as JSON, the exit code of each and which of numpy and the
+# mask codec modules were loaded once it had finished.
 _PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
     import lotuskit.cli
-    seen = [["import lotuskit.cli", 0, "numpy" in sys.modules]]
+    def loaded():
+        watched = ("numpy", "lotuskit.gdsii", "lotuskit.maskio")
+        return [name for name in watched if name in sys.modules]
+    seen = [["import lotuskit.cli", 0, loaded()]]
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             code = lotuskit.cli.run(argv)
-        seen.append([" ".join(argv), code, "numpy" in sys.modules])
+        seen.append([" ".join(argv), code, loaded()])
     print(json.dumps(seen))
     """
 )
 
 
-def _probe(commands: list[list[str]]) -> list[list]:
+def _probe(commands: list[list[str]], out_dir: Path) -> list[list]:
     result = subprocess.run(
         [sys.executable, "-c", _PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": _SRC},
+        env={**os.environ, "PYTHONPATH": _SRC, "LOTUS_OUT_DIR": str(out_dir)},
         timeout=120,
         check=True,
     )
@@ -59,23 +62,25 @@ def test_scalar_commands_run_without_numpy(tmp_path):
             "--f-end", "0.4375", "--width-nm", "200000", "--csv", csv,
         ],
     ]
-    seen = _probe(commands)
+    seen = _probe(commands, tmp_path)
     assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
         (" ".join(argv), 0) for argv in commands
     ]
-    assert [name for name, _, numpy_loaded in seen if numpy_loaded] == []
+    assert [(name, loaded) for name, _, loaded in seen if loaded] == []
     assert Path(csv).read_text(encoding="utf-8").startswith("position_m,")
 
 
 def test_array_commands_still_load_numpy(tmp_path):
-    seen = _probe(
-        [
-            ["fraction", "--wall", "400", "--mc-samples", "1000"],
-            ["export", "--reference", "--crop-um", "20", "--out", str(tmp_path / "m.gds")],
-        ]
-    )
-    assert [(code, numpy_loaded) for _, code, numpy_loaded in seen] == [
-        (0, False),
-        (0, True),
-        (0, True),
-    ]
+    # Each in its own child, so that none inherits numpy from another.
+    # design and arrayed export are in neither test: they build no array,
+    # and load numpy only through maskio's top-level import.
+    for argv in (
+        ["fraction", "--wall", "400", "--mc-samples", "1000"],
+        ["export", "--reference", "--mode", "flat", "--crop-um", "20"],
+        ["export", "--reference", "--format", "svg", "--crop-um", "20"],
+    ):
+        seen = _probe([argv], tmp_path)
+        assert [(code, "numpy" in loaded) for _, code, loaded in seen] == [
+            (0, False),
+            (0, True),
+        ], argv

@@ -7,6 +7,7 @@ constants, not against the code under test.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,22 @@ class TestInvertCassieFraction:
         with pytest.raises(ValueError, match="below the flat angle"):
             invert_cassie_fraction(60.0, 81.0)
 
+    @pytest.mark.parametrize("apparent", [0.0, -1.0, 180.5, math.nan])
+    def test_apparent_outside_the_angle_range_rejected(self, apparent):
+        message = f"apparent_angle must lie in (0, 180] degrees, got {apparent!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            invert_cassie_fraction(apparent, 81.0)
+
+    def test_rounding_just_past_unity_is_clamped(self):
+        # 1e-11 degrees below the flat angle the quotient exceeds 1 by about
+        # 1.5e-13, inside the 1e-12 tolerance; 1e-6 degrees below it is 1.5e-8.
+        apparent = 81.0 - 1e-11
+        raw = (math.cos(math.radians(apparent)) + 1.0) / (math.cos(math.radians(81.0)) + 1.0)
+        assert 1.0 < raw <= 1.0 + 1e-12
+        assert invert_cassie_fraction(apparent, 81.0) == 1.0
+        with pytest.raises(ValueError, match="below the flat angle"):
+            invert_cassie_fraction(81.0 - 1e-6, 81.0)
+
 
 class TestApparentAdvancingReceding:
     def test_zero_hysteresis_collapses(self):
@@ -163,6 +180,8 @@ class TestSphericalCap:
             spherical_cap_footprint_radius(1e-9, 0.0)
         with pytest.raises(ValueError):
             spherical_cap_footprint_radius(1e-9, 180.0)
+        with pytest.raises(ValueError, match=r"^footprint_radius must be > 0 m, got 0\.0$"):
+            spherical_cap_volume(0.0, 90.0)
 
 
 class TestMaterial:
@@ -182,6 +201,18 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Material(name="x", theta_flat=175.0, hysteresis=12.0)
 
+    @pytest.mark.parametrize("theta", [0.0, 180.0, math.nan])
+    def test_rejects_flat_angle_outside_domain(self, theta):
+        message = f"theta_flat must lie strictly between 0 and 180 degrees, got {theta!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Material(name="x", theta_flat=theta)
+
+    @pytest.mark.parametrize("hysteresis", [-1.0, math.nan])
+    def test_rejects_negative_hysteresis(self, hysteresis):
+        message = f"hysteresis must be >= 0 degrees, got {hysteresis!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Material(name="x", theta_flat=81.0, hysteresis=hysteresis)
+
     def test_rejects_nonpositive_tension(self):
         with pytest.raises(ValueError):
             Material(name="x", theta_flat=81.0, surface_tension=0.0)
@@ -190,3 +221,6 @@ class TestMaterial:
         with pytest.raises(ValueError):
             Droplet(volume=0.0)
         assert Droplet(volume=1.1e-9).position == 0.0
+        for position in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^position must be finite, got {position!r}$"):
+                Droplet(volume=1.1e-9, position=position)
