@@ -124,13 +124,15 @@ def _two_zone_from_args(args: argparse.Namespace, config: ProjectConfig) -> Layo
     if args.reference:
         if args.wall_a is not None or args.wall_b is not None:
             raise _UsageError("--reference cannot be combined with --wall-a/--wall-b")
-        return reference_two_zone_layout()
-    if args.wall_a is None or args.wall_b is None:
+        layout = reference_two_zone_layout()
+    elif args.wall_a is None or args.wall_b is None:
         raise _UsageError("provide --reference, or both --wall-a and --wall-b")
-    return build_two_zone_layout(
-        _honeycomb(config, args.wall_a, args.pitch, args.height),
-        _honeycomb(config, args.wall_b, args.pitch, args.height),
-    )
+    else:
+        layout = build_two_zone_layout(
+            _honeycomb(config, args.wall_a, args.pitch, args.height),
+            _honeycomb(config, args.wall_b, args.pitch, args.height),
+        )
+    return dataclasses.replace(layout, fabrication_grid=config.rules.fabrication_grid)
 
 
 def _add_gradient_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -266,7 +268,9 @@ def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
     if args.reference and args.wall is not None:
         raise _UsageError("--reference cannot be combined with --wall")
     if args.reference:
-        target: Layout | HoneycombSpec = reference_two_zone_layout()
+        target: Layout | HoneycombSpec = dataclasses.replace(
+            reference_two_zone_layout(), fabrication_grid=config.rules.fabrication_grid
+        )
     elif args.wall is not None:
         target = _honeycomb(config, args.wall, args.pitch, args.height)
     else:
@@ -332,7 +336,8 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         crop_nm = int(round(args.crop_um * 1000.0))
         if crop_nm < 1:
             raise _UsageError("--crop-um must round to at least 1 nm")
-        target = Layout(
+        target = dataclasses.replace(
+            target,
             zones=tuple(
                 Zone(
                     spec=zone.spec,
@@ -345,7 +350,6 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
                 )
                 for zone in target.zones
             ),
-            label=target.label,
         )
 
     if args.format == "gdsii":

@@ -157,6 +157,9 @@ class GradientDesign:
     fractions: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
+        )
         columns = tuple(self.columns)
         if not columns:
             raise ValueError("a gradient design needs at least one column")

@@ -56,7 +56,6 @@ __all__ = [
     "LatticeArray",
     "DEFAULT_RULES",
     "ZONE_SIDE_NM",
-    "LAYOUT_GRID_NM",
     "square_pillar_fraction",
     "honeycomb_linear_ratio",
     "honeycomb_area_fraction",
@@ -72,11 +71,6 @@ __all__ = [
 
 #: Side length of one layout zone in the standard two-zone arrangement: 10 mm.
 ZONE_SIDE_NM = 10_000_000
-
-#: Grid that layout row pitches snap to when written, nm.  A layout carries
-#: no grid of its own, so its writers and census use this one whatever the
-#: project rules say; :func:`check_design_rules` checks the result.
-LAYOUT_GRID_NM = 10
 
 #: Monte Carlo work unit.  Fixed so that the estimate for a given
 #: (samples, seed) is bitwise identical no matter how many workers run.
@@ -191,13 +185,20 @@ class Zone:
 
 @dataclass(frozen=True)
 class Layout:
-    """An ordered set of pattern zones with pairwise non-overlapping extents."""
+    """An ordered set of pattern zones with pairwise non-overlapping extents.
+
+    Row pitches are written on ``fabrication_grid`` nm (default 10).
+    """
 
     zones: tuple[Zone, ...]
     label: str = ""
+    fabrication_grid: int = 10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zones", tuple(self.zones))
+        object.__setattr__(
+            self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
+        )
         for i, a in enumerate(self.zones):
             for b in self.zones[i + 1 :]:
                 if a.extent.overlaps(b.extent):
@@ -431,7 +432,7 @@ def monte_carlo_fraction(
 # Tiling
 # --------------------------------------------------------------------------
 
-def row_pitch(pitch: int, fabrication_grid: int = LAYOUT_GRID_NM) -> int:
+def row_pitch(pitch: int, fabrication_grid: int) -> int:
     """Vertical lattice row spacing: ``pitch * sqrt(3)/2`` snapped to the grid.
 
     Rounds half up, exactly: ``(isqrt(3 p^2) + g) // 2g`` grid steps, since
@@ -515,7 +516,7 @@ class LatticeArray:
         )
 
 
-def lattice_arrays(zone: Zone, fabrication_grid: int = LAYOUT_GRID_NM) -> list[LatticeArray]:
+def lattice_arrays(zone: Zone, fabrication_grid: int) -> list[LatticeArray]:
     """A zone's triangular lattice as its even-row and odd-row arrays.
 
     Even lattice rows anchor at the extent origin, odd rows are shifted
@@ -618,9 +619,9 @@ def check_design_rules(
 
     Returns a list of violations (empty = pass), sorted by (subject, rule)
     so the result is independent of zone ordering.  Limits are boundary
-    inclusive: a value exactly at its limit passes.  A zone's row pitch is
-    checked as written, on the :data:`LAYOUT_GRID_NM` grid, against the
-    fabrication grid; one that snaps to zero is reported as value 0.
+    inclusive: a value exactly at its limit passes.  A layout (a bare zone
+    is one on the default grid) must carry the rules' ``fabrication_grid``,
+    so that its written row pitches lie on that grid and never collapse.
     """
     if isinstance(target, Zone):
         target = Layout(zones=(target,))
@@ -631,16 +632,11 @@ def check_design_rules(
         for zone in target.zones:
             subject = f"zone@({zone.extent.x},{zone.extent.y})nm"
             violations.extend(_check_spec(zone.spec, rules, subject))
-            try:
-                spacing = row_pitch(zone.spec.pitch)
-            except ValueError:  # collapses to zero: no row can be written
-                spacing = 0
-            if spacing == 0 or spacing % rules.fabrication_grid != 0:
-                violations.append(
-                    RuleViolation(
-                        "fabrication_grid(row_pitch)", spacing, rules.fabrication_grid, subject
-                    )
-                )
+        grid = target.fabrication_grid
+        if grid != rules.fabrication_grid:
+            violations.append(
+                RuleViolation("fabrication_grid(layout)", grid, rules.fabrication_grid, "layout")
+            )
     else:
         raise TypeError(
             f"expected HoneycombSpec, Zone, or Layout, got {type(target).__name__}"

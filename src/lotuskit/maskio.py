@@ -70,7 +70,6 @@ from lotuskit.gdsii import (
 )
 from lotuskit.gradient import GradientDesign
 from lotuskit.lattice import (
-    LAYOUT_GRID_NM,
     HoneycombSpec,
     LatticeArray,
     Layout,
@@ -267,22 +266,16 @@ def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
     )
 
 
-def _fabrication_grid(target: Target) -> int:
-    """The grid that row pitches snap to: a design's own, else the layout grid."""
-    return target.fabrication_grid if isinstance(target, GradientDesign) else LAYOUT_GRID_NM
-
-
 def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
     """The lattice arrays a target is written as, and its extent rectangles.
 
-    Arrays come zone by zone (design column by column), on the grid of
-    :func:`_fabrication_grid`; the rectangles are ``(x, y, x_max, y_max)``.
+    Arrays come zone by zone (design column by column), on the target's own
+    ``fabrication_grid``; the rectangles are ``(x, y, x_max, y_max)``.
     Design columns share pitch and width, so column k's arrays are column
     0's shifted by ``k * pitch`` with its own comb.
     """
-    grid = _fabrication_grid(target)
     if isinstance(target, GradientDesign):
-        pitch = target.spec.pitch
+        pitch, grid = target.spec.pitch, target.fabrication_grid
         first = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
         arrays = [
             replace(
@@ -292,7 +285,8 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
             for array in first
         ]
         return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
-    zones = _as_layout(target).zones
+    layout = _as_layout(target)
+    zones, grid = layout.zones, layout.fabrication_grid
     arrays = [array for zone in zones for array in lattice_arrays(zone, grid)]
     return arrays, [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
 
@@ -844,12 +838,12 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     Counts and the row pitch are those of the mask that :func:`write_gdsii`
     and :func:`write_svg` emit for the same target.
     """
-    grid = _fabrication_grid(target)
     theta = material.theta_flat
     if isinstance(target, GradientDesign):
         spec = target.spec
         # Every column has column 0's arrays, and a pitch-wide column has an
         # odd-row array whenever it has odd rows.
+        grid = target.fabrication_grid
         column = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
         return {
             "kind": "gradient",
@@ -873,6 +867,7 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
         }
 
     layout = _as_layout(target)
+    grid = layout.fabrication_grid
     zones = []
     for zone in layout.zones:
         spec = zone.spec

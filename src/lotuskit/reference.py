@@ -1,17 +1,17 @@
 """Built-in reference designs and the measured validation dataset.
 
 Two honeycomb demonstrator patterns (same 4 um pitch, 4 um structure height,
-walls of 1000 nm and 400 nm) ship as constants, together with goniometer
-contact-angle measurements taken on fabricated samples of exactly these
-geometries.  The measurements are data, not model output: composite-state
-predictions sit well above them (likely partial liquid penetration into the
-openings on the real surfaces), and the toolkit reports the two side by side
-with signed deviations instead of pretending they agree.
+walls of 1000 nm and 400 nm) ship as constants, together with contact angles
+for a flat area and for these two geometries (81, 87 and 107 degrees), for
+which the repository holds no source: the source paper's abstract gives none.
+They are data, not model output: composite-state predictions sit well above
+them, and the toolkit reports the two side by side with signed deviations
+instead of pretending they agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
@@ -63,8 +63,8 @@ DROPLET_VOLUME_M3 = 1.1e-9
 DROPLET_VOLUME_UNCERTAINTY_M3 = 0.1e-9
 
 _PROVENANCE = (
-    "sessile-drop goniometer measurement: distilled water, 1.1 +/- 0.1 ul "
-    "droplets, on hot-embossed PMMA at room temperature"
+    "unsourced: the repository holds no record of this value or of its "
+    "stated conditions (water, 1.1 +/- 0.1 ul droplets, hot-embossed PMMA)"
 )
 
 
@@ -154,7 +154,7 @@ def build_validation_report(
     Predictions use both fraction conventions (wall/pitch and true area
     fraction) mapped through the Cassie-Baxter relation at the material's
     flat angle; the flat reference row uses the identity case f = 1.
-    Design-rule results for the reference two-zone layout are attached.
+    Design-rule results for the reference layout on the rules' grid are attached.
     """
     rows = []
     for entry in MEASURED_ANGLES:
@@ -185,9 +185,10 @@ def build_validation_report(
                 deviation_area_deg=predicted_area - entry.angle_deg,
             )
         )
+    layout = replace(reference_two_zone_layout(), fabrication_grid=rules.fabrication_grid)
     return ValidationReport(
         material_name=material.name,
         theta_flat_deg=material.theta_flat,
         rows=tuple(rows),
-        drc_violations=tuple(check_design_rules(reference_two_zone_layout(), rules)),
+        drc_violations=tuple(check_design_rules(layout, rules)),
     )

@@ -97,9 +97,9 @@ class Material:
 
 
 #: Distilled water on flat PMMA at room temperature.  The 81-degree flat
-#: angle comes from the built-in goniometer reference dataset (see
-#: :mod:`lotuskit.reference`); 72.8e-3 N/m is the standard literature value
-#: for the water-air surface tension at 20 C.
+#: angle is the flat row of :mod:`lotuskit.reference`'s dataset, which has
+#: no source in this repository; 72.8e-3 N/m is the standard literature
+#: value for the water-air surface tension at 20 C.
 WATER_ON_PMMA = Material(name="water on PMMA", theta_flat=81.0)
 
 

@@ -203,7 +203,7 @@ def test_criterion_5_gdsii_artifacts():
     # (d) flat-mode crop boundary count == tiling census count
     flat_geometry = read_gdsii(write_gdsii(crop, mode="flat"))
     boundary_count = sum(len(block) for _, _, block in flat_geometry.cells["TOP"].runs)
-    census = sum(array.cols * array.rows for array in lattice_arrays(crop))
+    census = sum(array.cols * array.rows for array in lattice_arrays(crop, 10))
     checks.append(("flat boundary count == census", boundary_count == census))
     criterion(5, "GDSII magic, exact round trip, compact arrayed export, census", checks)
 

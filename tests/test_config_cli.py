@@ -982,49 +982,41 @@ class TestCliReport:
 # Config through the CLI
 # --------------------------------------------------------------------------
 
-ROW_PITCH_VIOLATIONS = [
-    "zone@(0,0)nm: fabrication_grid(row_pitch): value 3460 violates limit 40",
-    "zone@(10000000,0)nm: fabrication_grid(row_pitch): value 3460 violates limit 40",
-]
-
-
 class TestCliWithConfig:
-    def test_check_reference_checks_the_written_row_pitch(self, capsys, tmp_path):
-        # Two-zone layouts are written with a 3460 nm row pitch (the 10 nm
-        # layout grid), which a 40 nm fabrication grid does not divide.
-        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 40}})
-        assert run(["--config", config_path, "check", "--reference"]) == 1
-        assert capsys.readouterr().out == "".join(
-            [
-                "violations=2\n",
-                *(f"violation{i}={line}\n" for i, line in enumerate(ROW_PITCH_VIOLATIONS)),
-            ]
-        )
-
-    def test_design_two_zone_lists_the_row_pitch_violations(self, capsys, tmp_path):
-        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 40}})
-        assert run(["--config", config_path, "design", "two-zone", "--reference"]) == 0
-        assert capsys.readouterr().out.endswith(
-            "".join(
-                [
-                    "drc_violations=2\n",
-                    *(f"drc{i}={line}\n" for i, line in enumerate(ROW_PITCH_VIOLATIONS)),
-                ]
-            )
-        )
-
-    @pytest.mark.parametrize("grid", [5, 20])
-    def test_check_reference_passes_on_grids_dividing_the_row_pitch(
-        self, capsys, tmp_path, grid
-    ):
+    @pytest.mark.parametrize(
+        "grid, spacing",
+        [(1, 3464), (2, 3464), (5, 3465), (10, 3460), (20, 3460), (40, 3480)],
+    )
+    def test_reference_is_written_on_the_rules_grid(self, capsys, tmp_path, grid, spacing):
+        # The row pitch is 4000 * sqrt(3)/2 = 3464.1 nm snapped to the
+        # configured grid, the same grid that the rules check.
         config_path = write_config(tmp_path, {"rules": {"fabrication_grid": grid}})
         assert run(["--config", config_path, "check", "--reference"]) == 0
         assert capsys.readouterr().out == "violations=0\nresult=pass\n"
+        out_path = tmp_path / "crop.gds"
+        code = run(
+            ["--config", config_path, "export", "--reference", "--crop-um", "20",
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        arrays = read_gdsii(out_path.read_bytes()).cells["TOP"].arefs
+        assert len(arrays) == 4
+        assert {array.row_vector for array in arrays} == {(0, 2 * spacing)}
+        assert [array.origin[1] for array in arrays] == [0, spacing, 0, spacing]
+
+    def test_design_two_zone_counts_cells_on_the_rules_grid(self, capsys, tmp_path):
+        config_path = write_config(tmp_path, {"rules": {"fabrication_grid": 40}})
+        assert run(["--config", config_path, "design", "two-zone", "--reference"]) == 0
+        out = capsys.readouterr().out
+        assert "\nzone0.cell_count=7185000\n" in out  # 7227500 on a 10 nm grid
+        assert "\nzone1.cell_count=7185000\n" in out
+        assert out.endswith("drc_violations=0\n")
 
     @pytest.mark.parametrize(
         "rules, expected",
         [
-            ({"fabrication_grid": 40}, ROW_PITCH_VIOLATIONS),
+            ({"fabrication_grid": 40}, []),
             ({"min_wall": 500}, ["zone@(10000000,0)nm: min_wall: value 400 violates limit 500"]),
         ],
         ids=["grid-40", "min-wall-500"],
@@ -1033,19 +1025,23 @@ class TestCliWithConfig:
         self, capsys, tmp_path, rules, expected
     ):
         config_path = write_config(tmp_path, {"rules": rules})
-        assert run(["--config", config_path, "check", "--reference"]) == 1
-        checked = [line.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert run(["--config", config_path, "check", "--reference"]) == (1 if expected else 0)
+        checked = [
+            line.split("=", 1)[1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("violation") and not line.startswith("violations=")
+        ]
         assert checked == expected
         assert run(["--config", config_path, "report"]) == 0
         out = capsys.readouterr().out
-        assert "drc=FAIL\n" in out
+        assert f"drc={'FAIL' if expected else 'pass'}\n" in out
         reported = [
             line.split("=", 1)[1] for line in out.splitlines() if line.startswith("drc_violation")
         ]
         assert reported == expected
         assert run(["--config", config_path, "report", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["drc_pass"] is False
+        assert payload["drc_pass"] is not expected
         assert payload["drc_violations"] == expected
 
     def test_design_refuses_what_export_refuses(self, capsys, tmp_path):
@@ -1101,7 +1097,7 @@ class TestCliWithConfig:
             assert exported.err == (
                 f"error: mask violates design rules: {'; '.join(violations[:5])}{more}\n"
             ), case
-        assert clean_cases == 4  # walls 400 and 1000 at pitch 4000 on the 10 nm grid
+        assert clean_cases == 8  # walls 400 and 1000 at pitch 4000, on both grids
 
     def test_gradient_half_pitch_must_lie_on_the_grid(self, capsys, tmp_path):
         # Pitch 4000 is on an 800 nm grid; its odd rows, 2000 nm across, are not.

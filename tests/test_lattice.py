@@ -16,6 +16,7 @@ import pytest
 
 import lotuskit
 from lotuskit import lattice
+from lotuskit.gradient import GradientDesign, GradientSpec
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
@@ -52,12 +53,12 @@ def polygon_area(points: np.ndarray) -> float:
 
 def census(zone: Zone) -> int:
     """A zone's cell count from its arrays, without building any centers."""
-    return sum(array.cols * array.rows for array in lattice_arrays(zone))
+    return sum(array.cols * array.rows for array in lattice_arrays(zone, 10))
 
 
 def all_centers(zone: Zone) -> np.ndarray:
     """A zone's cell centers in emission order: even rows, then odd rows."""
-    return np.concatenate([array.centers() for array in lattice_arrays(zone)])
+    return np.concatenate([array.centers() for array in lattice_arrays(zone, 10)])
 
 
 def old_mc_chunk_solid_count(
@@ -219,6 +220,35 @@ class TestSpecs:
     def test_empty_layout_allowed(self):
         assert Layout(zones=()).zones == ()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: GradientDesign(
+                columns=((0, 400), (4000, 800)),
+                spec=GradientSpec(
+                    length=8000, lateral_width=20000, pitch=4000, f_start=0.19, f_end=0.3
+                ),
+                fabrication_grid=grid,
+            ),
+            lambda grid: Layout(
+                zones=(Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000)),),
+                fabrication_grid=grid,
+            ),
+        ],
+        ids=["gradient", "layout"],
+    )
+    def test_fabrication_grid_follows_the_integer_nm_rules(self, build):
+        for grid, error, message in (
+            (0, ValueError, "fabrication_grid must be >= 1 nm, got 0"),
+            (-10, ValueError, "fabrication_grid must be >= 1 nm, got -10"),
+            (2.5, ValueError, "fabrication_grid must be an integer nanometer count, got 2.5"),
+            (True, TypeError, "fabrication_grid must be a number in integer nanometers, got True"),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build(grid)
+        grid = build(np.int64(10)).fabrication_grid
+        assert grid == 10 and type(grid) is int
+
 
 class TestFractions:
     def test_linear_ratio_exact(self):
@@ -344,13 +374,13 @@ class TestCounting:
     def test_full_zone_census(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 10_000_000, 10_000_000))
         # 2891 rows of 2500 cells: 1446 even, 1445 odd.
-        assert [(a.cols, a.rows) for a in lattice_arrays(zone)] == [(2500, 1446), (2500, 1445)]
+        assert [(a.cols, a.rows) for a in lattice_arrays(zone, 10)] == [(2500, 1446), (2500, 1445)]
         assert census(zone) == 7_227_500
 
     def test_crop_census(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
         # 29 rows of 25 cells: 15 even, 14 odd.
-        assert [(a.cols, a.rows) for a in lattice_arrays(zone)] == [(25, 15), (25, 14)]
+        assert [(a.cols, a.rows) for a in lattice_arrays(zone, 10)] == [(25, 15), (25, 14)]
         assert census(zone) == 725
 
     def test_census_matches_brute_force(self):
@@ -505,7 +535,7 @@ class TestIntegerGeometry:
             ("fabrication_grid(pitch)", big + 1),
         ]
         # A single cell whose lattice vectors exceed 64 bits.
-        (even,) = lattice_arrays(Zone(HoneycombSpec(pitch=big, wall=400, height=4000), Rect(0, 0, 10, 10)))
+        (even,) = lattice_arrays(Zone(HoneycombSpec(pitch=big, wall=400, height=4000), Rect(0, 0, 10, 10)), 10)
         assert even.col_vector == (big, 0)
         assert even.centers().tolist() == [[0, 0]]
 
@@ -513,7 +543,7 @@ class TestIntegerGeometry:
 class TestLatticeArrays:
     def test_even_and_odd_row_arrays(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
-        even, odd = lattice_arrays(zone)
+        even, odd = lattice_arrays(zone, 10)
         assert even == LatticeArray(3000, (0, 0), 25, 15, (4000, 0), (0, 6920))
         assert odd == LatticeArray(3000, (2000, 3460), 25, 14, (4000, 0), (0, 6920))
 
@@ -540,7 +570,7 @@ class TestLatticeArrays:
 
     def test_row_major_ordering(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 30_000, 30_000))
-        for array in lattice_arrays(zone):
+        for array in lattice_arrays(zone, 10):
             centers = array.centers()
             ys = centers[:, 1]
             assert (np.diff(ys) >= 0).all()
@@ -557,10 +587,10 @@ class TestLatticeArrays:
     def test_odd_pitch_needs_no_offset_without_odd_rows(self):
         spec = HoneycombSpec(pitch=4001, wall=401, height=4000)
         single_row = Zone(spec=spec, extent=Rect(0, 0, 20_000, 3000))
-        (array,) = lattice_arrays(single_row)
+        (array,) = lattice_arrays(single_row, 10)
         assert (array.cols, array.rows) == (5, 1)
         with pytest.raises(ValueError, match="even pitch"):
-            lattice_arrays(Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000)))
+            lattice_arrays(Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000)), 10)
 
 
 MODULES = [
@@ -666,25 +696,26 @@ class TestDesignRules:
         assert "min_wall" in str(violations[0])
 
     def test_row_pitch_checked_as_written(self):
-        # Odd rows are written one row pitch up, snapped to the 10 nm layout
-        # grid: 3460 nm for a 4000 nm pitch, off a 40 nm fabrication grid.
+        # Odd rows are written one row pitch up, snapped to the layout's own
+        # grid: 3460 nm for a 4000 nm pitch on 10 nm, 3480 nm on 40 nm.  It
+        # lies on the rules' grid exactly when the layout carries that grid.
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 20_000, 20_000))
-        assert lattice_arrays(zone)[1].origin == (2000, 3460)
-        violations = check_design_rules(zone, DesignRules(fabrication_grid=40))
-        assert [(v.rule, v.value, v.limit, v.subject) for v in violations] == [
-            ("fabrication_grid(row_pitch)", 3460, 40, "zone@(0,0)nm")
-        ]
-        # A bare spec has no written rows; grids dividing 3460 nm pass.
-        assert check_design_rules(WIDE, DesignRules(fabrication_grid=40)) == []
-        for grid in (5, 20):
-            assert check_design_rules(zone, DesignRules(fabrication_grid=grid)) == []
+        assert lattice_arrays(zone, 10)[1].origin == (2000, 3460)
+        assert lattice_arrays(zone, 40)[1].origin == (2000, 3480)
+        layout = Layout(zones=(zone,), fabrication_grid=40)
+        assert check_design_rules(layout, DesignRules(fabrication_grid=40)) == []
+        # A bare zone is written on the default 10 nm grid, off a 40 nm one.
+        for target, grid, rules_grid in ((zone, 10, 40), (layout, 40, 10), (layout, 40, 20)):
+            assert [
+                str(v) for v in check_design_rules(target, DesignRules(fabrication_grid=rules_grid))
+            ] == [f"layout: fabrication_grid(layout): value {grid} violates limit {rules_grid}"]
 
     def test_half_pitch_checked_against_the_grid(self):
         # Odd rows start half a pitch right: 2005 nm for a 4010 nm pitch,
         # off the 10 nm grid that the pitch itself is on.
         spec = HoneycombSpec(pitch=4010, wall=400, height=4000)
         zone = Zone(spec=spec, extent=Rect(0, 0, 20_000, 20_000))
-        assert lattice_arrays(zone)[1].origin == (2005, 3470)
+        assert lattice_arrays(zone, 10)[1].origin == (2005, 3470)
         assert [str(v) for v in check_design_rules(spec)] == [
             "spec: fabrication_grid(half_pitch): value 2005 violates limit 10"
         ]
@@ -700,16 +731,18 @@ class TestDesignRules:
         for grid in (5, 10, 20, 40, 400):
             assert check_design_rules(FINE, DesignRules(min_wall=1, fabrication_grid=grid)) == []
 
-    def test_collapsed_row_pitch_is_a_violation(self):
-        # A 4 nm pitch has no row pitch on the 10 nm layout grid, so no
-        # writer accepts the zone; the check reports it instead of raising.
+    def test_collapsed_row_pitch_is_refused(self):
+        # A 4 nm pitch has no row pitch on the default 10 nm grid, so no
+        # writer accepts the zone, and the check refuses the grid it is on.
         tiny = Zone(HoneycombSpec(pitch=4, wall=1, height=10), Rect(0, 0, 100, 100))
         with pytest.raises(ValueError, match="collapses to zero"):
-            lattice_arrays(tiny)
+            lattice_arrays(tiny, 10)
         lax = DesignRules(min_wall=1, fabrication_grid=1)
         assert [str(v) for v in check_design_rules(tiny, lax)] == [
-            "zone@(0,0)nm: fabrication_grid(row_pitch): value 0 violates limit 1"
+            "layout: fabrication_grid(layout): value 10 violates limit 1"
         ]
+        assert lattice_arrays(tiny, 1)[1].origin == (2, 3)
+        assert check_design_rules(Layout(zones=(tiny,), fabrication_grid=1), lax) == []
 
     def test_custom_rules(self):
         lax = DesignRules(min_wall=100, max_aspect_ratio=50.0, max_height=20_000)

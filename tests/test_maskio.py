@@ -464,7 +464,7 @@ class TestRoundTrip:
         zone = Zone(spec=WIDE, extent=CROP)
         geometry = read_gdsii(write_gdsii(zone, mode="flat"))
         count = sum(len(block) for _, _, block in geometry.cells["TOP"].runs)
-        assert count == sum(a.cols * a.rows for a in lattice_arrays(zone)) == 725
+        assert count == sum(a.cols * a.rows for a in lattice_arrays(zone, 10)) == 725
 
     def test_two_zone_modes_expand_identically(self):
         crop_layout = Layout(
@@ -520,7 +520,7 @@ class TestRoundTrip:
         assert len(rects) == 1
         assert len(rects[0]) == 4
         assert rects[0][:, 0].max() == 20_000
-        assert len(openings) == sum(a.cols * a.rows for a in lattice_arrays(zone))
+        assert len(openings) == sum(a.cols * a.rows for a in lattice_arrays(zone, 10))
 
     def test_custom_layer_round_trips(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
