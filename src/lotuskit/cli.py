@@ -68,16 +68,10 @@ from lotuskit.lattice import (
     monte_carlo_fraction,
     square_pillar_fraction,
 )
-from lotuskit.reference import ValidationReport, build_validation_report, reference_two_zone_layout
+from lotuskit.reference import build_validation_report, reference_two_zone_layout
 from lotuskit.wetting import Droplet, cassie_apparent_angle
 
-__all__ = [
-    "ProjectConfig",
-    "ValidationReport",
-    "load_config",
-    "main",
-    "run",
-]
+__all__ = ["main", "run"]
 
 _UL_TO_M3 = 1e-9  # 1 microliter = 1e-9 cubic meters
 _MM_TO_M = 1e-3

@@ -65,6 +65,13 @@ __all__ = [
 ]
 
 
+# Data type bytes.
+DATA_NONE = 0x00
+DATA_INT16 = 0x02
+DATA_INT32 = 0x03
+DATA_REAL8 = 0x05
+DATA_ASCII = 0x06
+
 # Record type bytes (the subset this toolkit emits and accepts).
 HEADER = 0x00
 BGNLIB = 0x01
@@ -84,32 +91,26 @@ ENDEL = 0x11
 SNAME = 0x12
 COLROW = 0x13
 
+# Each record type's name and the data type its payload is encoded in.
 RECORD_NAMES = {
-    HEADER: "HEADER",
-    BGNLIB: "BGNLIB",
-    LIBNAME: "LIBNAME",
-    UNITS: "UNITS",
-    ENDLIB: "ENDLIB",
-    BGNSTR: "BGNSTR",
-    STRNAME: "STRNAME",
-    ENDSTR: "ENDSTR",
-    BOUNDARY: "BOUNDARY",
-    SREF: "SREF",
-    AREF: "AREF",
-    LAYER: "LAYER",
-    DATATYPE: "DATATYPE",
-    XY: "XY",
-    ENDEL: "ENDEL",
-    SNAME: "SNAME",
-    COLROW: "COLROW",
+    HEADER: ("HEADER", DATA_INT16),
+    BGNLIB: ("BGNLIB", DATA_INT16),
+    LIBNAME: ("LIBNAME", DATA_ASCII),
+    UNITS: ("UNITS", DATA_REAL8),
+    ENDLIB: ("ENDLIB", DATA_NONE),
+    BGNSTR: ("BGNSTR", DATA_INT16),
+    STRNAME: ("STRNAME", DATA_ASCII),
+    ENDSTR: ("ENDSTR", DATA_NONE),
+    BOUNDARY: ("BOUNDARY", DATA_NONE),
+    SREF: ("SREF", DATA_NONE),
+    AREF: ("AREF", DATA_NONE),
+    LAYER: ("LAYER", DATA_INT16),
+    DATATYPE: ("DATATYPE", DATA_INT16),
+    XY: ("XY", DATA_INT32),
+    ENDEL: ("ENDEL", DATA_NONE),
+    SNAME: ("SNAME", DATA_ASCII),
+    COLROW: ("COLROW", DATA_INT16),
 }
-
-# Data type bytes.
-DATA_NONE = 0x00
-DATA_INT16 = 0x02
-DATA_INT32 = 0x03
-DATA_REAL8 = 0x05
-DATA_ASCII = 0x06
 
 _MAX_PAYLOAD = 0xFFFF - 4  # record length field is uint16 and counts its header
 
@@ -138,7 +139,9 @@ class GdsParseError(ValueError):
 
 
 def record_name(record_type: int) -> str:
-    return RECORD_NAMES.get(record_type, f"0x{record_type:02X}")
+    if record_type in RECORD_NAMES:
+        return RECORD_NAMES[record_type][0]
+    return f"0x{record_type:02X}"
 
 
 def encode_real8(value: float) -> bytes:

@@ -153,7 +153,7 @@ class GradientDesign:
 
     columns: tuple[tuple[int, int], ...]
     spec: GradientSpec
-    fabrication_grid: int = 10
+    fabrication_grid: int = DEFAULT_RULES.fabrication_grid
     fractions: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -280,7 +280,7 @@ def wall_for_fraction(
     target_fraction: float,
     pitch: int,
     measure: Measure = Measure.AREA_FRACTION,
-    fabrication_grid: int = 10,
+    fabrication_grid: int = DEFAULT_RULES.fabrication_grid,
 ) -> int:
     """Wall thickness (nm) whose pattern realizes a target solid fraction.
 
@@ -572,6 +572,8 @@ def simulate_droplet(
     ------
     FootprintError
         If the droplet does not fit at its initial position.
+    ValueError
+        If a step is too small to change the position it is added to.
     """
     if step is None:
         step = design.spec.pitch * _M_PER_NM
@@ -592,6 +594,10 @@ def simulate_droplet(
             terminal = TerminalReason.FORCE_BALANCE
         else:
             next_position = position + math.copysign(step, state.net_force)
+            if next_position == position:
+                raise ValueError(
+                    f"step {step!r} m does not move the droplet from {position!r} m"
+                )
             try:
                 next_state = solver.solve(next_position)
             except FootprintError:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
@@ -72,9 +73,16 @@ __all__ = [
 #: Side length of one layout zone in the standard two-zone arrangement: 10 mm.
 ZONE_SIDE_NM = 10_000_000
 
+#: Default fabrication grid, nm, of the design rules and of every target.
+_DEFAULT_GRID_NM = 10
+
 #: Monte Carlo work unit.  Fixed so that the estimate for a given
 #: (samples, seed) is bitwise identical no matter how many workers run.
 _MC_CHUNK = 1 << 18
+
+#: Monte Carlo chunks in flight per worker: bounds the pending work, whatever
+#: the sample count, and lets 16 chunks (4e6 samples) start at once.
+_MC_WINDOW = 16
 
 
 def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
@@ -192,7 +200,7 @@ class Layout:
 
     zones: tuple[Zone, ...]
     label: str = ""
-    fabrication_grid: int = 10
+    fabrication_grid: int = _DEFAULT_GRID_NM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zones", tuple(self.zones))
@@ -228,7 +236,7 @@ class DesignRules:
     min_wall: int = 400
     max_aspect_ratio: float = 10.0
     max_height: int = 4000
-    fabrication_grid: int = 10
+    fabrication_grid: int = _DEFAULT_GRID_NM
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_wall", _as_int_nm(self.min_wall, "min_wall"))
@@ -394,6 +402,7 @@ def monte_carlo_fraction(
         bitwise identical regardless of ``workers``: work is split into
         fixed-size chunks, each with a generator derived from
         (seed, chunk_index), and chunk counts are summed in index order.
+        At most ``16 * workers`` chunks are submitted and not yet counted.
     workers:
         Number of worker threads classifying chunks concurrently.
 
@@ -413,16 +422,18 @@ def monte_carlo_fraction(
     except OverflowError:
         raise ValueError(f"pitch {spec.pitch} nm is beyond the float range") from None
 
-    chunk_sizes = [
-        min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)
-    ]
+    def count(index: int) -> int:
+        size = min(_MC_CHUNK, samples - index * _MC_CHUNK)
+        return _mc_chunk_solid_count(spec, index, size, seed)
+
+    solid = 0
+    pending = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        solid = sum(
-            pool.map(
-                lambda item: _mc_chunk_solid_count(spec, item[0], item[1], seed),
-                enumerate(chunk_sizes),
-            )
-        )
+        for index in range(-(-samples // _MC_CHUNK)):
+            if len(pending) == _MC_WINDOW * workers:
+                solid += pending.popleft().result()
+            pending.append(pool.submit(count, index))
+        solid += sum(future.result() for future in pending)
     estimate = solid / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return estimate, std_error

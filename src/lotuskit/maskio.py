@@ -54,6 +54,7 @@ from lotuskit.gdsii import (
     HEADER,
     LAYER,
     LIBNAME,
+    RECORD_NAMES,
     SNAME,
     SREF,
     STRNAME,
@@ -491,7 +492,10 @@ def _expect(record: Record, wanted: int) -> Record:
 
 
 class _RecordCursor:
-    """Strict record walk over a stream that can skip past decoded bytes."""
+    """Strict record walk over a stream that can skip past decoded bytes.
+
+    Every record it returns carries its type's data type.
+    """
 
     def __init__(self, data: bytes):
         self.data = data
@@ -505,6 +509,14 @@ class _RecordCursor:
             raise GdsParseError(
                 f"unexpected end of stream while reading {context}", len(self.data)
             ) from None
+        # A type with no entry is refused by the reader's grammar instead.
+        _, expected = RECORD_NAMES.get(record.record_type, (None, record.data_type))
+        if record.data_type != expected:
+            raise GdsParseError(
+                f"data type 0x{record.data_type:02X}, expected 0x{expected:02X}",
+                record.offset,
+                record.record_type,
+            )
         self.end = record.offset + 4 + len(record.payload)
         return record
 
@@ -542,6 +554,10 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     if len(units) != 2:
         raise GdsParseError(
             f"UNITS must carry 2 reals, found {len(units)}", units_record.offset, UNITS
+        )
+    if min(units) <= 0.0:
+        raise GdsParseError(
+            f"UNITS must be positive, got {units!r}", units_record.offset, UNITS
         )
 
     cells: dict[str, MaskCell] = {}
@@ -640,9 +656,9 @@ def _boundary_run(
 
     The element at ``start`` has been parsed strictly.  Every following
     element whose bytes outside the XY payload equal that element's passes
-    every framing, record-type, LAYER, DATATYPE and point-count check
-    identically, so only closure is left to test, and it is tested on the
-    whole run at once; the first unclosed element raises the record walk's
+    every framing, record-type, data-type, LAYER, DATATYPE and point-count
+    check identically, so only closure is left to test, and it is tested on
+    the whole run at once; the first unclosed element raises the record walk's
     error at its XY record.  The run ends at the first element that
     differs, which the record walk then parses.  Returns the run's
     ``(n, k, 2)`` points block, ``first``'s open points included; when the

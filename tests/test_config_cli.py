@@ -746,6 +746,21 @@ class TestCliSimulate:
         assert "terminal_reason" not in captured.out
         assert "step must be a finite length" in captured.err
 
+    def test_step_that_does_not_move_is_a_domain_error(self, capsys, tmp_path):
+        csv_path = tmp_path / "t.csv"
+        code = run(
+            ["simulate", "--length-nm", "10000000", "--f-start", "0.19",
+             "--f-end", "0.4375", "--step-nm", "1e-10", "--max-steps", "5",
+             "--csv", str(csv_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: step 1.0000000000000001e-19 m does not move the droplet from 0.001 m\n"
+        )
+        assert not csv_path.exists()
+
 
 # --------------------------------------------------------------------------
 # Export

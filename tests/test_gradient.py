@@ -496,6 +496,13 @@ class TestSimulateDroplet:
         with pytest.raises(ValueError, match="finite"):
             simulate_droplet(design, droplet, WATER, step=step)
 
+    def test_step_below_the_float_spacing_is_refused(self):
+        design = reference_gradient()
+        droplet = Droplet(volume=1.1e-9, position=1e-3)
+        with pytest.raises(ValueError) as excinfo:
+            simulate_droplet(design, droplet, WATER, step=1e-19, max_steps=5)
+        assert str(excinfo.value) == "step 1e-19 m does not move the droplet from 0.001 m"
+
     def test_records_carry_footprint_and_retention(self):
         design = reference_gradient()
         droplet = Droplet(volume=1.1e-9, position=1e-3)

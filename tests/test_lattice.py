@@ -9,6 +9,7 @@ import importlib
 import math
 import pkgutil
 import re
+from concurrent.futures import Executor, Future
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,51 @@ class TestMonteCarlo:
         # The benchmark's mc_w1/mc_w2 input: 4e6 samples on the 400 nm wall.
         estimate, _ = monte_carlo_fraction(FINE, 4_000_000, seed=0, workers=workers)
         assert estimate == 0.18992425
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_pending_chunks_do_not_grow_with_samples(self, workers, monkeypatch):
+        peaks = []
+
+        class LazyFuture(Future):
+            """Runs its chunk when its count is first asked for."""
+
+            def __init__(self, executor, fn, args):
+                super().__init__()
+                self.executor, self.call = executor, (fn, args)
+
+            def result(self, timeout=None):
+                if not self.done():
+                    fn, args = self.call
+                    self.set_result(fn(*args))
+                    self.executor.pending -= 1
+                return super().result(timeout)
+
+        class CountingExecutor(Executor):
+            def __init__(self, max_workers):
+                self.pending = 0
+
+            def submit(self, fn, /, *args):
+                self.pending += 1
+                peaks[-1] = max(peaks[-1], self.pending)
+                return LazyFuture(self, fn, args)
+
+        calls = []
+
+        def fake_count(spec, chunk_index, chunk_samples, seed):
+            calls.append((chunk_index, chunk_samples))
+            return chunk_samples
+
+        monkeypatch.setattr(lattice, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(lattice, "_mc_chunk_solid_count", fake_count)
+        for chunks in (16, 100, 1000):
+            peaks.append(0)
+            calls.clear()
+            samples = chunks * lattice._MC_CHUNK - 5
+            assert monte_carlo_fraction(FINE, samples, seed=0, workers=workers) == (1.0, 0.0)
+            assert calls == [(k, lattice._MC_CHUNK) for k in range(chunks - 1)] + [
+                (chunks - 1, lattice._MC_CHUNK - 5)
+            ]
+        assert peaks == [16, 16 * workers, 16 * workers]
 
 
 class TestMonteCarloKernel:

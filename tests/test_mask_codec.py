@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from lotuskit.cli import run
-from lotuskit.gdsii import GdsParseError
+from lotuskit.gdsii import RECORD_NAMES, GdsParseError, iter_records
 from lotuskit.lattice import HoneycombSpec, Layout, Rect, Zone
 from lotuskit.maskio import (
     MaskCell,
@@ -422,7 +422,7 @@ class TestLongRunStrictness:
             (0, 0x09, "(0x09): unexpected 0x09 inside structure 'TOP'"),
             (4, 0x0E, "(DATATYPE): expected LAYER, found DATATYPE"),
             (10, 0x0D, "(LAYER): expected DATATYPE, found LAYER"),
-            (16, 0x11, "(ENDEL): expected XY, found ENDEL"),
+            (16, 0x11, "(ENDEL): data type 0x03, expected 0x00"),
             (76, 0x07, "(ENDSTR): expected ENDEL, found ENDSTR"),
         ],
     )
@@ -434,10 +434,21 @@ class TestLongRunStrictness:
         assert str(error) == f"offset {offset} {message}"
 
     @pytest.mark.parametrize("k", RUN_INDICES)
-    def test_changed_data_type_is_tolerated_like_before(self, k):
-        # The reader never checked data-type bytes; a run must not either.
-        geometry = read_gdsii(corrupted(k, 7, b"\x03"))
-        assert len(own_polygons(geometry.cells["TOP"])) == RUN_LENGTH
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            (0, "(BOUNDARY): data type 0x06, expected 0x00"),
+            (4, "(LAYER): data type 0x06, expected 0x02"),
+            (10, "(DATATYPE): data type 0x06, expected 0x02"),
+            (16, "(XY): data type 0x06, expected 0x03"),
+            (76, "(ENDEL): data type 0x06, expected 0x00"),
+        ],
+    )
+    def test_changed_data_type(self, k, position, message):
+        error = parse_error(corrupted(k, position + 3, b"\x06"))
+        offset = element_offset(k) + position
+        assert error.offset == offset
+        assert str(error) == f"offset {offset} {message}"
 
     @pytest.mark.parametrize("k", RUN_INDICES)
     @pytest.mark.parametrize(
@@ -524,6 +535,37 @@ def test_units_error_reports_the_units_record_offset():
     error = parse_error(data)
     assert error.offset == 44
     assert str(error) == "offset 44 (UNITS): UNITS must carry 2 reals, found 1"
+    # 0.0 and -1.0 as excess-64 reals.
+    data = library(structure("TOP"))
+    data = data[:48] + bytes.fromhex("0000000000000000c110000000000000") + data[64:]
+    error = parse_error(data)
+    assert error.offset == 44
+    assert str(error) == "offset 44 (UNITS): UNITS must be positive, got (0.0, -1.0)"
+
+
+def test_every_record_kind_refuses_a_wrong_data_type():
+    written = write_gdsii(Zone(HoneycombSpec(4000, 1000, 4000), Rect(0, 0, 20000, 20000)))
+    with_sref = library(
+        structure("C", boundary(1, 0, rectangle(0, 0, 9, 9))),
+        structure("TOP", sref("C", 0, 0)),
+    )
+    checked = set()
+    for data in (written, with_sref):
+        kinds = {}
+        for rec in iter_records(data):
+            kinds.setdefault(rec.record_type, rec)
+        for rec in kinds.values():
+            wrong = 0x02 if rec.data_type == 0x06 else 0x06
+            changed = bytearray(data)
+            changed[rec.offset + 3] = wrong
+            error = parse_error(bytes(changed))
+            assert error.offset == rec.offset
+            assert str(error) == (
+                f"offset {rec.offset} ({rec.name}): "
+                f"data type 0x{wrong:02X}, expected 0x{rec.data_type:02X}"
+            )
+        checked |= kinds.keys()
+    assert checked == RECORD_NAMES.keys()
 
 
 # --------------------------------------------------------------------------

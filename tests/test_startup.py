@@ -4,6 +4,8 @@ Every ``lotus`` command is a fresh interpreter, so what it imports is part
 of its run time.  Only the commands that build arrays (export, design,
 Monte Carlo fractions, the GDSII read-back) may load numpy; the scalar
 commands must start and run without it, and without the mask codec.
+``import lotuskit`` itself loads no submodule until one of its names is
+used.
 """
 
 import json
@@ -84,3 +86,28 @@ def test_array_commands_still_load_numpy(tmp_path):
             (0, False),
             (0, True),
         ], argv
+
+
+def test_package_import_loads_no_submodule():
+    probe = textwrap.dedent(
+        """
+        import json, sys
+        import lotuskit
+        def loaded():
+            return sorted(m for m in sys.modules if m == "numpy" or m.startswith("lotuskit."))
+        seen = [loaded()]
+        lotuskit.cassie_apparent_angle(0.19, 81.0)
+        seen.append(loaded())
+        seen.append(sorted(set(lotuskit.__all__) - set(dir(lotuskit))))
+        print(json.dumps(seen))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(result.stdout) == [[], ["lotuskit.wetting"], []]
