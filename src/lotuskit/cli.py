@@ -444,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pillar-spacing", type=int, default=None, help="square pillar gap, integer nm")
     p.add_argument("--mc-samples", type=int, default=None, help="also run a Monte Carlo check with this many samples")
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
-    p.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads (result is identical)")
+    p.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads, at most one per CPU (result is identical)")
     p.set_defaults(handler=_cmd_fraction)
 
     p = sub.add_parser("design", help="build layouts and print their summaries")

@@ -143,15 +143,15 @@ class GradientSpec:
 
 @dataclass(frozen=True)
 class GradientDesign:
-    """A realized gradient: one (x-position, wall) pair per lattice column.
+    """A realized gradient: ``columns[k]`` is the wall of lattice column k.
 
     Columns are pitch-wide strips starting at x = 0, so column k spans
-    ``[k*pitch, (k+1)*pitch)`` nm and carries a single wall thickness.  Walls
-    are integer nanometers, snapped to the fabrication grid, inside
-    (0, pitch), and monotone whenever the requested fraction ramp is monotone.
+    ``[k*pitch, (k+1)*pitch)`` nm; no x coordinate is stored.  Walls are
+    integer nanometers, snapped to the fabrication grid, inside (0, pitch),
+    and monotone whenever the requested fraction ramp is monotone.
     """
 
-    columns: tuple[tuple[int, int], ...]
+    columns: tuple[int, ...]
     spec: GradientSpec
     fabrication_grid: int = DEFAULT_RULES.fabrication_grid
     fractions: tuple[float, ...] = field(init=False, repr=False)
@@ -160,17 +160,9 @@ class GradientDesign:
         object.__setattr__(
             self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
         )
-        columns = tuple(self.columns)
-        if not columns:
-            raise ValueError("a gradient design needs at least one column")
         pitch = self.spec.pitch
         walls = []
-        for index, (x_nm, wall) in enumerate(columns):
-            if x_nm != index * pitch:
-                raise ValueError(
-                    f"column {index} must start at {index * pitch} nm "
-                    f"(one column per pitch), got {x_nm!r}"
-                )
+        for index, wall in enumerate(self.columns):
             wall = _as_int_nm(wall, f"column {index} wall")
             if wall >= pitch:
                 raise ValueError(
@@ -182,8 +174,9 @@ class GradientDesign:
                     f"{self.fabrication_grid} nm fabrication grid"
                 )
             walls.append(wall)
-        columns = tuple((index * pitch, wall) for index, wall in enumerate(walls))
-        object.__setattr__(self, "columns", columns)
+        if not walls:
+            raise ValueError("a gradient design needs at least one column")
+        object.__setattr__(self, "columns", tuple(walls))
         if self.spec.f_start < self.spec.f_end:
             if any(b < a for a, b in zip(walls, walls[1:])):
                 raise ValueError("walls must be non-decreasing for a rising ramp")
@@ -218,10 +211,14 @@ class GradientDesign:
         """Index of the column containing position ``x_m`` (meters).
 
         Positions are quantized to the 1 nm geometry grid before lookup;
-        ``x = length`` maps to the last column.
+        ``x = length`` maps to the last column.  A position that is not
+        finite in nanometers lies outside the design.
         """
-        x_nm = round(x_m * _NM_PER_M)
-        if x_nm < 0 or x_nm > self.length_nm:
+        try:
+            x_nm = round(x_m * _NM_PER_M)
+        except (OverflowError, ValueError):  # infinite, NaN or beyond the float range
+            x_nm = math.nan
+        if not 0 <= x_nm <= self.length_nm:
             raise ValueError(
                 f"position {x_m!r} m lies outside the design "
                 f"[0, {self.length_m!r}] m"
@@ -363,11 +360,8 @@ def design_linear_gradient(
     if violations:
         raise _violation_error("gradient", list(violations.values()))
 
-    columns = tuple(
-        (index * spec.pitch, wall) for index, wall in enumerate(walls)
-    )
     return GradientDesign(
-        columns=columns, spec=spec, fabrication_grid=rules.fabrication_grid
+        columns=tuple(walls), spec=spec, fabrication_grid=rules.fabrication_grid
     )
 
 

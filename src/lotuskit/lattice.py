@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -404,7 +405,9 @@ def monte_carlo_fraction(
         (seed, chunk_index), and chunk counts are summed in index order.
         At most ``16 * workers`` chunks are submitted and not yet counted.
     workers:
-        Number of worker threads classifying chunks concurrently.
+        Number of chunks classified concurrently, by at most one worker
+        thread per CPU (``os.cpu_count()``): each running thread holds
+        several megabytes of temporaries.
 
     Returns
     -------
@@ -428,7 +431,7 @@ def monte_carlo_fraction(
 
     solid = 0
     pending = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         for index in range(-(-samples // _MC_CHUNK)):
             if len(pending) == _MC_WINDOW * workers:
                 solid += pending.popleft().result()

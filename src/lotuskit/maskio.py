@@ -258,13 +258,14 @@ def _as_layout(target: Union[Layout, Zone]) -> Layout:
     )
 
 
-def _column_zone(design: GradientDesign, x_nm: int, wall: int) -> Zone:
-    """A design column ``[x, x + pitch) x [0, lateral_width)`` as a zone."""
+def _first_column_arrays(design: GradientDesign) -> list[LatticeArray]:
+    """The lattice arrays of column 0, ``[0, pitch) x [0, lateral_width)``."""
     spec = design.spec
-    return Zone(
-        spec=HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height),
-        extent=Rect(x_nm, 0, spec.pitch, spec.lateral_width),
+    zone = Zone(
+        spec=HoneycombSpec(pitch=spec.pitch, wall=design.columns[0], height=spec.height),
+        extent=Rect(0, 0, spec.pitch, spec.lateral_width),
     )
+    return lattice_arrays(zone, design.fabrication_grid)
 
 
 def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
@@ -276,13 +277,12 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
     0's shifted by ``k * pitch`` with its own comb.
     """
     if isinstance(target, GradientDesign):
-        pitch, grid = target.spec.pitch, target.fabrication_grid
-        first = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
+        pitch, first = target.spec.pitch, _first_column_arrays(target)
         arrays = [
             replace(
                 array, comb=pitch - wall, origin=(array.origin[0] + k * pitch, array.origin[1])
             )
-            for k, (_, wall) in enumerate(target.columns)
+            for k, wall in enumerate(target.columns)
             for array in first
         ]
         return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
@@ -859,8 +859,7 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
         spec = target.spec
         # Every column has column 0's arrays, and a pitch-wide column has an
         # odd-row array whenever it has odd rows.
-        grid = target.fabrication_grid
-        column = lattice_arrays(_column_zone(target, *target.columns[0]), grid)
+        column = _first_column_arrays(target)
         return {
             "kind": "gradient",
             "material": material.name,
@@ -871,11 +870,11 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             "length_nm": target.length_nm,
             "lateral_width_nm": spec.lateral_width,
             "height_nm": spec.height,
-            "row_pitch_nm": row_pitch(spec.pitch, grid),
+            "row_pitch_nm": row_pitch(spec.pitch, target.fabrication_grid),
             "lattice_rows": sum(array.rows for array in column),
             "total_cells": target.n_columns * sum(a.cols * a.rows for a in column),
-            "wall_start_nm": target.columns[0][1],
-            "wall_end_nm": target.columns[-1][1],
+            "wall_start_nm": target.columns[0],
+            "wall_end_nm": target.columns[-1],
             "fraction_start": target.fractions[0],
             "fraction_end": target.fractions[-1],
             "cassie_angle_start_deg": cassie_apparent_angle(target.fractions[0], theta),

@@ -4,12 +4,13 @@ import itertools
 import json
 import shlex
 import struct
+import sys
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import pytest
 
-from lotuskit.cli import run
+from lotuskit.cli import main, run
 from lotuskit.config import (
     ConfigError,
     ProjectConfig,
@@ -408,6 +409,24 @@ class TestCliBasics:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["angle", "--f", "0.19", "--theta", "81"], 0),
+            (["angle", "--f", "1.5", "--theta", "81"], 1),
+            (["angle"], 2),
+        ],
+        ids=["ok", "domain-error", "usage-error"],
+    )
+    def test_main_exits_with_the_code_of_run(self, argv, code, monkeypatch, capsys):
+        # main() is the ``lotus`` console script: it reads sys.argv past the
+        # program name and hands run()'s code to sys.exit.
+        monkeypatch.setattr(sys, "argv", ["lotus", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code
         capsys.readouterr()
 
 

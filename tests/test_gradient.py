@@ -81,13 +81,12 @@ class TestWallForFraction:
         # A design's fractions are w/p or 2q - q^2 in exact rationals,
         # rounded once, and wall_for_fraction maps each back to its wall.
         walls = range(400, 1001, 10)
-        columns = tuple((4000 * k, wall) for k, wall in enumerate(walls))
         for measure in Measure:
             spec = GradientSpec(
                 length=4000 * len(walls), lateral_width=4000, pitch=4000,
                 f_start=0.1, f_end=0.4, measure=measure,
             )
-            design = GradientDesign(columns=columns, spec=spec)
+            design = GradientDesign(columns=tuple(walls), spec=spec)
             for wall, fraction in zip(walls, design.fractions):
                 q = Fraction(wall, 4000)
                 exact = q if measure is Measure.LINEAR_RATIO else 2 * q - q * q
@@ -119,13 +118,19 @@ class TestDesignLinearGradient:
     def test_column_census_and_endpoints(self):
         design = reference_gradient()
         assert design.n_columns == 2500
-        assert design.columns[0] == (0, 400)
-        assert design.columns[-1] == (2499 * 4000, 1000)
+        assert design.columns[0] == 400
+        assert design.columns[-1] == 1000
         assert design.length_nm == 10_000_000
+
+    def test_columns_are_one_int_wall_per_column(self):
+        """``lotusbench/tracer.py:64`` counts a design's columns as ``len(columns)``."""
+        design = reference_gradient()
+        assert len(design.columns) == design.n_columns == 2500
+        assert all(type(wall) is int for wall in design.columns)
 
     def test_walls_monotone_for_monotone_ramp(self):
         design = reference_gradient()
-        walls = [wall for _, wall in design.columns]
+        walls = design.columns
         assert all(b >= a for a, b in zip(walls, walls[1:]))
 
     def test_single_column_design(self):
@@ -135,7 +140,7 @@ class TestDesignLinearGradient:
         )
         design = design_linear_gradient(spec)
         assert design.n_columns == 1
-        assert design.columns[0] == (0, 1000)
+        assert design.columns == (1000,)
 
     def test_rule_violations_rejected_exhaustively(self):
         spec = GradientSpec(
@@ -152,7 +157,7 @@ class TestDesignLinearGradient:
         )
         lax = DesignRules(min_wall=100, max_aspect_ratio=50.0)
         design = design_linear_gradient(spec, lax)
-        assert design.columns[0][1] == 200
+        assert design.columns[0] == 200
 
     def test_off_grid_pitch_and_height_rejected(self):
         spec = GradientSpec(
@@ -210,10 +215,8 @@ class TestDesignLinearGradient:
             length=8000, lateral_width=100_000, pitch=4000,
             f_start=0.1, f_end=0.2, measure=Measure.LINEAR_RATIO,
         )
-        with pytest.raises(ValueError, match="column 1"):
-            GradientDesign(columns=((0, 400), (4001, 800)), spec=spec)
         with pytest.raises(ValueError, match="non-decreasing"):
-            GradientDesign(columns=((0, 800), (4000, 400)), spec=spec)
+            GradientDesign(columns=(800, 400), spec=spec)
 
     @pytest.mark.parametrize(
         "walls, f_end, message",
@@ -231,9 +234,8 @@ class TestDesignLinearGradient:
             length=8000, lateral_width=100_000, pitch=4000,
             f_start=0.1, f_end=f_end, measure=Measure.LINEAR_RATIO,
         )
-        columns = tuple((4000 * k, wall) for k, wall in enumerate(walls))
         with pytest.raises(ValueError) as excinfo:
-            GradientDesign(columns=columns, spec=spec)
+            GradientDesign(columns=walls, spec=spec)
         assert str(excinfo.value) == message
 
     def test_numpy_integer_walls_are_stored_as_ints(self):
@@ -241,14 +243,10 @@ class TestDesignLinearGradient:
             length=8000, lateral_width=100_000, pitch=4000,
             f_start=0.1, f_end=0.2, measure=Measure.LINEAR_RATIO,
         )
-        design = GradientDesign(
-            columns=((np.int64(0), np.int64(400)), (4000, np.int32(800))), spec=spec
-        )
-        assert design.columns == ((0, 400), (4000, 800))
-        assert all(type(value) is int for column in design.columns for value in column)
-        assert design.fractions == GradientDesign(
-            columns=((0, 400), (4000, 800)), spec=spec
-        ).fractions
+        design = GradientDesign(columns=(np.int64(400), np.int32(800)), spec=spec)
+        assert design.columns == (400, 800)
+        assert all(type(wall) is int for wall in design.columns)
+        assert design.fractions == GradientDesign(columns=(400, 800), spec=spec).fractions
 
     def test_spec_lengths_use_the_integer_nm_validator(self):
         def spec(**lengths):
@@ -301,6 +299,24 @@ class TestColumnLookup:
         with pytest.raises(ValueError):
             design.column_index(design.length_m + 1e-9)
 
+    @pytest.mark.parametrize(
+        "x_m",
+        [math.inf, -math.inf, math.nan, 1e300, -(10**400)],
+        ids=["inf", "-inf", "nan", "1e300", "int-401-digits"],
+    )
+    def test_non_finite_and_huge_positions_lie_outside(self, x_m):
+        # x * 1e9 has no finite float value for any of these.
+        design = reference_gradient()
+        message = f"^position {re.escape(repr(x_m))} m lies outside the design "
+        lookups = (
+            design.column_index,
+            design.fraction_at,
+            lambda x: local_apparent_angle(design, x, WATER),
+        )
+        for lookup in lookups:
+            with pytest.raises(ValueError, match=message):
+                lookup(x_m)
+
     def test_local_angle_endpoints(self):
         design = reference_gradient()
         assert local_apparent_angle(design, 0.0, WATER) == pytest.approx(
@@ -352,10 +368,7 @@ class TestNetDrivingForce:
             measure=design.spec.measure,
         )
         mirrored = GradientDesign(
-            columns=tuple(
-                (k * design.spec.pitch, wall)
-                for k, (_, wall) in enumerate(reversed(design.columns))
-            ),
+            columns=design.columns[::-1],
             spec=reversed_spec,
         )
         droplet = Droplet(volume=1.1e-9, position=3.0001e-3)

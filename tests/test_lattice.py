@@ -225,7 +225,7 @@ class TestSpecs:
         "build",
         [
             lambda grid: GradientDesign(
-                columns=((0, 400), (4000, 800)),
+                columns=(400, 800),
                 spec=GradientSpec(
                     length=8000, lateral_width=20000, pitch=4000, f_start=0.19, f_end=0.3
                 ),
@@ -357,6 +357,30 @@ class TestMonteCarlo:
                 (chunks - 1, lattice._MC_CHUNK - 5)
             ]
         assert peaks == [16, 16 * workers, 16 * workers]
+
+    @pytest.mark.parametrize(
+        "cpus, workers, threads",
+        [(2, 1, 1), (2, 2, 2), (2, 8, 2), (2, 1000, 2), (None, 8, 1), (64, 8, 8)],
+    )
+    def test_threads_are_capped_at_the_cpu_count(self, cpus, workers, threads, monkeypatch):
+        # Each running thread holds several megabytes of temporaries, so
+        # --workers 1000 must not start 1000 of them.  The fake pool runs
+        # the chunk at submit and starts no thread.
+        started = []
+
+        class RecordingExecutor(Executor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def submit(self, fn, /, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(lattice.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(lattice, "ThreadPoolExecutor", RecordingExecutor)
+        monte_carlo_fraction(FINE, 1000, seed=0, workers=workers)
+        assert started == [threads]
 
 
 class TestMonteCarloKernel:

@@ -266,7 +266,7 @@ class TestWriteGdsii:
         # Built directly: design_linear_gradient rejects the x.5 half pitch
         # first, and this checks the writers' own message.
         design = GradientDesign(
-            columns=((0, 401), (4001, 601)),
+            columns=(401, 601),
             spec=GradientSpec(
                 length=8002, lateral_width=20_000, pitch=4001,
                 f_start=0.19, f_end=0.3, measure=Measure.AREA_FRACTION,
@@ -491,7 +491,7 @@ class TestRoundTrip:
         flat_polygons = canonical(points for _, _, points in flat.expand("TOP"))
         assert flat_polygons == canonical(points for _, _, points in arrayed.expand("TOP"))
         # Independent reconstruction: per-column combs on the shared lattice.
-        walls = {k: wall for (x, wall) in design.columns for k in [x // 4000]}
+        walls = design.columns
         expected = []
         level = 0
         while level * ROW_SPACING < 15_000:
