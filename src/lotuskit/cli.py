@@ -25,8 +25,11 @@ numeric output carries units in its key names, and identical inputs
 in --out if absolute, else under the config ``out_dir``, the
 ``LOTUS_OUT_DIR`` environment variable, or the working directory.
 
-The mask writers, and with them numpy, are imported by the ``design`` and
-``export`` handlers only, so the other commands start without numpy.
+The mask writers are imported by the ``design`` and ``export`` handlers
+only.  numpy is loaded only by flat and SVG export and by ``fraction
+--mc-samples``, which alone also loads the thread pool
+(``concurrent.futures``); ``design``, arrayed export and the other commands
+start without either.
 """
 
 from __future__ import annotations
@@ -313,13 +316,11 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
     wants_two_zone = args.reference or args.wall_a is not None or args.wall_b is not None
     if wants_gradient and wants_two_zone:
         raise _UsageError("--gradient cannot be combined with --reference/--wall-a/--wall-b")
-    if wants_gradient:
-        target: Layout | GradientDesign = _gradient_from_args(args, config)
-    elif wants_two_zone:
-        target = _two_zone_from_args(args, config)
-    else:
+    if not (wants_gradient or wants_two_zone):
         raise _UsageError("choose a target: --reference, --wall-a/--wall-b, or --gradient")
-
+    # The flag rules come before the target is built, so that no usage error
+    # waits for a design to be built and checked.
+    crop_nm = None
     if args.crop_um is not None:
         if wants_gradient:
             raise _UsageError("--crop-um applies to zone layouts only")
@@ -330,6 +331,12 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         crop_nm = int(round(args.crop_um * 1000.0))
         if crop_nm < 1:
             raise _UsageError("--crop-um must round to at least 1 nm")
+
+    if wants_gradient:
+        target: Layout | GradientDesign = _gradient_from_args(args, config)
+    else:
+        target = _two_zone_from_args(args, config)
+    if crop_nm is not None:
         target = dataclasses.replace(
             target,
             zones=tuple(

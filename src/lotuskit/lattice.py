@@ -37,13 +37,13 @@ import math
 import numbers
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
 from typing import TYPE_CHECKING, Union
 
 # numpy is imported where arrays are built (the Monte Carlo sampler and the
-# lattice centers), so the scalar code starts without it.
+# lattice centers), and the thread pool by monte_carlo_fraction alone, so the
+# scalar code starts without either.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -424,6 +424,7 @@ def monte_carlo_fraction(
         float(spec.pitch)
     except OverflowError:
         raise ValueError(f"pitch {spec.pitch} nm is beyond the float range") from None
+    from concurrent.futures import ThreadPoolExecutor
 
     def count(index: int) -> int:
         size = min(_MC_CHUNK, samples - index * _MC_CHUNK)

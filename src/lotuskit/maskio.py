@@ -32,9 +32,7 @@ import numbers
 import struct
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from lotuskit.gdsii import (
     AREF,
@@ -85,6 +83,12 @@ from lotuskit.lattice import (
 )
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 
+# numpy is imported where arrays are built (flat GDSII, the read-back and
+# expand; SVG reads the lattice centers), so design and arrayed export start
+# without it.
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "CellArray",
     "MaskCell",
@@ -123,7 +127,7 @@ class CellArray:
 
 # A run of polygons sharing layer, datatype and vertex count: the
 # (n, k, 2) points block of n consecutive polygons.
-_Run = tuple[int, int, np.ndarray]
+_Run = tuple[int, int, "np.ndarray"]
 
 
 @dataclass
@@ -174,6 +178,8 @@ class MaskGeometry:
         followed recursively with cycle detection.  The returned vertices
         never alias the cells' own runs or an earlier result.
         """
+        import numpy as np
+
         if cell_name is None:
             tops = self.top_cell_names()
             if len(tops) != 1:
@@ -213,6 +219,8 @@ class MaskGeometry:
 
 def _instance_offsets(arrays: list[CellArray]) -> np.ndarray:
     """The (n, 2) instance origins of arrays, array by array, column index outer."""
+    import numpy as np
+
     counts = np.array([array.cols * array.rows for array in arrays])
     owner = np.repeat(np.arange(len(arrays)), counts)
     index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -364,6 +372,8 @@ def _write_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype:
     centers, in exact integers, show whether every word fits int32: on each
     axis they belong to real cells.
     """
+    import numpy as np
+
     hexagon = hexagon_vertices(array.comb)
     centers = array.centers()
     low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
@@ -621,6 +631,8 @@ def _xy_coords(record: Record) -> tuple[int, ...]:
 
 def _parse_boundary(next_record) -> tuple[int, int, np.ndarray, Record]:
     """Layer, datatype, open points and XY record of a boundary after BOUNDARY."""
+    import numpy as np
+
     layer_record = _expect(next_record("LAYER"), LAYER)
     layer = layer_record.int16s()
     if not layer:
@@ -664,6 +676,8 @@ def _boundary_run(
     ``(n, k, 2)`` points block, ``first``'s open points included; when the
     next element differs, ``first`` alone.
     """
+    import numpy as np
+
     size = end - start
     xy_start = xy.offset + 4 - start
     xy_end = xy_start + len(xy.payload)
@@ -779,8 +793,11 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     Parameters
     ----------
     max_cells:
-        Rendering guard: exceeding it raises with a suggestion to crop.
+        Rendering guard, at least 1: exceeding it raises with a suggestion
+        to crop.
     """
+    if max_cells < 1:
+        raise ValueError(f"max_cells must be >= 1, got {max_cells!r}")
     arrays, rects = _emitted(target)
     total = sum(array.cols * array.rows for array in arrays)
     if total > max_cells:

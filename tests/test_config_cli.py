@@ -845,6 +845,12 @@ class TestCliExport:
             (["--reference", "--crop-um", "0"], "--crop-um must be > 0"),
             (["--reference", "--crop-um", "inf"], "--crop-um must be finite"),
             (["--reference", "--crop-um", "0.0001"], "--crop-um must round to at least 1 nm"),
+            # Before the target is built: this ramp's length alone is an error.
+            (
+                ["--gradient", "--length-nm", "0", "--f-start", "0.2", "--f-end", "0.3",
+                 "--crop-um", "5"],
+                "--crop-um applies to zone layouts only",
+            ),
         ],
     )
     def test_usage_errors_write_nothing(self, args, message, capsys, tmp_path):
@@ -859,6 +865,19 @@ class TestCliExport:
         code = run(["export", "--reference", "--format", "svg"])
         assert code == 1
         assert "max_cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_svg_cell_budget_below_one_is_refused(self, budget, capsys, tmp_path):
+        out_path = tmp_path / "mask.svg"
+        code = run(
+            ["export", "--reference", "--format", "svg", "--crop-um", "5",
+             "--max-cells", budget, "--out", str(out_path)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max_cells must be >= 1, got {budget}\n"
+        assert not out_path.exists()
 
     def test_odd_pitch_flat_export_is_a_domain_error(self, capsys, tmp_path):
         code = run(

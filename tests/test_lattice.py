@@ -5,6 +5,7 @@ arithmetic (exact rationals, hand-derived counting), and the Monte Carlo
 estimator is treated as an oracle sharing no code with the closed forms.
 """
 
+import concurrent.futures
 import importlib
 import math
 import pkgutil
@@ -346,7 +347,7 @@ class TestMonteCarlo:
             calls.append((chunk_index, chunk_samples))
             return chunk_samples
 
-        monkeypatch.setattr(lattice, "ThreadPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
         monkeypatch.setattr(lattice, "_mc_chunk_solid_count", fake_count)
         for chunks in (16, 100, 1000):
             peaks.append(0)
@@ -378,7 +379,7 @@ class TestMonteCarlo:
                 return future
 
         monkeypatch.setattr(lattice.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(lattice, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
         monte_carlo_fraction(FINE, 1000, seed=0, workers=workers)
         assert started == [threads]
 

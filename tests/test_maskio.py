@@ -611,6 +611,12 @@ class TestWriteSvg:
         with pytest.raises(ValueError, match="max_cells"):
             write_svg(layout)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_cell_budget_below_one_is_refused(self, budget):
+        # Refused before the cells are counted: the empty layout has none.
+        with pytest.raises(ValueError, match=f"^max_cells must be >= 1, got {budget}$"):
+            write_svg(Layout(zones=()), max_cells=budget)
+
     def test_solid_area_ratio_between_designs(self):
         # Solid (background minus openings) areas of equal crops relate as
         # the two area fractions: 0.4375 / 0.19, within 1%.  The window is
