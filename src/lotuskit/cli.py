@@ -63,6 +63,7 @@ from lotuskit.lattice import (
     PillarSpec,
     Rect,
     Zone,
+    _MAX_NM,
     _violation_error,
     build_two_zone_layout,
     check_design_rules,
@@ -79,6 +80,13 @@ __all__ = ["main", "run"]
 _UL_TO_M3 = 1e-9  # 1 microliter = 1e-9 cubic meters
 _MM_TO_M = 1e-3
 _NM_TO_M = 1e-9
+
+# The writer settings of each export format, as argparse dests.  A setting
+# left unset takes the writer's default.
+_FORMAT_SETTINGS = {
+    "gdsii": ("mode", "polarity", "layer", "datatype"),
+    "svg": ("max_cells",),
+}
 
 
 class _UsageError(Exception):
@@ -320,6 +328,15 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         raise _UsageError("choose a target: --reference, --wall-a/--wall-b, or --gradient")
     # The flag rules come before the target is built, so that no usage error
     # waits for a design to be built and checked.
+    for fmt, names in _FORMAT_SETTINGS.items():
+        for name in names:
+            if fmt != args.format and getattr(args, name) is not None:
+                raise _UsageError(f"--{name.replace('_', '-')} applies to --format {fmt} only")
+    settings = {
+        name: getattr(args, name)
+        for name in _FORMAT_SETTINGS[args.format]
+        if getattr(args, name) is not None
+    }
     crop_nm = None
     if args.crop_um is not None:
         if wants_gradient:
@@ -328,6 +345,8 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
             raise _UsageError("--crop-um must be > 0")
         if not math.isfinite(args.crop_um):
             raise _UsageError("--crop-um must be finite")
+        if args.crop_um * 1000.0 >= _MAX_NM + 0.5:
+            raise _UsageError(f"--crop-um must round to at most {_MAX_NM} nm")
         crop_nm = int(round(args.crop_um * 1000.0))
         if crop_nm < 1:
             raise _UsageError("--crop-um must round to at least 1 nm")
@@ -354,11 +373,9 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         )
 
     if args.format == "gdsii":
-        payload = write_gdsii(
-            target, layer=args.layer, datatype=args.datatype, mode=args.mode, polarity=args.polarity
-        )
+        payload = write_gdsii(target, **settings)
     else:
-        payload = write_svg(target, max_cells=args.max_cells).encode("utf-8")
+        payload = write_svg(target, **settings).encode("utf-8")
     # After the writers, so that their own refusals come first; gradients
     # were checked by design_linear_gradient.
     if wants_two_zone:
@@ -494,12 +511,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_gradient_flags(p, required=False)
     _add_lattice_defaults(p)
     p.add_argument("--format", choices=("gdsii", "svg"), default="gdsii", help="artifact format (default gdsii)")
-    p.add_argument("--mode", choices=("flat", "arrayed"), default="arrayed", help="GDSII geometry mode (default arrayed)")
-    p.add_argument("--polarity", choices=("openings", "walls"), default="openings", help="GDSII drawn regions (default openings)")
-    p.add_argument("--layer", type=int, default=1, help="GDSII layer number (default 1)")
-    p.add_argument("--datatype", type=int, default=0, help="GDSII datatype number (default 0)")
+    p.add_argument("--mode", choices=("flat", "arrayed"), default=None, help="GDSII geometry mode (default arrayed)")
+    p.add_argument("--polarity", choices=("openings", "walls"), default=None, help="GDSII drawn regions (default openings)")
+    p.add_argument("--layer", type=int, default=None, help="GDSII layer number (default 1)")
+    p.add_argument("--datatype", type=int, default=None, help="GDSII datatype number (default 0)")
     p.add_argument("--crop-um", type=float, default=None, help="crop each zone to this square size in um")
-    p.add_argument("--max-cells", type=int, default=20000, help="SVG cell budget (default 20000)")
+    p.add_argument("--max-cells", type=int, default=None, help="SVG cell budget (default 20000)")
     p.add_argument("--out", default=None, metavar="PATH", help="output path (default under the output directory)")
     p.set_defaults(handler=_cmd_export)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from lotuskit.gradient import Measure
-from lotuskit.lattice import DEFAULT_RULES, DesignRules
+from lotuskit.lattice import DEFAULT_RULES, DesignRules, _MAX_NM
 from lotuskit.wetting import WATER_ON_PMMA, Material
 
 __all__ = [
@@ -116,7 +116,9 @@ def _float_problem(value: object) -> str | None:
 _Entry = tuple[Callable[[object], bool], str, Callable[[object], object]]
 _MEASURES = [m.value for m in Measure]
 _POSITIVE_NM: _Entry = (
-    lambda v: _is_int(v) and v >= 1, "must be a positive integer (nm), got {!r}", int
+    lambda v: _is_int(v) and 1 <= v <= _MAX_NM,
+    f"must be an integer in 1..{_MAX_NM} nm, got {{!r}}",
+    int,
 )
 
 # One table per section; "" is the top level.  The allowed keys of a section
@@ -125,7 +127,11 @@ _SCHEMA: dict[str, dict[str, _Entry | None]] = {
     "": {
         "material": None,
         "rules": None,
-        "pitch": (lambda v: _is_int(v) and v >= 2, "must be an integer >= 2 nm, got {!r}", int),
+        "pitch": (
+            lambda v: _is_int(v) and 2 <= v <= _MAX_NM,
+            f"must be an integer in 2..{_MAX_NM} nm, got {{!r}}",
+            int,
+        ),
         "height": _POSITIVE_NM,
         "measure": (lambda v: v in _MEASURES, f"must be one of {_MEASURES!r}, got {{!r}}", Measure),
         "out_dir": (_is_text, "must be a non-empty string, got {!r}", str),

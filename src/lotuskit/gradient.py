@@ -294,16 +294,11 @@ def wall_for_fraction(
         raise ValueError(
             f"target_fraction must lie strictly inside (0, 1), got {target_fraction!r}"
         )
-    if pitch <= 0:
-        raise ValueError(f"pitch must be > 0 nm, got {pitch!r}")
-    try:
-        pitch_nm = float(pitch)
-    except OverflowError:
-        raise ValueError(f"pitch {pitch} nm is beyond the float range") from None
+    pitch = _as_int_nm(pitch, "pitch")
     if Measure(measure) is Measure.LINEAR_RATIO:
-        exact = target_fraction * pitch_nm
+        exact = target_fraction * pitch
     else:
-        exact = pitch_nm * (1.0 - math.sqrt(1.0 - target_fraction))
+        exact = pitch * (1.0 - math.sqrt(1.0 - target_fraction))
     wall = snap_to_grid(exact, fabrication_grid)
     if not 0 < wall < pitch:
         raise ValueError(
@@ -326,17 +321,9 @@ def design_linear_gradient(
     ``HoneycombSpec(pitch, wall, height)`` is checked against the design
     rules as :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
     violation aborts the design; the error lists each (rule, value) once,
-    under the first column that breaks it.  A length whose column count is
-    beyond the float range is refused before any column is built.
+    under the first column that breaks it.
     """
     n_columns = spec.length // spec.pitch
-    try:
-        float(n_columns)
-    except OverflowError:
-        raise ValueError(
-            f"length {spec.length} nm spans more columns than the float range "
-            f"holds at pitch {spec.pitch} nm"
-        ) from None
     walls = []
     for index in range(n_columns):
         if n_columns == 1:

@@ -85,9 +85,13 @@ _MC_CHUNK = 1 << 18
 #: the sample count, and lets 16 chunks (4e6 samples) start at once.
 _MC_WINDOW = 16
 
+#: Largest length or coordinate, nm: the largest GDSII coordinate (signed
+#: 32-bit), about 2.1 m.
+_MAX_NM = 2**31 - 1
+
 
 def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
-    """Coerce a length to integer nanometers, rejecting fractional values."""
+    """Coerce a length to integer nanometers in ``[minimum, _MAX_NM]``, refusing fractions."""
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
         raise TypeError(f"{name} must be a number in integer nanometers, got {value!r}")
     if isinstance(value, float) and not value.is_integer():  # also NaN and inf
@@ -95,6 +99,8 @@ def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     as_int = int(value)
     if as_int < minimum:
         raise ValueError(f"{name} must be >= {minimum} nm, got {value!r}")
+    if as_int > _MAX_NM:
+        raise ValueError(f"{name} must be <= {_MAX_NM} nm, got {value!r}")
     return as_int
 
 
@@ -161,8 +167,8 @@ class Rect:
     height: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_int_nm(self.x, "x", minimum=-(2**62)))
-        object.__setattr__(self, "y", _as_int_nm(self.y, "y", minimum=-(2**62)))
+        object.__setattr__(self, "x", _as_int_nm(self.x, "x", minimum=-_MAX_NM))
+        object.__setattr__(self, "y", _as_int_nm(self.y, "y", minimum=-_MAX_NM))
         object.__setattr__(self, "width", _as_int_nm(self.width, "width"))
         object.__setattr__(self, "height", _as_int_nm(self.height, "height"))
 
@@ -313,12 +319,9 @@ def honeycomb_area_fraction(spec: HoneycombSpec) -> float:
 def aspect_ratio(spec: HoneycombSpec) -> float:
     """Structure height over wall thickness (the demolding-risk number).
 
-    A ratio beyond the float range is ``inf``, which every limit rejects.
+    Both lengths are at most ``2**31 - 1`` nm, so the ratio is finite.
     """
-    try:
-        return spec.height / spec.wall
-    except OverflowError:
-        return math.inf
+    return spec.height / spec.wall
 
 
 def snap_to_grid(value_nm: float, grid_nm: int) -> int:
@@ -420,10 +423,6 @@ def monte_carlo_fraction(
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    try:
-        float(spec.pitch)
-    except OverflowError:
-        raise ValueError(f"pitch {spec.pitch} nm is beyond the float range") from None
     from concurrent.futures import ThreadPoolExecutor
 
     def count(index: int) -> int:
@@ -485,9 +484,6 @@ def hexagon_vertices(comb: int) -> list[tuple[int, int]]:
     ]
 
 
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
 @dataclass(frozen=True)
 class LatticeArray:
     """One rectangular sub-grid of honeycomb cells.
@@ -509,23 +505,14 @@ class LatticeArray:
     def centers(self) -> np.ndarray:
         """All cell centers as a (rows * cols, 2) array in nm, row-major.
 
-        The coordinates are exact integers: int64 when every center and
-        both vectors fit 64 bits (the centers are linear in i and j, so the
-        four corner cells decide; a vector can exceed them in a single
-        row or column), otherwise Python ints in an object array.
+        The coordinates are exact int64 integers: a zone's centers lie in
+        its extent, whose origin and size are at most ``2**31 - 1`` nm.
         """
         import numpy as np
 
         (x0, y0), (cx, cy), (rx, ry) = self.origin, self.col_vector, self.row_vector
-        fits = all(
-            _INT64_MIN <= value <= _INT64_MAX
-            for i in (0, self.cols - 1)
-            for j in (0, self.rows - 1)
-            for value in (cx, cy, rx, ry, x0 + i * cx + j * rx, y0 + i * cy + j * ry)
-        )
-        dtype = np.int64 if fits else object
-        i = np.arange(self.cols, dtype=dtype)
-        j = np.arange(self.rows, dtype=dtype)[:, None]
+        i = np.arange(self.cols, dtype=np.int64)
+        j = np.arange(self.rows, dtype=np.int64)[:, None]
         return np.stack(
             [(x0 + i * cx + j * rx).ravel(), (y0 + i * cy + j * ry).ravel()], axis=1
         )
@@ -612,12 +599,7 @@ def _check_spec(
             RuleViolation("max_height", spec.height, rules.max_height, subject)
         )
     grid = rules.fabrication_grid
-    half_pitch = spec.pitch // 2  # the odd-row offset
-    if spec.pitch % 2:
-        try:
-            half_pitch = spec.pitch / 2
-        except OverflowError:  # beyond the float range: kept exact
-            half_pitch = _Rational(spec.pitch, 2)
+    half_pitch = spec.pitch / 2 if spec.pitch % 2 else spec.pitch // 2  # the odd-row offset
     dimensions = {"wall": spec.wall, "pitch": spec.pitch, "half_pitch": half_pitch, "height": spec.height}
     for name, value in dimensions.items():
         if value % grid != 0:

@@ -770,16 +770,6 @@ _SVG_BACKGROUND = "#3b4252"  # solid structure tops
 _SVG_OPENING = "#a3d5ff"  # air-filled openings
 
 
-def _svg_pixels(offset_nm: int, scale: float) -> float:
-    """An offset from the drawing's edge in pixels, refused beyond the float range."""
-    try:
-        return offset_nm / scale
-    except OverflowError:
-        raise ValueError(
-            f"coordinate overflow: SVG offsets must fit a float, got {offset_nm} nm"
-        ) from None
-
-
 def write_svg(target: Target, max_cells: int = 20000) -> str:
     """Render a layout or gradient design as an SVG 1.1 document.
 
@@ -817,10 +807,10 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     scale = max((max_x - min_x) / 800.0, 1.0)
 
     def px(x: int) -> float:
-        return _svg_pixels(x - min_x, scale)
+        return (x - min_x) / scale
 
     def py(y: int) -> float:
-        return _svg_pixels(max_y - y, scale)
+        return (max_y - y) / scale
 
     width = (max_x - min_x) / scale
     height = (max_y - min_y) / scale

@@ -64,8 +64,8 @@ CONFIG_PROBLEMS = [
             f"unknown key 'mystery' {_TOP_ALLOWED}",
             f"material: unknown key 'color' {_MATERIAL_ALLOWED}",
             "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 200.0",
-            "rules.min_wall: must be a positive integer (nm), got -3",
-            "pitch: must be an integer >= 2 nm, got 1",
+            "rules.min_wall: must be an integer in 1..2147483647 nm, got -3",
+            "pitch: must be an integer in 2..2147483647 nm, got 1",
             f"measure: must be one of {_MEASURES}, got 'volume_fraction'",
             "out_dir: must be a non-empty string, got ''",
         ],
@@ -127,9 +127,9 @@ CONFIG_PROBLEMS = [
         },
         [
             f"rules: unknown key 'extra' {_RULES_ALLOWED}",
-            "rules.min_wall: must be a positive integer (nm), got 0",
-            "rules.max_height: must be a positive integer (nm), got 1.5",
-            "rules.fabrication_grid: must be a positive integer (nm), got True",
+            "rules.min_wall: must be an integer in 1..2147483647 nm, got 0",
+            "rules.max_height: must be an integer in 1..2147483647 nm, got 1.5",
+            "rules.fabrication_grid: must be an integer in 1..2147483647 nm, got True",
             "rules.max_aspect_ratio: must be a number > 0, got 0",
         ],
         id="every-rules-key",
@@ -137,8 +137,8 @@ CONFIG_PROBLEMS = [
     pytest.param(
         {"out_dir": 5, "measure": [], "height": 0, "pitch": 4000.0},
         [
-            "pitch: must be an integer >= 2 nm, got 4000.0",
-            "height: must be a positive integer (nm), got 0",
+            "pitch: must be an integer in 2..2147483647 nm, got 4000.0",
+            "height: must be an integer in 1..2147483647 nm, got 0",
             f"measure: must be one of {_MEASURES}, got []",
             "out_dir: must be a non-empty string, got 5",
         ],
@@ -155,8 +155,8 @@ CONFIG_PROBLEMS = [
             "material.theta_flat: must be a number strictly between 0 and 180 degrees, got True",
             "material.surface_tension: must be a number > 0 N/m, got False",
             "rules.max_aspect_ratio: must be a number > 0, got True",
-            "pitch: must be an integer >= 2 nm, got True",
-            "height: must be a positive integer (nm), got False",
+            "pitch: must be an integer in 2..2147483647 nm, got True",
+            "height: must be an integer in 1..2147483647 nm, got False",
         ],
         id="booleans-are-not-numbers",
     ),
@@ -187,9 +187,18 @@ CONFIG_PROBLEMS = [
         [
             "material.hysteresis: must be a number within the float range, "
             "got an integer of 5001 digits",
-            "pitch: must be an integer >= 2 nm, got an integer too long to read (5001 digits)",
+            "pitch: must be an integer in 2..2147483647 nm, got an integer too long to read (5001 digits)",
         ],
         id="integers-beyond-the-digit-limit",
+    ),
+    pytest.param(
+        {"pitch": 2**31, "rules": {"max_height": 3_000_000_000}, "material": {"theta_flat": 0}},
+        [
+            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 0",
+            "rules.max_height: must be an integer in 1..2147483647 nm, got 3000000000",
+            "pitch: must be an integer in 2..2147483647 nm, got 2147483648",
+        ],
+        id="lengths-beyond-2**31-1",
     ),
     pytest.param(
         {"measure": None, "material": {"name": 7}, "rules": {"min_wall": "400"}, "z": 0, "a": 0},
@@ -197,7 +206,7 @@ CONFIG_PROBLEMS = [
             f"unknown key 'a' {_TOP_ALLOWED}",
             f"unknown key 'z' {_TOP_ALLOWED}",
             "material.name: must be a non-empty string",
-            "rules.min_wall: must be a positive integer (nm), got '400'",
+            "rules.min_wall: must be an integer in 1..2147483647 nm, got '400'",
             f"measure: must be one of {_MEASURES}, got None",
         ],
         id="wrong-types",
@@ -246,6 +255,15 @@ CONFIG_RESULTS = [
     (
         {"material": {}, "rules": {}, "measure": "area_fraction"},
         ProjectConfig(material=WATER_ON_PMMA, rules=DEFAULT_RULES),
+    ),
+    (
+        {"rules": {"max_height": 2**31 - 1}, "pitch": 2**31 - 1, "height": 2**31 - 1},
+        ProjectConfig(
+            material=WATER_ON_PMMA,
+            rules=DesignRules(400, 10.0, 2**31 - 1, 10),
+            pitch=2**31 - 1,
+            height=2**31 - 1,
+        ),
     ),
 ]
 
@@ -851,6 +869,18 @@ class TestCliExport:
                  "--crop-um", "5"],
                 "--crop-um applies to zone layouts only",
             ),
+            # Beyond 2**31 - 1 nm, and beyond the float range once in nm.
+            (["--reference", "--crop-um", "2147483.648"], "--crop-um must round to at most 2147483647 nm"),
+            (["--reference", "--crop-um", "1e306"], "--crop-um must round to at most 2147483647 nm"),
+            # A writer setting of the other format, even a bad one.
+            (["--reference", "--crop-um", "5", "--max-cells", "-5"], "--max-cells applies to --format svg only"),
+            *(
+                (["--reference", "--format", "svg", "--crop-um", "5", flag, value],
+                 f"{flag} applies to --format gdsii only")
+                for flag, value in (
+                    ("--mode", "flat"), ("--polarity", "walls"), ("--layer", "99999"), ("--datatype", "0"),
+                )
+            ),
         ],
     )
     def test_usage_errors_write_nothing(self, args, message, capsys, tmp_path):
@@ -938,7 +968,7 @@ class TestCliExport:
 
 
 # --------------------------------------------------------------------------
-# Lengths beyond the float range
+# Lengths beyond 2**31 - 1 nm
 # --------------------------------------------------------------------------
 
 HUGE_NM = "1" + "0" * 400  # 401 digits, far beyond the largest float
@@ -952,8 +982,8 @@ HUGE_LENGTH_COMMANDS = {
     "export-svg": ["export", *_CROPPED_PAIR, "--format", "svg"],
     "simulate": ["simulate", *_RAMP],
 }
-# Commands tried with one flag only: a ramp of more columns than the float
-# range holds, and Monte Carlo sampling over a huge pitch.
+# Commands tried with one flag only: an arrayed gradient export, and Monte
+# Carlo sampling.
 HUGE_ONE_FLAG_COMMANDS = {
     "export-gradient": ["export", "--gradient", *_RAMP],
     "fraction-mc": ["fraction", "--wall", "400", "--mc-samples", "1000"],
@@ -968,23 +998,20 @@ HUGE_LENGTH_CASES = [
 
 @pytest.mark.parametrize("command, flag", HUGE_LENGTH_CASES)
 def test_huge_lengths_end_in_data_or_one_error_line(command, flag, capsys, tmp_path):
-    argv = [*{**HUGE_LENGTH_COMMANDS, **HUGE_ONE_FLAG_COMMANDS}[command], flag, HUGE_NM]
-    if command.startswith("export"):
-        argv += ["--out", str(tmp_path / "mask")]
-    if command in _GRADIENTS and flag != "--length-nm":
-        # One column as long as a huge pitch, so that the pitch reaches the design.
-        argv += ["--length-nm", HUGE_NM if flag == "--pitch" else "200000"]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert code in (0, 1)
-    assert "Traceback" not in captured.err
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    if code == 1 and command == "check":  # violations are data on stdout
-        assert errors == [] and captured.out.startswith("violations=")
-    elif code == 1:
-        assert len(errors) == 1 and captured.out == ""
-    else:
-        assert errors == []
+    # Every length beyond 2**31 - 1 nm is refused before any work, with one
+    # error line that names the flag's field and the bound.
+    for value in (str(2**31), HUGE_NM):
+        argv = [*{**HUGE_LENGTH_COMMANDS, **HUGE_ONE_FLAG_COMMANDS}[command], flag, value]
+        if command.startswith("export"):
+            argv += ["--out", str(tmp_path / "mask")]
+        if command in _GRADIENTS and flag != "--length-nm":
+            argv += ["--length-nm", "200000"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        field = flag[2:].removesuffix("-nm")
+        assert captured.err == f"error: {field} must be <= 2147483647 nm, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------

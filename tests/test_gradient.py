@@ -99,8 +99,8 @@ class TestWallForFraction:
             (0.0, 4000, "target_fraction must lie strictly inside (0, 1), got 0.0"),
             (1.0, 4000, "target_fraction must lie strictly inside (0, 1), got 1.0"),
             (math.nan, 4000, "target_fraction must lie strictly inside (0, 1), got nan"),
-            (0.19, 0, "pitch must be > 0 nm, got 0"),
-            (0.19, -4000, "pitch must be > 0 nm, got -4000"),
+            (0.19, 0, "pitch must be >= 1 nm, got 0"),
+            (0.19, -4000, "pitch must be >= 1 nm, got -4000"),
         ],
         ids=["fraction-0", "fraction-1", "fraction-nan", "pitch-0", "pitch-negative"],
     )
@@ -109,9 +109,9 @@ class TestWallForFraction:
             wall_for_fraction(fraction, pitch)
 
     def test_pitch_beyond_the_float_range_is_named(self):
-        pitch = 10**400
-        with pytest.raises(ValueError, match=f"^pitch {pitch} nm is beyond the float range$"):
-            wall_for_fraction(0.19, pitch)
+        for pitch in (2**31, 10**400):
+            with pytest.raises(ValueError, match=f"^pitch must be <= 2147483647 nm, got {pitch}$"):
+                wall_for_fraction(0.19, pitch)
 
 
 class TestDesignLinearGradient:

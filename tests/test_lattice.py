@@ -18,7 +18,7 @@ import pytest
 
 import lotuskit
 from lotuskit import lattice
-from lotuskit.gradient import GradientDesign, GradientSpec
+from lotuskit.gradient import GradientDesign, GradientSpec, wall_for_fraction
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
@@ -43,6 +43,56 @@ from lotuskit.lattice import (
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
+
+#: The largest length or coordinate in nm, the largest GDSII coordinate.
+TOP_NM = 2**31 - 1
+TOP_GRADIENT = GradientSpec(
+    length=TOP_NM, lateral_width=1000, pitch=TOP_NM, f_start=0.19, f_end=0.3
+)
+
+
+def gradient_spec(**lengths) -> GradientSpec:
+    return GradientSpec(
+        **{"length": 8000, "lateral_width": 1000, "pitch": 4000, **lengths},
+        f_start=0.19, f_end=0.3,
+    )
+
+
+# (field named by the refusal of 2**31, build from one value, the largest
+# value accepted).  A wall stays below its pitch, so the top wall, and the
+# top grid of a gradient design, whose walls lie on it, is TOP_NM - 1.
+NM_ENTRY_POINTS = {
+    "honeycomb-pitch": ("pitch", lambda v: HoneycombSpec(pitch=v, wall=400, height=4000), TOP_NM),
+    "honeycomb-wall": ("wall", lambda v: HoneycombSpec(pitch=TOP_NM, wall=v, height=4000), TOP_NM - 1),
+    "honeycomb-height": ("height", lambda v: HoneycombSpec(pitch=4000, wall=400, height=v), TOP_NM),
+    "pillar-width_a": ("width_a", lambda v: PillarSpec(width_a=v, spacing_b=400), TOP_NM),
+    "pillar-spacing_b": ("spacing_b", lambda v: PillarSpec(width_a=400, spacing_b=v), TOP_NM),
+    "rect-x": ("x", lambda v: Rect(v, 0, 10, 10), TOP_NM),
+    "rect-y": ("y", lambda v: Rect(0, v, 10, 10), TOP_NM),
+    "rect-width": ("width", lambda v: Rect(0, 0, v, 10), TOP_NM),
+    "rect-height": ("height", lambda v: Rect(0, 0, 10, v), TOP_NM),
+    "gradient-length": ("length", lambda v: gradient_spec(length=v), TOP_NM),
+    "gradient-lateral_width": ("lateral_width", lambda v: gradient_spec(lateral_width=v), TOP_NM),
+    "gradient-pitch": ("pitch", lambda v: gradient_spec(length=TOP_NM, pitch=v), TOP_NM),
+    "gradient-height": ("height", lambda v: gradient_spec(height=v), TOP_NM),
+    "rules-min_wall": ("min_wall", lambda v: DesignRules(min_wall=v), TOP_NM),
+    "rules-max_height": ("max_height", lambda v: DesignRules(max_height=v), TOP_NM),
+    "rules-fabrication_grid": ("fabrication_grid", lambda v: DesignRules(fabrication_grid=v), TOP_NM),
+    "layout-fabrication_grid": (
+        "fabrication_grid", lambda v: Layout(zones=(), fabrication_grid=v), TOP_NM
+    ),
+    "design-fabrication_grid": (
+        "fabrication_grid",
+        lambda v: GradientDesign(columns=(TOP_NM - 1,), spec=TOP_GRADIENT, fabrication_grid=v),
+        TOP_NM - 1,
+    ),
+    "design-walls": (
+        "column 0 wall",
+        lambda v: GradientDesign(columns=(v,), spec=TOP_GRADIENT, fabrication_grid=1),
+        TOP_NM - 1,
+    ),
+    "wall_for_fraction-pitch": ("pitch", lambda v: wall_for_fraction(0.19, v), TOP_NM),
+}
 
 
 def polygon_area(points: np.ndarray) -> float:
@@ -221,6 +271,23 @@ class TestSpecs:
 
     def test_empty_layout_allowed(self):
         assert Layout(zones=()).zones == ()
+
+    @pytest.mark.parametrize(
+        "field, build, top", NM_ENTRY_POINTS.values(), ids=NM_ENTRY_POINTS.keys()
+    )
+    def test_lengths_end_at_the_gdsii_coordinate_limit(self, field, build, top):
+        build(top)
+        message = f"{field} must be <= 2147483647 nm, got 2147483648"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(2**31)
+
+    def test_rect_origins_start_at_minus_the_limit(self):
+        rect = Rect(-TOP_NM, -TOP_NM, 10, 10)
+        assert (rect.x, rect.y) == (-TOP_NM, -TOP_NM)
+        for name, build in (("x", lambda v: Rect(v, 0, 10, 10)), ("y", lambda v: Rect(0, v, 10, 10))):
+            message = f"{name} must be >= -2147483647 nm, got -2147483648"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(-(2**31))
 
     @pytest.mark.parametrize(
         "build",
@@ -593,22 +660,27 @@ class TestIntegerGeometry:
         with pytest.raises(ValueError, match="^fabrication_grid must be > 0, got 0$"):
             row_pitch(4000, 0)
 
-    def test_lengths_beyond_the_float_range_are_data(self):
-        big = 10**400
-        tall = HoneycombSpec(pitch=4000, wall=400, height=big)
-        assert aspect_ratio(tall) == math.inf
+    def test_lengths_at_the_limit_are_data_and_beyond_it_refused(self):
+        tall = HoneycombSpec(pitch=4000, wall=400, height=TOP_NM)
+        assert aspect_ratio(tall) == TOP_NM / 400
         assert [(v.rule, v.value) for v in check_design_rules(tall)] == [
-            ("max_aspect_ratio", math.inf), ("max_height", big),
+            ("fabrication_grid(height)", TOP_NM),
+            ("max_aspect_ratio", TOP_NM / 400),
+            ("max_height", TOP_NM),
         ]
-        odd = HoneycombSpec(pitch=big + 1, wall=400, height=4000)
+        odd = HoneycombSpec(pitch=TOP_NM, wall=400, height=4000)
         assert [(v.rule, v.value) for v in check_design_rules(odd)] == [
-            ("fabrication_grid(half_pitch)", Fraction(big + 1, 2)),
-            ("fabrication_grid(pitch)", big + 1),
+            ("fabrication_grid(half_pitch)", TOP_NM / 2),
+            ("fabrication_grid(pitch)", TOP_NM),
         ]
-        # A single cell whose lattice vectors exceed 64 bits.
-        (even,) = lattice_arrays(Zone(HoneycombSpec(pitch=big, wall=400, height=4000), Rect(0, 0, 10, 10)), 10)
-        assert even.col_vector == (big, 0)
+        # A single cell whose lattice vector is the largest even pitch.
+        wide = HoneycombSpec(pitch=TOP_NM - 1, wall=400, height=4000)
+        (even,) = lattice_arrays(Zone(wide, Rect(0, 0, 10, 10)), 10)
+        assert even.col_vector == (TOP_NM - 1, 0)
         assert even.centers().tolist() == [[0, 0]]
+        big = 10**400
+        with pytest.raises(ValueError, match=f"^height must be <= 2147483647 nm, got {big}$"):
+            HoneycombSpec(pitch=4000, wall=400, height=big)
 
 
 class TestLatticeArrays:
@@ -649,11 +721,18 @@ class TestLatticeArrays:
                 xs = centers[ys == y][:, 0]
                 assert (np.diff(xs) > 0).all()
 
-    def test_centers_stay_exact_beyond_64_bits(self):
-        zone = Zone(spec=WIDE, extent=Rect(2**63, 0, 8000, 8000))
-        even = [[2**63 + 4000 * i, 6920 * j] for j in range(2) for i in range(2)]
-        odd = [[2**63 + 2000 + 4000 * i, 3460] for i in range(2)]
-        assert all_centers(zone).tolist() == even + odd
+    def test_centers_stay_exact_across_the_limit(self):
+        # Centers of an in-range extent may pass 2**31 - 1 nm; the writers
+        # refuse them, and the centers stay exact int64.
+        x = TOP_NM - 4000
+        zone = Zone(spec=WIDE, extent=Rect(x, 0, 8000, 8000))
+        even = [[x + 4000 * i, 6920 * j] for j in range(2) for i in range(2)]
+        odd = [[x + 2000 + 4000 * i, 3460] for i in range(2)]
+        centers = all_centers(zone)
+        assert centers.dtype == np.int64
+        assert centers.tolist() == even + odd
+        with pytest.raises(ValueError, match=r"^x must be <= 2147483647 nm, got 9223372036854775808$"):
+            Rect(2**63, 0, 8000, 8000)
 
     def test_odd_pitch_needs_no_offset_without_odd_rows(self):
         spec = HoneycombSpec(pitch=4001, wall=401, height=4000)

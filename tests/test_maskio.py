@@ -255,7 +255,8 @@ class TestWriteGdsii:
             write_gdsii(zone)
 
     def test_coordinate_overflow_rejected(self):
-        zone = Zone(spec=WIDE, extent=Rect(2_200_000_000, 0, 20_000, 20_000))
+        # An in-range origin whose cells cross 2**31 - 1 nm.
+        zone = Zone(spec=WIDE, extent=Rect(2**31 - 1 - 10_000, 0, 20_000, 20_000))
         with pytest.raises(ValueError, match="overflow"):
             write_gdsii(zone, mode="flat")
 
@@ -282,10 +283,10 @@ class TestWriteGdsii:
             assert "mode" not in str(error.value)
 
     def test_far_origin_stays_exact(self):
-        # A lattice anchored at 2**62 nm: its coordinates fit no int32, so
-        # both GDSII modes refuse them, while the SVG preview, which has no
-        # word size, still draws every cell at its exact position.
-        zone = Zone(spec=WIDE, extent=Rect(2**62, 0, 8000, 8000))
+        # A lattice anchored 4000 nm below 2**31 - 1 nm: its cells cross
+        # the int32 range, so both GDSII modes refuse them, while the SVG
+        # preview, which has no word size, still draws every cell.
+        zone = Zone(spec=WIDE, extent=Rect(2**31 - 1 - 4000, 0, 8000, 8000))
         for mode in ("flat", "arrayed"):
             with pytest.raises(ValueError, match="coordinate overflow"):
                 write_gdsii(zone, mode=mode)
