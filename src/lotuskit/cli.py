@@ -81,12 +81,15 @@ _UL_TO_M3 = 1e-9  # 1 microliter = 1e-9 cubic meters
 _MM_TO_M = 1e-3
 _NM_TO_M = 1e-9
 
-# The writer settings of each export format, as argparse dests.  A setting
-# left unset takes the writer's default.
-_FORMAT_SETTINGS = {
-    "gdsii": ("mode", "polarity", "layer", "datatype"),
-    "svg": ("max_cells",),
+# The export flags that one output format or target alone reads, as argparse
+# dests.  An unset writer setting takes the writer's default.
+_EXPORT_FLAGS = {
+    "--format gdsii": ("mode", "polarity", "layer", "datatype"),
+    "--format svg": ("max_cells",),
+    "--gradient": ("length_nm", "width_nm", "f_start", "f_end", "measure"),
+    "zone layouts": ("crop_um",),
 }
+_REFERENCE_FIXES = ("wall", "wall_a", "wall_b", "pitch", "height")  # fixed by the reference
 
 
 class _UsageError(Exception):
@@ -125,10 +128,16 @@ def _honeycomb(config: ProjectConfig, wall: int, pitch: int | None, height: int 
     )
 
 
+def _refuse_set_flags(args: argparse.Namespace, names: Sequence[str], rule: str) -> None:
+    """Raise a usage error, ``rule`` naming the flag, if any of ``names`` is set."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise _UsageError(rule.format(f"--{name.replace('_', '-')}"))
+
+
 def _two_zone_from_args(args: argparse.Namespace, config: ProjectConfig) -> Layout:
     if args.reference:
-        if args.wall_a is not None or args.wall_b is not None:
-            raise _UsageError("--reference cannot be combined with --wall-a/--wall-b")
+        _refuse_set_flags(args, _REFERENCE_FIXES, "--reference cannot be combined with {}")
         layout = reference_two_zone_layout()
     elif args.wall_a is None or args.wall_b is None:
         raise _UsageError("provide --reference, or both --wall-a and --wall-b")
@@ -146,7 +155,7 @@ def _add_gradient_flags(parser: argparse.ArgumentParser, required: bool) -> None
         help="channel length along the transport axis, integer nm",
     )
     parser.add_argument(
-        "--width-nm", type=int, default=1_000_000,
+        "--width-nm", type=int, default=None,
         help="channel width across the transport axis, integer nm (default 1 mm)",
     )
     parser.add_argument(
@@ -168,7 +177,7 @@ def _gradient_from_args(args: argparse.Namespace, config: ProjectConfig) -> Grad
         raise _UsageError("a gradient needs --length-nm, --f-start, and --f-end")
     spec = GradientSpec(
         length=args.length_nm,
-        lateral_width=args.width_nm,
+        lateral_width=args.width_nm if args.width_nm is not None else 1_000_000,  # 1 mm
         pitch=args.pitch if args.pitch is not None else config.pitch,
         f_start=args.f_start,
         f_end=args.f_end,
@@ -270,9 +279,8 @@ def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int
 
 
 def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
-    if args.reference and args.wall is not None:
-        raise _UsageError("--reference cannot be combined with --wall")
     if args.reference:
+        _refuse_set_flags(args, _REFERENCE_FIXES, "--reference cannot be combined with {}")
         target: Layout | HoneycombSpec = dataclasses.replace(
             reference_two_zone_layout(), fabrication_grid=config.rules.fabrication_grid
         )
@@ -328,19 +336,17 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         raise _UsageError("choose a target: --reference, --wall-a/--wall-b, or --gradient")
     # The flag rules come before the target is built, so that no usage error
     # waits for a design to be built and checked.
-    for fmt, names in _FORMAT_SETTINGS.items():
-        for name in names:
-            if fmt != args.format and getattr(args, name) is not None:
-                raise _UsageError(f"--{name.replace('_', '-')} applies to --format {fmt} only")
+    chosen = (f"--format {args.format}", "--gradient" if wants_gradient else "zone layouts")
+    for owner, names in _EXPORT_FLAGS.items():
+        if owner not in chosen:
+            _refuse_set_flags(args, names, f"{{}} applies to {owner} only")
     settings = {
         name: getattr(args, name)
-        for name in _FORMAT_SETTINGS[args.format]
+        for name in _EXPORT_FLAGS[f"--format {args.format}"]
         if getattr(args, name) is not None
     }
     crop_nm = None
     if args.crop_um is not None:
-        if wants_gradient:
-            raise _UsageError("--crop-um applies to zone layouts only")
         if not args.crop_um > 0:
             raise _UsageError("--crop-um must be > 0")
         if not math.isfinite(args.crop_um):

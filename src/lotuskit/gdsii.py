@@ -204,8 +204,12 @@ def validate_cell_name(name: str) -> str:
     return name
 
 
-def pack_record(record_type: int, data_type: int, payload: bytes = b"") -> bytes:
-    """Assemble one record: length, type, data-type, payload."""
+def pack_record(record_type: int, payload: bytes = b"") -> bytes:
+    """Assemble one record: length, type, its data type from RECORD_NAMES, payload."""
+    try:
+        data_type = RECORD_NAMES[record_type][1]
+    except KeyError:
+        raise ValueError(f"unknown record type 0x{record_type:02X}") from None
     if len(payload) % 2:
         raise ValueError(
             f"record payload must have even length, got {len(payload)} bytes"
@@ -270,8 +274,8 @@ def iter_records(data: bytes, offset: int = 0) -> Iterator[Record]:
     The walk starts at byte ``offset`` (default: the start of the stream),
     which must be a record boundary.  Trailing NUL padding after the last
     record (some tools pad files to a block size) is accepted and
-    terminates the walk; any other framing problem raises
-    :class:`GdsParseError` with the byte offset.
+    terminates the walk.  Any other framing problem, or a known record type
+    with the wrong data type, raises :class:`GdsParseError` at its offset.
     """
     total = len(data)
     while offset < total:
@@ -301,6 +305,10 @@ def iter_records(data: bytes, offset: int = 0) -> Iterator[Record]:
                 offset,
                 record_type,
             )
+        expected = RECORD_NAMES.get(record_type, (None, data_type))[1]  # unknown: any
+        if data_type != expected:
+            message = f"data type 0x{data_type:02X}, expected 0x{expected:02X}"
+            raise GdsParseError(message, offset, record_type)
         yield Record(
             offset=offset,
             record_type=record_type,

@@ -97,11 +97,12 @@ def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     if isinstance(value, float) and not value.is_integer():  # also NaN and inf
         raise ValueError(f"{name} must be an integer nanometer count, got {value!r}")
     as_int = int(value)
-    if as_int < minimum:
-        raise ValueError(f"{name} must be >= {minimum} nm, got {value!r}")
-    if as_int > _MAX_NM:
-        raise ValueError(f"{name} must be <= {_MAX_NM} nm, got {value!r}")
-    return as_int
+    if minimum <= as_int <= _MAX_NM:
+        return as_int
+    bound = f">= {minimum}" if as_int < minimum else f"<= {_MAX_NM}"
+    # At most 603 digits, within any limit of int-to-str conversion (>= 640).
+    got = f", got {value!r}" if as_int.bit_length() <= 2000 else ""
+    raise ValueError(f"{name} must be {bound} nm{got}")
 
 
 @dataclass(frozen=True)

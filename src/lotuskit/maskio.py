@@ -40,11 +40,6 @@ from lotuskit.gdsii import (
     BGNSTR,
     BOUNDARY,
     COLROW,
-    DATA_ASCII,
-    DATA_INT16,
-    DATA_INT32,
-    DATA_NONE,
-    DATA_REAL8,
     DATATYPE,
     ENDEL,
     ENDLIB,
@@ -52,7 +47,6 @@ from lotuskit.gdsii import (
     HEADER,
     LAYER,
     LIBNAME,
-    RECORD_NAMES,
     SNAME,
     SREF,
     STRNAME,
@@ -309,10 +303,10 @@ _ZERO_STAMPS = bytes(24)  # BGNLIB/BGNSTR modification and access times
 #: Every stream's head: version 600, zeroed stamps, library ``LOTUS``, and
 #: units of 1 nm per database unit and 1000 database units per user unit.
 _STREAM_HEAD = (
-    pack_record(HEADER, DATA_INT16, struct.pack(">h", 600))
-    + pack_record(BGNLIB, DATA_INT16, _ZERO_STAMPS)
-    + pack_record(LIBNAME, DATA_ASCII, encode_ascii("LOTUS"))
-    + pack_record(UNITS, DATA_REAL8, encode_real8(1e-3) + encode_real8(1e-9))
+    pack_record(HEADER, struct.pack(">h", 600))
+    + pack_record(BGNLIB, _ZERO_STAMPS)
+    + pack_record(LIBNAME, encode_ascii("LOTUS"))
+    + pack_record(UNITS, encode_real8(1e-3) + encode_real8(1e-9))
 )
 
 
@@ -333,11 +327,11 @@ def _xy_payload(points: list[tuple[int, int]]) -> bytes:
 def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) -> bytes:
     closed = [*points, points[0]]
     return (
-        pack_record(BOUNDARY, DATA_NONE)
-        + pack_record(LAYER, DATA_INT16, struct.pack(">h", layer))
-        + pack_record(DATATYPE, DATA_INT16, struct.pack(">h", datatype))
-        + pack_record(XY, DATA_INT32, _xy_payload(closed))
-        + pack_record(ENDEL, DATA_NONE)
+        pack_record(BOUNDARY)
+        + pack_record(LAYER, struct.pack(">h", layer))
+        + pack_record(DATATYPE, struct.pack(">h", datatype))
+        + pack_record(XY, _xy_payload(closed))
+        + pack_record(ENDEL)
     )
 
 
@@ -351,11 +345,11 @@ def _aref_bytes(array: LatticeArray, cell_name: str) -> bytes:
     col_end = (x0 + array.cols * cx, y0 + array.cols * cy)
     row_end = (x0 + array.rows * rx, y0 + array.rows * ry)
     return (
-        pack_record(AREF, DATA_NONE)
-        + pack_record(SNAME, DATA_ASCII, encode_ascii(cell_name))
-        + pack_record(COLROW, DATA_INT16, struct.pack(">2h", array.cols, array.rows))
-        + pack_record(XY, DATA_INT32, _xy_payload([(x0, y0), col_end, row_end]))
-        + pack_record(ENDEL, DATA_NONE)
+        pack_record(AREF)
+        + pack_record(SNAME, encode_ascii(cell_name))
+        + pack_record(COLROW, struct.pack(">2h", array.cols, array.rows))
+        + pack_record(XY, _xy_payload([(x0, y0), col_end, row_end]))
+        + pack_record(ENDEL)
     )
 
 
@@ -458,11 +452,11 @@ def write_gdsii(
     out = bytearray(_STREAM_HEAD)
 
     def open_structure(name: str) -> None:
-        out.extend(pack_record(BGNSTR, DATA_INT16, _ZERO_STAMPS))
-        out.extend(pack_record(STRNAME, DATA_ASCII, encode_ascii(validate_cell_name(name))))
+        out.extend(pack_record(BGNSTR, _ZERO_STAMPS))
+        out.extend(pack_record(STRNAME, encode_ascii(validate_cell_name(name))))
 
     def close_structure() -> None:
-        out.extend(pack_record(ENDSTR, DATA_NONE))
+        out.extend(pack_record(ENDSTR))
 
     arrays, rects = _emitted(target)
     background = rects if polarity == "walls" else []
@@ -483,7 +477,7 @@ def write_gdsii(
             _write_flat_array(out, array, layer, opening_datatype)
     close_structure()
 
-    out += pack_record(ENDLIB, DATA_NONE)
+    out += pack_record(ENDLIB)
     return bytes(out)
 
 
@@ -502,10 +496,7 @@ def _expect(record: Record, wanted: int) -> Record:
 
 
 class _RecordCursor:
-    """Strict record walk over a stream that can skip past decoded bytes.
-
-    Every record it returns carries its type's data type.
-    """
+    """Strict record walk over a stream that can skip past decoded bytes."""
 
     def __init__(self, data: bytes):
         self.data = data
@@ -519,14 +510,6 @@ class _RecordCursor:
             raise GdsParseError(
                 f"unexpected end of stream while reading {context}", len(self.data)
             ) from None
-        # A type with no entry is refused by the reader's grammar instead.
-        _, expected = RECORD_NAMES.get(record.record_type, (None, record.data_type))
-        if record.data_type != expected:
-            raise GdsParseError(
-                f"data type 0x{record.data_type:02X}, expected 0x{expected:02X}",
-                record.offset,
-                record.record_type,
-            )
         self.end = record.offset + 4 + len(record.payload)
         return record
 

@@ -726,6 +726,26 @@ class TestCliDesignAndCheck:
             "violation0=spec: fabrication_grid(half_pitch): value 2005 violates limit 10\n"
         )
 
+    @pytest.mark.parametrize(
+        "command",
+        [["check", "--reference"], ["design", "two-zone", "--reference"]],
+        ids=["check", "design-two-zone"],
+    )
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--pitch", "5000"], "--pitch"),
+            (["--height", "7"], "--height"),
+            (["--pitch", "5000", "--height", "7"], "--pitch"),
+        ],
+    )
+    def test_reference_refuses_the_lattice_flags(self, command, flags, flag, capsys):
+        # The built-in reference fixes its pitch and height, so neither flag is read.
+        assert run([*command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --reference cannot be combined with {flag}\n"
+
     def test_check_needs_a_target(self, capsys):
         assert run(["check"]) == 2
         assert run(["check", "--reference", "--wall", "400"]) == 2
@@ -879,6 +899,21 @@ class TestCliExport:
                  f"{flag} applies to --format gdsii only")
                 for flag, value in (
                     ("--mode", "flat"), ("--polarity", "walls"), ("--layer", "99999"), ("--datatype", "0"),
+                )
+            ),
+            # Flags the chosen target never reads, refused before it is built:
+            # built, a zone wall of 0 nm would exit 1.
+            (["--reference", "--pitch", "5000", "--height", "7"], "--reference cannot be combined with --pitch"),
+            (["--reference", "--height", "7"], "--reference cannot be combined with --height"),
+            (
+                ["--reference", "--f-start", "0.3", "--length-nm", "5", "--crop-um", "5"],
+                "--length-nm applies to --gradient only",
+            ),
+            *(
+                (["--wall-a", "400", "--wall-b", "0", flag, value], f"{flag} applies to --gradient only")
+                for flag, value in (
+                    ("--length-nm", "200000"), ("--width-nm", "5"), ("--f-start", "0.2"),
+                    ("--f-end", "0.3"), ("--measure", "linear_ratio"),
                 )
             ),
         ],

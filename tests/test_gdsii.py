@@ -113,19 +113,27 @@ class TestStringsAndNames:
 
 class TestPackRecord:
     def test_layout_of_packed_record(self):
-        raw = pack_record(HEADER, DATA_INT16, struct.pack(">h", 600))
+        raw = pack_record(HEADER, struct.pack(">h", 600))
         assert raw == bytes.fromhex("0006000202 58".replace(" ", ""))
 
     def test_empty_payload(self):
-        assert pack_record(ENDLIB, DATA_NONE) == bytes.fromhex("00040400")
+        assert pack_record(ENDLIB) == bytes.fromhex("00040400")
 
     def test_odd_payload_rejected(self):
-        with pytest.raises(ValueError):
-            pack_record(HEADER, DATA_ASCII, b"x")
+        with pytest.raises(ValueError, match="even length"):
+            pack_record(HEADER, b"x")
 
     def test_oversize_payload_rejected(self):
-        with pytest.raises(ValueError):
-            pack_record(XY, DATA_NONE, b"\x00" * 65532)
+        with pytest.raises(ValueError, match="exceeds the 65531-byte record limit"):
+            pack_record(XY, b"\x00" * 65532)
+
+    def test_data_type_is_the_record_names_entry(self):
+        for record_type, (_, data_type) in RECORD_NAMES.items():
+            assert pack_record(record_type)[2:] == bytes([record_type, data_type])
+
+    def test_unknown_record_type_rejected(self):
+        with pytest.raises(ValueError, match="unknown record type 0xEE"):
+            pack_record(0xEE)
 
 
 class TestRecordAccessors:
@@ -157,9 +165,9 @@ class TestRecordAccessors:
 class TestIterRecords:
     def _stream(self) -> bytes:
         return (
-            pack_record(HEADER, DATA_INT16, struct.pack(">h", 600))
-            + pack_record(BOUNDARY, DATA_NONE)
-            + pack_record(ENDLIB, DATA_NONE)
+            pack_record(HEADER, struct.pack(">h", 600))
+            + pack_record(BOUNDARY)
+            + pack_record(ENDLIB)
         )
 
     def test_walks_in_order_with_offsets(self):
@@ -175,7 +183,7 @@ class TestIterRecords:
         assert len(records) == 3
 
     def test_truncated_header_raises_with_offset(self):
-        header = pack_record(HEADER, DATA_INT16, struct.pack(">h", 600))
+        header = pack_record(HEADER, struct.pack(">h", 600))
         data = header + b"\x01\x02\x03"  # 3 stray non-NUL bytes
         with pytest.raises(GdsParseError) as excinfo:
             list(iter_records(data))
@@ -201,6 +209,16 @@ class TestIterRecords:
         bad = b"\x00\x00\x00\x00\x01\x02"
         with pytest.raises(GdsParseError, match="zero-length"):
             list(iter_records(bad))
+
+    def test_known_record_with_wrong_data_type_raises(self):
+        header = pack_record(HEADER, struct.pack(">h", 600))
+        bad = header + struct.pack(">HBB", 4, ENDLIB, DATA_INT16)
+        walk = iter_records(bad)
+        assert next(walk).record_type == HEADER
+        with pytest.raises(GdsParseError) as excinfo:
+            next(walk)
+        assert excinfo.value.offset == 6
+        assert str(excinfo.value) == "offset 6 (ENDLIB): data type 0x02, expected 0x00"
 
     def test_error_message_carries_record_name(self):
         bad = struct.pack(">HBB", 3, AREF, DATA_NONE)

@@ -289,6 +289,16 @@ class TestSpecs:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(-(2**31))
 
+    def test_values_too_long_to_print_are_refused_by_field_and_bound(self):
+        # 10**5000 has more digits than the interpreter converts to text; the
+        # refusal leaves the value out and still names the field and the bound.
+        for build, message in (
+            (lambda: HoneycombSpec(pitch=10**5000, wall=400, height=4000), "pitch must be <= 2147483647 nm"),
+            (lambda: Rect(-(10**5000), 0, 5, 5), "x must be >= -2147483647 nm"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
     @pytest.mark.parametrize(
         "build",
         [

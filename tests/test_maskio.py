@@ -379,6 +379,13 @@ class TestReadExternalStreams:
         with pytest.raises(GdsParseError, match="after ENDLIB"):
             read_gdsii(data)
 
+    def test_records_after_endlib_checked_for_data_type(self):
+        data = EXTERNAL_HEX_STREAM + record(0x04, 0x02)
+        with pytest.raises(GdsParseError) as excinfo:
+            read_gdsii(data)
+        offset = len(EXTERNAL_HEX_STREAM)
+        assert str(excinfo.value) == f"offset {offset} (ENDLIB): data type 0x02, expected 0x00"
+
     def test_duplicate_structure_rejected(self):
         duplicate = b"".join(
             [
