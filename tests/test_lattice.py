@@ -10,6 +10,7 @@ import importlib
 import math
 import pkgutil
 import re
+import tracemalloc
 from concurrent.futures import Executor, Future
 from fractions import Fraction
 
@@ -180,14 +181,23 @@ def old_row_pitch(pitch: int, fabrication_grid: int) -> int:
 
 
 class FixedPoints:
-    """Stands in for a numpy Generator whose ``random`` returns given points."""
+    """Stands in for a numpy Generator whose ``random`` returns given points.
+
+    ``random(shape)`` returns them all, as the frozen kernel draws them;
+    ``random(out=block)`` fills ``block`` with the next ``len(block)`` of them.
+    """
 
     def __init__(self, points: np.ndarray):
         self.points = points
+        self.drawn = 0
 
-    def random(self, shape):
-        assert shape == self.points.shape
-        return self.points.copy()
+    def random(self, shape=None, out=None):
+        if out is None:
+            assert shape == self.points.shape
+            return self.points.copy()
+        out[...] = self.points[self.drawn : self.drawn + len(out)]
+        self.drawn += len(out)
+        return out
 
 
 def edge_points(spec: HoneycombSpec, per_edge: int = 64, ulps: int = 3) -> np.ndarray:
@@ -356,6 +366,41 @@ class TestFractions:
         assert aspect_ratio(FINE) == 10.0
 
 
+@pytest.fixture
+def chunk_peaks(monkeypatch):
+    """Most Monte Carlo chunks in flight, one entry per run.
+
+    The pool starts no thread: a chunk runs when its count is first asked
+    for, so a chunk is in flight from its submission until then.
+    """
+    peaks = []
+
+    class LazyFuture(Future):
+        def __init__(self, executor, fn, args):
+            super().__init__()
+            self.executor, self.call = executor, (fn, args)
+
+        def result(self, timeout=None):
+            if not self.done():
+                fn, args = self.call
+                self.set_result(fn(*args))
+                self.executor.pending -= 1
+            return super().result(timeout)
+
+    class CountingExecutor(Executor):
+        def __init__(self, max_workers):
+            self.pending = 0
+            peaks.append(0)
+
+        def submit(self, fn, /, *args):
+            self.pending += 1
+            peaks[-1] = max(peaks[-1], self.pending)
+            return LazyFuture(self, fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
+    return peaks
+
+
 class TestMonteCarlo:
     def test_matches_closed_form_within_3_sigma(self):
         for spec, exact in ((WIDE, 0.4375), (FINE, 0.19)):
@@ -392,56 +437,43 @@ class TestMonteCarlo:
         assert estimate == 0.18992425
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_pending_chunks_do_not_grow_with_samples(self, workers, monkeypatch):
-        peaks = []
-
-        class LazyFuture(Future):
-            """Runs its chunk when its count is first asked for."""
-
-            def __init__(self, executor, fn, args):
-                super().__init__()
-                self.executor, self.call = executor, (fn, args)
-
-            def result(self, timeout=None):
-                if not self.done():
-                    fn, args = self.call
-                    self.set_result(fn(*args))
-                    self.executor.pending -= 1
-                return super().result(timeout)
-
-        class CountingExecutor(Executor):
-            def __init__(self, max_workers):
-                self.pending = 0
-
-            def submit(self, fn, /, *args):
-                self.pending += 1
-                peaks[-1] = max(peaks[-1], self.pending)
-                return LazyFuture(self, fn, args)
-
+    def test_pending_chunks_do_not_grow_with_samples(self, workers, chunk_peaks, monkeypatch):
         calls = []
 
         def fake_count(spec, chunk_index, chunk_samples, seed):
             calls.append((chunk_index, chunk_samples))
             return chunk_samples
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingExecutor)
+        # Enough CPUs that each requested worker gets a thread.
+        monkeypatch.setattr(lattice.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(lattice, "_mc_chunk_solid_count", fake_count)
         for chunks in (16, 100, 1000):
-            peaks.append(0)
             calls.clear()
             samples = chunks * lattice._MC_CHUNK - 5
             assert monte_carlo_fraction(FINE, samples, seed=0, workers=workers) == (1.0, 0.0)
             assert calls == [(k, lattice._MC_CHUNK) for k in range(chunks - 1)] + [
                 (chunks - 1, lattice._MC_CHUNK - 5)
             ]
-        assert peaks == [16, 16 * workers, 16 * workers]
+        assert chunk_peaks == [16, 16 * workers, 16 * workers]
+
+    @pytest.mark.parametrize("workers, threads", [(1, 1), (2, 2), (1000, 2)])
+    def test_chunks_in_flight_follow_the_thread_count(
+        self, workers, threads, chunk_peaks, monkeypatch
+    ):
+        # --workers 1000 on 2 CPUs starts 2 threads, so 32 chunks wait, not
+        # 16,000 (or, past 1000 chunks, every chunk of the run).
+        monkeypatch.setattr(lattice.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(lattice, "_mc_chunk_solid_count", lambda spec, k, size, seed: size)
+        samples = 1000 * lattice._MC_CHUNK
+        assert monte_carlo_fraction(FINE, samples, seed=0, workers=workers) == (1.0, 0.0)
+        assert chunk_peaks == [16 * threads]
 
     @pytest.mark.parametrize(
         "cpus, workers, threads",
         [(2, 1, 1), (2, 2, 2), (2, 8, 2), (2, 1000, 2), (None, 8, 1), (64, 8, 8)],
     )
     def test_threads_are_capped_at_the_cpu_count(self, cpus, workers, threads, monkeypatch):
-        # Each running thread holds several megabytes of temporaries, so
+        # Each running thread holds its own arrays, under 1 MB, so
         # --workers 1000 must not start 1000 of them.  The fake pool runs
         # the chunk at submit and starts no thread.
         started = []
@@ -461,38 +493,98 @@ class TestMonteCarlo:
         assert started == [threads]
 
 
+#: (pitch, wall) of the frozen-kernel comparison on random chunks.
+KERNEL_WALLS = [
+    (pitch, wall) for pitch in (4000, 3001) for wall in (1, DEFAULT_RULES.min_wall, pitch - 1)
+] + [(2, 1)]
+
+#: Specs of the frozen-kernel comparison on edge and fold-line points.
+EDGE_SPECS = {
+    "fine": FINE,
+    "wide": WIDE,
+    "odd-pitch-thin": HoneycombSpec(3001, 1, 10),
+    "odd-pitch-thick": HoneycombSpec(3001, 3000, 10),
+    "pitch-2": HoneycombSpec(2, 1, 10),
+}
+
+
 class TestMonteCarloKernel:
     """The chunk kernel counts exactly what the frozen four-candidate one counts."""
 
-    @pytest.mark.parametrize(
-        "pitch, wall",
-        [(pitch, wall) for pitch in (4000, 3001) for wall in (1, DEFAULT_RULES.min_wall, pitch - 1)]
-        + [(2, 1)],
-    )
-    def test_counts_equal_the_frozen_kernel(self, pitch, wall):
-        spec = HoneycombSpec(pitch=pitch, wall=wall, height=4000)
-        for seed in (0, 1, 2**64 - 1):
-            for chunk_index in (0, 7, 10**6):
-                for samples in (4096, 1001):
+    @staticmethod
+    def assert_counts_equal(spec, seeds, chunk_indices, sizes):
+        for seed in seeds:
+            for chunk_index in chunk_indices:
+                for samples in sizes:
                     assert lattice._mc_chunk_solid_count(
                         spec, chunk_index, samples, seed
                     ) == old_mc_chunk_solid_count(spec, chunk_index, samples, seed)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [FINE, WIDE, HoneycombSpec(3001, 1, 10), HoneycombSpec(3001, 3000, 10),
-         HoneycombSpec(2, 1, 10)],
-        ids=["fine", "wide", "odd-pitch-thin", "odd-pitch-thick", "pitch-2"],
-    )
-    def test_counts_equal_on_edges_and_fold_lines(self, spec, monkeypatch):
+    @staticmethod
+    def assert_edge_counts_equal(spec, points, monkeypatch):
         # Points on the hexagon edges and the fold lines, give or take a few
         # ulps, are where a different rounding would change the count.
-        points = edge_points(spec)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed_seq: FixedPoints(points))
-        new = lattice._mc_chunk_solid_count(spec, 0, len(points), 0)
-        old = old_mc_chunk_solid_count(spec, 0, len(points), 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", lambda seed_seq: FixedPoints(points))
+            new = lattice._mc_chunk_solid_count(spec, 0, len(points), 0)
+            old = old_mc_chunk_solid_count(spec, 0, len(points), 0)
         assert new == old
         assert 0 < new < len(points)
+
+    @pytest.mark.parametrize("pitch, wall", KERNEL_WALLS)
+    def test_counts_equal_the_frozen_kernel(self, pitch, wall):
+        spec = HoneycombSpec(pitch=pitch, wall=wall, height=4000)
+        self.assert_counts_equal(spec, (0, 1, 2**64 - 1), (0, 7, 10**6), (4096, 1001))
+
+    @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+    def test_counts_equal_on_edges_and_fold_lines(self, spec, monkeypatch):
+        # 100,352 points: six full blocks and a partial one.
+        self.assert_edge_counts_equal(spec, edge_points(spec), monkeypatch)
+
+    def test_blocks_of_1000_count_the_same(self, monkeypatch):
+        # Every chunk and edge set above ends in a partial block.
+        monkeypatch.setattr(lattice, "_MC_BLOCK", 1000)
+        for pitch, wall in KERNEL_WALLS:
+            spec = HoneycombSpec(pitch=pitch, wall=wall, height=4000)
+            self.assert_counts_equal(spec, (0, 1, 2**64 - 1), (0, 7, 10**6), (4096, 1001))
+        for spec in EDGE_SPECS.values():
+            self.assert_edge_counts_equal(spec, edge_points(spec), monkeypatch)
+
+    def test_single_sample_blocks_count_the_same(self, monkeypatch):
+        # A block costs about 40 us whatever its size, so single-sample
+        # blocks see one seed, one chunk and edge points within one ulp.
+        monkeypatch.setattr(lattice, "_MC_BLOCK", 1)
+        for pitch, wall in KERNEL_WALLS:
+            spec = HoneycombSpec(pitch=pitch, wall=wall, height=4000)
+            self.assert_counts_equal(spec, (2**64 - 1,), (7,), (1001,))
+        for spec in EDGE_SPECS.values():
+            self.assert_edge_counts_equal(spec, edge_points(spec, per_edge=8, ulps=1), monkeypatch)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_blocks_drawn_in_place_continue_one_stream(self, seed):
+        # The kernel draws its chunk block by block with random(out=...); the
+        # count is the frozen one's only if that gives random((n, 2)) exactly.
+        def generator():
+            return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+
+        whole = generator().random((lattice._MC_CHUNK, 2))
+        blocks, rng, start = np.empty_like(whole), generator(), 0
+        for size in (1, 7, 16_384, lattice._MC_CHUNK - 16_392):
+            rng.random(out=blocks[start : start + size])
+            start += size
+        assert blocks.tobytes() == whole.tobytes()
+
+    def test_a_chunk_holds_under_2_mb(self):
+        # RSS cannot show this: a spawned process starts at its parent's
+        # size.  The unblocked kernel peaked at 16.5 MB.
+        lattice._mc_chunk_solid_count(FINE, 0, 1000, 0)  # import numpy's generator first
+        tracemalloc.start()
+        try:
+            lattice._mc_chunk_solid_count(FINE, 0, lattice._MC_CHUNK, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_partial_last_chunk(self):
         samples = lattice._MC_CHUNK + 777
