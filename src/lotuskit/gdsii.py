@@ -233,23 +233,17 @@ class Record:
 
     def int16s(self) -> tuple[int, ...]:
         if len(self.payload) % 2:
-            raise GdsParseError(
-                "int16 payload has odd length", self.offset, self.record_type
-            )
+            raise self.error("int16 payload has odd length")
         return struct.unpack(f">{len(self.payload) // 2}h", self.payload)
 
     def int32s(self) -> tuple[int, ...]:
         if len(self.payload) % 4:
-            raise GdsParseError(
-                "int32 payload length not a multiple of 4", self.offset, self.record_type
-            )
+            raise self.error("int32 payload length not a multiple of 4")
         return struct.unpack(f">{len(self.payload) // 4}i", self.payload)
 
     def reals(self) -> tuple[float, ...]:
         if len(self.payload) % 8:
-            raise GdsParseError(
-                "real8 payload length not a multiple of 8", self.offset, self.record_type
-            )
+            raise self.error("real8 payload length not a multiple of 8")
         return tuple(
             decode_real8(self.payload[i : i + 8])
             for i in range(0, len(self.payload), 8)
@@ -259,9 +253,11 @@ class Record:
         try:
             return self.payload.rstrip(b"\x00").decode("ascii")
         except UnicodeDecodeError as exc:
-            raise GdsParseError(
-                f"non-ASCII string payload: {exc}", self.offset, self.record_type
-            ) from None
+            raise self.error(f"non-ASCII string payload: {exc}") from None
+
+    def error(self, message: str) -> GdsParseError:
+        """A parse error at this record's offset, naming its type."""
+        return GdsParseError(message, self.offset, self.record_type)
 
     @property
     def name(self) -> str:

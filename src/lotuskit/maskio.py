@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numbers
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import TYPE_CHECKING, Union
 
@@ -281,8 +281,13 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
     if isinstance(target, GradientDesign):
         pitch, first = target.spec.pitch, _first_column_arrays(target)
         arrays = [
-            replace(
-                array, comb=pitch - wall, origin=(array.origin[0] + k * pitch, array.origin[1])
+            LatticeArray(
+                pitch - wall,
+                (array.origin[0] + k * pitch, array.origin[1]),
+                array.cols,
+                array.rows,
+                array.col_vector,
+                array.row_vector,
             )
             for k, wall in enumerate(target.columns)
             for array in first
@@ -485,16 +490,6 @@ def write_gdsii(
 # Reader
 # --------------------------------------------------------------------------
 
-def _expect(record: Record, wanted: int) -> Record:
-    if record.record_type != wanted:
-        raise GdsParseError(
-            f"expected {record_name(wanted)}, found {record.name}",
-            record.offset,
-            record.record_type,
-        )
-    return record
-
-
 class _RecordCursor:
     """Strict record walk over a stream that can skip past decoded bytes."""
 
@@ -510,6 +505,20 @@ class _RecordCursor:
             raise GdsParseError(
                 f"unexpected end of stream while reading {context}", len(self.data)
             ) from None
+        self.end = record.offset + 4 + len(record.payload)
+        return record
+
+    def take(self, record_type: int) -> Record:
+        """The next record, which must be of ``record_type``."""
+        try:
+            record = next(self._records)
+        except StopIteration:
+            raise GdsParseError(
+                f"unexpected end of stream while reading {record_name(record_type)}",
+                len(self.data),
+            ) from None
+        if record.record_type != record_type:
+            raise record.error(f"expected {record_name(record_type)}, found {record.name}")
         self.end = record.offset + 4 + len(record.payload)
         return record
 
@@ -535,63 +544,50 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     Each such block becomes one entry of the cell's :attr:`MaskCell.runs`.
     """
     cursor = _RecordCursor(data)
-    next_record = cursor.next
 
-    header = _expect(next_record("HEADER"), HEADER)
+    header = cursor.take(HEADER)
     if not header.int16s():
-        raise GdsParseError("HEADER carries no version", header.offset, HEADER)
-    _expect(next_record("BGNLIB"), BGNLIB)
-    library_name = _expect(next_record("LIBNAME"), LIBNAME).text()
-    units_record = _expect(next_record("UNITS"), UNITS)
+        raise header.error("HEADER carries no version")
+    cursor.take(BGNLIB)
+    library_name = cursor.take(LIBNAME).text()
+    units_record = cursor.take(UNITS)
     units = units_record.reals()
     if len(units) != 2:
-        raise GdsParseError(
-            f"UNITS must carry 2 reals, found {len(units)}", units_record.offset, UNITS
-        )
+        raise units_record.error(f"UNITS must carry 2 reals, found {len(units)}")
     if min(units) <= 0.0:
-        raise GdsParseError(
-            f"UNITS must be positive, got {units!r}", units_record.offset, UNITS
-        )
+        raise units_record.error(f"UNITS must be positive, got {units!r}")
 
     cells: dict[str, MaskCell] = {}
     while True:
-        record = next_record("BGNSTR or ENDLIB")
+        record = cursor.next("BGNSTR or ENDLIB")
         if record.record_type == ENDLIB:
             extra = cursor.extra()
             if extra is None:
                 break
-            raise GdsParseError(
-                "records after ENDLIB", extra.offset, extra.record_type
-            )
-        _expect(record, BGNSTR)
-        name_record = _expect(next_record("STRNAME"), STRNAME)
+            raise extra.error("records after ENDLIB")
+        if record.record_type != BGNSTR:
+            raise record.error(f"expected BGNSTR, found {record.name}")
+        name_record = cursor.take(STRNAME)
         name = name_record.text()
         if name in cells:
-            raise GdsParseError(
-                f"duplicate structure {name!r}", name_record.offset, STRNAME
-            )
+            raise name_record.error(f"duplicate structure {name!r}")
         cell = MaskCell(name=name)
         while True:
-            element = next_record(f"element in structure {name!r}")
+            element = cursor.next(f"element in structure {name!r}")
             if element.record_type == ENDSTR:
                 break
             if element.record_type == BOUNDARY:
-                layer, datatype, points, xy = _parse_boundary(next_record)
-                block = _boundary_run(data, element.offset, cursor.end, xy, points)
-                if len(block) > 1:
-                    size = cursor.end - element.offset
-                    cursor.skip_to(element.offset + len(block) * size)
+                layer, datatype, xy = _parse_boundary(cursor)
+                size = cursor.end - element.offset
+                block = _boundary_run(data, element.offset, size, xy)
+                cursor.skip_to(element.offset + len(block) * size)
                 cell.runs.append((layer, datatype, block))
             elif element.record_type == SREF:
-                cell.srefs.append(_parse_sref(next_record))
+                cell.srefs.append(_parse_sref(cursor))
             elif element.record_type == AREF:
-                cell.arefs.append(_parse_aref(next_record))
+                cell.arefs.append(_parse_aref(cursor))
             else:
-                raise GdsParseError(
-                    f"unexpected {element.name} inside structure {name!r}",
-                    element.offset,
-                    element.record_type,
-                )
+                raise element.error(f"unexpected {element.name} inside structure {name!r}")
         cells[name] = cell
 
     return MaskGeometry(
@@ -606,48 +602,40 @@ def _xy_coords(record: Record) -> tuple[int, ...]:
     """An XY record's coordinates, x and y alternating."""
     values = record.int32s()
     if len(values) % 2:
-        raise GdsParseError(
-            "XY carries an odd number of coordinates", record.offset, XY
-        )
+        raise record.error("XY carries an odd number of coordinates")
     return values
 
 
-def _parse_boundary(next_record) -> tuple[int, int, np.ndarray, Record]:
-    """Layer, datatype, open points and XY record of a boundary after BOUNDARY."""
-    import numpy as np
+def _int16_value(record: Record) -> int:
+    """The first value of a LAYER or DATATYPE record."""
+    values = record.int16s()
+    if not values:
+        raise record.error(f"{record.name} carries no value")
+    return values[0]
 
-    layer_record = _expect(next_record("LAYER"), LAYER)
-    layer = layer_record.int16s()
-    if not layer:
-        raise GdsParseError("LAYER carries no value", layer_record.offset, LAYER)
-    datatype_record = _expect(next_record("DATATYPE"), DATATYPE)
-    datatype = datatype_record.int16s()
-    if not datatype:
-        raise GdsParseError(
-            "DATATYPE carries no value", datatype_record.offset, DATATYPE
+
+def _parse_boundary(cursor: _RecordCursor) -> tuple[int, int, Record]:
+    """Layer, datatype and checked XY record of a boundary after BOUNDARY."""
+    layer = _int16_value(cursor.take(LAYER))
+    datatype = _int16_value(cursor.take(DATATYPE))
+    xy = cursor.take(XY)
+    coords = _xy_coords(xy)
+    if len(coords) < 8:
+        raise xy.error(
+            f"boundary needs at least 4 points (closed triangle), got {len(coords) // 2}"
         )
-    xy = _expect(next_record("XY"), XY)
-    points = np.asarray(_xy_coords(xy), dtype=np.int64).reshape(-1, 2)
-    if len(points) < 4:
-        raise GdsParseError(
-            f"boundary needs at least 4 points (closed triangle), got {len(points)}",
-            xy.offset,
-            XY,
-        )
-    if not np.array_equal(points[0], points[-1]):
-        raise GdsParseError(_UNCLOSED, xy.offset, XY)
-    _expect(next_record("ENDEL"), ENDEL)
-    return layer[0], datatype[0], points[:-1], xy
+    if coords[:2] != coords[-2:]:
+        raise xy.error(_UNCLOSED)
+    cursor.take(ENDEL)
+    return layer, datatype, xy
 
 
 _UNCLOSED = "boundary is not closed (first point must repeat last)"
 _RUN_PROBE = 64  # elements compared by the first framing check of a run
 
 
-def _boundary_run(
-    data: bytes, start: int, end: int, xy: Record, first: np.ndarray
-) -> np.ndarray:
-    """Decode the run of boundaries framed like the one at ``start:end``.
+def _boundary_run(data: bytes, start: int, size: int, xy: Record) -> np.ndarray:
+    """Decode the run of boundaries framed like the ``size`` bytes at ``start``.
 
     The element at ``start`` has been parsed strictly.  Every following
     element whose bytes outside the XY payload equal that element's passes
@@ -656,25 +644,17 @@ def _boundary_run(
     the whole run at once; the first unclosed element raises the record walk's
     error at its XY record.  The run ends at the first element that
     differs, which the record walk then parses.  Returns the run's
-    ``(n, k, 2)`` points block, ``first``'s open points included; when the
-    next element differs, ``first`` alone.
+    ``(n, k, 2)`` points block, the parsed element's open points first.
     """
     import numpy as np
 
-    size = end - start
     xy_start = xy.offset + 4 - start
     xy_end = xy_start + len(xy.payload)
-    head, tail = data[start : start + xy_start], data[start + xy_end : end]
-    if (
-        data[end : end + xy_start] != head
-        or data[end + xy_end : end + size] != tail
-    ):
-        return first[None]
     available = (len(data) - start) // size
     elements = np.frombuffer(data, np.uint8, available * size, start).reshape(
         available, size
     )
-    count, probe = 2, _RUN_PROBE
+    count, probe = 1, _RUN_PROBE
     while count < available:
         block = elements[count : count + probe]
         same = (block[:, :xy_start] == elements[0, :xy_start]).all(axis=1) & (
@@ -694,47 +674,35 @@ def _boundary_run(
     return points[:, :-1]
 
 
-def _parse_sref(next_record) -> CellArray:
+def _parse_sref(cursor: _RecordCursor) -> CellArray:
     """An SREF after its SREF record, as a 1 x 1 array."""
-    name = _expect(next_record("SNAME"), SNAME).text()
-    xy = _expect(next_record("XY"), XY)
+    name = cursor.take(SNAME).text()
+    xy = cursor.take(XY)
     origin = _xy_coords(xy)
     if len(origin) != 2:
-        raise GdsParseError(
-            f"SREF XY must carry exactly 1 point, got {len(origin) // 2}", xy.offset, XY
-        )
-    _expect(next_record("ENDEL"), ENDEL)
+        raise xy.error(f"SREF XY must carry exactly 1 point, got {len(origin) // 2}")
+    cursor.take(ENDEL)
     return CellArray(name, origin, 1, 1, (0, 0), (0, 0))
 
 
-def _parse_aref(next_record) -> CellArray:
-    name = _expect(next_record("SNAME"), SNAME).text()
-    colrow = _expect(next_record("COLROW"), COLROW)
+def _parse_aref(cursor: _RecordCursor) -> CellArray:
+    name = cursor.take(SNAME).text()
+    colrow = cursor.take(COLROW)
     counts = colrow.int16s()
     if len(counts) != 2 or counts[0] < 1 or counts[1] < 1:
-        raise GdsParseError(
-            f"COLROW must carry two positive counts, got {counts!r}",
-            colrow.offset,
-            COLROW,
-        )
+        raise colrow.error(f"COLROW must carry two positive counts, got {counts!r}")
     cols, rows = counts
-    xy = _expect(next_record("XY"), XY)
+    xy = cursor.take(XY)
     coords = _xy_coords(xy)
     if len(coords) != 6:
-        raise GdsParseError(
-            f"AREF XY must carry exactly 3 points, got {len(coords) // 2}", xy.offset, XY
-        )
+        raise xy.error(f"AREF XY must carry exactly 3 points, got {len(coords) // 2}")
     x0, y0, col_x, col_y, row_x, row_y = coords
     origin = (x0, y0)
     col_span = (col_x - x0, col_y - y0)
     row_span = (row_x - x0, row_y - y0)
     if col_span[0] % cols or col_span[1] % cols or row_span[0] % rows or row_span[1] % rows:
-        raise GdsParseError(
-            "AREF spacing is not an integer number of database units",
-            xy.offset,
-            XY,
-        )
-    _expect(next_record("ENDEL"), ENDEL)
+        raise xy.error("AREF spacing is not an integer number of database units")
+    cursor.take(ENDEL)
     return CellArray(
         cell=name,
         origin=origin,

@@ -80,9 +80,9 @@ class Material:
                 f"advancing flat angle theta_flat + hysteresis/2 = "
                 f"{self.theta_flat + self.hysteresis / 2.0!r} degrees must stay below 180"
             )
-        if not self.surface_tension > 0.0:
+        if not 0.0 < self.surface_tension < math.inf:
             raise ValueError(
-                f"surface_tension must be > 0 N/m, got {self.surface_tension!r}"
+                f"surface_tension must be finite and > 0 N/m, got {self.surface_tension!r}"
             )
 
     @property
@@ -119,8 +119,8 @@ class Droplet:
     position: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.volume > 0.0:
-            raise ValueError(f"volume must be > 0 m^3, got {self.volume!r}")
+        if not 0.0 < self.volume < math.inf:
+            raise ValueError(f"volume must be finite and > 0 m^3, got {self.volume!r}")
         if not math.isfinite(self.position):
             raise ValueError(f"position must be finite, got {self.position!r}")
 

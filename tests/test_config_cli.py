@@ -803,6 +803,16 @@ class TestCliSimulate:
         assert "terminal_reason" not in captured.out
         assert "step must be a finite length" in captured.err
 
+    def test_infinite_volume_is_a_domain_error(self, capsys):
+        code = run(
+            ["simulate", "--length-nm", "10000000", "--f-start", "0.19",
+             "--f-end", "0.4375", "--volume-ul", "inf"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: volume must be finite and > 0 m^3, got inf\n"
+
     def test_step_that_does_not_move_is_a_domain_error(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"
         code = run(

@@ -24,6 +24,7 @@ import pytest
 
 from lotuskit.cli import run
 from lotuskit.gdsii import RECORD_NAMES, GdsParseError, iter_records
+from lotuskit.gradient import GradientSpec, design_linear_gradient
 from lotuskit.lattice import HoneycombSpec, Layout, Rect, Zone
 from lotuskit.maskio import (
     MaskCell,
@@ -616,8 +617,25 @@ SNAME_C = name_record(0x12, "C")
             4 + len(SNAME_C) + 8,
             "(XY): AREF XY must carry exactly 3 points, got 2",
         ),
+        # The first fault in stream order wins: each record is checked
+        # before the next one is read.
+        (
+            record(0x08, 0x00) + record(0x0D, 0x02)
+            + record(0x0E, 0x06, struct.pack(">h", 0)) + xy(*rectangle(0, 0, 9, 9), (0, 0)),
+            4,
+            "(LAYER): LAYER carries no value",
+        ),
+        (
+            record(0x0B, 0x00) + SNAME_C + record(0x13, 0x02, struct.pack(">2h", 0, 2))
+            + xy((0, 0), (10, 0)),
+            4 + len(SNAME_C),
+            "(COLROW): COLROW must carry two positive counts, got (0, 2)",
+        ),
     ],
-    ids=["datatype-empty", "xy-odd", "boundary-3", "sref-xy", "colrow-0", "aref-xy"],
+    ids=[
+        "datatype-empty", "xy-odd", "boundary-3", "sref-xy", "colrow-0", "aref-xy",
+        "layer-empty-before-bad-datatype", "colrow-0-before-short-xy",
+    ],
 )
 def test_rejected_element_names_its_record(element, at, message):
     offset = len(RUN_PREFIX) + at
@@ -642,3 +660,62 @@ def test_non_ascii_structure_name_is_rejected():
         f"offset {at} (STRNAME): non-ASCII string payload: 'ascii' codec can't "
         f"decode byte 0xc9 in position 1: ordinal not in range(128)"
     )
+
+
+# --------------------------------------------------------------------------
+# Seeded byte mutations
+# --------------------------------------------------------------------------
+
+MUTATION_TRIALS = 2000
+MUTATION_STREAMS = [
+    write_gdsii(
+        Zone(HoneycombSpec(4000, 1000, 4000), Rect(0, 0, 20000, 20000)),
+        mode="flat",
+        polarity="walls",
+    ),
+    write_gdsii(
+        design_linear_gradient(
+            GradientSpec(length=40000, lateral_width=20000, pitch=4000, f_start=0.19, f_end=0.4375)
+        )
+    ),
+    library(
+        structure("C", boundary(1, 0, rectangle(0, 0, 9, 9)), boundary(2, 0, hexagon(0, 0))),
+        structure(
+            "TOP",
+            sref("C", 0, 0),
+            sref("C", 100, 0),
+            aref("C", 2, 3, (0, 0), (10, 0), (0, 10)),
+        ),
+    ),
+]
+EXPAND_INSTANCE_BUDGET = 10**6  # a changed COLROW byte can ask for ~10**9 instances
+
+
+def test_mutated_streams_fail_only_with_value_errors():
+    """1-3 changed bytes make read_gdsii raise GdsParseError or nothing else.
+
+    A geometry that reads cleanly is expanded when its references place at
+    most ``EXPAND_INSTANCE_BUDGET`` instances; expand may raise only
+    ValueError.  Any other exception (IndexError, struct.error, ...) fails.
+    """
+    rng = random.Random(0)
+    outcomes = {"parse error": 0, "expand error": 0, "clean": 0}
+    for trial in range(MUTATION_TRIALS):
+        data = bytearray(MUTATION_STREAMS[trial % len(MUTATION_STREAMS)])
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        try:
+            geometry = read_gdsii(bytes(data))
+        except GdsParseError:
+            outcomes["parse error"] += 1
+            continue
+        refs = [ref for cell in geometry.cells.values() for ref in (*cell.srefs, *cell.arefs)]
+        if sum(ref.cols * ref.rows for ref in refs) > EXPAND_INSTANCE_BUDGET:
+            continue
+        try:
+            geometry.expand()
+        except ValueError:
+            outcomes["expand error"] += 1
+            continue
+        outcomes["clean"] += 1
+    assert all(outcomes.values()), outcomes

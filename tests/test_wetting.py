@@ -214,12 +214,16 @@ class TestMaterial:
             Material(name="x", theta_flat=81.0, hysteresis=hysteresis)
 
     def test_rejects_nonpositive_tension(self):
-        with pytest.raises(ValueError):
-            Material(name="x", theta_flat=81.0, surface_tension=0.0)
+        for tension in (0.0, -1.0, math.inf, math.nan):
+            message = f"surface_tension must be finite and > 0 N/m, got {tension!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Material(name="x", theta_flat=81.0, surface_tension=tension)
 
     def test_droplet_requires_positive_volume(self):
-        with pytest.raises(ValueError):
-            Droplet(volume=0.0)
+        for volume in (0.0, -1e-9, math.inf, math.nan):
+            message = f"volume must be finite and > 0 m^3, got {volume!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Droplet(volume=volume)
         assert Droplet(volume=1.1e-9).position == 0.0
         for position in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^position must be finite, got {position!r}$"):
