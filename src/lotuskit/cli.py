@@ -26,7 +26,8 @@ in --out if absolute, else under the config ``out_dir``, the
 ``LOTUS_OUT_DIR`` environment variable, or the working directory.
 
 The mask writers are imported by the ``design`` and ``export`` handlers
-only.  numpy is loaded only by flat and SVG export and by ``fraction
+only, and the reference dataset by ``report`` and the ``--reference``
+targets.  numpy is loaded only by flat and SVG export and by ``fraction
 --mc-samples``, which alone also loads the thread pool
 (``concurrent.futures``); ``design``, arrayed export and the other commands
 start without either.
@@ -72,7 +73,6 @@ from lotuskit.lattice import (
     monte_carlo_fraction,
     square_pillar_fraction,
 )
-from lotuskit.reference import build_validation_report, reference_two_zone_layout
 from lotuskit.wetting import Droplet, cassie_apparent_angle
 
 __all__ = ["main", "run"]
@@ -137,6 +137,8 @@ def _refuse_set_flags(args: argparse.Namespace, names: Sequence[str], rule: str)
 
 def _two_zone_from_args(args: argparse.Namespace, config: ProjectConfig) -> Layout:
     if args.reference:
+        from lotuskit.reference import reference_two_zone_layout
+
         _refuse_set_flags(args, _REFERENCE_FIXES, "--reference cannot be combined with {}")
         layout = reference_two_zone_layout()
     elif args.wall_a is None or args.wall_b is None:
@@ -280,6 +282,8 @@ def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int
 
 def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
     if args.reference:
+        from lotuskit.reference import reference_two_zone_layout
+
         _refuse_set_flags(args, _REFERENCE_FIXES, "--reference cannot be combined with {}")
         target: Layout | HoneycombSpec = dataclasses.replace(
             reference_two_zone_layout(), fabrication_grid=config.rules.fabrication_grid
@@ -399,6 +403,8 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, config: ProjectConfig) -> int:
+    from lotuskit.reference import build_validation_report
+
     report = build_validation_report(config.material, config.rules)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

@@ -23,18 +23,20 @@ local apparent angles so the cap stays consistent as wettability changes
 (a fixed point solved by bisection).  Positions are meters at this module's
 boundary; pattern geometry stays in integer nanometers.
 
-A simulation builds one footprint solver per (design, volume, material): it
-holds one apparent-angle table per design column, so the bisection looks
-angles up instead of re-evaluating Cassie-Baxter, and once both ends of the
-bisection bracket share one (front, rear) column pair the residual becomes
-``cap_radius(pair) - r`` with the cap radius computed once.  The bisection
-itself is kept, iteration for iteration, because a closed-form solve would
-round differently: the trace CSV stays byte-identical.
+A simulation builds one footprint solver per (design, volume, material).  It
+reads the design as runs, maximal blocks of consecutive columns with one
+wall, and evaluates the apparent angle and the retention force once per
+distinct wall and the cap radius once per (front wall, rear wall) pair.
+Once both ends of the bisection bracket share one (front run, rear run)
+pair, the residual becomes ``cap_radius(pair) - r``.  The bisection itself
+is kept, iteration for iteration, because a closed-form solve would round
+differently: the trace CSV stays byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -380,6 +382,15 @@ def _no_fit(position_m: float, r_max: float) -> FootprintError:
     )
 
 
+def _wall_runs(walls: tuple[int, ...]) -> list[tuple[int, int]]:
+    """``(first_column, wall)`` of each maximal block of equal consecutive walls."""
+    return [
+        (index, wall)
+        for index, wall in enumerate(walls)
+        if index == 0 or walls[index - 1] != wall
+    ]
+
+
 class _FootprintSolver:
     """Footprint fixed point and driving force of one droplet on one design.
 
@@ -389,15 +400,20 @@ class _FootprintSolver:
     with r_max the distance to the nearer design edge.  h(0+) > 0 always;
     h(r_max) > 0 means the droplet cannot fit, which raises FootprintError.
 
-    The apparent angle is piecewise constant per column, so it is tabulated
-    once per column through :func:`cassie_apparent_angle`.  Column(x +/- r)
-    is monotone in r, so once both ends of the bracket ``[low, high]`` map to
-    the same (front, rear) column pair, every later midpoint does too and
-    the residual is ``c - mid`` with ``c`` that pair's cap radius.  The
-    bisection is otherwise the original one, update for update, so the
-    radius is bit-identical to evaluating ``h`` afresh at every midpoint.
-    The retention force depends only on the droplet's own column and is
-    computed once per column visited.
+    The design is read as runs, maximal blocks of consecutive columns with
+    one wall.  The apparent angle and the retention force depend on the
+    wall alone, so each is computed once per distinct wall, and the cap
+    radius once per (front wall, rear wall) pair met, in a table that a
+    design of alternating walls cannot grow beyond its wall pairs.  The
+    bisection tracks the (front run, rear run) pair at both bracket ends:
+    x_nm = round(x * 1e9) is monotone in x, so the run of x +/- r is
+    monotone in r, and a run that is the same at both ends of the bracket
+    ``[low, high]`` is the run of every midpoint between them.  Such an end
+    is not looked up again, and once both ends share one run pair the
+    residual is ``c - mid`` with ``c`` that pair's cap radius.  A wall pair
+    gives one angle pair and one cap radius, the same floats at every
+    column, so every midpoint and comparison is the original per-column
+    bisection's and the radius is bit-identical to evaluating ``h`` afresh.
     """
 
     def __init__(
@@ -406,23 +422,45 @@ class _FootprintSolver:
         self.design = design
         self.volume = volume_m3
         self.material = material
-        self.angles = [
+        runs = _wall_runs(design.columns)
+        walls = list(dict.fromkeys(design.columns))  # distinct, first seen first
+        slot_of = {wall: slot for slot, wall in enumerate(walls)}
+        fraction_of = dict(zip(design.columns, design.fractions))
+        self._fractions = [fraction_of[wall] for wall in walls]
+        angles = [
             cassie_apparent_angle(fraction, material.theta_flat)
-            for fraction in design.fractions
+            for fraction in self._fractions
         ]
+        self._starts_nm = [first * design.spec.pitch for first, _ in runs]
+        self._slots = [slot_of[wall] for _, wall in runs]
+        self._run_angles = [angles[slot] for slot in self._slots]
+        self._caps: dict[tuple[int, int], float] = {}  # (front, rear) slot -> radius
+        self._retention: list[float | None] = [None] * len(walls)
         self.length_m = design.length_m
         self._length_nm = design.length_nm
-        self._pitch = design.spec.pitch
-        self._last = design.n_columns - 1
         self._droplet = Droplet(volume=volume_m3)
-        self._retention: list[float | None] = [None] * design.n_columns
 
-    def column(self, x_m: float) -> int:
-        """Same quantization and range check as :meth:`GradientDesign.column_index`."""
+    def run(self, x_m: float) -> int:
+        """Index of the run containing ``x_m`` (meters).
+
+        The quantization and range check are :meth:`GradientDesign.column_index`'s.
+        """
         x_nm = round(x_m * _NM_PER_M)
         if not 0 <= x_nm <= self._length_nm:
-            return self.design.column_index(x_m)  # raises the range error
-        return min(x_nm // self._pitch, self._last)
+            self.design.column_index(x_m)  # raises the range error
+        return bisect_right(self._starts_nm, x_nm) - 1
+
+    def cap_radius(self, front: int, rear: int) -> float:
+        """Footprint radius of the cap at the mean angle of two runs' walls."""
+        key = (self._slots[front], self._slots[rear])
+        radius = self._caps.get(key)
+        if radius is None:
+            angles = self._run_angles
+            radius = spherical_cap_footprint_radius(
+                self.volume, 0.5 * (angles[front] + angles[rear])
+            )
+            self._caps[key] = radius
+        return radius
 
     def solve(self, position_m: float) -> _ForceState:
         """Footprint radius, both angles and driving force at ``position_m``."""
@@ -435,16 +473,15 @@ class _FootprintSolver:
         r_max = min(position_m, length_m - position_m)
         if r_max <= 0.0:
             raise _no_fit(position_m, r_max)
-        angles, column, volume = self.angles, self.column, self.volume
-        cap_radius = spherical_cap_footprint_radius
-        front_high = column(position_m + r_max)
-        rear_high = column(position_m - r_max)
-        cap_high = cap_radius(volume, 0.5 * (angles[front_high] + angles[rear_high]))
+        run, cap_radius = self.run, self.cap_radius
+        front_high = run(position_m + r_max)
+        rear_high = run(position_m - r_max)
+        cap_high = cap_radius(front_high, rear_high)
         if cap_high - r_max > 0.0:
             raise _no_fit(position_m, r_max)
 
-        front_low = rear_low = column(position_m)
-        # Cap radius of the column pair both bracket ends share, else None.
+        front_low = rear_low = run(position_m)
+        # Cap radius of the run pair both bracket ends share, else None.
         shared = cap_high if (front_low, rear_low) == (front_high, rear_high) else None
         low, high = 0.0, r_max
         for _ in range(200):
@@ -457,9 +494,9 @@ class _FootprintSolver:
                 else:
                     high = mid
             else:
-                front = column(position_m + mid)
-                rear = column(position_m - mid)
-                cap_mid = cap_radius(volume, 0.5 * (angles[front] + angles[rear]))
+                front = front_low if front_low == front_high else run(position_m + mid)
+                rear = rear_low if rear_low == rear_high else run(position_m - mid)
+                cap_mid = cap_radius(front, rear)
                 if cap_mid - mid > 0.0:
                     low, front_low, rear_low = mid, front, rear
                 else:
@@ -469,7 +506,7 @@ class _FootprintSolver:
             if high - low <= 1e-13:
                 break
         radius = high
-        front, rear = angles[front_high], angles[rear_high]
+        front, rear = self._run_angles[front_high], self._run_angles[rear_high]
         cos_front = math.cos(math.radians(front))
         cos_rear = math.cos(math.radians(rear))
         force = self.material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
@@ -478,14 +515,12 @@ class _FootprintSolver:
         )
 
     def retention(self, position_m: float) -> float:
-        """:func:`retention_force` at the column containing ``position_m``."""
-        index = self.column(position_m)
-        holding = self._retention[index]
+        """:func:`retention_force` under the wall at ``position_m``."""
+        slot = self._slots[self.run(position_m)]
+        holding = self._retention[slot]
         if holding is None:
-            holding = retention_force(
-                self._droplet, self.material, self.design.fractions[index]
-            )
-            self._retention[index] = holding
+            holding = retention_force(self._droplet, self.material, self._fractions[slot])
+            self._retention[slot] = holding
         return holding
 
 

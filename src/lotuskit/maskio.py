@@ -95,6 +95,11 @@ __all__ = [
 
 _INT16_MAX = 32767
 
+# The most polygons that expand() places in one cell, its own and those of
+# its references together: 2**22, about 400 MB of int64 hexagon vertices.
+# One AREF of 32,767 x 32,767 instances would ask for 1.07e9.
+_EXPAND_BUDGET = 2**22
+
 Target = Union[Layout, Zone, GradientDesign]
 
 
@@ -170,7 +175,9 @@ class MaskGeometry:
         index inner).  Each cell is flattened once; consecutive references
         to one child are placed by broadcasting.  Nested references are
         followed recursively with cycle detection.  The returned vertices
-        never alias the cells' own runs or an earlier result.
+        never alias the cells' own runs or an earlier result.  A cell whose
+        references would bring it above ``2**22`` polygons raises ValueError
+        before they are placed.
         """
         import numpy as np
 
@@ -199,8 +206,20 @@ class MaskGeometry:
                 (layer, datatype, block.astype(np.result_type(block.dtype, np.int64)))
                 for layer, datatype, block in cell.runs
             ]
+            placed = sum(len(block) for _, _, block in runs)
             for child, group in groupby(refs, key=lambda ref: ref.cell):
-                runs += _placed(flatten(child, below), _instance_offsets(list(group)))
+                arrays = list(group)
+                child_runs = flatten(child, below)
+                polygons = sum(len(block) for _, _, block in child_runs)
+                if not polygons:
+                    continue
+                placed += polygons * sum(array.cols * array.rows for array in arrays)
+                if placed > _EXPAND_BUDGET:
+                    raise ValueError(
+                        f"expanding cell {name!r} places {placed} polygons, over "
+                        f"the budget of {_EXPAND_BUDGET}"
+                    )
+                runs += _placed(child_runs, _instance_offsets(arrays))
             flattened[name] = runs
             return runs
 

@@ -601,10 +601,30 @@ class TestPinnedTraceBytes:
         ],
     )
     def test_trace_csv_digest(self, hysteresis, reason, records, digest):
+        self.check_trace(None, hysteresis, reason, records, digest)
+
+    # The benchmark's transport traces: ``lotus simulate ... --step-nm 1000``.
+    @pytest.mark.parametrize(
+        ("hysteresis", "reason", "records", "digest"),
+        [
+            (
+                0.0, TerminalReason.REACHED_END, 8420,
+                "9def8816dc2c8e768704fadf361fe2df861f575fceb5e8fd6612dd784fcc4218",
+            ),
+            (
+                5.0, TerminalReason.FORCE_BALANCE, 2793,
+                "af8d433d1b31a7ae7f038a0b4f611a3d766b96f8d906222458aa1ea8ebb0b410",
+            ),
+        ],
+    )
+    def test_benchmark_trace_csv_digest(self, hysteresis, reason, records, digest):
+        self.check_trace(1000 * 1e-9, hysteresis, reason, records, digest)
+
+    def check_trace(self, step, hysteresis, reason, records, digest):
         material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
         design = design_linear_gradient(self.SPEC)
         trace = simulate_droplet(
-            design, Droplet(volume=1.1e-9, position=1e-3), material
+            design, Droplet(volume=1.1e-9, position=1e-3), material, step=step
         )
         assert trace.terminal_reason is reason
         assert len(trace.steps) == records
@@ -666,6 +686,32 @@ def oracle_force_state(design, position_m, volume_m3, material):
         design.column_index(position_m + r), design.column_index(position_m - r)
     )
     return radius, front, rear, force, pair(low) != pair(high)
+
+
+def assert_solver_matches_oracle(design, volume_m3, material, positions):
+    """Solve every position both ways; return how many fitted.
+
+    Where the footprint fits, radius, angles and force must be identical;
+    where it does not, both must raise the same ``FootprintError``.
+    """
+    solver = _FootprintSolver(design, volume_m3, material)
+    fitted = 0
+    for position in positions:
+        try:
+            radius, front, rear, force, _ = oracle_force_state(
+                design, position, volume_m3, material
+            )
+        except FootprintError as expected:
+            with pytest.raises(FootprintError) as actual:
+                solver.solve(position)
+            assert str(actual.value) == str(expected)
+            continue
+        state = solver.solve(position)
+        assert state.footprint_radius == radius
+        assert (state.theta_front, state.theta_rear) == (front, rear)
+        assert state.net_force == force
+        fitted += 1
+    return fitted
 
 
 class TestSolverMatchesPerCallBisection:
@@ -737,6 +783,45 @@ class TestSolverMatchesPerCallBisection:
             assert (state.theta_front, state.theta_rear) == (front, rear)
             assert state.net_force == force
 
+    # Runs of equal walls: one run; alternating walls on a uniform spec; and
+    # one run per column under a droplet a few columns wide.
+    @pytest.mark.parametrize(
+        ("design", "volume", "material", "positions"),
+        [
+            pytest.param(
+                design_linear_gradient(GradientSpec(
+                    length=10_000_000, lateral_width=200_000, pitch=4000,
+                    f_start=0.3, f_end=0.3,
+                )),
+                VOLUME, WATER_ON_PMMA, [0.8e-3 + k * 3.1e-5 for k in range(280)],
+                id="one-run",
+            ),
+            pytest.param(
+                GradientDesign(
+                    columns=(400, 1000, 1000, 600) * 250,
+                    spec=GradientSpec(
+                        length=4_000_000, lateral_width=200_000, pitch=4000,
+                        f_start=0.3, f_end=0.3,
+                    ),
+                ),
+                1e-10, Material(name="steep", theta_flat=100.0, hysteresis=4.0),
+                [0.3e-3 + k * 1.37e-6 * (1.0 + 0.29 * (k % 5)) for k in range(1500)],
+                id="alternating-walls",
+            ),
+            pytest.param(
+                design_linear_gradient(GradientSpec(
+                    length=160_000, lateral_width=100_000, pitch=4000,
+                    f_start=0.19, f_end=0.9,
+                )),
+                2e-15, WATER_ON_PMMA, [k * 0.37e-6 for k in range(433)],
+                id="run-per-column",
+            ),
+        ],
+    )
+    def test_runs_of_equal_walls(self, design, volume, material, positions):
+        fitted = assert_solver_matches_oracle(design, volume, material, positions)
+        assert fitted >= 0.9 * len(positions)
+
     @pytest.mark.parametrize("position", [-1e-3, 10.5e-3, float("nan"), 0.0, 1e-4])
     def test_footprint_errors_keep_their_messages(self, position):
         spec = GradientSpec(
@@ -750,3 +835,59 @@ class TestSolverMatchesPerCallBisection:
         with pytest.raises(FootprintError) as actual:
             solver.solve(position)
         assert str(actual.value) == str(expected.value)
+
+
+class TestSolverCallCounts:
+    """A simulation evaluates each wall's angle and each wall pair's cap once."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        import lotuskit.gradient as gradient
+
+        calls = []
+        original = getattr(gradient, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(gradient, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize(
+        ("design", "position", "hysteresis"),
+        [
+            pytest.param(
+                design_linear_gradient(TestPinnedTraceBytes.SPEC), 1e-3, 0.0,
+                id="ramp-to-end",
+            ),
+            pytest.param(
+                design_linear_gradient(TestPinnedTraceBytes.SPEC), 1e-3, 5.0,
+                id="ramp-to-balance",
+            ),
+            pytest.param(
+                GradientDesign(
+                    columns=(400, 1000) * 1250,
+                    spec=dataclasses.replace(TestPinnedTraceBytes.SPEC, f_end=0.19),
+                ),
+                5e-3, 0.0,
+                id="alternating-walls",
+            ),
+        ],
+    )
+    def test_calls_bounded_by_walls_and_wall_pairs(
+        self, monkeypatch, design, position, hysteresis
+    ):
+        material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
+        angles = self.counted(monkeypatch, "cassie_apparent_angle")
+        caps = self.counted(monkeypatch, "spherical_cap_footprint_radius")
+        trace = simulate_droplet(
+            design, Droplet(volume=1.1e-9, position=position), material,
+            step=1000 * 1e-9, max_steps=3000,
+        )
+        assert len(trace.steps) > 100
+        walls = len(set(design.columns))
+        # One angle per wall; one cap radius per (front, rear) wall pair and
+        # one per wall for the retention force.
+        assert len(angles) <= walls
+        assert len(caps) <= walls * walls + walls

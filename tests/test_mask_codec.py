@@ -18,6 +18,7 @@
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -528,6 +529,57 @@ class TestRunModel:
         assert [points.dtype for _, _, points in expanded] == [np.int64, np.int64]
         assert np.array_equal(expanded[1][2], hexagon(3000, 0))
         assert block.dtype == np.int32
+
+
+class TestExpandBudget:
+    """expand() refuses a cell of more than 2**22 polygons before placing any."""
+
+    @staticmethod
+    def expand_peak(geometry):
+        tracemalloc.start()
+        try:
+            try:
+                outcome = geometry.expand()
+            except ValueError as error:
+                outcome = error
+            return outcome, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_largest_aref_is_refused_before_allocating(self):
+        stream = library(
+            structure("C", boundary(1, 0, rectangle(0, 0, 9, 9))),
+            structure("TOP", aref("C", 32767, 32767, (0, 0), (10, 0), (0, 10))),
+        )
+        error, peak = self.expand_peak(read_gdsii(stream))
+        assert str(error) == (
+            "expanding cell 'TOP' places 1073676289 polygons, over the budget of 4194304"
+        )
+        assert peak < 1_000_000
+
+    def test_own_polygons_count_toward_the_budget(self):
+        stream = library(
+            structure("C", boundary(1, 0, rectangle(0, 0, 9, 9))),
+            structure(
+                "TOP",
+                boundary(2, 0, rectangle(0, 0, 9, 9)),
+                aref("C", 2048, 2048, (0, 0), (10, 0), (0, 10)),
+            ),
+        )
+        error, peak = self.expand_peak(read_gdsii(stream))
+        assert str(error) == (
+            "expanding cell 'TOP' places 4194305 polygons, over the budget of 4194304"
+        )
+        assert peak < 1_000_000
+
+    def test_array_of_an_empty_cell_places_nothing(self):
+        stream = library(
+            structure("EMPTY"),
+            structure("TOP", aref("EMPTY", 32767, 32767, (0, 0), (10, 0), (0, 10))),
+        )
+        expanded, peak = self.expand_peak(read_gdsii(stream))
+        assert expanded == []
+        assert peak < 1_000_000
 
 
 def test_units_error_reports_the_units_record_offset():

@@ -5,7 +5,8 @@ of its run time.  Only the commands that build arrays (flat and SVG export,
 Monte Carlo fractions) may load numpy, and only Monte Carlo may load the
 thread pool (``concurrent.futures``).  The scalar commands start and run
 without either, and without the mask codec; ``design`` and arrayed export
-load the mask codec but not numpy.  ``import lotuskit`` itself loads no
+load the mask codec but not numpy.  Only ``report`` and the ``--reference``
+targets load the reference dataset.  ``import lotuskit`` itself loads no
 submodule until one of its names is used.
 """
 
@@ -22,13 +23,17 @@ _SRC = str(Path(lotuskit.__file__).resolve().parent.parent)
 
 # Each command runs in the same child after ``import lotuskit.cli``; the
 # child prints, as JSON, the exit code of each and which of numpy, the mask
-# codec modules and the thread pool were loaded once it had finished.
+# codec modules, the thread pool and the reference dataset were loaded once
+# it had finished.
 _PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
     import lotuskit.cli
     def loaded():
-        watched = ("numpy", "lotuskit.gdsii", "lotuskit.maskio", "concurrent.futures")
+        watched = (
+            "numpy", "lotuskit.gdsii", "lotuskit.maskio", "concurrent.futures",
+            "lotuskit.reference",
+        )
         return [name for name in watched if name in sys.modules]
     seen = [["import lotuskit.cli", 0, loaded()]]
     for argv in json.loads(sys.argv[1]):
@@ -53,23 +58,25 @@ def _probe(commands: list[list[str]], out_dir: Path) -> list[list]:
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):
+    # Only report and the --reference targets load the reference dataset,
+    # so the commands without it run first.
     csv = str(tmp_path / "trace.csv")
     commands = [
         ["angle", "--f", "0.19"],
         ["fraction", "--wall", "400"],
         ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"],
-        ["check", "--reference"],
-        ["report", "--json"],
         [
             "simulate", "--length-nm", "10000000", "--f-start", "0.19",
             "--f-end", "0.4375", "--width-nm", "200000", "--csv", csv,
         ],
+        ["check", "--reference"],
+        ["report", "--json"],
     ]
     seen = _probe(commands, tmp_path)
     assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
         (" ".join(argv), 0) for argv in commands
     ]
-    assert [(name, loaded) for name, _, loaded in seen if loaded] == []
+    assert [loaded for _, _, loaded in seen] == [[]] * 5 + [["lotuskit.reference"]] * 2
     assert Path(csv).read_text(encoding="utf-8").startswith("position_m,")
 
 
@@ -81,21 +88,22 @@ def test_mask_commands_without_arrays_run_without_numpy(tmp_path):
         "--width-nm", "200000",
     ]
     commands = [
-        ["design", "two-zone", "--reference"],
         ["design", "gradient", *ramp],
-        ["export", "--reference", "--out", str(tmp_path / "reference.gds")],
         [
             "export", "--gradient", *ramp, "--polarity", "walls",
             "--out", str(tmp_path / "gradient.gds"),
         ],
+        ["design", "two-zone", "--reference"],
+        ["export", "--reference", "--out", str(tmp_path / "reference.gds")],
     ]
     seen = _probe(commands, tmp_path)
     assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
         (" ".join(argv), 0) for argv in commands
     ]
-    assert [loaded for _, _, loaded in seen] == [[]] + [
-        ["lotuskit.gdsii", "lotuskit.maskio"]
-    ] * len(commands)
+    codec = ["lotuskit.gdsii", "lotuskit.maskio"]
+    assert [loaded for _, _, loaded in seen] == [[]] + [codec] * 2 + [
+        [*codec, "lotuskit.reference"]
+    ] * 2
 
 
 def test_array_commands_still_load_numpy(tmp_path):
