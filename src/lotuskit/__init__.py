@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.  A submodule is imported
 # the first time one of its names (or the submodule itself) is used, so that
-# ``import lotuskit`` loads none of them, and numpy only with the mask codec.
+# ``import lotuskit`` loads none of them, and numpy only where arrays are built.
 _EXPORTS = {
     "Material": "wetting",
     "Droplet": "wetting",
     "cassie_apparent_angle": "wetting",
-    "invert_cassie_fraction": "wetting",
     "apparent_advancing_receding": "wetting",
     "spherical_cap_footprint_radius": "wetting",
     "HoneycombSpec": "lattice",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "wall_for_fraction": "gradient",
     "design_linear_gradient": "gradient",
     "local_apparent_angle": "gradient",
-    "net_driving_force": "gradient",
     "retention_force": "gradient",
     "simulate_droplet": "gradient",
     "trace_to_csv": "gradient",

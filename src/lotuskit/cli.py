@@ -27,10 +27,9 @@ in --out if absolute, else under the config ``out_dir``, the
 
 The mask writers are imported by the ``design`` and ``export`` handlers
 only, and the reference dataset by ``report`` and the ``--reference``
-targets.  numpy is loaded only by flat and SVG export and by ``fraction
---mc-samples``, which alone also loads the thread pool
-(``concurrent.futures``); ``design``, arrayed export and the other commands
-start without either.
+targets.  numpy and the thread pool (``concurrent.futures``) are loaded
+only by ``fraction --mc-samples``; ``design``, every ``export`` and the
+other commands start without either.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ __all__ = [
     "wall_for_fraction",
     "design_linear_gradient",
     "local_apparent_angle",
-    "net_driving_force",
     "retention_force",
     "simulate_droplet",
     "trace_to_csv",
@@ -150,7 +149,8 @@ class GradientDesign:
     Columns are pitch-wide strips starting at x = 0, so column k spans
     ``[k*pitch, (k+1)*pitch)`` nm; no x coordinate is stored.  Walls are
     integer nanometers, snapped to the fabrication grid, inside (0, pitch),
-    and monotone whenever the requested fraction ramp is monotone.
+    and follow the requested fraction ramp: non-decreasing on a rising
+    ramp, non-increasing on a falling one, and all equal on a uniform one.
     """
 
     columns: tuple[int, ...]
@@ -185,6 +185,8 @@ class GradientDesign:
         elif self.spec.f_start > self.spec.f_end:
             if any(b > a for a, b in zip(walls, walls[1:])):
                 raise ValueError("walls must be non-increasing for a falling ramp")
+        elif any(wall != walls[0] for wall in walls):
+            raise ValueError("walls must be equal for a uniform ramp")
         fraction = (
             honeycomb_linear_ratio
             if self.spec.measure is Measure.LINEAR_RATIO
@@ -524,25 +526,6 @@ class _FootprintSolver:
         return holding
 
 
-def net_driving_force(
-    design: GradientDesign, droplet: Droplet, material: Material
-) -> float:
-    """Net capillary driving force on a droplet, in newtons.
-
-    ``F = gamma * 2r * (cos(theta*(x + r)) - cos(theta*(x - r)))`` with the
-    footprint radius ``r`` solved self-consistently from the spherical-cap
-    relation at the mean of the front/rear apparent angles.  Positive force
-    points toward increasing solid fraction (falling apparent angle).
-
-    Raises
-    ------
-    FootprintError
-        If the footprint would overhang either end of the design.
-    """
-    solver = _FootprintSolver(design, droplet.volume, material)
-    return solver.solve(droplet.position).net_force
-
-
 def retention_force(droplet: Droplet, material: Material, f_local: float) -> float:
     """Hysteresis retention force pinning a droplet, in newtons (>= 0).
 
@@ -576,6 +559,13 @@ def simulate_droplet(
     design edge (``reached_end``) or after ``max_steps`` moves.  Every
     evaluation is recorded; the terminal record has ``moved=False`` except
     on ``max_steps`` exhaustion, where the last record reflects a move.
+
+    The droplet never returns to a position it held.  A design's walls
+    follow its ramp, so the solid fraction is monotone along x, and with it
+    the Cassie angle: the front angle stays on one side of the rear angle,
+    the net force keeps one sign, and every move goes the same way.  In
+    floating point this needs ``acos`` and ``cos`` to round monotonically,
+    which a seeded property test checks rather than assumes.
 
     Parameters
     ----------

@@ -39,13 +39,10 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
-# numpy is imported where arrays are built (the Monte Carlo sampler and the
-# lattice centers), and the thread pool by monte_carlo_fraction alone, so the
-# scalar code starts without either.
-if TYPE_CHECKING:
-    import numpy as np
+# numpy is imported by the Monte Carlo sampler alone, and the thread pool by
+# monte_carlo_fraction alone, so the rest of the module starts without either.
 
 __all__ = [
     "HoneycombSpec",
@@ -522,20 +519,14 @@ class LatticeArray:
     col_vector: tuple[int, int]
     row_vector: tuple[int, int]
 
-    def centers(self) -> np.ndarray:
-        """All cell centers as a (rows * cols, 2) array in nm, row-major.
-
-        The coordinates are exact int64 integers: a zone's centers lie in
-        its extent, whose origin and size are at most ``2**31 - 1`` nm.
-        """
-        import numpy as np
-
+    def centers(self) -> list[tuple[int, int]]:
+        """All cell centers as ``(x, y)`` integer pairs in nm, row-major."""
         (x0, y0), (cx, cy), (rx, ry) = self.origin, self.col_vector, self.row_vector
-        i = np.arange(self.cols, dtype=np.int64)
-        j = np.arange(self.rows, dtype=np.int64)[:, None]
-        return np.stack(
-            [(x0 + i * cx + j * rx).ravel(), (y0 + i * cy + j * ry).ravel()], axis=1
-        )
+        return [
+            (x0 + i * cx + j * rx, y0 + i * cy + j * ry)
+            for j in range(self.rows)
+            for i in range(self.cols)
+        ]
 
 
 def lattice_arrays(zone: Zone, fabrication_grid: int) -> list[LatticeArray]:

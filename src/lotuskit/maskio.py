@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numbers
 import struct
+import sys
+from array import array as _array
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import TYPE_CHECKING, Union
@@ -61,27 +63,18 @@ from lotuskit.gdsii import (
     record_name,
     validate_cell_name,
 )
-from lotuskit.gradient import GradientDesign
-from lotuskit.lattice import (
-    HoneycombSpec,
-    LatticeArray,
-    Layout,
-    Rect,
-    Zone,
-    aspect_ratio,
-    hexagon_vertices,
-    honeycomb_area_fraction,
-    honeycomb_linear_ratio,
-    lattice_arrays,
-    row_pitch,
-)
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 
-# numpy is imported where arrays are built (flat GDSII, the read-back and
-# expand; SVG reads the lattice centers), so design and arrayed export start
-# without it.
+# numpy is imported where arrays are built (the read-back and expand), and
+# lattice and gradient by the writers and layout_stats: every writer runs
+# without numpy, and the read-back loads neither lattice nor gradient.
 if TYPE_CHECKING:
     import numpy as np
+
+    from lotuskit.gradient import GradientDesign
+    from lotuskit.lattice import LatticeArray, Layout, Zone
+
+    Target = Union[Layout, Zone, GradientDesign]
 
 __all__ = [
     "CellArray",
@@ -99,8 +92,6 @@ _INT16_MAX = 32767
 # its references together: 2**22, about 400 MB of int64 hexagon vertices.
 # One AREF of 32,767 x 32,767 instances would ask for 1.07e9.
 _EXPAND_BUDGET = 2**22
-
-Target = Union[Layout, Zone, GradientDesign]
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +260,9 @@ def _placed(cell_runs: list[_Run], offsets: np.ndarray) -> list[_Run]:
 # Geometry enumeration shared by the writers
 # --------------------------------------------------------------------------
 
-def _as_layout(target: Union[Layout, Zone]) -> Layout:
+def _as_layout(target: Layout | Zone) -> Layout:
+    from lotuskit.lattice import Layout, Zone
+
     if isinstance(target, Zone):
         return Layout(zones=(target,), label="zone")
     if isinstance(target, Layout):
@@ -281,6 +274,8 @@ def _as_layout(target: Union[Layout, Zone]) -> Layout:
 
 def _first_column_arrays(design: GradientDesign) -> list[LatticeArray]:
     """The lattice arrays of column 0, ``[0, pitch) x [0, lateral_width)``."""
+    from lotuskit.lattice import HoneycombSpec, Rect, Zone, lattice_arrays
+
     spec = design.spec
     zone = Zone(
         spec=HoneycombSpec(pitch=spec.pitch, wall=design.columns[0], height=spec.height),
@@ -297,6 +292,9 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
     Design columns share pitch and width, so column k's arrays are column
     0's shifted by ``k * pitch`` with its own comb.
     """
+    from lotuskit.gradient import GradientDesign
+    from lotuskit.lattice import LatticeArray, lattice_arrays
+
     if isinstance(target, GradientDesign):
         pitch, first = target.spec.pitch, _first_column_arrays(target)
         arrays = [
@@ -334,6 +332,12 @@ _STREAM_HEAD = (
 )
 
 
+def _coordinate_overflow(detail: str) -> ValueError:
+    return ValueError(
+        f"coordinate overflow: XY values must fit signed 32-bit database units ({detail})"
+    )
+
+
 def _xy_payload(points: list[tuple[int, int]]) -> bytes:
     flat: list[int] = []
     for x, y in points:
@@ -342,10 +346,7 @@ def _xy_payload(points: list[tuple[int, int]]) -> bytes:
     try:
         return struct.pack(f">{len(flat)}i", *flat)
     except struct.error as exc:
-        raise ValueError(
-            f"coordinate overflow: XY values must fit signed 32-bit database "
-            f"units ({exc})"
-        ) from None
+        raise _coordinate_overflow(str(exc)) from None
 
 
 def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) -> bytes:
@@ -359,68 +360,103 @@ def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) ->
     )
 
 
-def _aref_bytes(array: LatticeArray, cell_name: str) -> bytes:
-    if array.cols > _INT16_MAX or array.rows > _INT16_MAX:
+#: An AREF's COLROW, XY and ENDEL records, after its AREF and SNAME records:
+#: each record header (as pack_record writes it) is a 4-byte field, then the
+#: column and row counts and the origin, column-end and row-end points.  The
+#: writer packs every AREF with it, and read_gdsii decodes runs of AREFs.
+_AREF_BODY = struct.Struct(">4s2h4s6i4s")
+_AREF_HEADERS = (
+    pack_record(COLROW, bytes(4))[:4],
+    pack_record(XY, bytes(24))[:4],
+    pack_record(ENDEL),
+)
+
+
+def _aref_bytes(head: bytes, array: LatticeArray) -> bytes:
+    """One AREF element: ``head`` (its AREF and SNAME records), then its body."""
+    cols, rows = array.cols, array.rows
+    if cols > _INT16_MAX or rows > _INT16_MAX:
         raise ValueError(
-            f"array of {array.cols} x {array.rows} exceeds the 16-bit "
+            f"array of {cols} x {rows} exceeds the 16-bit "
             f"column/row limit; split the extent"
         )
     (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
-    col_end = (x0 + array.cols * cx, y0 + array.cols * cy)
-    row_end = (x0 + array.rows * rx, y0 + array.rows * ry)
-    return (
-        pack_record(AREF)
-        + pack_record(SNAME, encode_ascii(cell_name))
-        + pack_record(COLROW, struct.pack(">2h", array.cols, array.rows))
-        + pack_record(XY, _xy_payload([(x0, y0), col_end, row_end]))
-        + pack_record(ENDEL)
-    )
+    colrow, xy, endel = _AREF_HEADERS
+    try:
+        return head + _AREF_BODY.pack(
+            colrow, cols, rows, xy,
+            x0, y0, x0 + cols * cx, y0 + cols * cy, x0 + rows * rx, y0 + rows * ry,
+            endel,
+        )
+    except struct.error as exc:
+        raise _coordinate_overflow(str(exc)) from None
 
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
-_FLAT_BLOCK_CELLS = 8192  # cells encoded per numpy block in flat mode
+_BIG_ENDIAN = sys.byteorder == "big"
+assert _array("i").itemsize == 4, "the flat writer needs 4-byte array('i') words"
+
+
+def _int32_words(first: int, step: int, count: int) -> _array:
+    """The int32 words ``first + k * step``, ``0 <= k < count``, in stream order."""
+    if step:
+        words = _array("i", range(first, first + count * step, step))
+    else:
+        words = _array("i", [first]) * count
+    if not _BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 def _write_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype: int) -> None:
     """Append one boundary per cell of ``array``, in row-major order.
 
-    The boundary bytes of the hexagon centered at the origin are a template
-    of big-endian int32 words (every record here is a multiple of 4 bytes):
-    each cell adds its center to the template's XY words.  The extreme
-    centers, in exact integers, show whether every word fits int32: on each
-    axis they belong to real cells.
+    A row of cells is one buffer of ``cols`` copies of the boundary bytes of
+    the hexagon centered at the origin, as int32 words (every record here is
+    a multiple of 4 bytes).  The word of one vertex coordinate in every cell
+    of the row is one strided slice of the buffer, filled with that
+    coordinate's progression along the row; a slice is refilled for the
+    next row only if the row vector moves its axis.  The corner centers, in
+    exact integers, show whether every word fits int32: on each axis they
+    bound every cell's center.
     """
-    import numpy as np
+    from lotuskit.lattice import hexagon_vertices
 
     hexagon = hexagon_vertices(array.comb)
-    centers = array.centers()
-    low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
+    cols, rows = array.cols, array.rows
+    origin, col_vector, row_vector = array.origin, array.col_vector, array.row_vector
+    corners = [
+        [origin[axis] + i * col_vector[axis] + j * row_vector[axis] for axis in (0, 1)]
+        for i in (0, cols - 1)
+        for j in (0, rows - 1)
+    ]
+    low, high = (
+        [bound(corner[axis] for corner in corners) for axis in (0, 1)] for bound in (min, max)
+    )
     if not all(
         _INT32_MIN <= offset + bound <= _INT32_MAX
         for point in hexagon
         for axis, offset in enumerate(point)
         for bound in (low[axis], high[axis])
     ):
-        raise ValueError(
-            "coordinate overflow: XY values must fit signed 32-bit database "
-            f"units (cell centers span {low} to {high} nm)"
-        )
+        raise _coordinate_overflow(f"cell centers span {low} to {high} nm")
 
-    template = np.frombuffer(
-        _boundary_bytes(layer, datatype, hexagon), dtype=">i4"
-    ).astype(np.int64)
+    template = _array("i", _boundary_bytes(layer, datatype, hexagon))
+    size = len(template)
     # Words 0-4: BOUNDARY, LAYER, DATATYPE and the XY header; then the
     # closed vertex list as x, y pairs; the last word is ENDEL.
-    xy_end = 5 + 2 * (len(hexagon) + 1)
-    along_x = np.zeros_like(template)
-    along_x[5:xy_end:2] = 1
-    along_y = np.zeros_like(template)
-    along_y[6:xy_end:2] = 1
-
-    for first in range(0, len(centers), _FLAT_BLOCK_CELLS):
-        block = centers[first : first + _FLAT_BLOCK_CELLS]
-        words = template + block[:, :1] * along_x + block[:, 1:] * along_y
-        out += words.astype(">i4").data
+    slots = [
+        (5 + 2 * vertex + axis, axis, offset)
+        for vertex, point in enumerate([*hexagon, hexagon[0]])
+        for axis, offset in enumerate(point)
+    ]
+    row = template * cols
+    for j in range(rows):
+        for slot, axis, offset in slots:
+            if j == 0 or row_vector[axis]:
+                first = origin[axis] + j * row_vector[axis] + offset
+                row[slot::size] = _int32_words(first, col_vector[axis], cols)
+        out += row
 
 
 def write_gdsii(
@@ -473,6 +509,8 @@ def write_gdsii(
             f"beyond 255; pick a lower base datatype"
         )
 
+    from lotuskit.lattice import hexagon_vertices
+
     out = bytearray(_STREAM_HEAD)
 
     def open_structure(name: str) -> None:
@@ -486,17 +524,20 @@ def write_gdsii(
     background = rects if polarity == "walls" else []
     arrayed = mode == "arrayed"
 
+    heads: dict[int, bytes] = {}  # each comb's AREF and SNAME records
     if arrayed:
         for comb in sorted({array.comb for array in arrays}):
-            open_structure(f"HEX_{comb}")
+            name = f"HEX_{comb}"
+            open_structure(name)
             out += _boundary_bytes(layer, opening_datatype, hexagon_vertices(comb))
             close_structure()
+            heads[comb] = pack_record(AREF) + pack_record(SNAME, encode_ascii(name))
     open_structure("TOP")
     for x0, y0, x1, y1 in background:
         out += _boundary_bytes(layer, datatype, [(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
     for array in arrays:
         if arrayed:
-            out += _aref_bytes(array, f"HEX_{array.comb}")
+            out += _aref_bytes(heads[array.comb], array)
         else:
             _write_flat_array(out, array, layer, opening_datatype)
     close_structure()
@@ -557,10 +598,13 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     to flatten.  Malformed streams raise :class:`GdsParseError` naming the
     byte offset and record type.
 
-    Records are walked one at a time, except that the boundaries following
-    a parsed boundary with byte-identical framing (every byte outside the
-    XY payload) are decoded as one numpy block; see :func:`_boundary_run`.
-    Each such block becomes one entry of the cell's :attr:`MaskCell.runs`.
+    Records are walked one at a time, except after a parsed boundary or
+    AREF.  The boundaries that follow a parsed boundary with byte-identical
+    framing (every byte outside the XY payload) are decoded as one numpy
+    block; see :func:`_boundary_run`.  Each such block becomes one entry of
+    the cell's :attr:`MaskCell.runs`.  The AREFs that follow a parsed AREF
+    with the same record headers are decoded one ``struct`` unpack each;
+    see :func:`_aref_run`.
     """
     cursor = _RecordCursor(data)
 
@@ -605,6 +649,10 @@ def read_gdsii(data: bytes) -> MaskGeometry:
                 cell.srefs.append(_parse_sref(cursor))
             elif element.record_type == AREF:
                 cell.arefs.append(_parse_aref(cursor))
+                run = _aref_run(data, element.offset, cursor.end)
+                if run:
+                    cell.arefs += run
+                    cursor.skip_to(cursor.end + len(run) * (cursor.end - element.offset))
             else:
                 raise element.error(f"unexpected {element.name} inside structure {name!r}")
         cells[name] = cell
@@ -705,31 +753,77 @@ def _parse_sref(cursor: _RecordCursor) -> CellArray:
 
 
 def _parse_aref(cursor: _RecordCursor) -> CellArray:
+    """An AREF after its AREF record."""
     name = cursor.take(SNAME).text()
     colrow = cursor.take(COLROW)
     counts = colrow.int16s()
     if len(counts) != 2 or counts[0] < 1 or counts[1] < 1:
         raise colrow.error(f"COLROW must carry two positive counts, got {counts!r}")
-    cols, rows = counts
     xy = cursor.take(XY)
     coords = _xy_coords(xy)
     if len(coords) != 6:
         raise xy.error(f"AREF XY must carry exactly 3 points, got {len(coords) // 2}")
-    x0, y0, col_x, col_y, row_x, row_y = coords
-    origin = (x0, y0)
-    col_span = (col_x - x0, col_y - y0)
-    row_span = (row_x - x0, row_y - y0)
-    if col_span[0] % cols or col_span[1] % cols or row_span[0] % rows or row_span[1] % rows:
+    array = _aref_array(name, *counts, *coords)
+    if array is None:
         raise xy.error("AREF spacing is not an integer number of database units")
     cursor.take(ENDEL)
-    return CellArray(
-        cell=name,
-        origin=origin,
-        cols=cols,
-        rows=rows,
-        col_vector=(col_span[0] // cols, col_span[1] // cols),
-        row_vector=(row_span[0] // rows, row_span[1] // rows),
-    )
+    return array
+
+
+def _aref_array(
+    name: str, cols: int, rows: int, x0: int, y0: int, col_x: int, col_y: int, row_x: int,
+    row_y: int,
+) -> CellArray | None:
+    """The placement an AREF states, or None if its spacing is not whole units."""
+    col_dx, col_dy, row_dx, row_dy = col_x - x0, col_y - y0, row_x - x0, row_y - y0
+    if col_dx % cols or col_dy % cols or row_dx % rows or row_dy % rows:
+        return None
+    col_vector, row_vector = (col_dx // cols, col_dy // cols), (row_dx // rows, row_dy // rows)
+    return CellArray(name, (x0, y0), cols, rows, col_vector, row_vector)
+
+
+def _aref_run(data: bytes, start: int, end: int) -> list[CellArray]:
+    """Decode the run of AREFs framed like the parsed one at ``data[start:end]``.
+
+    The element at ``start`` has been parsed strictly.  If its records are
+    laid out as the writer packs them (an empty AREF record, SNAME, then
+    :data:`_AREF_BODY`), every following element whose AREF and SNAME record
+    headers equal that element's, and whose COLROW, XY and ENDEL headers are
+    the writer's, passes every framing, record-type, data-type and
+    payload-size check identically.  Its name, counts and spacing are then
+    checked as :func:`_parse_aref` checks them.  The run ends at the first
+    element that differs or fails a check, which the record walk then
+    parses, so every error keeps its text, offset and record type.  Returns
+    the arrays after the parsed one.
+    """
+    size = end - start
+    name_size = size - 8 - _AREF_BODY.size
+    head = data[start : start + 8]
+    if name_size < 0 or head[:6] != pack_record(AREF) + struct.pack(">H", name_size + 4):
+        return []
+    element = struct.Struct(f">8s{name_size}s{_AREF_BODY.format[1:]}")
+    framing = (head, *_AREF_HEADERS)
+    names: dict[bytes, str] = {}
+    arrays = []
+    # The parsed element comes first: it is decoded again only to check
+    # that its COLROW, XY and ENDEL records are laid out as the writer's.
+    for offset in range(start, len(data) - size + 1, size):
+        element_head, raw_name, colrow, cols, rows, xy, *coords, endel = element.unpack_from(
+            data, offset
+        )
+        if (element_head, colrow, xy, endel) != framing or cols < 1 or rows < 1:
+            break
+        name = names.get(raw_name)
+        if name is None:
+            try:
+                name = names[raw_name] = raw_name.rstrip(b"\x00").decode("ascii")
+            except UnicodeDecodeError:
+                break
+        array = _aref_array(name, cols, rows, *coords)
+        if array is None:
+            break
+        arrays.append(array)
+    return arrays[1:]
 
 
 # --------------------------------------------------------------------------
@@ -756,6 +850,8 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
         Rendering guard, at least 1: exceeding it raises with a suggestion
         to crop.
     """
+    from lotuskit.lattice import hexagon_vertices
+
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells!r}")
     arrays, rects = _emitted(target)
@@ -802,7 +898,7 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     y_text: dict[int, str] = {}
     for array in arrays:
         hexagon = hexagon_vertices(array.comb)
-        for center_x, center_y in array.centers().tolist():
+        for center_x, center_y in array.centers():
             coords = []
             for dx, dy in hexagon:
                 x, y = center_x + dx, center_y + dy
@@ -831,6 +927,15 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     Counts and the row pitch are those of the mask that :func:`write_gdsii`
     and :func:`write_svg` emit for the same target.
     """
+    from lotuskit.gradient import GradientDesign
+    from lotuskit.lattice import (
+        aspect_ratio,
+        honeycomb_area_fraction,
+        honeycomb_linear_ratio,
+        lattice_arrays,
+        row_pitch,
+    )
+
     theta = material.theta_flat
     if isinstance(target, GradientDesign):
         spec = target.spec

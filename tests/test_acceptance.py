@@ -18,7 +18,6 @@ from lotuskit.gradient import (
     Measure,
     TerminalReason,
     design_linear_gradient,
-    net_driving_force,
     retention_force,
     simulate_droplet,
 )
@@ -42,9 +41,10 @@ from lotuskit.wetting import (
     WATER_ON_PMMA,
     Droplet,
     cassie_apparent_angle,
-    invert_cassie_fraction,
     spherical_cap_footprint_radius,
 )
+
+from oracles import invert_cassie_fraction, net_driving_force
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)

@@ -7,6 +7,7 @@ evaluation of the closed forms (see the cosine/footprint constants below).
 import dataclasses
 import hashlib
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from lotuskit.gradient import (
     TerminalReason,
     design_linear_gradient,
     local_apparent_angle,
-    net_driving_force,
     retention_force,
     simulate_droplet,
     trace_to_csv,
@@ -36,6 +36,8 @@ from lotuskit.wetting import (
     Material,
     spherical_cap_footprint_radius,
 )
+
+from oracles import net_driving_force
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -226,8 +228,9 @@ class TestDesignLinearGradient:
             ((400, 4000), 0.2, "column 1 wall must be below the 4000 nm pitch, got 4000"),
             ((400, 405), 0.2, "column 1 wall 405 nm is off the 10 nm fabrication grid"),
             ((400, 800), 0.05, "walls must be non-increasing for a falling ramp"),
+            ((400, 1000, 400), 0.1, "walls must be equal for a uniform ramp"),
         ],
-        ids=["empty", "fractional", "at-pitch", "off-grid", "rising-on-falling"],
+        ids=["empty", "fractional", "at-pitch", "off-grid", "rising-on-falling", "uneven-uniform"],
     )
     def test_column_walls_rejected(self, walls, f_end, message):
         spec = GradientSpec(
@@ -451,6 +454,51 @@ class TestSimulateDroplet:
         assert len(trace.steps) == 1
         assert trace.steps[0].moved is False
         assert trace.final_position == 2e-3
+
+    def test_random_designs_never_revisit_a_position(self):
+        # Walls follow the ramp, so the force keeps the ramp's sign and the
+        # droplet moves one way: positions are strictly monotone, and every
+        # run ends at an edge or in balance, long before max_steps.
+        rng = random.Random(10)
+        ends = set()
+        for _ in range(30):
+            columns = rng.randint(60, 200)
+            walls = sorted(rng.randrange(400, 3000, 10) for _ in range(columns))
+            ramp = rng.choice(("rising", "falling", "uniform"))
+            f_start, f_end = {"rising": (0.2, 0.4), "falling": (0.4, 0.2), "uniform": (0.3, 0.3)}[ramp]
+            if ramp == "falling":
+                walls.reverse()
+            elif ramp == "uniform":
+                walls = [walls[0]] * columns
+            spec = GradientSpec(
+                length=4000 * columns, lateral_width=100_000, pitch=4000,
+                f_start=f_start, f_end=f_end, measure=rng.choice(list(Measure)),
+            )
+            design = GradientDesign(columns=tuple(walls), spec=spec)
+            material = Material(
+                name="probe",
+                theta_flat=rng.uniform(70.0, 120.0),
+                hysteresis=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+            )
+            droplet = Droplet(
+                volume=rng.uniform(2e-14, 1e-13),
+                position=rng.uniform(0.3, 0.7) * design.length_m,
+            )
+            trace = simulate_droplet(
+                design, droplet, material, step=rng.uniform(1e-6, 4e-6), max_steps=10_000
+            )
+            assert trace.terminal_reason is not TerminalReason.MAX_STEPS
+            ends.add(trace.terminal_reason)
+            moves = [b - a for a, b in zip(trace.positions, trace.positions[1:])]
+            if ramp == "rising":
+                assert all(move > 0.0 for move in moves)
+                assert all(record.net_force >= 0.0 for record in trace.steps)
+            elif ramp == "falling":
+                assert all(move < 0.0 for move in moves)
+                assert all(record.net_force <= 0.0 for record in trace.steps)
+            else:
+                assert moves == [] and trace.steps[0].net_force == 0.0
+        assert ends == {TerminalReason.REACHED_END, TerminalReason.FORCE_BALANCE}
 
     def test_monotone_gradient_reaches_end(self):
         design = reference_gradient()
@@ -783,8 +831,9 @@ class TestSolverMatchesPerCallBisection:
             assert (state.theta_front, state.theta_rear) == (front, rear)
             assert state.net_force == force
 
-    # Runs of equal walls: one run; alternating walls on a uniform spec; and
-    # one run per column under a droplet a few columns wide.
+    # Runs of equal walls: one run; 63 walls in runs of 16 columns, several
+    # under the droplet; and one run per column under a droplet a few
+    # columns wide.
     @pytest.mark.parametrize(
         ("design", "volume", "material", "positions"),
         [
@@ -798,15 +847,15 @@ class TestSolverMatchesPerCallBisection:
             ),
             pytest.param(
                 GradientDesign(
-                    columns=(400, 1000, 1000, 600) * 250,
+                    columns=tuple(400 + 10 * (k // 16) for k in range(1000)),
                     spec=GradientSpec(
                         length=4_000_000, lateral_width=200_000, pitch=4000,
-                        f_start=0.3, f_end=0.3,
+                        f_start=0.1, f_end=0.3,
                     ),
                 ),
                 1e-10, Material(name="steep", theta_flat=100.0, hysteresis=4.0),
                 [0.3e-3 + k * 1.37e-6 * (1.0 + 0.29 * (k % 5)) for k in range(1500)],
-                id="alternating-walls",
+                id="many-wall-ramp",
             ),
             pytest.param(
                 design_linear_gradient(GradientSpec(
@@ -867,11 +916,11 @@ class TestSolverCallCounts:
             ),
             pytest.param(
                 GradientDesign(
-                    columns=(400, 1000) * 1250,
-                    spec=dataclasses.replace(TestPinnedTraceBytes.SPEC, f_end=0.19),
+                    columns=tuple(400 + 10 * (k // 7) for k in range(2500)),
+                    spec=TestPinnedTraceBytes.SPEC,
                 ),
                 5e-3, 0.0,
-                id="alternating-walls",
+                id="many-wall-ramp",
             ),
         ],
     )

@@ -111,7 +111,8 @@ def census(zone: Zone) -> int:
 
 def all_centers(zone: Zone) -> np.ndarray:
     """A zone's cell centers in emission order: even rows, then odd rows."""
-    return np.concatenate([array.centers() for array in lattice_arrays(zone, 10)])
+    centers = [center for array in lattice_arrays(zone, 10) for center in array.centers()]
+    return np.array(centers, dtype=np.int64).reshape(-1, 2)
 
 
 def old_mc_chunk_solid_count(
@@ -661,8 +662,8 @@ class TestCounting:
                 zone = Zone(spec=HoneycombSpec(pitch=pitch, wall=400, height=4000), extent=extent)
                 arrays = lattice_arrays(zone, grid)
                 assert sum(a.cols * a.rows for a in arrays) == len(brute), (width, height)
-                centers = np.concatenate([a.centers() for a in arrays])
-                assert sorted(map(tuple, centers.tolist())) == sorted(brute)
+                centers = [center for a in arrays for center in a.centers()]
+                assert sorted(centers) == sorted(brute)
 
     def test_offset_origin_preserves_census(self):
         base = Zone(spec=WIDE, extent=Rect(0, 0, 100_000, 100_000))
@@ -779,7 +780,7 @@ class TestIntegerGeometry:
         wide = HoneycombSpec(pitch=TOP_NM - 1, wall=400, height=4000)
         (even,) = lattice_arrays(Zone(wide, Rect(0, 0, 10, 10)), 10)
         assert even.col_vector == (TOP_NM - 1, 0)
-        assert even.centers().tolist() == [[0, 0]]
+        assert even.centers() == [(0, 0)]
         big = 10**400
         with pytest.raises(ValueError, match=f"^height must be <= 2147483647 nm, got {big}$"):
             HoneycombSpec(pitch=4000, wall=400, height=big)
@@ -816,7 +817,7 @@ class TestLatticeArrays:
     def test_row_major_ordering(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 30_000, 30_000))
         for array in lattice_arrays(zone, 10):
-            centers = array.centers()
+            centers = np.array(array.centers())
             ys = centers[:, 1]
             assert (np.diff(ys) >= 0).all()
             for y in np.unique(ys):
@@ -825,14 +826,14 @@ class TestLatticeArrays:
 
     def test_centers_stay_exact_across_the_limit(self):
         # Centers of an in-range extent may pass 2**31 - 1 nm; the writers
-        # refuse them, and the centers stay exact int64.
+        # refuse them, and the centers stay exact integers.
         x = TOP_NM - 4000
         zone = Zone(spec=WIDE, extent=Rect(x, 0, 8000, 8000))
-        even = [[x + 4000 * i, 6920 * j] for j in range(2) for i in range(2)]
-        odd = [[x + 2000 + 4000 * i, 3460] for i in range(2)]
-        centers = all_centers(zone)
-        assert centers.dtype == np.int64
-        assert centers.tolist() == even + odd
+        even = [(x + 4000 * i, 6920 * j) for j in range(2) for i in range(2)]
+        odd = [(x + 2000 + 4000 * i, 3460) for i in range(2)]
+        centers = [center for array in lattice_arrays(zone, 10) for center in array.centers()]
+        assert all(type(value) is int for center in centers for value in center)
+        assert centers == even + odd
         with pytest.raises(ValueError, match=r"^x must be <= 2147483647 nm, got 9223372036854775808$"):
             Rect(2**63, 0, 8000, 8000)
 

@@ -13,6 +13,10 @@
   element is pinned on a stream holding just that element.
 * The run-model tests pin how read-back groups a cell's own polygons into
   ``(layer, datatype, points)`` runs of ``(n, k, 2)`` vertex blocks.
+* ``template_flat_array`` is a frozen copy of the numpy template flat
+  writer; the row-buffer writer must give its bytes and its overflow
+  message.  Runs of AREFs are read against the strict walk alone (the run
+  decoder switched off), on seeded byte mutations and targeted faults.
 """
 
 import hashlib
@@ -23,10 +27,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lotuskit import maskio
 from lotuskit.cli import run
 from lotuskit.gdsii import RECORD_NAMES, GdsParseError, iter_records
 from lotuskit.gradient import GradientSpec, design_linear_gradient
-from lotuskit.lattice import HoneycombSpec, Layout, Rect, Zone
+from lotuskit.lattice import HoneycombSpec, LatticeArray, Layout, Rect, Zone, hexagon_vertices
 from lotuskit.maskio import (
     MaskCell,
     MaskGeometry,
@@ -743,6 +748,14 @@ MUTATION_STREAMS = [
 EXPAND_INSTANCE_BUDGET = 10**6  # a changed COLROW byte can ask for ~10**9 instances
 
 
+def mutated(rng: random.Random, data: bytes, start: int = 0, stop: int | None = None) -> bytes:
+    """``data`` with 1-3 bytes in ``[start, stop)`` XORed with random nonzero bytes."""
+    changed = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        changed[rng.randrange(start, len(data) if stop is None else stop)] ^= rng.randrange(1, 256)
+    return bytes(changed)
+
+
 def test_mutated_streams_fail_only_with_value_errors():
     """1-3 changed bytes make read_gdsii raise GdsParseError or nothing else.
 
@@ -753,11 +766,9 @@ def test_mutated_streams_fail_only_with_value_errors():
     rng = random.Random(0)
     outcomes = {"parse error": 0, "expand error": 0, "clean": 0}
     for trial in range(MUTATION_TRIALS):
-        data = bytearray(MUTATION_STREAMS[trial % len(MUTATION_STREAMS)])
-        for _ in range(rng.randint(1, 3)):
-            data[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+        data = mutated(rng, MUTATION_STREAMS[trial % len(MUTATION_STREAMS)])
         try:
-            geometry = read_gdsii(bytes(data))
+            geometry = read_gdsii(data)
         except GdsParseError:
             outcomes["parse error"] += 1
             continue
@@ -771,3 +782,222 @@ def test_mutated_streams_fail_only_with_value_errors():
             continue
         outcomes["clean"] += 1
     assert all(outcomes.values()), outcomes
+
+
+# --------------------------------------------------------------------------
+# Runs of AREFs against the strict walk
+# --------------------------------------------------------------------------
+
+# Arrayed gradients of 12 columns: 24 AREFs in TOP, one run in the reader.
+AREF_STREAMS = [
+    write_gdsii(
+        design_linear_gradient(
+            GradientSpec(length=48_000, lateral_width=20_000, pitch=4000, f_start=0.19, f_end=0.9)
+        ),
+        polarity=polarity,
+    )
+    for polarity in ("openings", "walls")
+] + [
+    # Names of two lengths, and a single placement between two runs.
+    library(
+        structure("C", boundary(1, 0, rectangle(0, 0, 9, 9))),
+        structure("CELL_B", boundary(2, 0, hexagon(0, 0))),
+        structure(
+            "TOP",
+            *(aref("C", 2 + k, 3, (k, -k), (10, 1), (-2, 10)) for k in range(9)),
+            sref("C", 5, 5),
+            *(aref("CELL_B", 1, 1 + k, (0, 0), (0, 0), (3, 4000)) for k in range(10)),
+            *(aref("C", 4, 2, (100 * k, 0), (10, 0), (0, 10)) for k in range(8)),
+        ),
+    ),
+]
+
+
+def read_outcome(data: bytes):
+    """What read_gdsii makes of a stream: its error, or every cell's content."""
+    try:
+        geometry = read_gdsii(data)
+    except GdsParseError as error:
+        return "error", str(error), error.offset, error.record_type
+    return "parsed", [
+        (name, cell.srefs, cell.arefs, [(layer, datatype, block.tolist())
+                                        for layer, datatype, block in cell.runs])
+        for name, cell in geometry.cells.items()
+    ]
+
+
+def strict_outcomes(monkeypatch, streams: list[bytes]) -> list:
+    """read_outcome of each stream with the AREF run decoder switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(maskio, "_aref_run", lambda data, start, end: [])
+        return [read_outcome(data) for data in streams]
+
+
+def aref_region(data: bytes) -> tuple[int, int]:
+    """The bytes from the first AREF to TOP's ENDSTR, TOP being the last structure."""
+    offsets = [record.offset for record in iter_records(data) if record.record_type == 0x0B]
+    return offsets[0], len(data) - 8  # ENDSTR and ENDLIB are 4 bytes each
+
+
+class TestArefRuns:
+    def test_intact_streams_read_as_long_runs(self, monkeypatch):
+        runs = []
+        decode = maskio._aref_run
+
+        def recorded(data, start, end):
+            arrays = decode(data, start, end)
+            runs.append(len(arrays))
+            return arrays
+
+        monkeypatch.setattr(maskio, "_aref_run", recorded)
+        fast = [read_outcome(data) for data in AREF_STREAMS]
+        monkeypatch.undo()
+        assert fast == strict_outcomes(monkeypatch, AREF_STREAMS)
+        assert all(outcome[0] == "parsed" for outcome in fast)
+        # After each strictly parsed AREF: the 23 others of each gradient,
+        # then 8, 9 and 7 in the hand-assembled library.
+        assert runs == [23, 23, 8, 9, 7]
+
+    def test_mutations_fail_and_parse_as_the_strict_walk(self, monkeypatch):
+        rng = random.Random(26)
+        streams = []
+        for trial in range(800):
+            data = AREF_STREAMS[trial % len(AREF_STREAMS)]
+            streams.append(mutated(rng, data, *aref_region(data)))
+        fast = [read_outcome(data) for data in streams]
+        assert fast == strict_outcomes(monkeypatch, streams)
+        kinds = {outcome[0] if outcome[0] == "parsed" else outcome[3] for outcome in fast}
+        # Clean reads and errors at each record of an AREF element.
+        assert {"parsed", 0x0B, 0x12, 0x13, 0x10, 0x11} <= kinds, kinds
+
+    @pytest.mark.parametrize("k", [1, 7, 23])
+    @pytest.mark.parametrize(
+        "at, xor, record_type, message",
+        [
+            (8, b"\x81", 0x12, "non-ASCII string payload: 'ascii' codec can't decode "
+                                "byte 0xc9 in position 0: ordinal not in range(128)"),
+            (20, b"\x00\x01", 0x13, "COLROW must carry two positive counts, got (0, 2)"),
+            (22, b"\xff\xfd", 0x13, "COLROW must carry two positive counts, got (1, -1)"),
+            (51, b"\x01", 0x10, "AREF spacing is not an integer number of database units"),
+            (26, b"\x01", 0x11, "data type 0x03, expected 0x00"),
+            (54, b"\x16", 0x07, "expected ENDEL, found ENDSTR"),
+        ],
+    )
+    def test_a_fault_deep_in_a_run_keeps_its_error(
+        self, monkeypatch, k, at, xor, record_type, message
+    ):
+        # Each AREF is 56 bytes: AREF 0-3, SNAME 4-15 ("HEX_nnnn" from 8),
+        # COLROW 16-23 (counts from 20), XY 24-51 (the row end's y ends at
+        # 51) and ENDEL 52-55.  Odd-k arrays are the one-column, two-row
+        # odd rows of a column.
+        design = design_linear_gradient(
+            GradientSpec(length=48_000, lateral_width=14_000, pitch=4000, f_start=0.19, f_end=0.9)
+        )
+        data = bytearray(write_gdsii(design))
+        element = aref_region(bytes(data))[0] + 56 * k
+        assert data[element + 2] == 0x0B and data[element + 20 : element + 24] == b"\0\1\0\2"
+        for index, value in enumerate(xor, element + at):
+            data[index] ^= value
+        [outcome] = strict_outcomes(monkeypatch, [bytes(data)])
+        assert read_outcome(bytes(data)) == outcome
+        _, text, offset, found = outcome
+        assert found == record_type
+        assert text == f"offset {offset} ({RECORD_NAMES[record_type][0]}): {message}"
+        assert element <= offset < element + 56
+
+
+# --------------------------------------------------------------------------
+# The row-buffer flat writer against the numpy template
+# --------------------------------------------------------------------------
+
+def template_flat_array(out: bytearray, array: LatticeArray, layer: int, datatype: int) -> None:
+    """Frozen copy of the flat writer that added each center to a numpy template."""
+    hexagon = hexagon_vertices(array.comb)
+    (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
+    i = np.arange(array.cols, dtype=np.int64)
+    j = np.arange(array.rows, dtype=np.int64)[:, None]
+    centers = np.stack([(x0 + i * cx + j * rx).ravel(), (y0 + i * cy + j * ry).ravel()], axis=1)
+    low, high = centers.min(axis=0).tolist(), centers.max(axis=0).tolist()
+    if not all(
+        -(2**31) <= offset + bound <= 2**31 - 1
+        for point in hexagon
+        for axis, offset in enumerate(point)
+        for bound in (low[axis], high[axis])
+    ):
+        raise ValueError(
+            "coordinate overflow: XY values must fit signed 32-bit database "
+            f"units (cell centers span {low} to {high} nm)"
+        )
+    template = np.frombuffer(boundary(layer, datatype, hexagon), dtype=">i4").astype(np.int64)
+    xy_end = 5 + 2 * (len(hexagon) + 1)
+    along_x = np.zeros_like(template)
+    along_x[5:xy_end:2] = 1
+    along_y = np.zeros_like(template)
+    along_y[6:xy_end:2] = 1
+    for first in range(0, len(centers), 8192):
+        block = centers[first : first + 8192]
+        words = template + block[:, :1] * along_x + block[:, 1:] * along_y
+        out += words.astype(">i4").data
+
+
+def flat_outcome(writer, *args):
+    out = bytearray(b"HEAD")
+    try:
+        writer(out, *args)
+    except ValueError as error:
+        return str(error)
+    return bytes(out)
+
+
+# hexagon_vertices(3000): half width 1500, apex 1732; (3001): 1500, 1733.
+TOP, BOTTOM = 2**31 - 1, -(2**31)
+FLAT_ARRAYS = {
+    "one row": LatticeArray(3000, (0, 0), 7, 1, (4000, 0), (0, 6920)),
+    "one column": LatticeArray(3000, (0, 0), 1, 9, (4000, 0), (0, 6920)),
+    "one cell": LatticeArray(3600, (5, -5), 1, 1, (4000, 0), (0, 6920)),
+    "odd rows": LatticeArray(3000, (2000, 3460), 5, 3, (4000, 0), (0, 6920)),
+    "negative origin": LatticeArray(3600, (-7130, -2350), 4, 5, (4000, 0), (0, 6920)),
+    "odd comb": LatticeArray(3001, (-1, 1), 3, 4, (4002, 0), (0, 6940)),
+    "skewed vectors": LatticeArray(2990, (-1000, 500), 6, 4, (4000, 35), (-90, 6920)),
+    "backward vectors": LatticeArray(3000, (90_000, 70_000), 5, 6, (-4000, 0), (10, -6920)),
+    "x at the top": LatticeArray(3000, (TOP - 1500 - 3 * 4000, 0), 4, 2, (4000, 0), (0, 6920)),
+    "x past the top": LatticeArray(3000, (TOP - 1499 - 3 * 4000, 0), 4, 2, (4000, 0), (0, 6920)),
+    "x at the bottom": LatticeArray(3000, (BOTTOM + 1500, 0), 4, 2, (4000, 0), (0, 6920)),
+    "x past the bottom": LatticeArray(3000, (BOTTOM + 1499, 0), 4, 2, (4000, 0), (0, 6920)),
+    "y at the top": LatticeArray(3001, (0, TOP - 1733 - 6940), 2, 2, (4002, 0), (0, 6940)),
+    "y past the top": LatticeArray(3001, (0, TOP - 1732 - 6940), 2, 2, (4002, 0), (0, 6940)),
+    "y at the bottom": LatticeArray(3000, (0, BOTTOM + 1732), 2, 2, (4000, 0), (0, 6920)),
+    "y past the bottom": LatticeArray(3000, (0, BOTTOM + 1731), 2, 2, (4000, 0), (0, 6920)),
+}
+
+
+class TestRowBufferFlatWriter:
+    @pytest.mark.parametrize("name", sorted(FLAT_ARRAYS))
+    @pytest.mark.parametrize("layer, datatype", [(0, 0), (255, 255), (1, 0), (0, 255)])
+    def test_same_bytes_and_errors_as_the_template(self, name, layer, datatype):
+        array = FLAT_ARRAYS[name]
+        expected = flat_outcome(template_flat_array, array, layer, datatype)
+        assert flat_outcome(maskio._write_flat_array, array, layer, datatype) == expected
+        if "past" in name:
+            assert expected.startswith("coordinate overflow: XY values must fit signed 32-bit")
+        else:
+            assert len(expected) == 4 + 80 * array.cols * array.rows
+
+    @pytest.mark.parametrize("polarity", ["openings", "walls"])
+    @pytest.mark.parametrize("layer, datatype", [(0, 0), (255, 254)])
+    def test_streams_equal_the_template_writers(self, monkeypatch, polarity, layer, datatype):
+        targets = [
+            Layout(zones=(
+                Zone(HoneycombSpec(4000, 1000, 4000), Rect(-30_000, -9_000, 30_000, 20_000)),
+                Zone(HoneycombSpec(4000, 400, 4000), Rect(0, -9_000, 17_000, 20_000)),
+            )),
+            Zone(HoneycombSpec(4000, 400, 4000), Rect(0, 0, 4000, 3000)),  # one cell
+            design_linear_gradient(
+                GradientSpec(length=40_000, lateral_width=10_000, pitch=4000,
+                             f_start=0.19, f_end=0.4375)
+            ),
+        ]
+        options = {"mode": "flat", "polarity": polarity, "layer": layer, "datatype": datatype}
+        streams = [write_gdsii(target, **options) for target in targets]
+        monkeypatch.setattr(maskio, "_write_flat_array", template_flat_array)
+        assert streams == [write_gdsii(target, **options) for target in targets]

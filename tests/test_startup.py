@@ -1,13 +1,14 @@
 """Start-up cost of the ``lotus`` commands.
 
 Every ``lotus`` command is a fresh interpreter, so what it imports is part
-of its run time.  Only the commands that build arrays (flat and SVG export,
-Monte Carlo fractions) may load numpy, and only Monte Carlo may load the
-thread pool (``concurrent.futures``).  The scalar commands start and run
-without either, and without the mask codec; ``design`` and arrayed export
-load the mask codec but not numpy.  Only ``report`` and the ``--reference``
-targets load the reference dataset.  ``import lotuskit`` itself loads no
-submodule until one of its names is used.
+of its run time.  Of the commands, only Monte Carlo fractions load numpy
+and the thread pool (``concurrent.futures``).  The scalar commands start
+and run without either, and without the mask codec; ``design`` and every
+``export`` (arrayed, flat and SVG) load the mask codec but not numpy.  Only
+``report`` and the ``--reference`` targets load the reference dataset.
+``import lotuskit`` itself loads no submodule until one of its names is
+used, and the mask read-back loads the codec and numpy, but neither the
+lattice nor the gradient module.
 """
 
 import json
@@ -45,16 +46,21 @@ _PROBE = textwrap.dedent(
 )
 
 
-def _probe(commands: list[list[str]], out_dir: Path) -> list[list]:
+def _child(probe: str, *args: str, **env: str):
+    """What ``probe`` prints as JSON, run in a fresh interpreter on ``src``."""
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(commands)],
+        [sys.executable, "-c", textwrap.dedent(probe), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": _SRC, "LOTUS_OUT_DIR": str(out_dir)},
+        env={**os.environ, "PYTHONPATH": _SRC, **env},
         timeout=120,
         check=True,
     )
     return json.loads(result.stdout)
+
+
+def _probe(commands: list[list[str]], out_dir: Path) -> list[list]:
+    return _child(_PROBE, json.dumps(commands), LOTUS_OUT_DIR=str(out_dir))
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):
@@ -82,7 +88,8 @@ def test_scalar_commands_run_without_numpy(tmp_path):
 
 def test_mask_commands_without_arrays_run_without_numpy(tmp_path):
     # design and arrayed export read each lattice array by its origin, pitch
-    # and counts: they load the mask codec, but neither numpy nor the pool.
+    # and counts, and flat and SVG export enumerate its centers in plain
+    # Python: they load the mask codec, but neither numpy nor the pool.
     ramp = [
         "--length-nm", "10000000", "--f-start", "0.19", "--f-end", "0.4375",
         "--width-nm", "200000",
@@ -95,6 +102,8 @@ def test_mask_commands_without_arrays_run_without_numpy(tmp_path):
         ],
         ["design", "two-zone", "--reference"],
         ["export", "--reference", "--out", str(tmp_path / "reference.gds")],
+        ["export", "--reference", "--mode", "flat", "--crop-um", "20"],
+        ["export", "--reference", "--format", "svg", "--crop-um", "20"],
     ]
     seen = _probe(commands, tmp_path)
     assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
@@ -103,27 +112,49 @@ def test_mask_commands_without_arrays_run_without_numpy(tmp_path):
     codec = ["lotuskit.gdsii", "lotuskit.maskio"]
     assert [loaded for _, _, loaded in seen] == [[]] + [codec] * 2 + [
         [*codec, "lotuskit.reference"]
-    ] * 2
+    ] * 4
 
 
 def test_array_commands_still_load_numpy(tmp_path):
-    # Each in its own child, so that none inherits numpy from another.
-    # Only Monte Carlo loads the thread pool.
-    for argv, pool in (
-        (["fraction", "--wall", "400", "--mc-samples", "1000"], True),
-        (["export", "--reference", "--mode", "flat", "--crop-um", "20"], False),
-        (["export", "--reference", "--format", "svg", "--crop-um", "20"], False),
-    ):
-        seen = _probe([argv], tmp_path)
-        assert [
-            (code, "numpy" in loaded, "concurrent.futures" in loaded)
-            for _, code, loaded in seen
-        ] == [(0, False, False), (0, True, pool)], argv
+    # Only Monte Carlo builds numpy arrays, and only it loads the thread pool.
+    seen = _probe([["fraction", "--wall", "400", "--mc-samples", "1000"]], tmp_path)
+    assert [
+        (code, "numpy" in loaded, "concurrent.futures" in loaded)
+        for _, code, loaded in seen
+    ] == [(0, False, False), (0, True, True)]
+
+
+def test_read_back_loads_only_the_codec(tmp_path):
+    # read_gdsii and expand of an arrayed gradient, as lotusbench/readback.py
+    # runs them: numpy builds the vertex blocks, and nothing loads the
+    # lattice or gradient module that wrote the stream.
+    mask = tmp_path / "gradient.gds"
+    design = lotuskit.design_linear_gradient(
+        lotuskit.GradientSpec(
+            length=400_000, lateral_width=50_000, pitch=4000, f_start=0.19, f_end=0.4375
+        )
+    )
+    mask.write_bytes(lotuskit.write_gdsii(design, polarity="walls"))
+    probe = """
+        import json, sys
+        from lotuskit import maskio
+        def loaded():
+            return sorted(m for m in sys.modules if m == "numpy" or m.startswith("lotuskit."))
+        seen = [loaded()]
+        with open(sys.argv[1], "rb") as handle:
+            geometry = maskio.read_gdsii(handle.read())
+        seen.append(loaded())
+        seen.append(len(geometry.expand()))
+        seen.append(loaded())
+        print(json.dumps(seen))
+    """
+    codec = ["lotuskit.gdsii", "lotuskit.maskio", "lotuskit.wetting"]
+    cells = lotuskit.layout_stats(design)["total_cells"]
+    assert _child(probe, str(mask)) == [codec, [*codec, "numpy"], cells + 1, [*codec, "numpy"]]
 
 
 def test_package_import_loads_no_submodule():
-    probe = textwrap.dedent(
-        """
+    probe = """
         import json, sys
         import lotuskit
         def loaded():
@@ -133,14 +164,5 @@ def test_package_import_loads_no_submodule():
         seen.append(loaded())
         seen.append(sorted(set(lotuskit.__all__) - set(dir(lotuskit))))
         print(json.dumps(seen))
-        """
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": _SRC},
-        timeout=120,
-        check=True,
-    )
-    assert json.loads(result.stdout) == [[], ["lotuskit.wetting"], []]
+    """
+    assert _child(probe) == [[], ["lotuskit.wetting"], []]

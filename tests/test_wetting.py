@@ -19,10 +19,10 @@ from lotuskit.wetting import (
     Material,
     apparent_advancing_receding,
     cassie_apparent_angle,
-    invert_cassie_fraction,
     spherical_cap_footprint_radius,
-    spherical_cap_volume,
 )
+
+from oracles import invert_cassie_fraction, spherical_cap_volume
 
 # Frozen high-precision oracle values.
 ORACLE_ANGLES = {
