@@ -281,12 +281,7 @@ def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int
 
 def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
     if args.reference:
-        from lotuskit.reference import reference_two_zone_layout
-
-        _refuse_set_flags(args, _REFERENCE_FIXES, "--reference cannot be combined with {}")
-        target: Layout | HoneycombSpec = dataclasses.replace(
-            reference_two_zone_layout(), fabrication_grid=config.rules.fabrication_grid
-        )
+        target: Layout | HoneycombSpec = _two_zone_from_args(args, config)
     elif args.wall is not None:
         target = _honeycomb(config, args.wall, args.pitch, args.height)
     else:

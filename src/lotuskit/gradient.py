@@ -6,10 +6,10 @@ The front and rear contact lines of a droplet straddling such a gradient pull
 with different strengths, and the imbalance drives the droplet toward the
 denser, better-wetting end — transport with no moving parts.
 
-This module inverse-designs the per-column wall profile that realizes a
-target fraction ramp, evaluates the resulting capillary driving force against
-the hysteresis retention force, and steps a droplet quasi-statically until it
-balances or runs off the end.
+This module inverse-designs the wall profile, as runs of equal walls, that
+realizes a target fraction ramp, evaluates the resulting capillary driving
+force against the hysteresis retention force, and steps a droplet
+quasi-statically until it balances or runs off the end.
 
 Force model (documented choice, not a measured law): the contact line is
 represented by the droplet's footprint diameter ``2r``; apparent angles are
@@ -24,9 +24,9 @@ local apparent angles so the cap stays consistent as wettability changes
 boundary; pattern geometry stays in integer nanometers.
 
 A simulation builds one footprint solver per (design, volume, material).  It
-reads the design as runs, maximal blocks of consecutive columns with one
-wall, and evaluates the apparent angle and the retention force once per
-distinct wall and the cap radius once per (front wall, rear wall) pair.
+reads the design's runs, blocks of consecutive columns with one wall, and
+evaluates the apparent angle and the retention force once per run and the
+cap radius once per (front run, rear run) pair.
 Once both ends of the bisection bracket share one (front run, rear run)
 pair, the residual becomes ``cap_radius(pair) - r``.  The bisection itself
 is kept, iteration for iteration, because a closed-form solve would round
@@ -36,14 +36,17 @@ differently: the trace CSV stays byte-identical.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    _MAX_NM,
     _as_int_nm,
     _check_spec,
     _violation_error,
@@ -144,63 +147,76 @@ class GradientSpec:
 
 @dataclass(frozen=True)
 class GradientDesign:
-    """A realized gradient: ``columns[k]`` is the wall of lattice column k.
+    """A realized gradient as runs of equal walls.
 
-    Columns are pitch-wide strips starting at x = 0, so column k spans
-    ``[k*pitch, (k+1)*pitch)`` nm; no x coordinate is stored.  Walls are
-    integer nanometers, snapped to the fabrication grid, inside (0, pitch),
-    and follow the requested fraction ramp: non-decreasing on a rising
-    ramp, non-increasing on a falling one, and all equal on a uniform one.
+    ``runs[i] = (count, wall)``: ``count`` consecutive lattice columns with
+    one wall.  Columns are pitch-wide strips starting at x = 0, so column k
+    spans ``[k*pitch, (k+1)*pitch)`` nm; no x coordinate is stored.  Walls
+    are integer nanometers, snapped to the fabrication grid, inside
+    (0, pitch), and follow the requested fraction ramp: they rise strictly
+    from run to run on a rising ramp and fall strictly on a falling one,
+    and a uniform ramp is one run.  ``fractions[i]`` is run i's solid
+    fraction and ``starts[i]`` its first column.
     """
 
-    columns: tuple[int, ...]
+    runs: tuple[tuple[int, int], ...]
     spec: GradientSpec
     fabrication_grid: int = DEFAULT_RULES.fabrication_grid
     fractions: tuple[float, ...] = field(init=False, repr=False)
+    starts: tuple[int, ...] = field(init=False, repr=False)
+    n_columns: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
-        )
-        pitch = self.spec.pitch
-        walls = []
-        for index, wall in enumerate(self.columns):
-            wall = _as_int_nm(wall, f"column {index} wall")
-            if wall >= pitch:
+        grid = _as_int_nm(self.fabrication_grid, "fabrication_grid")
+        object.__setattr__(self, "fabrication_grid", grid)
+        spec, rising = self.spec, self.spec.f_end > self.spec.f_start
+        if not self.runs:
+            raise ValueError("a gradient design needs at least one run")
+        if spec.f_start == spec.f_end and len(self.runs) > 1:
+            raise ValueError(f"a uniform ramp has exactly one run, got {len(self.runs)}")
+        runs, starts, n_columns = [], [], 0
+        for index, (count, wall) in enumerate(self.runs):
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+                raise ValueError(f"run {index} count must be a positive integer, got {count!r}")
+            wall = _as_int_nm(wall, f"run {index} wall")
+            if wall >= spec.pitch:
                 raise ValueError(
-                    f"column {index} wall must be below the {pitch} nm pitch, got {wall}"
+                    f"run {index} wall must be below the {spec.pitch} nm pitch, got {wall}"
                 )
-            if wall % self.fabrication_grid != 0:
+            if wall % grid != 0:
+                raise ValueError(f"run {index} wall {wall} nm is off the {grid} nm fabrication grid")
+            if runs and wall == runs[-1][1]:
+                raise ValueError(f"run {index} repeats the {wall} nm wall of run {index - 1}")
+            if runs and (wall > runs[-1][1]) != rising:
                 raise ValueError(
-                    f"column {index} wall {wall} nm is off the "
-                    f"{self.fabrication_grid} nm fabrication grid"
+                    f"run {index} wall {wall} nm after {runs[-1][1]} nm: walls must "
+                    f"{'rise' if rising else 'fall'} from run to run on this ramp"
                 )
-            walls.append(wall)
-        if not walls:
-            raise ValueError("a gradient design needs at least one column")
-        object.__setattr__(self, "columns", tuple(walls))
-        if self.spec.f_start < self.spec.f_end:
-            if any(b < a for a, b in zip(walls, walls[1:])):
-                raise ValueError("walls must be non-decreasing for a rising ramp")
-        elif self.spec.f_start > self.spec.f_end:
-            if any(b > a for a, b in zip(walls, walls[1:])):
-                raise ValueError("walls must be non-increasing for a falling ramp")
-        elif any(wall != walls[0] for wall in walls):
-            raise ValueError("walls must be equal for a uniform ramp")
+            runs.append((int(count), wall))
+            starts.append(n_columns)
+            n_columns += int(count)
+        if n_columns * spec.pitch > _MAX_NM:
+            raise ValueError(
+                f"runs of {spec.pitch} nm columns cover more than {_MAX_NM} nm: "
+                f"at most {_MAX_NM // spec.pitch} columns fit"
+            )
         fraction = (
             honeycomb_linear_ratio
-            if self.spec.measure is Measure.LINEAR_RATIO
+            if spec.measure is Measure.LINEAR_RATIO
             else honeycomb_area_fraction
         )
-        fraction_of = {
-            wall: fraction(HoneycombSpec(pitch=pitch, wall=wall, height=self.spec.height))
-            for wall in set(walls)
-        }
-        object.__setattr__(self, "fractions", tuple(fraction_of[wall] for wall in walls))
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "starts", tuple(starts))
+        object.__setattr__(self, "n_columns", n_columns)
+        object.__setattr__(self, "fractions", tuple(
+            fraction(HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height))
+            for _, wall in runs
+        ))
 
     @property
-    def n_columns(self) -> int:
-        return len(self.columns)
+    def columns(self) -> tuple[int, ...]:
+        """One wall per column, expanded from ``runs``; lotuskit itself never reads it."""
+        return tuple(wall for count, wall in self.runs for _ in range(count))
 
     @property
     def length_nm(self) -> int:
@@ -231,7 +247,7 @@ class GradientDesign:
 
     def fraction_at(self, x_m: float) -> float:
         """Solid fraction (in the design's measure convention) at ``x_m`` (meters)."""
-        return self.fractions[self.column_index(x_m)]
+        return self.fractions[bisect_right(self.starts, self.column_index(x_m)) - 1]
 
 
 class TerminalReason(Enum):
@@ -316,16 +332,16 @@ def wall_for_fraction(
 def design_linear_gradient(
     spec: GradientSpec, rules: DesignRules = DEFAULT_RULES
 ) -> GradientDesign:
-    """Realize a linear fraction ramp as a per-column wall profile.
+    """Realize a linear fraction ramp as runs of equal walls.
 
     One column per lattice period: N = floor(length / pitch) columns, column
     k targeting ``f_k = f_start + (f_end - f_start) * k / (N - 1)`` (a single
     column gets f_start).  Each target is converted by
-    :func:`wall_for_fraction`, and each distinct wall's
-    ``HoneycombSpec(pitch, wall, height)`` is checked against the design
-    rules as :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
-    violation aborts the design; the error lists each (rule, value) once,
-    under the first column that breaks it.
+    :func:`wall_for_fraction`, equal consecutive walls form one run, and each
+    run's ``HoneycombSpec(pitch, wall, height)`` is checked against the
+    design rules as :func:`~lotuskit.lattice.check_design_rules` checks a
+    spec.  Any violation aborts the design; the error lists each
+    (rule, value) once, under the first column that breaks it.
     """
     n_columns = spec.length // spec.pitch
     walls = []
@@ -340,19 +356,19 @@ def design_linear_gradient(
             wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
         )
 
-    first_column: dict[int, int] = {}
-    for index, wall in enumerate(walls):
-        first_column.setdefault(wall, index)
+    runs = [(sum(1 for _ in group), wall) for wall, group in groupby(walls)]
     violations = {}
-    for wall, index in first_column.items():
+    start = 0
+    for count, wall in runs:
         column = HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height)
-        for violation in _check_spec(column, rules, f"column {index}"):
+        for violation in _check_spec(column, rules, f"column {start}"):
             violations.setdefault((violation.rule, violation.value), violation)
+        start += count
     if violations:
         raise _violation_error("gradient", list(violations.values()))
 
     return GradientDesign(
-        columns=tuple(walls), spec=spec, fabrication_grid=rules.fabrication_grid
+        runs=tuple(runs), spec=spec, fabrication_grid=rules.fabrication_grid
     )
 
 
@@ -384,15 +400,6 @@ def _no_fit(position_m: float, r_max: float) -> FootprintError:
     )
 
 
-def _wall_runs(walls: tuple[int, ...]) -> list[tuple[int, int]]:
-    """``(first_column, wall)`` of each maximal block of equal consecutive walls."""
-    return [
-        (index, wall)
-        for index, wall in enumerate(walls)
-        if index == 0 or walls[index - 1] != wall
-    ]
-
-
 class _FootprintSolver:
     """Footprint fixed point and driving force of one droplet on one design.
 
@@ -402,17 +409,16 @@ class _FootprintSolver:
     with r_max the distance to the nearer design edge.  h(0+) > 0 always;
     h(r_max) > 0 means the droplet cannot fit, which raises FootprintError.
 
-    The design is read as runs, maximal blocks of consecutive columns with
-    one wall.  The apparent angle and the retention force depend on the
-    wall alone, so each is computed once per distinct wall, and the cap
-    radius once per (front wall, rear wall) pair met, in a table that a
-    design of alternating walls cannot grow beyond its wall pairs.  The
-    bisection tracks the (front run, rear run) pair at both bracket ends:
+    The design is read as its runs, each a block of consecutive columns
+    with one wall, no two runs with the same wall.  The apparent angle and
+    the retention force depend on the wall alone, so each is computed once
+    per run, and the cap radius once per (front run, rear run) pair met.
+    The bisection tracks the (front run, rear run) pair at both bracket ends:
     x_nm = round(x * 1e9) is monotone in x, so the run of x +/- r is
     monotone in r, and a run that is the same at both ends of the bracket
     ``[low, high]`` is the run of every midpoint between them.  Such an end
     is not looked up again, and once both ends share one run pair the
-    residual is ``c - mid`` with ``c`` that pair's cap radius.  A wall pair
+    residual is ``c - mid`` with ``c`` that pair's cap radius.  A run pair
     gives one angle pair and one cap radius, the same floats at every
     column, so every midpoint and comparison is the original per-column
     bisection's and the radius is bit-identical to evaluating ``h`` afresh.
@@ -424,20 +430,13 @@ class _FootprintSolver:
         self.design = design
         self.volume = volume_m3
         self.material = material
-        runs = _wall_runs(design.columns)
-        walls = list(dict.fromkeys(design.columns))  # distinct, first seen first
-        slot_of = {wall: slot for slot, wall in enumerate(walls)}
-        fraction_of = dict(zip(design.columns, design.fractions))
-        self._fractions = [fraction_of[wall] for wall in walls]
-        angles = [
+        self._run_angles = [
             cassie_apparent_angle(fraction, material.theta_flat)
-            for fraction in self._fractions
+            for fraction in design.fractions
         ]
-        self._starts_nm = [first * design.spec.pitch for first, _ in runs]
-        self._slots = [slot_of[wall] for _, wall in runs]
-        self._run_angles = [angles[slot] for slot in self._slots]
-        self._caps: dict[tuple[int, int], float] = {}  # (front, rear) slot -> radius
-        self._retention: list[float | None] = [None] * len(walls)
+        self._starts_nm = [start * design.spec.pitch for start in design.starts]
+        self._caps: dict[tuple[int, int], float] = {}  # (front, rear) run -> radius
+        self._retention: list[float | None] = [None] * len(design.runs)
         self.length_m = design.length_m
         self._length_nm = design.length_nm
         self._droplet = Droplet(volume=volume_m3)
@@ -454,14 +453,13 @@ class _FootprintSolver:
 
     def cap_radius(self, front: int, rear: int) -> float:
         """Footprint radius of the cap at the mean angle of two runs' walls."""
-        key = (self._slots[front], self._slots[rear])
-        radius = self._caps.get(key)
+        radius = self._caps.get((front, rear))
         if radius is None:
             angles = self._run_angles
             radius = spherical_cap_footprint_radius(
                 self.volume, 0.5 * (angles[front] + angles[rear])
             )
-            self._caps[key] = radius
+            self._caps[front, rear] = radius
         return radius
 
     def solve(self, position_m: float) -> _ForceState:
@@ -518,11 +516,11 @@ class _FootprintSolver:
 
     def retention(self, position_m: float) -> float:
         """:func:`retention_force` under the wall at ``position_m``."""
-        slot = self._slots[self.run(position_m)]
-        holding = self._retention[slot]
+        run = self.run(position_m)
+        holding = self._retention[run]
         if holding is None:
-            holding = retention_force(self._droplet, self.material, self._fractions[slot])
-            self._retention[slot] = holding
+            holding = retention_force(self._droplet, self.material, self.design.fractions[run])
+            self._retention[run] = holding
         return holding
 
 

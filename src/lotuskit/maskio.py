@@ -272,13 +272,13 @@ def _as_layout(target: Layout | Zone) -> Layout:
     )
 
 
-def _first_column_arrays(design: GradientDesign) -> list[LatticeArray]:
+def _column0_arrays(design: GradientDesign) -> list[LatticeArray]:
     """The lattice arrays of column 0, ``[0, pitch) x [0, lateral_width)``."""
     from lotuskit.lattice import HoneycombSpec, Rect, Zone, lattice_arrays
 
     spec = design.spec
     zone = Zone(
-        spec=HoneycombSpec(pitch=spec.pitch, wall=design.columns[0], height=spec.height),
+        spec=HoneycombSpec(pitch=spec.pitch, wall=design.runs[0][1], height=spec.height),
         extent=Rect(0, 0, spec.pitch, spec.lateral_width),
     )
     return lattice_arrays(zone, design.fabrication_grid)
@@ -290,13 +290,13 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
     Arrays come zone by zone (design column by column), on the target's own
     ``fabrication_grid``; the rectangles are ``(x, y, x_max, y_max)``.
     Design columns share pitch and width, so column k's arrays are column
-    0's shifted by ``k * pitch`` with its own comb.
+    0's shifted by ``k * pitch`` with the comb of column k's run.
     """
     from lotuskit.gradient import GradientDesign
     from lotuskit.lattice import LatticeArray, lattice_arrays
 
     if isinstance(target, GradientDesign):
-        pitch, first = target.spec.pitch, _first_column_arrays(target)
+        pitch, first = target.spec.pitch, _column0_arrays(target)
         arrays = [
             LatticeArray(
                 pitch - wall,
@@ -306,7 +306,8 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
                 array.col_vector,
                 array.row_vector,
             )
-            for k, wall in enumerate(target.columns)
+            for (count, wall), start in zip(target.runs, target.starts)
+            for k in range(start, start + count)
             for array in first
         ]
         return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
@@ -941,7 +942,7 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
         spec = target.spec
         # Every column has column 0's arrays, and a pitch-wide column has an
         # odd-row array whenever it has odd rows.
-        column = _first_column_arrays(target)
+        column = _column0_arrays(target)
         return {
             "kind": "gradient",
             "material": material.name,
@@ -955,8 +956,8 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             "row_pitch_nm": row_pitch(spec.pitch, target.fabrication_grid),
             "lattice_rows": sum(array.rows for array in column),
             "total_cells": target.n_columns * sum(a.cols * a.rows for a in column),
-            "wall_start_nm": target.columns[0],
-            "wall_end_nm": target.columns[-1],
+            "wall_start_nm": target.runs[0][1],
+            "wall_end_nm": target.runs[-1][1],
             "fraction_start": target.fractions[0],
             "fraction_end": target.fractions[-1],
             "cassie_angle_start_deg": cassie_apparent_angle(target.fractions[0], theta),

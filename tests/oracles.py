@@ -2,13 +2,29 @@
 
 Each inverts or re-derives a library quantity by another route, so a test
 can check the library against it: the solid fraction behind an apparent
-angle, the volume behind a footprint radius, and the driving force of one
-footprint solve.
+angle, the volume behind a footprint radius, the driving force of one
+footprint solve, and the one-wall-per-column design that runs replaced.
 """
 
 import math
+from itertools import groupby
 
-from lotuskit.gradient import GradientDesign, _FootprintSolver
+from lotuskit.gradient import (
+    GradientDesign,
+    GradientSpec,
+    Measure,
+    _FootprintSolver,
+    wall_for_fraction,
+)
+from lotuskit.lattice import (
+    DEFAULT_RULES,
+    DesignRules,
+    HoneycombSpec,
+    _check_spec,
+    _violation_error,
+    honeycomb_area_fraction,
+    honeycomb_linear_ratio,
+)
 from lotuskit.wetting import Droplet, Material, _cap_shape, _require_open_angle
 
 # An inverted fraction may exceed 1 by a few ulp through rounding and is
@@ -90,3 +106,57 @@ def net_driving_force(
     """
     solver = _FootprintSolver(design, droplet.volume, material)
     return solver.solve(droplet.position).net_force
+
+
+def runs_of(walls) -> tuple[tuple[int, int], ...]:
+    """``(count, wall)`` runs of a per-column wall sequence."""
+    return tuple((sum(1 for _ in group), wall) for wall, group in groupby(walls))
+
+
+def per_column_design(
+    spec: GradientSpec, rules: DesignRules = DEFAULT_RULES
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """One wall and one solid fraction per column, as designs stored them
+    before runs: a frozen copy of that ``design_linear_gradient`` column
+    loop, its first-column DRC and the per-column ``fractions``.  Raises
+    what that design raised.
+    """
+    n_columns = spec.length // spec.pitch
+    walls = []
+    for index in range(n_columns):
+        if n_columns == 1:
+            target = spec.f_start
+        else:
+            target = spec.f_start + (spec.f_end - spec.f_start) * index / (
+                n_columns - 1
+            )
+        walls.append(
+            wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
+        )
+
+    first_column: dict[int, int] = {}
+    for index, wall in enumerate(walls):
+        first_column.setdefault(wall, index)
+    violations = {}
+    for wall, index in first_column.items():
+        column = HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height)
+        for violation in _check_spec(column, rules, f"column {index}"):
+            violations.setdefault((violation.rule, violation.value), violation)
+    if violations:
+        raise _violation_error("gradient", list(violations.values()))
+
+    fraction = (
+        honeycomb_linear_ratio
+        if spec.measure is Measure.LINEAR_RATIO
+        else honeycomb_area_fraction
+    )
+    fraction_of = {
+        wall: fraction(HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height))
+        for wall in set(walls)
+    }
+    return tuple(walls), tuple(fraction_of[wall] for wall in walls)
+
+
+def per_column_index(x_m: float, pitch: int, n_columns: int) -> int:
+    """The column holding ``x_m`` (meters), as the per-column design looked it up."""
+    return min(round(x_m * 1e9) // pitch, n_columns - 1)

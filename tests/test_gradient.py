@@ -9,6 +9,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ from lotuskit.wetting import (
     spherical_cap_footprint_radius,
 )
 
-from oracles import net_driving_force
+from oracles import net_driving_force, runs_of
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -88,7 +89,7 @@ class TestWallForFraction:
                 length=4000 * len(walls), lateral_width=4000, pitch=4000,
                 f_start=0.1, f_end=0.4, measure=measure,
             )
-            design = GradientDesign(columns=tuple(walls), spec=spec)
+            design = GradientDesign(runs=tuple((1, wall) for wall in walls), spec=spec)
             for wall, fraction in zip(walls, design.fractions):
                 q = Fraction(wall, 4000)
                 exact = q if measure is Measure.LINEAR_RATIO else 2 * q - q * q
@@ -120,8 +121,8 @@ class TestDesignLinearGradient:
     def test_column_census_and_endpoints(self):
         design = reference_gradient()
         assert design.n_columns == 2500
-        assert design.columns[0] == 400
-        assert design.columns[-1] == 1000
+        assert design.runs[0][1] == 400
+        assert design.runs[-1][1] == 1000
         assert design.length_nm == 10_000_000
 
     def test_columns_are_one_int_wall_per_column(self):
@@ -130,10 +131,11 @@ class TestDesignLinearGradient:
         assert len(design.columns) == design.n_columns == 2500
         assert all(type(wall) is int for wall in design.columns)
 
-    def test_walls_monotone_for_monotone_ramp(self):
+    def test_walls_rise_from_run_to_run_on_a_rising_ramp(self):
         design = reference_gradient()
-        walls = design.columns
-        assert all(b >= a for a, b in zip(walls, walls[1:]))
+        walls = [wall for _, wall in design.runs]
+        assert all(b > a for a, b in zip(walls, walls[1:]))
+        assert sum(count for count, _ in design.runs) == design.n_columns
 
     def test_single_column_design(self):
         spec = GradientSpec(
@@ -142,7 +144,7 @@ class TestDesignLinearGradient:
         )
         design = design_linear_gradient(spec)
         assert design.n_columns == 1
-        assert design.columns == (1000,)
+        assert design.runs == ((1, 1000),)
 
     def test_rule_violations_rejected_exhaustively(self):
         spec = GradientSpec(
@@ -159,7 +161,7 @@ class TestDesignLinearGradient:
         )
         lax = DesignRules(min_wall=100, max_aspect_ratio=50.0)
         design = design_linear_gradient(spec, lax)
-        assert design.columns[0] == 200
+        assert design.runs[0][1] == 200
 
     def test_off_grid_pitch_and_height_rejected(self):
         spec = GradientSpec(
@@ -212,44 +214,75 @@ class TestDesignLinearGradient:
         assert len(shown) + (int(more.group(1)) if more else 0) == len(expected)
         assert shown == {key: expected[key] for key in shown}
 
-    def test_manual_columns_validated(self):
-        spec = GradientSpec(
-            length=8000, lateral_width=100_000, pitch=4000,
-            f_start=0.1, f_end=0.2, measure=Measure.LINEAR_RATIO,
-        )
-        with pytest.raises(ValueError, match="non-decreasing"):
-            GradientDesign(columns=(800, 400), spec=spec)
-
     @pytest.mark.parametrize(
-        "walls, f_end, message",
+        "runs, f_end, message",
         [
-            ((), 0.2, "a gradient design needs at least one column"),
-            ((400, 400.5), 0.2, "column 1 wall must be an integer nanometer count, got 400.5"),
-            ((400, 4000), 0.2, "column 1 wall must be below the 4000 nm pitch, got 4000"),
-            ((400, 405), 0.2, "column 1 wall 405 nm is off the 10 nm fabrication grid"),
-            ((400, 800), 0.05, "walls must be non-increasing for a falling ramp"),
-            ((400, 1000, 400), 0.1, "walls must be equal for a uniform ramp"),
+            ((), 0.2, "a gradient design needs at least one run"),
+            (((0, 400),), 0.2, "run 0 count must be a positive integer, got 0"),
+            (((1, 400), (-2, 410)), 0.2, "run 1 count must be a positive integer, got -2"),
+            (((True, 400),), 0.2, "run 0 count must be a positive integer, got True"),
+            (((2.5, 400),), 0.2, "run 0 count must be a positive integer, got 2.5"),
+            (((1, 400), (1, 400.5)), 0.2, "run 1 wall must be an integer nanometer count, got 400.5"),
+            (((1, 400), (1, 4000)), 0.2, "run 1 wall must be below the 4000 nm pitch, got 4000"),
+            (((1, 400), (1, 405)), 0.2, "run 1 wall 405 nm is off the 10 nm fabrication grid"),
+            (((1, 400), (2, 400)), 0.2, "run 1 repeats the 400 nm wall of run 0"),
+            (
+                ((1, 800), (1, 400)), 0.2,
+                "run 1 wall 400 nm after 800 nm: walls must rise from run to run on this ramp",
+            ),
+            (
+                ((1, 400), (1, 800)), 0.05,
+                "run 1 wall 800 nm after 400 nm: walls must fall from run to run on this ramp",
+            ),
+            (((1, 400), (1, 800)), 0.1, "a uniform ramp has exactly one run, got 2"),
         ],
-        ids=["empty", "fractional", "at-pitch", "off-grid", "rising-on-falling", "uneven-uniform"],
+        ids=[
+            "empty", "count-0", "count-negative", "count-bool", "count-2.5",
+            "fractional", "at-pitch", "off-grid", "repeated-wall",
+            "falling-on-rising", "rising-on-falling", "uneven-uniform",
+        ],
     )
-    def test_column_walls_rejected(self, walls, f_end, message):
+    def test_runs_rejected(self, runs, f_end, message):
         spec = GradientSpec(
             length=8000, lateral_width=100_000, pitch=4000,
             f_start=0.1, f_end=f_end, measure=Measure.LINEAR_RATIO,
         )
         with pytest.raises(ValueError) as excinfo:
-            GradientDesign(columns=walls, spec=spec)
+            GradientDesign(runs=runs, spec=spec)
         assert str(excinfo.value) == message
 
-    def test_numpy_integer_walls_are_stored_as_ints(self):
+    def test_covered_length_ends_at_the_coordinate_limit(self):
+        spec = GradientSpec(
+            length=8000, lateral_width=100_000, pitch=4000, f_start=0.1, f_end=0.2
+        )
+        # 536,870 columns of 4000 nm are 2,147,480,000 nm, inside 2**31 - 1.
+        fits = GradientDesign(runs=((536_869, 400), (1, 410)), spec=spec)
+        assert fits.length_nm == 2_147_480_000
+        message = (
+            "runs of 4000 nm columns cover more than 2147483647 nm: "
+            "at most 536870 columns fit"
+        )
+        for runs in (((536_870, 400), (1, 410)), ((2**30, 400), (2**30, 410))):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    GradientDesign(runs=runs, spec=spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_numpy_integer_runs_are_stored_as_ints(self):
         spec = GradientSpec(
             length=8000, lateral_width=100_000, pitch=4000,
             f_start=0.1, f_end=0.2, measure=Measure.LINEAR_RATIO,
         )
-        design = GradientDesign(columns=(np.int64(400), np.int32(800)), spec=spec)
-        assert design.columns == (400, 800)
-        assert all(type(wall) is int for wall in design.columns)
-        assert design.fractions == GradientDesign(columns=(400, 800), spec=spec).fractions
+        design = GradientDesign(
+            runs=((np.int64(1), np.int64(400)), (np.int32(1), np.int32(800))), spec=spec
+        )
+        assert design.runs == ((1, 400), (1, 800))
+        assert all(type(v) is int for run in design.runs for v in run)
+        assert design.fractions == GradientDesign(runs=((1, 400), (1, 800)), spec=spec).fractions
 
     def test_spec_lengths_use_the_integer_nm_validator(self):
         def spec(**lengths):
@@ -371,7 +404,7 @@ class TestNetDrivingForce:
             measure=design.spec.measure,
         )
         mirrored = GradientDesign(
-            columns=design.columns[::-1],
+            runs=design.runs[::-1],
             spec=reversed_spec,
         )
         droplet = Droplet(volume=1.1e-9, position=3.0001e-3)
@@ -474,7 +507,7 @@ class TestSimulateDroplet:
                 length=4000 * columns, lateral_width=100_000, pitch=4000,
                 f_start=f_start, f_end=f_end, measure=rng.choice(list(Measure)),
             )
-            design = GradientDesign(columns=tuple(walls), spec=spec)
+            design = GradientDesign(runs=runs_of(walls), spec=spec)
             material = Material(
                 name="probe",
                 theta_flat=rng.uniform(70.0, 120.0),
@@ -627,57 +660,64 @@ class TestTraceCsv:
         )
 
 
+#: The benchmark's 10 mm ramp, the design of every trace pin below.
+BENCHMARK_RAMP = GradientSpec(
+    length=10_000_000, lateral_width=200_000, pitch=4000,
+    f_start=0.19, f_end=0.4375,
+)
+
+#: ``(hysteresis, reason, records, digest)`` of the traces at the default
+#: one-pitch step.
+TRACE_PINS = [
+    (
+        0.0, TerminalReason.REACHED_END, 2105,
+        "0dfba890f4bf6e014dd6dea45bb1ed4808bbda11fccc40020e2347d42320509b",
+    ),
+    (
+        5.0, TerminalReason.FORCE_BALANCE, 699,
+        "698aee5e98cbe30c348662873b93468aacb23e5336cfbad929826d03465a015b",
+    ),
+]
+
+#: The benchmark's transport traces: ``lotus simulate ... --step-nm 1000``.
+BENCHMARK_TRACE_PINS = [
+    (
+        0.0, TerminalReason.REACHED_END, 8420,
+        "9def8816dc2c8e768704fadf361fe2df861f575fceb5e8fd6612dd784fcc4218",
+    ),
+    (
+        5.0, TerminalReason.FORCE_BALANCE, 2793,
+        "af8d433d1b31a7ae7f038a0b4f611a3d766b96f8d906222458aa1ea8ebb0b410",
+    ),
+]
+
+
+def check_trace(design, step, hysteresis, reason, records, digest):
+    """Simulate the pinned droplet on ``design``; its CSV must hash to ``digest``."""
+    material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
+    trace = simulate_droplet(
+        design, Droplet(volume=1.1e-9, position=1e-3), material, step=step
+    )
+    assert trace.terminal_reason is reason
+    assert len(trace.steps) == records
+    text = trace_to_csv(trace)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 class TestPinnedTraceBytes:
     """sha256 of whole CSV traces, frozen so solver changes keep every byte."""
 
-    SPEC = GradientSpec(
-        length=10_000_000, lateral_width=200_000, pitch=4000,
-        f_start=0.19, f_end=0.4375,
-    )
+    SPEC = BENCHMARK_RAMP
 
-    @pytest.mark.parametrize(
-        ("hysteresis", "reason", "records", "digest"),
-        [
-            (
-                0.0, TerminalReason.REACHED_END, 2105,
-                "0dfba890f4bf6e014dd6dea45bb1ed4808bbda11fccc40020e2347d42320509b",
-            ),
-            (
-                5.0, TerminalReason.FORCE_BALANCE, 699,
-                "698aee5e98cbe30c348662873b93468aacb23e5336cfbad929826d03465a015b",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize(("hysteresis", "reason", "records", "digest"), TRACE_PINS)
     def test_trace_csv_digest(self, hysteresis, reason, records, digest):
-        self.check_trace(None, hysteresis, reason, records, digest)
+        check_trace(design_linear_gradient(self.SPEC), None, hysteresis, reason, records, digest)
 
-    # The benchmark's transport traces: ``lotus simulate ... --step-nm 1000``.
-    @pytest.mark.parametrize(
-        ("hysteresis", "reason", "records", "digest"),
-        [
-            (
-                0.0, TerminalReason.REACHED_END, 8420,
-                "9def8816dc2c8e768704fadf361fe2df861f575fceb5e8fd6612dd784fcc4218",
-            ),
-            (
-                5.0, TerminalReason.FORCE_BALANCE, 2793,
-                "af8d433d1b31a7ae7f038a0b4f611a3d766b96f8d906222458aa1ea8ebb0b410",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize(("hysteresis", "reason", "records", "digest"), BENCHMARK_TRACE_PINS)
     def test_benchmark_trace_csv_digest(self, hysteresis, reason, records, digest):
-        self.check_trace(1000 * 1e-9, hysteresis, reason, records, digest)
-
-    def check_trace(self, step, hysteresis, reason, records, digest):
-        material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
-        design = design_linear_gradient(self.SPEC)
-        trace = simulate_droplet(
-            design, Droplet(volume=1.1e-9, position=1e-3), material, step=step
+        check_trace(
+            design_linear_gradient(self.SPEC), 1000 * 1e-9, hysteresis, reason, records, digest
         )
-        assert trace.terminal_reason is reason
-        assert len(trace.steps) == records
-        text = trace_to_csv(trace)
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def oracle_force_state(design, position_m, volume_m3, material):
@@ -847,7 +887,7 @@ class TestSolverMatchesPerCallBisection:
             ),
             pytest.param(
                 GradientDesign(
-                    columns=tuple(400 + 10 * (k // 16) for k in range(1000)),
+                    runs=runs_of(400 + 10 * (k // 16) for k in range(1000)),
                     spec=GradientSpec(
                         length=4_000_000, lateral_width=200_000, pitch=4000,
                         f_start=0.1, f_end=0.3,
@@ -916,7 +956,7 @@ class TestSolverCallCounts:
             ),
             pytest.param(
                 GradientDesign(
-                    columns=tuple(400 + 10 * (k // 7) for k in range(2500)),
+                    runs=runs_of(400 + 10 * (k // 7) for k in range(2500)),
                     spec=TestPinnedTraceBytes.SPEC,
                 ),
                 5e-3, 0.0,
@@ -935,7 +975,7 @@ class TestSolverCallCounts:
             step=1000 * 1e-9, max_steps=3000,
         )
         assert len(trace.steps) > 100
-        walls = len(set(design.columns))
+        walls = len(design.runs)
         # One angle per wall; one cap radius per (front, rear) wall pair and
         # one per wall for the retention force.
         assert len(angles) <= walls

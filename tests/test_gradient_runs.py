@@ -1,0 +1,131 @@
+"""A gradient design stored as runs of equal walls.
+
+* The seeded equivalence test holds ``design_linear_gradient`` to a frozen
+  copy of the one-wall-per-column design (``oracles.per_column_design``):
+  the same walls column by column, the same fraction everywhere, and the
+  same DRC error text.
+* The columns test makes ``GradientDesign.columns`` raise and runs every
+  consumer of a design: what they write must still hash to the pins.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from lotuskit.gradient import (
+    GradientDesign,
+    GradientSpec,
+    Measure,
+    design_linear_gradient,
+)
+from lotuskit.lattice import DesignRules
+from lotuskit.maskio import layout_stats, write_gdsii, write_svg
+
+from oracles import per_column_design, per_column_index
+from test_gradient import BENCHMARK_RAMP, BENCHMARK_TRACE_PINS, check_trace
+from test_mask_codec import PINNED_EXPORTS
+
+
+def random_case(rng: random.Random) -> tuple[GradientSpec, DesignRules]:
+    """A ramp and rules: rising, falling or uniform, one column to 1,200."""
+    pitch = rng.choice((2000, 3000, 4000, 4010, 5000, 6000))
+    n_columns = rng.choice((1, 1, 2, 3, rng.randint(4, 1200)))
+    ramp = rng.choice(("rising", "falling", "uniform"))
+    low, high = sorted(rng.uniform(0.03, 0.6) for _ in range(2))
+    f_start, f_end = {"rising": (low, high), "falling": (high, low), "uniform": (low, low)}[ramp]
+    spec = GradientSpec(
+        length=n_columns * pitch + rng.randrange(pitch),
+        lateral_width=20_000,
+        pitch=pitch,
+        f_start=f_start,
+        f_end=f_end,
+        measure=rng.choice(list(Measure)),
+        height=rng.choice((2000, 4000, 6000)),
+    )
+    rules = DesignRules(
+        min_wall=rng.choice((100, 200, 400)),
+        max_aspect_ratio=rng.choice((10.0, 50.0)),
+        max_height=rng.choice((4000, 6000)),
+        fabrication_grid=rng.choice((1, 2, 5, 10, 20, 40)),
+    )
+    return spec, rules
+
+
+class TestRunsMatchThePerColumnDesign:
+    def test_seeded_ramps(self):
+        rng = random.Random(27)
+        designed = refused = single = 0
+        for _ in range(250):
+            spec, rules = random_case(rng)
+            try:
+                walls, fractions = per_column_design(spec, rules)
+            except ValueError as expected:
+                with pytest.raises(ValueError) as actual:
+                    design_linear_gradient(spec, rules)
+                assert str(actual.value) == str(expected)
+                refused += "gradient violates design rules" in str(expected)
+                continue
+            design = design_linear_gradient(spec, rules)
+            assert design.columns == walls
+            assert design.n_columns == len(walls)
+            pitch = spec.pitch
+            # Each column's midpoint and both of its ends.
+            for x_m in (
+                *(k * pitch * 1e-9 for k in range(len(walls) + 1)),
+                *((k + 0.5) * pitch * 1e-9 for k in range(len(walls))),
+            ):
+                expected = fractions[per_column_index(x_m, pitch, len(walls))]
+                assert design.fraction_at(x_m) == expected
+            designed += 1
+            single += len(walls) == 1
+        assert designed >= 80 and refused >= 20 and single >= 10
+
+
+#: ``design_linear_gradient(BENCHMARK_RAMP)`` written flat with walls
+#: polarity, and a 200 um ramp as SVG: bytes of the one-wall-per-column
+#: design, which the run form must keep.
+FLAT_WALLS_DIGEST = "e36e5d2cf6f561defb74f33c5b2f8dd96d6814ab4f0ad433fcc8f17afebb7e58"
+SMALL_SVG_DIGEST = "99cb862f2ce2fab8b25c5a1de2457b328cb76f3511a9f27cc4fabe0cb2401e17"
+
+
+def sha256(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
+
+
+def test_no_production_path_reads_columns(monkeypatch):
+    def refuse(design):
+        raise AssertionError("GradientDesign.columns was read")
+
+    monkeypatch.setattr(GradientDesign, "columns", property(refuse))
+    design = design_linear_gradient(BENCHMARK_RAMP)
+    assert sha256(write_gdsii(design, mode="arrayed")) == PINNED_EXPORTS["gradient.gds"][1]
+    assert sha256(write_gdsii(design, mode="flat", polarity="walls")) == FLAT_WALLS_DIGEST
+    small = design_linear_gradient(
+        GradientSpec(length=200_000, lateral_width=40_000, pitch=4000, f_start=0.19, f_end=0.4375)
+    )
+    assert sha256(write_svg(small)) == SMALL_SVG_DIGEST
+    assert layout_stats(design) == {
+        "kind": "gradient",
+        "material": "water on PMMA",
+        "theta_flat_deg": 81.0,
+        "measure": "area_fraction",
+        "columns": 2500,
+        "pitch_nm": 4000,
+        "length_nm": 10_000_000,
+        "lateral_width_nm": 200_000,
+        "height_nm": 4000,
+        "row_pitch_nm": 3460,
+        "lattice_rows": 58,
+        "total_cells": 145_000,
+        "wall_start_nm": 400,
+        "wall_end_nm": 1000,
+        "fraction_start": 0.19,
+        "fraction_end": 0.4375,
+        "cassie_angle_start_deg": 141.2859856357785,
+        "cassie_angle_end_deg": 119.60777958751162,
+    }
+    for pin in BENCHMARK_TRACE_PINS:
+        check_trace(design, 1000 * 1e-9, *pin)
+    with pytest.raises(AssertionError, match="columns was read"):
+        design.columns

@@ -84,12 +84,12 @@ NM_ENTRY_POINTS = {
     ),
     "design-fabrication_grid": (
         "fabrication_grid",
-        lambda v: GradientDesign(columns=(TOP_NM - 1,), spec=TOP_GRADIENT, fabrication_grid=v),
+        lambda v: GradientDesign(runs=((1, TOP_NM - 1),), spec=TOP_GRADIENT, fabrication_grid=v),
         TOP_NM - 1,
     ),
     "design-walls": (
-        "column 0 wall",
-        lambda v: GradientDesign(columns=(v,), spec=TOP_GRADIENT, fabrication_grid=1),
+        "run 0 wall",
+        lambda v: GradientDesign(runs=((1, v),), spec=TOP_GRADIENT, fabrication_grid=1),
         TOP_NM - 1,
     ),
     "wall_for_fraction-pitch": ("pitch", lambda v: wall_for_fraction(0.19, v), TOP_NM),
@@ -314,7 +314,7 @@ class TestSpecs:
         "build",
         [
             lambda grid: GradientDesign(
-                columns=(400, 800),
+                runs=((1, 400), (1, 800)),
                 spec=GradientSpec(
                     length=8000, lateral_width=20000, pitch=4000, f_start=0.19, f_end=0.3
                 ),

@@ -267,7 +267,7 @@ class TestWriteGdsii:
         # Built directly: design_linear_gradient rejects the x.5 half pitch
         # first, and this checks the writers' own message.
         design = GradientDesign(
-            columns=(401, 601),
+            runs=((1, 401), (1, 601)),
             spec=GradientSpec(
                 length=8002, lateral_width=20_000, pitch=4001,
                 f_start=0.19, f_end=0.3, measure=Measure.AREA_FRACTION,
