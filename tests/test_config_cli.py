@@ -777,6 +777,28 @@ class TestCliSimulate:
         assert lines[0] == "position_m,theta_front_deg,theta_rear_deg,net_force_N,moved"
         assert len(lines) > 2
 
+    @pytest.mark.parametrize(
+        ("flags", "reason"),
+        [
+            ([], "reached_end"),
+            (["--hysteresis-deg", "10"], "force_balance"),
+            (["--max-steps", "50"], "max_steps"),
+        ],
+    )
+    def test_records_and_moves_count_the_csv_rows(self, flags, reason, capsys, tmp_path):
+        csv_path = tmp_path / "trace.csv"
+        code = run(
+            ["simulate", *self.GRADIENT, "--start-mm", "1.2", *flags, "--csv", str(csv_path)]
+        )
+        assert code == 0
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["terminal_reason"] == reason
+        rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert int(out["records"]) == len(rows)
+        assert int(out["moves"]) == sum(row.endswith(",1") for row in rows)
+        # Only a max_steps run ends on a move.
+        assert rows[-1].endswith(",1") == (reason == "max_steps")
+
     def test_inflated_hysteresis_pins_the_droplet(self, capsys):
         code = run(
             ["simulate", *self.GRADIENT, "--start-mm", "1.2",
