@@ -307,11 +307,10 @@ def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
     )
     step = args.step_nm * _NM_TO_M if args.step_nm is not None else None
     trace = simulate_droplet(design, droplet, material, step=step, max_steps=args.max_steps)
-    moves = sum(1 for record in trace.steps if record.moved)
     print(f"volume_ul={args.volume_ul:.3f}")
     print(f"hysteresis_deg={_deg(material.hysteresis)}")
     print(f"records={len(trace.steps)}")
-    print(f"moves={moves}")
+    print(f"moves={trace.moves}")
     print(f"terminal_reason={trace.terminal_reason.value}")
     print(f"start_position_mm={args.start_mm:.6f}")
     print(f"final_position_mm={trace.final_position / _MM_TO_M:.6f}")

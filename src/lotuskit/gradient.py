@@ -260,19 +260,17 @@ class TerminalReason(Enum):
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One force evaluation of the quasi-static stepping loop.
+    """The solved droplet at one position of the quasi-static stepping loop.
 
-    ``moved`` is True when the droplet advanced by one step after this
-    evaluation and False on the terminal record.  ``footprint_radius`` and
-    ``retention`` are the solved footprint and the hysteresis retention
-    force the stop decision compared ``|net_force|`` against.
+    ``footprint_radius`` is the solved footprint and ``retention`` the
+    hysteresis retention force under the footprint's center, which the stop
+    decision compares ``|net_force|`` against.
     """
 
     position: float  # m
     theta_front: float  # degrees
     theta_rear: float  # degrees
     net_force: float  # N, positive toward +x
-    moved: bool
     footprint_radius: float  # m
     retention: float  # N, >= 0
 
@@ -291,6 +289,14 @@ class SimulationTrace:
     @property
     def final_position(self) -> float:
         return self.steps[-1].position
+
+    @property
+    def moves(self) -> int:
+        """Steps the droplet took: one after each record but the last, and
+        one after the last too when stepping stopped at ``max_steps``."""
+        if self.terminal_reason is TerminalReason.MAX_STEPS:
+            return len(self.steps)
+        return max(len(self.steps) - 1, 0)
 
 
 def wall_for_fraction(
@@ -383,16 +389,6 @@ def local_apparent_angle(
     return cassie_apparent_angle(design.fraction_at(x_m), material.theta_flat)
 
 
-@dataclass(frozen=True)
-class _ForceState:
-    """Converged footprint geometry and force at one droplet position."""
-
-    footprint_radius: float  # m
-    theta_front: float  # degrees
-    theta_rear: float  # degrees
-    net_force: float  # N
-
-
 def _no_fit(position_m: float, r_max: float) -> FootprintError:
     return FootprintError(
         f"droplet footprint does not fit at {position_m!r} m: needs more "
@@ -462,8 +458,8 @@ class _FootprintSolver:
             self._caps[front, rear] = radius
         return radius
 
-    def solve(self, position_m: float) -> _ForceState:
-        """Footprint radius, both angles and driving force at ``position_m``."""
+    def solve(self, position_m: float) -> TraceStep:
+        """The droplet solved at ``position_m``: footprint, angles and forces."""
         length_m = self.length_m
         if not 0.0 <= position_m <= length_m:
             raise FootprintError(
@@ -480,7 +476,7 @@ class _FootprintSolver:
         if cap_high - r_max > 0.0:
             raise _no_fit(position_m, r_max)
 
-        front_low = rear_low = run(position_m)
+        center = front_low = rear_low = run(position_m)
         # Cap radius of the run pair both bracket ends share, else None.
         shared = cap_high if (front_low, rear_low) == (front_high, rear_high) else None
         low, high = 0.0, r_max
@@ -510,18 +506,11 @@ class _FootprintSolver:
         cos_front = math.cos(math.radians(front))
         cos_rear = math.cos(math.radians(rear))
         force = self.material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
-        return _ForceState(
-            footprint_radius=radius, theta_front=front, theta_rear=rear, net_force=force
-        )
-
-    def retention(self, position_m: float) -> float:
-        """:func:`retention_force` under the wall at ``position_m``."""
-        run = self.run(position_m)
-        holding = self._retention[run]
+        holding = self._retention[center]
         if holding is None:
-            holding = retention_force(self._droplet, self.material, self.design.fractions[run])
-            self._retention[run] = holding
-        return holding
+            holding = retention_force(self._droplet, self.material, self.design.fractions[center])
+            self._retention[center] = holding
+        return TraceStep(position_m, front, rear, force, radius, holding)
 
 
 def retention_force(droplet: Droplet, material: Material, f_local: float) -> float:
@@ -554,9 +543,10 @@ def simulate_droplet(
     force; while |drive| exceeds retention the droplet advances by
     ``step * sign(drive)`` meters, otherwise it stops in force balance.
     Stepping also stops when the next position's footprint would overhang a
-    design edge (``reached_end``) or after ``max_steps`` moves.  Every
-    evaluation is recorded; the terminal record has ``moved=False`` except
-    on ``max_steps`` exhaustion, where the last record reflects a move.
+    design edge (``reached_end``) or after ``max_steps`` moves.  The trace
+    records each position the droplet stood at, as solved there;
+    :attr:`SimulationTrace.moves` counts the moves, which on ``max_steps``
+    include one past the last record.
 
     The droplet never returns to a position it held.  A design's walls
     follow its ramp, so the solid fraction is monotone along x, and with it
@@ -587,50 +577,38 @@ def simulate_droplet(
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
 
     solver = _FootprintSolver(design, droplet.volume, material)
-    position = droplet.position
-    state = solver.solve(position)
+    record = solver.solve(droplet.position)
     steps: list[TraceStep] = []
-    terminal = TerminalReason.MAX_STEPS
     for _ in range(max_steps):
-        holding = solver.retention(position)
-        next_state = None
-        if abs(state.net_force) <= holding:
-            terminal = TerminalReason.FORCE_BALANCE
-        else:
-            next_position = position + math.copysign(step, state.net_force)
-            if next_position == position:
-                raise ValueError(
-                    f"step {step!r} m does not move the droplet from {position!r} m"
-                )
-            try:
-                next_state = solver.solve(next_position)
-            except FootprintError:
-                terminal = TerminalReason.REACHED_END
-        steps.append(
-            TraceStep(
-                position, state.theta_front, state.theta_rear, state.net_force,
-                moved=next_state is not None,
-                footprint_radius=state.footprint_radius,
-                retention=holding,
+        steps.append(record)
+        if abs(record.net_force) <= record.retention:
+            return SimulationTrace(tuple(steps), TerminalReason.FORCE_BALANCE)
+        position = record.position + math.copysign(step, record.net_force)
+        if position == record.position:
+            raise ValueError(
+                f"step {step!r} m does not move the droplet from {record.position!r} m"
             )
-        )
-        if next_state is None:
-            break
-        position, state = next_position, next_state
-    return SimulationTrace(steps=tuple(steps), terminal_reason=terminal)
+        try:
+            record = solver.solve(position)
+        except FootprintError:
+            return SimulationTrace(tuple(steps), TerminalReason.REACHED_END)
+    return SimulationTrace(tuple(steps), TerminalReason.MAX_STEPS)
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
     """Render a trace as CSV text.
 
     Columns: ``position_m, theta_front_deg, theta_rear_deg, net_force_N,
-    moved`` (0/1); the header row is always present.  Floats use shortest
-    round-trip formatting, so output is byte-stable for identical traces.
+    moved``, where ``moved`` is 1 on the first :attr:`SimulationTrace.moves`
+    rows and 0 after them; the header row is always present.  Floats use
+    shortest round-trip formatting, so output is byte-stable for identical
+    traces.
     """
     lines = ["position_m,theta_front_deg,theta_rear_deg,net_force_N,moved"]
-    for record in trace.steps:
+    moves = trace.moves
+    for index, record in enumerate(trace.steps):
         lines.append(
             f"{record.position!r},{record.theta_front!r},{record.theta_rear!r},"
-            f"{record.net_force!r},{int(record.moved)}"
+            f"{record.net_force!r},{int(index < moves)}"
         )
     return "\n".join(lines) + "\n"

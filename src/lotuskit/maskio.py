@@ -571,16 +571,9 @@ class _RecordCursor:
 
     def take(self, record_type: int) -> Record:
         """The next record, which must be of ``record_type``."""
-        try:
-            record = next(self._records)
-        except StopIteration:
-            raise GdsParseError(
-                f"unexpected end of stream while reading {record_name(record_type)}",
-                len(self.data),
-            ) from None
+        record = self.next(record_name(record_type))
         if record.record_type != record_type:
             raise record.error(f"expected {record_name(record_type)}, found {record.name}")
-        self.end = record.offset + 4 + len(record.payload)
         return record
 
     def skip_to(self, offset: int) -> None:

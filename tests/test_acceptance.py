@@ -291,7 +291,7 @@ def test_criterion_7_gradient_transport():
             "inflated retention pins at step 0",
             pinned.terminal_reason is TerminalReason.FORCE_BALANCE
             and len(pinned.steps) == 1
-            and pinned.steps[0].moved is False
+            and pinned.moves == 0
             and pinned.final_position == droplet.position,
         ),
         ("runtime < 5 s", elapsed < 5.0),

@@ -485,7 +485,7 @@ class TestSimulateDroplet:
         trace = simulate_droplet(design, droplet, WATER)
         assert trace.terminal_reason is TerminalReason.FORCE_BALANCE
         assert len(trace.steps) == 1
-        assert trace.steps[0].moved is False
+        assert trace.moves == 0
         assert trace.final_position == 2e-3
 
     def test_random_designs_never_revisit_a_position(self):
@@ -549,7 +549,7 @@ class TestSimulateDroplet:
         trace = simulate_droplet(design, droplet, sticky)
         assert trace.terminal_reason is TerminalReason.FORCE_BALANCE
         assert len(trace.steps) == 1
-        assert trace.steps[0].moved is False
+        assert trace.moves == 0
 
     def test_max_steps_exhaustion(self):
         design = reference_gradient()
@@ -557,7 +557,7 @@ class TestSimulateDroplet:
         trace = simulate_droplet(design, droplet, WATER, max_steps=10)
         assert trace.terminal_reason is TerminalReason.MAX_STEPS
         assert len(trace.steps) == 10
-        assert trace.steps[-1].moved is True
+        assert trace.moves == 10
 
     def test_unfit_initial_position_raises(self):
         design = reference_gradient()
@@ -603,10 +603,9 @@ class TestSimulateDroplet:
         material = Material(name="x", theta_flat=81.0, hysteresis=2.0)
         trace = simulate_droplet(design, droplet, material, max_steps=20)
         for record in trace.steps:
-            state = _FootprintSolver(design, droplet.volume, material).solve(
+            assert record == _FootprintSolver(design, droplet.volume, material).solve(
                 record.position
             )
-            assert record.footprint_radius == state.footprint_radius
             assert record.retention == retention_force(
                 droplet, material, design.fraction_at(record.position)
             )
@@ -658,6 +657,10 @@ class TestTraceCsv:
         assert trace_to_csv(trace) == (
             "position_m,theta_front_deg,theta_rear_deg,net_force_N,moved\n"
         )
+
+    @pytest.mark.parametrize("reason", list(TerminalReason))
+    def test_empty_trace_has_no_moves(self, reason):
+        assert SimulationTrace(steps=(), terminal_reason=reason).moves == 0
 
 
 #: The benchmark's 10 mm ramp, the design of every trace pin below.
