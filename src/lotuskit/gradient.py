@@ -19,18 +19,15 @@ evaluated at the footprint front and rear points only;
     F_retention = gamma * 2r * (cos(theta_receding) - cos(theta_advancing)),
 
 with ``r`` recomputed from the spherical-cap relation at the mean of the two
-local apparent angles so the cap stays consistent as wettability changes
-(a fixed point solved by bisection).  Positions are meters at this module's
-boundary; pattern geometry stays in integer nanometers.
+local apparent angles so the cap stays consistent as wettability changes.
+That makes ``r`` a fixed point, and the trace takes the smallest one, which
+depends on the droplet and the design alone.  Positions are meters at this
+module's boundary; pattern geometry stays in integer nanometers.
 
 A simulation builds one footprint solver per (design, volume, material).  It
 reads the design's runs, blocks of consecutive columns with one wall, and
 evaluates the apparent angle and the retention force once per run and the
 cap radius once per (front run, rear run) pair.
-Once both ends of the bisection bracket share one (front run, rear run)
-pair, the residual becomes ``cap_radius(pair) - r``.  The bisection itself
-is kept, iteration for iteration, because a closed-form solve would round
-differently: the trace CSV stays byte-identical.
 """
 
 from __future__ import annotations
@@ -400,24 +397,20 @@ class _FootprintSolver:
     """Footprint fixed point and driving force of one droplet on one design.
 
     The footprint radius depends on the local mean angle, which depends on
-    where the footprint ends sit — a fixed point r = cap_radius(mean(r)),
-    solved by bisection on h(r) = cap_radius(mean(r)) - r over (0, r_max]
-    with r_max the distance to the nearer design edge.  h(0+) > 0 always;
-    h(r_max) > 0 means the droplet cannot fit, which raises FootprintError.
-
-    The design is read as its runs, each a block of consecutive columns
-    with one wall, no two runs with the same wall.  The apparent angle and
+    where the footprint ends sit: r = cap_radius(front run, rear run) with
+    the runs under x + r and x - r.  The design is read as its runs, each a
+    block of consecutive columns with one wall, and the apparent angle and
     the retention force depend on the wall alone, so each is computed once
     per run, and the cap radius once per (front run, rear run) pair met.
-    The bisection tracks the (front run, rear run) pair at both bracket ends:
-    x_nm = round(x * 1e9) is monotone in x, so the run of x +/- r is
-    monotone in r, and a run that is the same at both ends of the bracket
-    ``[low, high]`` is the run of every midpoint between them.  Such an end
-    is not looked up again, and once both ends share one run pair the
-    residual is ``c - mid`` with ``c`` that pair's cap radius.  A run pair
-    gives one angle pair and one cap radius, the same floats at every
-    column, so every midpoint and comparison is the original per-column
-    bisection's and the radius is bit-identical to evaluating ``h`` afresh.
+
+    Between two run edges the pair, hence the cap, is constant.  The solve
+    walks outward from r = 0 edge by edge and stops at the smallest fixed
+    point: a cap short of the next edge, or an edge that the cap of the
+    pair beyond it does not exceed (a root on a jump).  Run i's edge is
+    ``starts_nm[i] - 0.5`` nm, where :meth:`run` rounds a position into
+    run i.  ``r_max`` is the distance to the nearer design edge; a cap
+    above it there means the droplet cannot fit, which raises
+    FootprintError.
     """
 
     def __init__(
@@ -431,6 +424,9 @@ class _FootprintSolver:
             for fraction in design.fractions
         ]
         self._starts_nm = [start * design.spec.pitch for start in design.starts]
+        # Where each run begins, in meters; no edge below run 0 or past the last.
+        inner = [(start - 0.5) * _M_PER_NM for start in self._starts_nm[1:]]
+        self._edges_m = [-math.inf, *inner, math.inf]
         self._caps: dict[tuple[int, int], float] = {}  # (front, rear) run -> radius
         self._retention: list[float | None] = [None] * len(design.runs)
         self.length_m = design.length_m
@@ -469,40 +465,27 @@ class _FootprintSolver:
         r_max = min(position_m, length_m - position_m)
         if r_max <= 0.0:
             raise _no_fit(position_m, r_max)
-        run, cap_radius = self.run, self.cap_radius
-        front_high = run(position_m + r_max)
-        rear_high = run(position_m - r_max)
-        cap_high = cap_radius(front_high, rear_high)
-        if cap_high - r_max > 0.0:
+        run, cap_radius, edges = self.run, self.cap_radius, self._edges_m
+        if cap_radius(run(position_m + r_max), run(position_m - r_max)) > r_max:
             raise _no_fit(position_m, r_max)
 
-        center = front_low = rear_low = run(position_m)
-        # Cap radius of the run pair both bracket ends share, else None.
-        shared = cap_high if (front_low, rear_low) == (front_high, rear_high) else None
-        low, high = 0.0, r_max
-        for _ in range(200):
-            mid = 0.5 * (low + high)
-            if mid <= low or mid >= high:
+        center = front = rear = run(position_m)
+        edge = 0.0  # the walk stands here, on the pair beyond this edge
+        while True:
+            radius = cap_radius(front, rear)
+            if radius <= edge:  # a root on a jump
+                radius = edge
                 break
-            if shared is not None:
-                if shared - mid > 0.0:
-                    low = mid
-                else:
-                    high = mid
-            else:
-                front = front_low if front_low == front_high else run(position_m + mid)
-                rear = rear_low if rear_low == rear_high else run(position_m - mid)
-                cap_mid = cap_radius(front, rear)
-                if cap_mid - mid > 0.0:
-                    low, front_low, rear_low = mid, front, rear
-                else:
-                    high, front_high, rear_high = mid, front, rear
-                if front_low == front_high and rear_low == rear_high:
-                    shared = cap_mid
-            if high - low <= 1e-13:
+            front_edge = edges[front + 1] - position_m
+            rear_edge = position_m - edges[rear]
+            edge = min(front_edge, rear_edge)
+            if radius < edge:
                 break
-        radius = high
-        front, rear = self._run_angles[front_high], self._run_angles[rear_high]
+            if front_edge == edge:
+                front += 1
+            if rear_edge == edge:
+                rear -= 1
+        front, rear = self._run_angles[front], self._run_angles[rear]
         cos_front = math.cos(math.radians(front))
         cos_rear = math.cos(math.radians(rear))
         force = self.material.surface_tension * 2.0 * radius * (cos_front - cos_rear)

@@ -848,13 +848,13 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
 
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells!r}")
-    arrays, rects = _emitted(target)
-    total = sum(array.cols * array.rows for array in arrays)
+    total = layout_stats(target)["total_cells"]
     if total > max_cells:
         raise ValueError(
             f"{total} cells exceed max_cells={max_cells}; render a cropped "
             f"extent or raise max_cells"
         )
+    arrays, rects = _emitted(target)
 
     if not rects:
         min_x = min_y = 0

@@ -3,17 +3,20 @@
 Each inverts or re-derives a library quantity by another route, so a test
 can check the library against it: the solid fraction behind an apparent
 angle, the volume behind a footprint radius, the driving force of one
-footprint solve, and the one-wall-per-column design that runs replaced.
+footprint solve, the footprint found column by column, and the
+one-wall-per-column design that runs replaced.
 """
 
 import math
 from itertools import groupby
 
 from lotuskit.gradient import (
+    FootprintError,
     GradientDesign,
     GradientSpec,
     Measure,
     _FootprintSolver,
+    local_apparent_angle,
     wall_for_fraction,
 )
 from lotuskit.lattice import (
@@ -25,7 +28,13 @@ from lotuskit.lattice import (
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
 )
-from lotuskit.wetting import Droplet, Material, _cap_shape, _require_open_angle
+from lotuskit.wetting import (
+    Droplet,
+    Material,
+    _cap_shape,
+    _require_open_angle,
+    spherical_cap_footprint_radius,
+)
 
 # An inverted fraction may exceed 1 by a few ulp through rounding and is
 # clamped; a larger excess means the apparent angle is below the flat one.
@@ -106,6 +115,66 @@ def net_driving_force(
     """
     solver = _FootprintSolver(design, droplet.volume, material)
     return solver.solve(droplet.position).net_force
+
+
+def oracle_force_state(design, position_m, volume_m3, material):
+    """The smallest footprint fixed point, walked column edge by column edge.
+
+    Column k's edge is ``k*pitch - 0.5`` nm, where positions round into it.
+    From r = 0 outward, each step looks both angles up afresh through
+    ``local_apparent_angle`` at the centres of the front and rear columns
+    and recomputes the cap radius.  The radius is the first cap short of
+    the next column edge, or an edge that the cap of the columns beyond it
+    does not exceed.  Returns ``(radius, theta_front, theta_rear, force,
+    on_jump)``, where ``on_jump`` says the radius is such an edge, i.e. the
+    root sits on a jump of the residual.
+    """
+    length_m = design.length_m
+    if not 0.0 <= position_m <= length_m:
+        raise FootprintError(
+            f"droplet center {position_m!r} m lies outside the design "
+            f"[0, {length_m!r}] m"
+        )
+    r_max = min(position_m, length_m - position_m)
+
+    def cap(front_m, rear_m):
+        front = local_apparent_angle(design, front_m, material)
+        rear = local_apparent_angle(design, rear_m, material)
+        radius = spherical_cap_footprint_radius(volume_m3, 0.5 * (front + rear))
+        return radius, front, rear
+
+    if r_max <= 0.0 or cap(position_m + r_max, position_m - r_max)[0] > r_max:
+        raise FootprintError(
+            f"droplet footprint does not fit at {position_m!r} m: needs more "
+            f"than the {r_max!r} m available to the nearer design edge"
+        )
+
+    pitch, last = design.spec.pitch, design.n_columns - 1
+    front_column = rear_column = design.column_index(position_m)
+    edge, on_jump = 0.0, False
+    while True:
+        radius, front, rear = cap(
+            (front_column + 0.5) * pitch * 1e-9, (rear_column + 0.5) * pitch * 1e-9
+        )
+        if radius <= edge:
+            radius, on_jump = edge, True
+            break
+        front_edge = rear_edge = math.inf
+        if front_column < last:
+            front_edge = ((front_column + 1) * pitch - 0.5) * 1e-9 - position_m
+        if rear_column > 0:
+            rear_edge = position_m - (rear_column * pitch - 0.5) * 1e-9
+        edge = min(front_edge, rear_edge)
+        if radius < edge:
+            break
+        if front_edge == edge:
+            front_column += 1
+        if rear_edge == edge:
+            rear_column -= 1
+    cos_front = math.cos(math.radians(front))
+    cos_rear = math.cos(math.radians(rear))
+    force = material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
+    return radius, front, rear, force, on_jump
 
 
 def runs_of(walls) -> tuple[tuple[int, int], ...]:

@@ -38,7 +38,7 @@ from lotuskit.wetting import (
     spherical_cap_footprint_radius,
 )
 
-from oracles import net_driving_force, runs_of
+from oracles import net_driving_force, oracle_force_state, runs_of
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -521,6 +521,12 @@ class TestSimulateDroplet:
                 design, droplet, material, step=rng.uniform(1e-6, 4e-6), max_steps=10_000
             )
             assert trace.terminal_reason is not TerminalReason.MAX_STEPS
+            for record in trace.steps:
+                solved = (record.footprint_radius, record.theta_front, record.theta_rear,
+                          record.net_force)
+                assert solved == oracle_force_state(
+                    design, record.position, droplet.volume, material
+                )[:4]
             ends.add(trace.terminal_reason)
             moves = [b - a for a, b in zip(trace.positions, trace.positions[1:])]
             if ramp == "rising":
@@ -674,11 +680,11 @@ BENCHMARK_RAMP = GradientSpec(
 TRACE_PINS = [
     (
         0.0, TerminalReason.REACHED_END, 2105,
-        "0dfba890f4bf6e014dd6dea45bb1ed4808bbda11fccc40020e2347d42320509b",
+        "e0d733f34fc63e6f5a94aed08df178fe3d62ca28dcf8d33dd68f0ee744fa00c6",
     ),
     (
         5.0, TerminalReason.FORCE_BALANCE, 699,
-        "698aee5e98cbe30c348662873b93468aacb23e5336cfbad929826d03465a015b",
+        "bccc79a7c1b7869c69ea64892f7ae564e5379aa4a8ab31000fd4ac3528bbed20",
     ),
 ]
 
@@ -686,11 +692,11 @@ TRACE_PINS = [
 BENCHMARK_TRACE_PINS = [
     (
         0.0, TerminalReason.REACHED_END, 8420,
-        "9def8816dc2c8e768704fadf361fe2df861f575fceb5e8fd6612dd784fcc4218",
+        "d7c46f522a8f264b7575c822aebd8b46bacd7fe01ee57e7f4eca8f7e677feaa9",
     ),
     (
         5.0, TerminalReason.FORCE_BALANCE, 2793,
-        "af8d433d1b31a7ae7f038a0b4f611a3d766b96f8d906222458aa1ea8ebb0b410",
+        "ce531f91a401800eb8f73d42520b9dada1df28810812558f87d98c0517f429ab",
     ),
 ]
 
@@ -723,62 +729,6 @@ class TestPinnedTraceBytes:
         )
 
 
-def oracle_force_state(design, position_m, volume_m3, material):
-    """The per-call footprint bisection the table-driven solver replaced.
-
-    Every residual looks both angles up afresh through
-    ``local_apparent_angle`` and recomputes the cap radius.  Returns
-    ``(radius, theta_front, theta_rear, force, on_jump)``, where ``on_jump``
-    says the converged bracket still straddles a column boundary, i.e. the
-    root sits on a jump of the residual.
-    """
-    length_m = design.length_m
-    if not 0.0 <= position_m <= length_m:
-        raise FootprintError(
-            f"droplet center {position_m!r} m lies outside the design "
-            f"[0, {length_m!r}] m"
-        )
-    r_max = min(position_m, length_m - position_m)
-
-    def angles(radius):
-        front = local_apparent_angle(design, position_m + radius, material)
-        rear = local_apparent_angle(design, position_m - radius, material)
-        return front, rear
-
-    def residual(radius):
-        front, rear = angles(radius)
-        return (
-            spherical_cap_footprint_radius(volume_m3, 0.5 * (front + rear)) - radius
-        )
-
-    if r_max <= 0.0 or residual(r_max) > 0.0:
-        raise FootprintError(
-            f"droplet footprint does not fit at {position_m!r} m: needs more "
-            f"than the {r_max!r} m available to the nearer design edge"
-        )
-
-    low, high = 0.0, r_max
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if mid <= low or mid >= high:
-            break
-        if residual(mid) > 0.0:
-            low = mid
-        else:
-            high = mid
-        if high - low <= 1e-13:
-            break
-    radius = high
-    front, rear = angles(radius)
-    cos_front = math.cos(math.radians(front))
-    cos_rear = math.cos(math.radians(rear))
-    force = material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
-    pair = lambda r: (  # noqa: E731
-        design.column_index(position_m + r), design.column_index(position_m - r)
-    )
-    return radius, front, rear, force, pair(low) != pair(high)
-
-
 def assert_solver_matches_oracle(design, volume_m3, material, positions):
     """Solve every position both ways; return how many fitted.
 
@@ -805,8 +755,8 @@ def assert_solver_matches_oracle(design, volume_m3, material, positions):
     return fitted
 
 
-class TestSolverMatchesPerCallBisection:
-    """The table-driven solver must agree bit for bit with the old bisection."""
+class TestSolverMatchesColumnWalk:
+    """The run-edge walk must agree bit for bit with the column-edge walk."""
 
     VOLUME = 1.1e-9
 
@@ -854,7 +804,7 @@ class TestSolverMatchesPerCallBisection:
 
     def test_footprint_inside_one_column(self):
         # A droplet of 1e-19 m^3 spans well under one 4 um column, so near
-        # either design end both bracket ends start on the same column pair.
+        # either design end the walk stops at its first pair, the end column's.
         volume = 1e-19
         spec = GradientSpec(
             length=40_000, lateral_width=200_000, pitch=4000,

@@ -619,6 +619,22 @@ class TestWriteSvg:
         with pytest.raises(ValueError, match="max_cells"):
             write_svg(layout)
 
+    def test_cell_budget_refused_before_arrays_are_built(self, monkeypatch):
+        import lotuskit.maskio as maskio
+
+        def refuse(target):
+            raise AssertionError("_emitted built the arrays")
+
+        monkeypatch.setattr(maskio, "_emitted", refuse)
+        ramp = design_linear_gradient(GradientSpec(
+            length=100_000_000, lateral_width=200_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        ))
+        with pytest.raises(ValueError, match="^1450000 cells exceed max_cells=20000;"):
+            write_svg(ramp)
+        with pytest.raises(ValueError, match="exceed max_cells=20000;"):
+            write_svg(build_two_zone_layout(WIDE, FINE))
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_cell_budget_below_one_is_refused(self, budget):
         # Refused before the cells are counted: the empty layout has none.
