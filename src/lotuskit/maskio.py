@@ -13,11 +13,11 @@ Conventions
   without double-drawing, and edge hexagons may protrude up to half a comb
   diameter past the extent.  SVG previews draw the same whole hexagons.
 * ``arrayed`` mode writes one hexagon structure per distinct opening size
-  plus two array references per zone or column (even rows and the
-  half-pitch-shifted odd rows); GDSII arrays are rectangular, and the
-  triangular lattice is exactly two interleaved rectangular grids.  ``flat``
-  mode writes every hexagon as an explicit boundary — fine for crops,
-  enormous for full zones.
+  plus two array references per zone or run (even rows and the
+  half-pitch-shifted odd rows), tiled at 32,767; GDSII arrays are
+  rectangular, and the triangular lattice is exactly two interleaved
+  rectangular grids.  ``flat`` mode writes every hexagon as an explicit
+  boundary — fine for crops, enormous for full zones.
 * Output bytes depend only on inputs and options: timestamps are always
   zeroed, the library is ``LOTUS`` and the top cell is ``TOP``.
 * Resist polarity: by default the hexagonal *openings* are the drawn
@@ -287,10 +287,11 @@ def _column0_arrays(design: GradientDesign) -> list[LatticeArray]:
 def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
     """The lattice arrays a target is written as, and its extent rectangles.
 
-    Arrays come zone by zone (design column by column), on the target's own
+    Arrays come zone by zone (design run by run), on the target's own
     ``fabrication_grid``; the rectangles are ``(x, y, x_max, y_max)``.
-    Design columns share pitch and width, so column k's arrays are column
-    0's shifted by ``k * pitch`` with the comb of column k's run.
+    Design columns share pitch and width, so a run of ``count`` columns
+    from column ``start`` is column 0's arrays shifted by ``start * pitch``,
+    ``count`` times as wide, with the comb of the run's wall.
     """
     from lotuskit.gradient import GradientDesign
     from lotuskit.lattice import LatticeArray, lattice_arrays
@@ -300,14 +301,13 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
         arrays = [
             LatticeArray(
                 pitch - wall,
-                (array.origin[0] + k * pitch, array.origin[1]),
-                array.cols,
+                (array.origin[0] + start * pitch, array.origin[1]),
+                count * array.cols,
                 array.rows,
                 array.col_vector,
                 array.row_vector,
             )
             for (count, wall), start in zip(target.runs, target.starts)
-            for k in range(start, start + count)
             for array in first
         ]
         return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
@@ -363,8 +363,7 @@ def _boundary_bytes(layer: int, datatype: int, points: list[tuple[int, int]]) ->
 
 #: An AREF's COLROW, XY and ENDEL records, after its AREF and SNAME records:
 #: each record header (as pack_record writes it) is a 4-byte field, then the
-#: column and row counts and the origin, column-end and row-end points.  The
-#: writer packs every AREF with it, and read_gdsii decodes runs of AREFs.
+#: column and row counts and the origin, column-end and row-end points.
 _AREF_BODY = struct.Struct(">4s2h4s6i4s")
 _AREF_HEADERS = (
     pack_record(COLROW, bytes(4))[:4],
@@ -374,23 +373,28 @@ _AREF_HEADERS = (
 
 
 def _aref_bytes(head: bytes, array: LatticeArray) -> bytes:
-    """One AREF element: ``head`` (its AREF and SNAME records), then its body."""
-    cols, rows = array.cols, array.rows
-    if cols > _INT16_MAX or rows > _INT16_MAX:
-        raise ValueError(
-            f"array of {cols} x {rows} exceeds the 16-bit "
-            f"column/row limit; split the extent"
-        )
+    """The AREFs of ``array``: each is ``head`` (AREF and SNAME), then a body.
+
+    COLROW counts are 16-bit, so an array of more than 32,767 columns or rows
+    is written as tiles of at most 32,767 x 32,767, column tiles outer.
+    """
     (x0, y0), (cx, cy), (rx, ry) = array.origin, array.col_vector, array.row_vector
     colrow, xy, endel = _AREF_HEADERS
+    elements = []
     try:
-        return head + _AREF_BODY.pack(
-            colrow, cols, rows, xy,
-            x0, y0, x0 + cols * cx, y0 + cols * cy, x0 + rows * rx, y0 + rows * ry,
-            endel,
-        )
+        for i in range(0, array.cols, _INT16_MAX):
+            cols = min(array.cols - i, _INT16_MAX)
+            for j in range(0, array.rows, _INT16_MAX):
+                rows = min(array.rows - j, _INT16_MAX)
+                x, y = x0 + i * cx + j * rx, y0 + i * cy + j * ry
+                elements.append(head + _AREF_BODY.pack(
+                    colrow, cols, rows, xy,
+                    x, y, x + cols * cx, y + cols * cy, x + rows * rx, y + rows * ry,
+                    endel,
+                ))
     except struct.error as exc:
         raise _coordinate_overflow(str(exc)) from None
+    return b"".join(elements)
 
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1
@@ -479,8 +483,9 @@ def write_gdsii(
         a ``bool`` is refused, a numpy integer accepted.
     mode:
         ``"arrayed"`` (default) writes one hexagon structure per opening
-        size plus two array references per zone or column; ``"flat"``
-        writes every hexagon as an explicit boundary.
+        size plus two array references per zone or run of equal walls,
+        tiled at 32,767 columns and rows; ``"flat"`` writes every hexagon
+        as an explicit boundary.
     polarity:
         ``"openings"`` (default) draws the hexagonal openings;
         ``"walls"`` additionally draws each extent as a background rectangle
@@ -592,13 +597,11 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     to flatten.  Malformed streams raise :class:`GdsParseError` naming the
     byte offset and record type.
 
-    Records are walked one at a time, except after a parsed boundary or
-    AREF.  The boundaries that follow a parsed boundary with byte-identical
-    framing (every byte outside the XY payload) are decoded as one numpy
-    block; see :func:`_boundary_run`.  Each such block becomes one entry of
-    the cell's :attr:`MaskCell.runs`.  The AREFs that follow a parsed AREF
-    with the same record headers are decoded one ``struct`` unpack each;
-    see :func:`_aref_run`.
+    Records are walked one at a time, except after a parsed boundary.  The
+    boundaries that follow a parsed boundary with byte-identical framing
+    (every byte outside the XY payload) are decoded as one numpy block; see
+    :func:`_boundary_run`.  Each such block becomes one entry of the cell's
+    :attr:`MaskCell.runs`.
     """
     cursor = _RecordCursor(data)
 
@@ -643,10 +646,6 @@ def read_gdsii(data: bytes) -> MaskGeometry:
                 cell.srefs.append(_parse_sref(cursor))
             elif element.record_type == AREF:
                 cell.arefs.append(_parse_aref(cursor))
-                run = _aref_run(data, element.offset, cursor.end)
-                if run:
-                    cell.arefs += run
-                    cursor.skip_to(cursor.end + len(run) * (cursor.end - element.offset))
             else:
                 raise element.error(f"unexpected {element.name} inside structure {name!r}")
         cells[name] = cell
@@ -757,67 +756,13 @@ def _parse_aref(cursor: _RecordCursor) -> CellArray:
     coords = _xy_coords(xy)
     if len(coords) != 6:
         raise xy.error(f"AREF XY must carry exactly 3 points, got {len(coords) // 2}")
-    array = _aref_array(name, *counts, *coords)
-    if array is None:
-        raise xy.error("AREF spacing is not an integer number of database units")
-    cursor.take(ENDEL)
-    return array
-
-
-def _aref_array(
-    name: str, cols: int, rows: int, x0: int, y0: int, col_x: int, col_y: int, row_x: int,
-    row_y: int,
-) -> CellArray | None:
-    """The placement an AREF states, or None if its spacing is not whole units."""
+    (cols, rows), (x0, y0, col_x, col_y, row_x, row_y) = counts, coords
     col_dx, col_dy, row_dx, row_dy = col_x - x0, col_y - y0, row_x - x0, row_y - y0
     if col_dx % cols or col_dy % cols or row_dx % rows or row_dy % rows:
-        return None
+        raise xy.error("AREF spacing is not an integer number of database units")
+    cursor.take(ENDEL)
     col_vector, row_vector = (col_dx // cols, col_dy // cols), (row_dx // rows, row_dy // rows)
     return CellArray(name, (x0, y0), cols, rows, col_vector, row_vector)
-
-
-def _aref_run(data: bytes, start: int, end: int) -> list[CellArray]:
-    """Decode the run of AREFs framed like the parsed one at ``data[start:end]``.
-
-    The element at ``start`` has been parsed strictly.  If its records are
-    laid out as the writer packs them (an empty AREF record, SNAME, then
-    :data:`_AREF_BODY`), every following element whose AREF and SNAME record
-    headers equal that element's, and whose COLROW, XY and ENDEL headers are
-    the writer's, passes every framing, record-type, data-type and
-    payload-size check identically.  Its name, counts and spacing are then
-    checked as :func:`_parse_aref` checks them.  The run ends at the first
-    element that differs or fails a check, which the record walk then
-    parses, so every error keeps its text, offset and record type.  Returns
-    the arrays after the parsed one.
-    """
-    size = end - start
-    name_size = size - 8 - _AREF_BODY.size
-    head = data[start : start + 8]
-    if name_size < 0 or head[:6] != pack_record(AREF) + struct.pack(">H", name_size + 4):
-        return []
-    element = struct.Struct(f">8s{name_size}s{_AREF_BODY.format[1:]}")
-    framing = (head, *_AREF_HEADERS)
-    names: dict[bytes, str] = {}
-    arrays = []
-    # The parsed element comes first: it is decoded again only to check
-    # that its COLROW, XY and ENDEL records are laid out as the writer's.
-    for offset in range(start, len(data) - size + 1, size):
-        element_head, raw_name, colrow, cols, rows, xy, *coords, endel = element.unpack_from(
-            data, offset
-        )
-        if (element_head, colrow, xy, endel) != framing or cols < 1 or rows < 1:
-            break
-        name = names.get(raw_name)
-        if name is None:
-            try:
-                name = names[raw_name] = raw_name.rstrip(b"\x00").decode("ascii")
-            except UnicodeDecodeError:
-                break
-        array = _aref_array(name, cols, rows, *coords)
-        if array is None:
-            break
-        arrays.append(array)
-    return arrays[1:]
 
 
 # --------------------------------------------------------------------------
@@ -841,11 +786,13 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     Parameters
     ----------
     max_cells:
-        Rendering guard, at least 1: exceeding it raises with a suggestion
-        to crop.
+        Rendering guard, an integer of at least 1 (a ``bool`` is refused):
+        exceeding it raises with a suggestion to crop.
     """
     from lotuskit.lattice import hexagon_vertices
 
+    if isinstance(max_cells, bool) or not isinstance(max_cells, numbers.Integral):
+        raise ValueError(f"max_cells must be an integer, got {max_cells!r}")
     if max_cells < 1:
         raise ValueError(f"max_cells must be >= 1, got {max_cells!r}")
     total = layout_stats(target)["total_cells"]

@@ -23,11 +23,13 @@ from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    LatticeArray,
     _check_spec,
     _violation_error,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
 )
+from lotuskit.maskio import _column0_arrays
 from lotuskit.wetting import (
     Droplet,
     Material,
@@ -229,3 +231,26 @@ def per_column_design(
 def per_column_index(x_m: float, pitch: int, n_columns: int) -> int:
     """The column holding ``x_m`` (meters), as the per-column design looked it up."""
     return min(round(x_m * 1e9) // pitch, n_columns - 1)
+
+
+def per_column_arrays(design: GradientDesign) -> list[LatticeArray]:
+    """The two lattice arrays per column that the mask writers once took.
+
+    A frozen copy of the per-column gradient branch of ``maskio._emitted``:
+    column 0's arrays shifted by ``k * pitch`` for every column k, with the
+    comb of column k's run.
+    """
+    pitch, first = design.spec.pitch, _column0_arrays(design)
+    return [
+        LatticeArray(
+            pitch - wall,
+            (array.origin[0] + k * pitch, array.origin[1]),
+            array.cols,
+            array.rows,
+            array.col_vector,
+            array.row_vector,
+        )
+        for (count, wall), start in zip(design.runs, design.starts)
+        for k in range(start, start + count)
+        for array in first
+    ]

@@ -6,6 +6,10 @@
   same DRC error text.
 * The columns test makes ``GradientDesign.columns`` raise and runs every
   consumer of a design: what they write must still hash to the pins.
+* The mask writers take a design as two lattice arrays per run of equal
+  walls.  The seeded emitter test holds them to the two arrays per column
+  that they once took (``oracles.per_column_arrays``): the same polygons,
+  arrayed and flat, with each polarity, and the same cell census.
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import random
 
 import pytest
 
+from lotuskit import maskio
 from lotuskit.gradient import (
     GradientDesign,
     GradientSpec,
@@ -20,9 +25,9 @@ from lotuskit.gradient import (
     design_linear_gradient,
 )
 from lotuskit.lattice import DesignRules
-from lotuskit.maskio import layout_stats, write_gdsii, write_svg
+from lotuskit.maskio import layout_stats, read_gdsii, write_gdsii, write_svg
 
-from oracles import per_column_design, per_column_index
+from oracles import per_column_arrays, per_column_design, per_column_index
 from test_gradient import BENCHMARK_RAMP, BENCHMARK_TRACE_PINS, check_trace
 from test_mask_codec import PINNED_EXPORTS
 
@@ -82,10 +87,50 @@ class TestRunsMatchThePerColumnDesign:
         assert designed >= 80 and refused >= 20 and single >= 10
 
 
+def polygon_multiset(data: bytes) -> list[tuple[int, int, bytes]]:
+    """The expanded polygons of a stream, sorted, each vertex list as bytes."""
+    return sorted(
+        (layer, datatype, points.tobytes())
+        for layer, datatype, points in read_gdsii(data).expand()
+    )
+
+
+class TestRunArraysMatchPerColumnArrays:
+    def test_seeded_ramps(self, monkeypatch):
+        rng = random.Random(30)
+        ramps = set()
+        designs = []
+        while len(designs) < 30:
+            spec, rules = random_case(rng)
+            try:
+                designs.append(design_linear_gradient(spec, rules))
+            except ValueError:
+                continue
+        for design in designs:
+            spec = design.spec
+            ramps.add(
+                "uniform" if spec.f_start == spec.f_end
+                else "falling" if spec.f_start > spec.f_end else "rising"
+            )
+            per_column = per_column_arrays(design)
+            assert layout_stats(design)["total_cells"] == sum(a.cols * a.rows for a in per_column)
+            rects = [(0, 0, design.length_nm, spec.lateral_width)]
+            for mode in ("arrayed", "flat"):
+                for polarity in ("openings", "walls"):
+                    written = write_gdsii(design, mode=mode, polarity=polarity)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(maskio, "_emitted", lambda target: (per_column, rects))
+                        expected = write_gdsii(design, mode=mode, polarity=polarity)
+                    assert polygon_multiset(written) == polygon_multiset(expected)
+        assert ramps == {"rising", "falling", "uniform"}
+
+
 #: ``design_linear_gradient(BENCHMARK_RAMP)`` written flat with walls
-#: polarity, and a 200 um ramp as SVG: bytes of the one-wall-per-column
-#: design, which the run form must keep.
-FLAT_WALLS_DIGEST = "e36e5d2cf6f561defb74f33c5b2f8dd96d6814ab4f0ad433fcc8f17afebb7e58"
+#: polarity: its 61 runs of equal walls, each run's even-row array and then
+#: its odd-row array, row by row.  A 200 um ramp as SVG: its 50 columns are
+#: 50 one-column runs, so its bytes are those of the one-wall-per-column
+#: design.
+FLAT_WALLS_DIGEST = "92ae1ef981cd3abdcfdf8d8c1b3459444053ff9a20f22d08a45a581142a105e9"
 SMALL_SVG_DIGEST = "99cb862f2ce2fab8b25c5a1de2457b328cb76f3511a9f27cc4fabe0cb2401e17"
 
 

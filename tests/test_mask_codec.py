@@ -15,8 +15,8 @@
   ``(layer, datatype, points)`` runs of ``(n, k, 2)`` vertex blocks.
 * ``template_flat_array`` is a frozen copy of the numpy template flat
   writer; the row-buffer writer must give its bytes and its overflow
-  message.  Runs of AREFs are read against the strict walk alone (the run
-  decoder switched off), on seeded byte mutations and targeted faults.
+  message.  AREFs are read strictly, one record at a time: seeded byte
+  mutations and targeted faults pin the error of each of their records.
 """
 
 import hashlib
@@ -52,8 +52,8 @@ PINNED_EXPORTS = {
     "gradient.gds": (
         ["--gradient", "--length-nm", "10000000", "--f-start", "0.19",
          "--f-end", "0.4375", "--width-nm", "200000"],
-        "106fca195625795fdd605ea9c2e269b759bb74bcbc481e560bde1c6d6ec97bc7",
-        287_672,
+        "256d9fa07722c8de52fbb626f74cf5991ee8052804ea4a8290ebee9040b12830",
+        14_504,
     ),
     "reference.svg": (
         ["--reference", "--format", "svg", "--crop-um", "300"],
@@ -785,10 +785,10 @@ def test_mutated_streams_fail_only_with_value_errors():
 
 
 # --------------------------------------------------------------------------
-# Runs of AREFs against the strict walk
+# Strict AREF decoding
 # --------------------------------------------------------------------------
 
-# Arrayed gradients of 12 columns: 24 AREFs in TOP, one run in the reader.
+# Arrayed gradients of 12 one-column runs: 24 AREFs in TOP.
 AREF_STREAMS = [
     write_gdsii(
         design_linear_gradient(
@@ -798,7 +798,7 @@ AREF_STREAMS = [
     )
     for polarity in ("openings", "walls")
 ] + [
-    # Names of two lengths, and a single placement between two runs.
+    # Names of two lengths, and a single placement between AREFs.
     library(
         structure("C", boundary(1, 0, rectangle(0, 0, 9, 9))),
         structure("CELL_B", boundary(2, 0, hexagon(0, 0))),
@@ -814,23 +814,12 @@ AREF_STREAMS = [
 
 
 def read_outcome(data: bytes):
-    """What read_gdsii makes of a stream: its error, or every cell's content."""
+    """read_gdsii's error on a stream as (text, offset, record type), or "parsed"."""
     try:
-        geometry = read_gdsii(data)
+        read_gdsii(data)
     except GdsParseError as error:
-        return "error", str(error), error.offset, error.record_type
-    return "parsed", [
-        (name, cell.srefs, cell.arefs, [(layer, datatype, block.tolist())
-                                        for layer, datatype, block in cell.runs])
-        for name, cell in geometry.cells.items()
-    ]
-
-
-def strict_outcomes(monkeypatch, streams: list[bytes]) -> list:
-    """read_outcome of each stream with the AREF run decoder switched off."""
-    with monkeypatch.context() as patch:
-        patch.setattr(maskio, "_aref_run", lambda data, start, end: [])
-        return [read_outcome(data) for data in streams]
+        return str(error), error.offset, error.record_type
+    return "parsed"
 
 
 def aref_region(data: bytes) -> tuple[int, int]:
@@ -839,34 +828,14 @@ def aref_region(data: bytes) -> tuple[int, int]:
     return offsets[0], len(data) - 8  # ENDSTR and ENDLIB are 4 bytes each
 
 
-class TestArefRuns:
-    def test_intact_streams_read_as_long_runs(self, monkeypatch):
-        runs = []
-        decode = maskio._aref_run
-
-        def recorded(data, start, end):
-            arrays = decode(data, start, end)
-            runs.append(len(arrays))
-            return arrays
-
-        monkeypatch.setattr(maskio, "_aref_run", recorded)
-        fast = [read_outcome(data) for data in AREF_STREAMS]
-        monkeypatch.undo()
-        assert fast == strict_outcomes(monkeypatch, AREF_STREAMS)
-        assert all(outcome[0] == "parsed" for outcome in fast)
-        # After each strictly parsed AREF: the 23 others of each gradient,
-        # then 8, 9 and 7 in the hand-assembled library.
-        assert runs == [23, 23, 8, 9, 7]
-
-    def test_mutations_fail_and_parse_as_the_strict_walk(self, monkeypatch):
+class TestArefStrictness:
+    def test_mutations_fail_at_every_aref_record(self):
         rng = random.Random(26)
-        streams = []
+        kinds = set()
         for trial in range(800):
             data = AREF_STREAMS[trial % len(AREF_STREAMS)]
-            streams.append(mutated(rng, data, *aref_region(data)))
-        fast = [read_outcome(data) for data in streams]
-        assert fast == strict_outcomes(monkeypatch, streams)
-        kinds = {outcome[0] if outcome[0] == "parsed" else outcome[3] for outcome in fast}
+            outcome = read_outcome(mutated(rng, data, *aref_region(data)))
+            kinds.add(outcome if outcome == "parsed" else outcome[2])
         # Clean reads and errors at each record of an AREF element.
         assert {"parsed", 0x0B, 0x12, 0x13, 0x10, 0x11} <= kinds, kinds
 
@@ -883,13 +852,11 @@ class TestArefRuns:
             (54, b"\x16", 0x07, "expected ENDEL, found ENDSTR"),
         ],
     )
-    def test_a_fault_deep_in_a_run_keeps_its_error(
-        self, monkeypatch, k, at, xor, record_type, message
-    ):
+    def test_a_fault_deep_among_arefs_keeps_its_error(self, k, at, xor, record_type, message):
         # Each AREF is 56 bytes: AREF 0-3, SNAME 4-15 ("HEX_nnnn" from 8),
         # COLROW 16-23 (counts from 20), XY 24-51 (the row end's y ends at
         # 51) and ENDEL 52-55.  Odd-k arrays are the one-column, two-row
-        # odd rows of a column.
+        # odd rows of a one-column run.
         design = design_linear_gradient(
             GradientSpec(length=48_000, lateral_width=14_000, pitch=4000, f_start=0.19, f_end=0.9)
         )
@@ -898,9 +865,7 @@ class TestArefRuns:
         assert data[element + 2] == 0x0B and data[element + 20 : element + 24] == b"\0\1\0\2"
         for index, value in enumerate(xor, element + at):
             data[index] ^= value
-        [outcome] = strict_outcomes(monkeypatch, [bytes(data)])
-        assert read_outcome(bytes(data)) == outcome
-        _, text, offset, found = outcome
+        text, offset, found = read_outcome(bytes(data))
         assert found == record_type
         assert text == f"offset {offset} ({RECORD_NAMES[record_type][0]}): {message}"
         assert element <= offset < element + 56

@@ -247,12 +247,37 @@ class TestWriteGdsii:
         with pytest.raises(ValueError, match="even pitch"):
             write_gdsii(zone, mode="arrayed")
 
-    def test_array_beyond_16_bits_rejected(self):
+    def test_array_beyond_16_bits_is_tiled(self):
+        def tiles(data: bytes) -> list[tuple[int, int, int, int]]:
+            """Each AREF's column and row counts and origin."""
+            records = walk_records(data)
+            return [
+                (*struct.unpack(">2h", colrow[2]), *struct.unpack(">2i", xy[2][:8]))
+                for colrow, xy in zip(records, records[1:])
+                if colrow[0] == 0x13
+            ]
+
+        def census(data: bytes) -> int:
+            arrays = read_gdsii(data).cells["TOP"].arefs
+            return sum(array.cols * array.rows for array in arrays)
+
+        # One row of 32,768 cells: a full tile, then the one cell left.
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 32768 * 4000, 1000))
-        with pytest.raises(
-            ValueError, match="array of 32768 x 1 exceeds the 16-bit column/row limit"
-        ):
-            write_gdsii(zone)
+        data = write_gdsii(zone)
+        assert tiles(data) == [(32767, 1, 0, 0), (1, 1, 32767 * 4000, 0)]
+        assert census(data) == layout_stats(zone)["total_cells"] == 32768
+        # A uniform ramp is one run, written as 2 arrays of 40,000 columns.
+        ramp = design_linear_gradient(GradientSpec(
+            length=40_000 * 4000, lateral_width=20_000, pitch=4000, f_start=0.3, f_end=0.3,
+        ))
+        data = write_gdsii(ramp)
+        assert len(ramp.runs) == 1 and len(tiles(data)) == 4
+        assert all(cols <= 32767 and rows <= 32767 for cols, rows, _, _ in tiles(data))
+        assert census(data) == layout_stats(ramp)["total_cells"] == 40_000 * 6
+        # The first tile fits int32, the second tile's column end does not.
+        far = Zone(spec=WIDE, extent=Rect(2**31 - 1 - 35_000 * 4000, 0, 40_000 * 4000, 1000))
+        with pytest.raises(ValueError, match="coordinate overflow"):
+            write_gdsii(far)
 
     def test_coordinate_overflow_rejected(self):
         # An in-range origin whose cells cross 2**31 - 1 nm.
@@ -640,6 +665,25 @@ class TestWriteSvg:
         # Refused before the cells are counted: the empty layout has none.
         with pytest.raises(ValueError, match=f"^max_cells must be >= 1, got {budget}$"):
             write_svg(Layout(zones=()), max_cells=budget)
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (float("nan"), "max_cells must be an integer, got nan"),
+            (1.5, "max_cells must be an integer, got 1.5"),
+            (True, "max_cells must be an integer, got True"),
+            (0, "max_cells must be >= 1, got 0"),
+        ],
+    )
+    def test_cell_budget_must_be_a_positive_integer(self, budget, message):
+        # A NaN budget compares false with every count: unless refused, it
+        # would render this zone of 725 cells, which max_cells=1 refuses.
+        zone = Zone(spec=WIDE, extent=CROP)
+        with pytest.raises(ValueError, match="max_cells=1;"):
+            write_svg(zone, max_cells=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_svg(zone, max_cells=budget)
+        assert write_svg(zone, max_cells=np.int64(725)).count("<path") == 725
 
     def test_solid_area_ratio_between_designs(self):
         # Solid (background minus openings) areas of equal crops relate as
