@@ -264,51 +264,54 @@ class Record:
         return record_name(self.record_type)
 
 
-def iter_records(data: bytes, offset: int = 0) -> Iterator[Record]:
-    """Walk a stream's records in order, validating framing as it goes.
+def _record_at(data: bytes, offset: int) -> Record | None:
+    """The record at byte ``offset``, or None at the end of the stream.
 
-    The walk starts at byte ``offset`` (default: the start of the stream),
-    which must be a record boundary.  Trailing NUL padding after the last
-    record (some tools pad files to a block size) is accepted and
-    terminates the walk.  Any other framing problem, or a known record type
-    with the wrong data type, raises :class:`GdsParseError` at its offset.
+    ``offset`` must be a record boundary.  The stream ends at its last byte
+    or at trailing NUL padding (some tools pad files to a block size).  Any
+    other framing problem, or a known record type with the wrong data type,
+    raises :class:`GdsParseError` at ``offset``.  The payload is copied to
+    ``bytes`` whatever buffer ``data`` is.
     """
-    total = len(data)
-    while offset < total:
-        if total - offset < 4:
-            if data[offset:] == b"\x00" * (total - offset):
-                return  # trailing padding
-            raise GdsParseError(
-                f"truncated record header ({total - offset} bytes left)", offset
-            )
-        length, record_type, data_type = struct.unpack_from(">HBB", data, offset)
-        if length == 0:
-            if data[offset:] == b"\x00" * (total - offset):
-                return  # trailing padding
-            raise GdsParseError("zero-length record", offset, record_type)
-        if length < 4:
-            raise GdsParseError(
-                f"record length {length} below the 4-byte minimum", offset, record_type
-            )
-        if length % 2:
-            raise GdsParseError(
-                f"record length {length} is odd", offset, record_type
-            )
-        if offset + length > total:
-            raise GdsParseError(
-                f"record of length {length} runs past end of stream "
-                f"({total - offset} bytes left)",
-                offset,
-                record_type,
-            )
-        expected = RECORD_NAMES.get(record_type, (None, data_type))[1]  # unknown: any
-        if data_type != expected:
-            message = f"data type 0x{data_type:02X}, expected 0x{expected:02X}"
-            raise GdsParseError(message, offset, record_type)
-        yield Record(
-            offset=offset,
-            record_type=record_type,
-            data_type=data_type,
-            payload=bytes(data[offset + 4 : offset + length]),
+    left = len(data) - offset
+    if left <= 0:
+        return None
+    if left < 4:
+        if data[offset:] == b"\x00" * left:
+            return None  # trailing padding
+        raise GdsParseError(f"truncated record header ({left} bytes left)", offset)
+    length, record_type, data_type = struct.unpack_from(">HBB", data, offset)
+    if length == 0:
+        if data[offset:] == b"\x00" * left:
+            return None  # trailing padding
+        raise GdsParseError("zero-length record", offset, record_type)
+    if length < 4:
+        raise GdsParseError(
+            f"record length {length} below the 4-byte minimum", offset, record_type
         )
-        offset += length
+    if length % 2:
+        raise GdsParseError(f"record length {length} is odd", offset, record_type)
+    if length > left:
+        raise GdsParseError(
+            f"record of length {length} runs past end of stream ({left} bytes left)",
+            offset,
+            record_type,
+        )
+    expected = RECORD_NAMES.get(record_type, (None, data_type))[1]  # unknown: any
+    if data_type != expected:
+        message = f"data type 0x{data_type:02X}, expected 0x{expected:02X}"
+        raise GdsParseError(message, offset, record_type)
+    return Record(offset, record_type, data_type, bytes(data[offset + 4 : offset + length]))
+
+
+def iter_records(data: bytes, offset: int = 0) -> Iterator[Record]:
+    """Walk a stream's records in order from byte ``offset``, a record boundary.
+
+    Each record is read and checked by :func:`_record_at`: the walk ends at
+    the end of the stream or at trailing NUL padding, and any other framing
+    problem, or a known record type with the wrong data type, raises
+    :class:`GdsParseError` at its offset.
+    """
+    while (record := _record_at(data, offset)) is not None:
+        yield record
+        offset += 4 + len(record.payload)

@@ -33,7 +33,6 @@ import struct
 import sys
 from array import array as _array
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import TYPE_CHECKING, Union
 
 from lotuskit.gdsii import (
@@ -56,9 +55,9 @@ from lotuskit.gdsii import (
     XY,
     GdsParseError,
     Record,
+    _record_at,
     encode_ascii,
     encode_real8,
-    iter_records,
     pack_record,
     record_name,
     validate_cell_name,
@@ -163,12 +162,13 @@ class MaskGeometry:
         of one polygon of a :attr:`MaskCell.runs` entry.  The order is that
         of a depth-first walk: a cell's own runs, then its SREFs, then its
         AREFs, each array instance by instance (column index outer, row
-        index inner).  Each cell is flattened once; consecutive references
-        to one child are placed by broadcasting.  Nested references are
-        followed recursively with cycle detection.  The returned vertices
-        never alias the cells' own runs or an earlier result.  A cell whose
-        references would bring it above ``2**22`` polygons raises ValueError
-        before they are placed.
+        index inner).  Each cell is flattened once, and each reference is
+        placed in one broadcast over its ``cols * rows`` instance offsets.
+        Nested references are followed recursively with cycle detection.
+        The returned vertices never alias the cells' own runs or an earlier
+        result.  Before each reference is placed, the cell's count so far is
+        checked: a reference that would bring it above ``2**22`` polygons
+        raises ValueError, and nothing of it is placed.
         """
         import numpy as np
 
@@ -198,19 +198,20 @@ class MaskGeometry:
                 for layer, datatype, block in cell.runs
             ]
             placed = sum(len(block) for _, _, block in runs)
-            for child, group in groupby(refs, key=lambda ref: ref.cell):
-                arrays = list(group)
-                child_runs = flatten(child, below)
+            for ref in refs:
+                child_runs = flatten(ref.cell, below)
                 polygons = sum(len(block) for _, _, block in child_runs)
                 if not polygons:
                     continue
-                placed += polygons * sum(array.cols * array.rows for array in arrays)
+                placed += polygons * ref.cols * ref.rows
                 if placed > _EXPAND_BUDGET:
                     raise ValueError(
                         f"expanding cell {name!r} places {placed} polygons, over "
                         f"the budget of {_EXPAND_BUDGET}"
                     )
-                runs += _placed(child_runs, _instance_offsets(arrays))
+                i, j = np.divmod(np.arange(ref.cols * ref.rows, dtype=np.int64), ref.rows)
+                offsets = ref.origin + np.outer(i, ref.col_vector) + np.outer(j, ref.row_vector)
+                runs += _placed(child_runs, offsets)
             flattened[name] = runs
             return runs
 
@@ -219,21 +220,6 @@ class MaskGeometry:
             for layer, datatype, block in flatten(cell_name, frozenset())
             for points in block
         ]
-
-
-def _instance_offsets(arrays: list[CellArray]) -> np.ndarray:
-    """The (n, 2) instance origins of arrays, array by array, column index outer."""
-    import numpy as np
-
-    counts = np.array([array.cols * array.rows for array in arrays])
-    owner = np.repeat(np.arange(len(arrays)), counts)
-    index = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    i, j = np.divmod(index, np.array([array.rows for array in arrays])[owner])
-    origin, col_vector, row_vector = (
-        np.array([getattr(array, name) for array in arrays], dtype=np.int64)[owner]
-        for name in ("origin", "col_vector", "row_vector")
-    )
-    return origin + i[:, None] * col_vector + j[:, None] * row_vector
 
 
 def _placed(cell_runs: list[_Run], offsets: np.ndarray) -> list[_Run]:
@@ -557,21 +543,19 @@ def write_gdsii(
 # --------------------------------------------------------------------------
 
 class _RecordCursor:
-    """Strict record walk over a stream that can skip past decoded bytes."""
+    """Strict record walk over a stream, at a byte offset a decoder may move."""
 
     def __init__(self, data: bytes):
         self.data = data
-        self.end = 0  # offset just past the last record returned
-        self._records = iter_records(data)
+        self.offset = 0  # the next record's offset
 
     def next(self, context: str) -> Record:
-        try:
-            record = next(self._records)
-        except StopIteration:
+        record = _record_at(self.data, self.offset)
+        if record is None:
             raise GdsParseError(
                 f"unexpected end of stream while reading {context}", len(self.data)
-            ) from None
-        self.end = record.offset + 4 + len(record.payload)
+            )
+        self.offset += 4 + len(record.payload)
         return record
 
     def take(self, record_type: int) -> Record:
@@ -581,14 +565,6 @@ class _RecordCursor:
             raise record.error(f"expected {record_name(record_type)}, found {record.name}")
         return record
 
-    def skip_to(self, offset: int) -> None:
-        self._records = iter_records(self.data, offset)
-        self.end = offset
-
-    def extra(self) -> Record | None:
-        """The next record, or None at the end of the stream."""
-        return next(self._records, None)
-
 
 def read_gdsii(data: bytes) -> MaskGeometry:
     """Parse a GDSII stream into cells, references, and unit metadata.
@@ -597,11 +573,12 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     to flatten.  Malformed streams raise :class:`GdsParseError` naming the
     byte offset and record type.
 
-    Records are walked one at a time, except after a parsed boundary.  The
-    boundaries that follow a parsed boundary with byte-identical framing
-    (every byte outside the XY payload) are decoded as one numpy block; see
-    :func:`_boundary_run`.  Each such block becomes one entry of the cell's
-    :attr:`MaskCell.runs`.
+    Records are read one at a time at a byte offset, each checked by
+    :func:`~lotuskit.gdsii._record_at`.  The boundaries that follow a parsed
+    boundary with byte-identical framing (every byte outside the XY
+    payload) are decoded as one numpy block, see :func:`_boundary_run`, and
+    the offset moves past them.  Each such block becomes one entry of the
+    cell's :attr:`MaskCell.runs`.
     """
     cursor = _RecordCursor(data)
 
@@ -621,7 +598,7 @@ def read_gdsii(data: bytes) -> MaskGeometry:
     while True:
         record = cursor.next("BGNSTR or ENDLIB")
         if record.record_type == ENDLIB:
-            extra = cursor.extra()
+            extra = _record_at(data, cursor.offset)
             if extra is None:
                 break
             raise extra.error("records after ENDLIB")
@@ -638,9 +615,9 @@ def read_gdsii(data: bytes) -> MaskGeometry:
                 break
             if element.record_type == BOUNDARY:
                 layer, datatype, xy = _parse_boundary(cursor)
-                size = cursor.end - element.offset
+                size = cursor.offset - element.offset
                 block = _boundary_run(data, element.offset, size, xy)
-                cursor.skip_to(element.offset + len(block) * size)
+                cursor.offset = element.offset + len(block) * size
                 cell.runs.append((layer, datatype, block))
             elif element.record_type == SREF:
                 cell.srefs.append(_parse_sref(cursor))
