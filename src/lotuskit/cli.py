@@ -19,11 +19,13 @@ export
 report
     Model predictions next to the built-in measured dataset.
 
-Exit codes: 0 success, 1 domain/validation failure, 2 usage error.  All
-numeric output carries units in its key names, and identical inputs
-(argv + config + seed) produce byte-identical output.  Output files land
-in --out if absolute, else under the config ``out_dir``, the
-``LOTUS_OUT_DIR`` environment variable, or the working directory.
+Exit codes: 0 success, 1 domain/validation failure, 2 usage error.  A
+command that refuses writes nothing to stdout: :func:`run` releases its
+output only once it has returned, so ``check`` still prints the violations
+behind its exit 1.  All numeric output carries units in its key names, and
+identical inputs (argv + config + seed) produce byte-identical output.
+Output files land in --out if absolute, else under the config ``out_dir``,
+the ``LOTUS_OUT_DIR`` environment variable, or the working directory.
 
 The mask writers are imported by the ``design`` and ``export`` handlers
 only, and the reference dataset by ``report`` and the ``--reference``
@@ -35,7 +37,9 @@ other commands start without either.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -241,17 +245,15 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
     if args.wall is None:
         raise _UsageError("provide --wall (honeycomb) or --pillar-width/--pillar-spacing")
     spec = _honeycomb(config, args.wall, args.pitch, args.height)
-    # Sample before printing, so that a refused estimate leaves stdout empty.
-    if args.mc_samples is not None:
-        estimate, std_error = monte_carlo_fraction(
-            spec, args.mc_samples, args.seed, args.workers
-        )
     print(f"pitch_nm={spec.pitch}")
     print(f"wall_nm={spec.wall}")
     print(f"comb_diameter_nm={spec.comb_diameter}")
     print(f"linear_ratio={_frac(honeycomb_linear_ratio(spec))}")
     print(f"area_fraction={_frac(honeycomb_area_fraction(spec))}")
     if args.mc_samples is not None:
+        estimate, std_error = monte_carlo_fraction(
+            spec, args.mc_samples, args.seed, args.workers
+        )
         print(f"mc_samples={args.mc_samples}")
         print(f"mc_seed={args.seed}")
         print(f"mc_fraction={_frac(estimate)}")
@@ -544,7 +546,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         config = load_config(args.config) if args.config else default_config()
-        return args.handler(args, config)
+        with contextlib.redirect_stdout(io.StringIO()) as output:
+            code = args.handler(args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -556,6 +559,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(output.getvalue())
+    return code
 
 
 def main() -> None:

@@ -349,12 +349,9 @@ def design_linear_gradient(
     n_columns = spec.length // spec.pitch
     walls = []
     for index in range(n_columns):
-        if n_columns == 1:
-            target = spec.f_start
-        else:
-            target = spec.f_start + (spec.f_end - spec.f_start) * index / (
-                n_columns - 1
-            )
+        target = spec.f_start + (spec.f_end - spec.f_start) * index / max(
+            n_columns - 1, 1
+        )
         walls.append(
             wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
         )
@@ -430,18 +427,15 @@ class _FootprintSolver:
         self._caps: dict[tuple[int, int], float] = {}  # (front, rear) run -> radius
         self._retention: list[float | None] = [None] * len(design.runs)
         self.length_m = design.length_m
-        self._length_nm = design.length_nm
         self._droplet = Droplet(volume=volume_m3)
 
     def run(self, x_m: float) -> int:
         """Index of the run containing ``x_m`` (meters).
 
-        The quantization and range check are :meth:`GradientDesign.column_index`'s.
+        The quantization is :meth:`GradientDesign.column_index`'s.  :meth:`solve`
+        asks only for x and x ± min(x, length - x), all inside [0, length].
         """
-        x_nm = round(x_m * _NM_PER_M)
-        if not 0 <= x_nm <= self._length_nm:
-            self.design.column_index(x_m)  # raises the range error
-        return bisect_right(self._starts_nm, x_nm) - 1
+        return bisect_right(self._starts_nm, round(x_m * _NM_PER_M)) - 1
 
     def cap_radius(self, front: int, rear: int) -> float:
         """Footprint radius of the cap at the mean angle of two runs' walls."""

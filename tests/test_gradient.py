@@ -864,6 +864,23 @@ class TestSolverMatchesColumnWalk:
         fitted = assert_solver_matches_oracle(design, volume, material, positions)
         assert fitted >= 0.9 * len(positions)
 
+    def test_positions_within_ulps_of_the_ends_and_the_middle(self):
+        # The solver looks up runs at x and x ± min(x, L - x) with no range
+        # check of its own: each stays inside [0, L], exactly for x >= L/2.
+        design = design_linear_gradient(GradientSpec(
+            length=10_000_000, lateral_width=200_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        ))
+        positions = []
+        for anchor in (0.0, 0.5 * design.length_m, design.length_m):
+            below = above = anchor
+            positions.append(anchor)
+            for _ in range(4):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                positions += [below, above]
+        fitted = assert_solver_matches_oracle(design, self.VOLUME, WATER_ON_PMMA, positions)
+        assert fitted == 9  # those around the middle
+
     @pytest.mark.parametrize("position", [-1e-3, 10.5e-3, float("nan"), 0.0, 1e-4])
     def test_footprint_errors_keep_their_messages(self, position):
         spec = GradientSpec(

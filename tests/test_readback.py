@@ -7,17 +7,22 @@
   NUL padding, a truncated header, a zero-length record, and a stream that
   ends before ENDLIB.
 * The polygon budget of ``expand`` is checked before each reference.
+* The walls and the solid fraction of FINE as it is written, measured on
+  the polygons read back.
 """
 
+import math
 import mmap
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from lotuskit.gdsii import GdsParseError
 from lotuskit.gradient import GradientSpec, design_linear_gradient
-from lotuskit.lattice import Layout
+from lotuskit.lattice import Layout, Rect, Zone, honeycomb_area_fraction
 from lotuskit.maskio import read_gdsii, write_gdsii
+from lotuskit.reference import FINE_WALL_DESIGN
 from test_mask_codec import NESTED_LIBRARY, aref, boundary, library, rectangle, structure
 
 
@@ -112,3 +117,68 @@ def test_budget_is_checked_before_each_reference():
         "expanding cell 'TOP' places 4196352 polygons, over the budget of 4194304"
     )
     assert peak < 1_000_000
+
+
+# --------------------------------------------------------------------------
+# The geometry the mask holds
+# --------------------------------------------------------------------------
+
+# FINE (pitch 4000 nm, wall 400 nm) is written as the hexagon
+# (±1800, ±1039), (0, ±2078) on a 3460 nm row pitch: the diagonal walls come
+# out 2.953 nm thinner than the 400 nm same-row wall, and the solid fraction
+# 0.00078 below the closed form.  These are measurements, pinned as data;
+# ROADMAP item 1b's vertex fix moves them.
+FINE_NEIGHBOURS = {(4000, 0): 400.000, (2000, 3460): 397.047, (-2000, 3460): 397.047}
+
+
+def facing_wall(hexagon: list[tuple[int, int]], neighbour: tuple[int, int]) -> float:
+    """The wall between a centred ``hexagon`` and its copy at ``neighbour``, in nm.
+
+    It is the distance between the hexagon's edge that faces the copy and
+    the copy's edge that faces back, which are parallel.
+    """
+    edges = [(hexagon[i], hexagon[(i + 1) % 6]) for i in range(6)]
+    # The edge whose midpoint lies furthest along the neighbour direction.
+    (ax, ay), (bx, by) = max(
+        edges,
+        key=lambda edge: (edge[0][0] + edge[1][0]) * neighbour[0]
+        + (edge[0][1] + edge[1][1]) * neighbour[1],
+    )
+    # The hexagon is centrally symmetric, so the copy's facing edge passes
+    # through neighbour - a.
+    px, py = neighbour[0] - ax, neighbour[1] - ay
+    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+    return abs(cross) / math.hypot(bx - ax, by - ay)
+
+
+def test_fine_as_written_has_thinner_diagonal_walls():
+    zone = Zone(FINE_WALL_DESIGN, Rect(0, 0, 20_000, 20_000))
+    polygons = read_gdsii(write_gdsii(Layout(zones=(zone,)))).expand()
+    assert len(polygons) == 30
+    hexagons = {}
+    for _, _, points in polygons:
+        vertices = [(int(x), int(y)) for x, y in points.tolist()]
+        cx, cy = sum(x for x, _ in vertices), sum(y for _, y in vertices)
+        assert cx % 6 == cy % 6 == 0
+        center = (cx // 6, cy // 6)
+        hexagons[center] = [(x - center[0], y - center[1]) for x, y in vertices]
+    shapes = set(map(tuple, hexagons.values()))
+    assert len(shapes) == 1
+    (shape,) = shapes
+    assert sorted(shape) == sorted(
+        [(1800, -1039), (1800, 1039), (0, 2078), (-1800, 1039), (-1800, -1039), (0, -2078)]
+    )
+
+    for step, wall in FINE_NEIGHBOURS.items():
+        assert any((x + step[0], y + step[1]) in hexagons for x, y in hexagons), step
+        assert round(facing_wall(list(shape), step), 3) == wall, step
+
+    twice_area = abs(sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(shape, shape[1:] + shape[:1])
+    ))
+    (ax, ay), (bx, by), _ = FINE_NEIGHBOURS
+    cell = abs(ax * by - ay * bx)
+    emitted = 1 - Fraction(twice_area, 2 * cell)
+    assert emitted == 1 - Fraction(11_221_200, 13_840_000) == Fraction(6547, 34600)
+    assert round(float(emitted), 6) == 0.189220
+    assert honeycomb_area_fraction(FINE_WALL_DESIGN) == pytest.approx(0.19, abs=1e-15)
