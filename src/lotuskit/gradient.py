@@ -43,6 +43,8 @@ from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    Rect,
+    Zone,
     _MAX_NM,
     _as_int_nm,
     _check_spec,
@@ -153,12 +155,16 @@ class GradientDesign:
     (0, pitch), and follow the requested fraction ramp: they rise strictly
     from run to run on a rising ramp and fall strictly on a falling one,
     and a uniform ramp is one run.  ``fractions[i]`` is run i's solid
-    fraction and ``starts[i]`` its first column.
+    fraction and ``starts[i]`` its first column.  ``zones[i]`` is run i as
+    a zone: ``HoneycombSpec(pitch, wall, height)`` over the run's columns,
+    ``[start*pitch, (start+count)*pitch) x [0, lateral_width)``, so the
+    zones abut and cover ``length_nm``.
     """
 
     runs: tuple[tuple[int, int], ...]
     spec: GradientSpec
     fabrication_grid: int = DEFAULT_RULES.fabrication_grid
+    zones: tuple[Zone, ...] = field(init=False, repr=False)
     fractions: tuple[float, ...] = field(init=False, repr=False)
     starts: tuple[int, ...] = field(init=False, repr=False)
     n_columns: int = field(init=False, repr=False)
@@ -205,10 +211,15 @@ class GradientDesign:
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "n_columns", n_columns)
-        object.__setattr__(self, "fractions", tuple(
-            fraction(HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height))
-            for _, wall in runs
-        ))
+        zones = tuple(
+            Zone(
+                HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height),
+                Rect(start * spec.pitch, 0, count * spec.pitch, spec.lateral_width),
+            )
+            for (count, wall), start in zip(runs, starts)
+        )
+        object.__setattr__(self, "zones", zones)
+        object.__setattr__(self, "fractions", tuple(fraction(zone.spec) for zone in zones))
 
     @property
     def columns(self) -> tuple[int, ...]:
@@ -341,10 +352,10 @@ def design_linear_gradient(
     k targeting ``f_k = f_start + (f_end - f_start) * k / (N - 1)`` (a single
     column gets f_start).  Each target is converted by
     :func:`wall_for_fraction`, equal consecutive walls form one run, and each
-    run's ``HoneycombSpec(pitch, wall, height)`` is checked against the
-    design rules as :func:`~lotuskit.lattice.check_design_rules` checks a
-    spec.  Any violation aborts the design; the error lists each
-    (rule, value) once, under the first column that breaks it.
+    run's zone spec is checked against the design rules as
+    :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
+    violation aborts the design; the error lists each (rule, value) once,
+    under the first column that breaks it.
     """
     n_columns = spec.length // spec.pitch
     walls = []
@@ -356,20 +367,15 @@ def design_linear_gradient(
             wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
         )
 
-    runs = [(sum(1 for _ in group), wall) for wall, group in groupby(walls)]
+    runs = tuple((sum(1 for _ in group), wall) for wall, group in groupby(walls))
+    design = GradientDesign(runs=runs, spec=spec, fabrication_grid=rules.fabrication_grid)
     violations = {}
-    start = 0
-    for count, wall in runs:
-        column = HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height)
-        for violation in _check_spec(column, rules, f"column {start}"):
+    for zone, start in zip(design.zones, design.starts):
+        for violation in _check_spec(zone.spec, rules, f"column {start}"):
             violations.setdefault((violation.rule, violation.value), violation)
-        start += count
     if violations:
         raise _violation_error("gradient", list(violations.values()))
-
-    return GradientDesign(
-        runs=tuple(runs), spec=spec, fabrication_grid=rules.fabrication_grid
-    )
+    return design
 
 
 def local_apparent_angle(

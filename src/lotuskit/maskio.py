@@ -2,18 +2,20 @@
 
 Writes honeycomb layouts and gradient designs as standards-conformant GDSII
 stream files, reads them back for round-trip verification, renders SVG
-previews, and summarizes layouts numerically.
+previews, and summarizes layouts numerically.  A gradient design is written
+as its zones, one per run of equal walls, as a layout is written as its
+zones.
 
 Conventions
 -----------
 * Geometry source coordinates are integer nanometers and the database unit
   is 1 nm, so every coordinate is written as is.
 * Mask hexagons are emitted whole (never clipped): a cell belongs to the
-  zone or column containing its center, so abutting zones tile seamlessly
+  zone containing its center, so abutting zones tile seamlessly
   without double-drawing, and edge hexagons may protrude up to half a comb
   diameter past the extent.  SVG previews draw the same whole hexagons.
 * ``arrayed`` mode writes one hexagon structure per distinct opening size
-  plus two array references per zone or run (even rows and the
+  plus two array references per zone (even rows and the
   half-pitch-shifted odd rows), tiled at 32,767; GDSII arrays are
   rectangular, and the triangular lattice is exactly two interleaved
   rectangular grids.  ``flat`` mode writes every hexagon as an explicit
@@ -258,49 +260,26 @@ def _as_layout(target: Layout | Zone) -> Layout:
     )
 
 
-def _column0_arrays(design: GradientDesign) -> list[LatticeArray]:
-    """The lattice arrays of column 0, ``[0, pitch) x [0, lateral_width)``."""
-    from lotuskit.lattice import HoneycombSpec, Rect, Zone, lattice_arrays
-
-    spec = design.spec
-    zone = Zone(
-        spec=HoneycombSpec(pitch=spec.pitch, wall=design.runs[0][1], height=spec.height),
-        extent=Rect(0, 0, spec.pitch, spec.lateral_width),
-    )
-    return lattice_arrays(zone, design.fabrication_grid)
-
-
 def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
     """The lattice arrays a target is written as, and its extent rectangles.
 
-    Arrays come zone by zone (design run by run), on the target's own
-    ``fabrication_grid``; the rectangles are ``(x, y, x_max, y_max)``.
-    Design columns share pitch and width, so a run of ``count`` columns
-    from column ``start`` is column 0's arrays shifted by ``start * pitch``,
-    ``count`` times as wide, with the comb of the run's wall.
+    A layout is its zones and a design is its runs' zones, so both are
+    written as the arrays of :func:`~lotuskit.lattice.lattice_arrays`, zone
+    by zone on the target's own ``fabrication_grid``.  A design has one
+    extent, its whole ramp; a layout one per zone.  The rectangles are
+    ``(x, y, x_max, y_max)``.
     """
     from lotuskit.gradient import GradientDesign
-    from lotuskit.lattice import LatticeArray, lattice_arrays
+    from lotuskit.lattice import lattice_arrays
 
     if isinstance(target, GradientDesign):
-        pitch, first = target.spec.pitch, _column0_arrays(target)
-        arrays = [
-            LatticeArray(
-                pitch - wall,
-                (array.origin[0] + start * pitch, array.origin[1]),
-                count * array.cols,
-                array.rows,
-                array.col_vector,
-                array.row_vector,
-            )
-            for (count, wall), start in zip(target.runs, target.starts)
-            for array in first
-        ]
-        return arrays, [(0, 0, target.length_nm, target.spec.lateral_width)]
-    layout = _as_layout(target)
-    zones, grid = layout.zones, layout.fabrication_grid
-    arrays = [array for zone in zones for array in lattice_arrays(zone, grid)]
-    return arrays, [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
+        zones, grid = target.zones, target.fabrication_grid
+        rects = [(0, 0, target.length_nm, target.spec.lateral_width)]
+    else:
+        layout = _as_layout(target)
+        zones, grid = layout.zones, layout.fabrication_grid
+        rects = [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
+    return [array for zone in zones for array in lattice_arrays(zone, grid)], rects
 
 
 # --------------------------------------------------------------------------
@@ -469,9 +448,9 @@ def write_gdsii(
         a ``bool`` is refused, a numpy integer accepted.
     mode:
         ``"arrayed"`` (default) writes one hexagon structure per opening
-        size plus two array references per zone or run of equal walls,
-        tiled at 32,767 columns and rows; ``"flat"`` writes every hexagon
-        as an explicit boundary.
+        size plus two array references per zone (a gradient design has
+        one zone per run of equal walls), tiled at 32,767 columns and
+        rows; ``"flat"`` writes every hexagon as an explicit boundary.
     polarity:
         ``"openings"`` (default) draws the hexagonal openings;
         ``"walls"`` additionally draws each extent as a background rectangle
@@ -857,9 +836,9 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     theta = material.theta_flat
     if isinstance(target, GradientDesign):
         spec = target.spec
-        # Every column has column 0's arrays, and a pitch-wide column has an
-        # odd-row array whenever it has odd rows.
-        column = _column0_arrays(target)
+        # Every zone spans the same rows, and each of its columns holds one
+        # cell per row: even rows at x = k*pitch, odd rows at k*pitch + pitch/2.
+        rows = sum(a.rows for a in lattice_arrays(target.zones[0], target.fabrication_grid))
         return {
             "kind": "gradient",
             "material": material.name,
@@ -871,8 +850,8 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             "lateral_width_nm": spec.lateral_width,
             "height_nm": spec.height,
             "row_pitch_nm": row_pitch(spec.pitch, target.fabrication_grid),
-            "lattice_rows": sum(array.rows for array in column),
-            "total_cells": target.n_columns * sum(a.cols * a.rows for a in column),
+            "lattice_rows": rows,
+            "total_cells": target.n_columns * rows,
             "wall_start_nm": target.runs[0][1],
             "wall_end_nm": target.runs[-1][1],
             "fraction_start": target.fractions[0],

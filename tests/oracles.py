@@ -24,12 +24,14 @@ from lotuskit.lattice import (
     DesignRules,
     HoneycombSpec,
     LatticeArray,
+    Rect,
+    Zone,
     _check_spec,
     _violation_error,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
+    lattice_arrays,
 )
-from lotuskit.maskio import _column0_arrays
 from lotuskit.wetting import (
     Droplet,
     Material,
@@ -238,9 +240,15 @@ def per_column_arrays(design: GradientDesign) -> list[LatticeArray]:
 
     A frozen copy of the per-column gradient branch of ``maskio._emitted``:
     column 0's arrays shifted by ``k * pitch`` for every column k, with the
-    comb of column k's run.
+    comb of column k's run.  Column 0 is built here, as a pitch-wide zone.
     """
-    pitch, first = design.spec.pitch, _column0_arrays(design)
+    spec = design.spec
+    pitch = spec.pitch
+    column0 = Zone(
+        HoneycombSpec(pitch=pitch, wall=design.runs[0][1], height=spec.height),
+        Rect(0, 0, pitch, spec.lateral_width),
+    )
+    first = lattice_arrays(column0, design.fabrication_grid)
     return [
         LatticeArray(
             pitch - wall,

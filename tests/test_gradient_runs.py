@@ -6,10 +6,12 @@
   same DRC error text.
 * The columns test makes ``GradientDesign.columns`` raise and runs every
   consumer of a design: what they write must still hash to the pins.
-* The mask writers take a design as two lattice arrays per run of equal
-  walls.  The seeded emitter test holds them to the two arrays per column
-  that they once took (``oracles.per_column_arrays``): the same polygons,
-  arrayed and flat, with each polarity, and the same cell census.
+* The mask writers take a design as its zones, one per run of equal
+  walls, and write each as two lattice arrays.  The seeded emitter test
+  checks that the zones abut and cover the ramp, and holds the arrays to
+  the two arrays per column that the writers once took
+  (``oracles.per_column_arrays``): the same polygons, arrayed and flat,
+  with each polarity, and the same cell census.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from lotuskit.gradient import (
     Measure,
     design_linear_gradient,
 )
-from lotuskit.lattice import DesignRules
+from lotuskit.lattice import DesignRules, honeycomb_area_fraction, honeycomb_linear_ratio
 from lotuskit.maskio import layout_stats, read_gdsii, write_gdsii, write_svg
 
 from oracles import per_column_arrays, per_column_design, per_column_index
@@ -113,6 +115,27 @@ class TestRunArraysMatchPerColumnArrays:
                 "uniform" if spec.f_start == spec.f_end
                 else "falling" if spec.f_start > spec.f_end else "rising"
             )
+            # One zone per run, in run order: abutting, covering the ramp.
+            fraction = (
+                honeycomb_linear_ratio
+                if spec.measure is Measure.LINEAR_RATIO
+                else honeycomb_area_fraction
+            )
+            assert len(design.zones) == len(design.runs)
+            x = 0
+            for zone, (count, wall), start, run_fraction in zip(
+                design.zones, design.runs, design.starts, design.fractions
+            ):
+                extent = zone.extent
+                assert (extent.x, extent.width) == (start * spec.pitch, count * spec.pitch)
+                assert (extent.y, extent.height) == (0, spec.lateral_width)
+                assert extent.x == x
+                x = extent.x_max
+                assert (zone.spec.pitch, zone.spec.wall, zone.spec.height) == (
+                    spec.pitch, wall, spec.height
+                )
+                assert run_fraction == fraction(zone.spec)
+            assert x == design.length_nm
             per_column = per_column_arrays(design)
             assert layout_stats(design)["total_cells"] == sum(a.cols * a.rows for a in per_column)
             rects = [(0, 0, design.length_nm, spec.lateral_width)]
