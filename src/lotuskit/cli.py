@@ -22,10 +22,10 @@ report
 Exit codes: 0 success, 1 domain/validation failure, 2 usage error.  A
 command that refuses writes nothing to stdout: :func:`run` releases its
 output only once it has returned, so ``check`` still prints the violations
-behind its exit 1.  All numeric output carries units in its key names, and
-identical inputs (argv + config + seed) produce byte-identical output.
-Output files land in --out if absolute, else under the config ``out_dir``,
-the ``LOTUS_OUT_DIR`` environment variable, or the working directory.
+behind its exit 1.  Every ``key=value`` line is printed by :func:`_print_stats`
+with units in its key; identical inputs (argv + config + seed) give
+byte-identical output.  Output files land in --out if absolute, else under
+the config ``out_dir``, ``LOTUS_OUT_DIR``, or the working directory.
 
 The mask writers are imported by the ``design`` and ``export`` handlers
 only, and the reference dataset by ``report`` and the ``--reference``
@@ -97,18 +97,6 @@ _REFERENCE_FIXES = ("wall", "wall_a", "wall_b", "pitch", "height")  # fixed by t
 
 class _UsageError(Exception):
     """Bad flag combination; reported on stderr with exit code 2."""
-
-
-def _deg(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def _frac(value: float) -> str:
-    return f"{value:.9f}"
-
-
-def _sci(value: float) -> str:
-    return f"{value:.6e}"
 
 
 def _resolve_out_path(value: str, config: ProjectConfig) -> Path:
@@ -193,26 +181,23 @@ def _gradient_from_args(args: argparse.Namespace, config: ProjectConfig) -> Grad
 
 
 def _print_stats(stats: dict, prefix: str = "") -> None:
-    """Print a :func:`layout_stats` dict as ``key=value`` lines, in key order.
+    """Print a dict as ``key=value`` lines, in key order: the module's one such printer.
 
-    Zones are printed as ``zone<i>.`` entries, lists are joined with
-    commas, ratios and fractions get 9 decimals and other floats 6.
+    A :func:`layout_stats` dict's zones are printed as ``zone<i>.`` entries
+    and its ``kind`` is skipped.  Lists are joined with commas, ratios and
+    fractions get 9 decimals and other floats 6; other formats come as text.
     """
     for key, value in stats.items():
-        if key == "kind":
-            continue
         if key == "zones":
             for index, zone in enumerate(value):
                 _print_stats(zone, f"zone{index}.")
-            continue
-        if isinstance(value, list):
-            text = ",".join(str(item) for item in value)
-        elif isinstance(value, float):
-            fractional = key != "aspect_ratio" and ("ratio" in key or "fraction" in key)
-            text = _frac(value) if fractional else _deg(value)
-        else:
-            text = str(value)
-        print(f"{prefix}{key}={text}")
+        elif key != "kind":
+            if isinstance(value, list):
+                value = ",".join(str(item) for item in value)
+            elif isinstance(value, float):
+                fractional = key != "aspect_ratio" and ("ratio" in key or "fraction" in key)
+                value = f"{value:.9f}" if fractional else f"{value:.6f}"
+            print(f"{prefix}{key}={value}")
 
 
 # --------------------------------------------------------------------------
@@ -221,10 +206,11 @@ def _print_stats(stats: dict, prefix: str = "") -> None:
 
 def _cmd_angle(args: argparse.Namespace, config: ProjectConfig) -> int:
     theta = args.theta if args.theta is not None else config.material.theta_flat
-    apparent = cassie_apparent_angle(args.fraction, theta)
-    print(f"solid_fraction={_frac(args.fraction)}")
-    print(f"theta_flat_deg={_deg(theta)}")
-    print(f"apparent_angle_deg={_deg(apparent)}")
+    _print_stats({
+        "solid_fraction": args.fraction,
+        "theta_flat_deg": theta,
+        "apparent_angle_deg": cassie_apparent_angle(args.fraction, theta),
+    })
     return 0
 
 
@@ -238,26 +224,29 @@ def _cmd_fraction(args: argparse.Namespace, config: ProjectConfig) -> int:
         if args.mc_samples is not None:
             raise _UsageError("the Monte Carlo check supports honeycomb patterns only")
         spec = PillarSpec(width_a=args.pillar_width, spacing_b=args.pillar_spacing)
-        print(f"pillar_width_nm={spec.width_a}")
-        print(f"pillar_spacing_nm={spec.spacing_b}")
-        print(f"solid_fraction={_frac(square_pillar_fraction(spec))}")
-        return 0
-    if args.wall is None:
+        stats = {
+            "pillar_width_nm": spec.width_a,
+            "pillar_spacing_nm": spec.spacing_b,
+            "solid_fraction": square_pillar_fraction(spec),
+        }
+    elif args.wall is None:
         raise _UsageError("provide --wall (honeycomb) or --pillar-width/--pillar-spacing")
-    spec = _honeycomb(config, args.wall, args.pitch, args.height)
-    print(f"pitch_nm={spec.pitch}")
-    print(f"wall_nm={spec.wall}")
-    print(f"comb_diameter_nm={spec.comb_diameter}")
-    print(f"linear_ratio={_frac(honeycomb_linear_ratio(spec))}")
-    print(f"area_fraction={_frac(honeycomb_area_fraction(spec))}")
-    if args.mc_samples is not None:
-        estimate, std_error = monte_carlo_fraction(
-            spec, args.mc_samples, args.seed, args.workers
-        )
-        print(f"mc_samples={args.mc_samples}")
-        print(f"mc_seed={args.seed}")
-        print(f"mc_fraction={_frac(estimate)}")
-        print(f"mc_stderr={_sci(std_error)}")
+    else:
+        spec = _honeycomb(config, args.wall, args.pitch, args.height)
+        stats = {
+            "pitch_nm": spec.pitch,
+            "wall_nm": spec.wall,
+            "comb_diameter_nm": spec.comb_diameter,
+            "linear_ratio": honeycomb_linear_ratio(spec),
+            "area_fraction": honeycomb_area_fraction(spec),
+        }
+        if args.mc_samples is not None:
+            estimate, std_error = monte_carlo_fraction(spec, args.mc_samples, args.seed, args.workers)
+            stats["mc_samples"] = args.mc_samples
+            stats["mc_seed"] = args.seed
+            stats["mc_fraction"] = estimate
+            stats["mc_stderr"] = f"{std_error:.6e}"
+    _print_stats(stats)
     return 0
 
 
@@ -265,11 +254,11 @@ def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int
     from lotuskit.maskio import layout_stats
 
     layout = _two_zone_from_args(args, config)
-    _print_stats(layout_stats(layout, config.material))
+    stats = layout_stats(layout, config.material)
     violations = check_design_rules(layout, config.rules)
-    print(f"drc_violations={len(violations)}")
-    for index, violation in enumerate(violations):
-        print(f"drc{index}={violation}")
+    stats["drc_violations"] = len(violations)
+    stats.update({f"drc{i}": v for i, v in enumerate(violations)})
+    _print_stats(stats)
     return 0
 
 
@@ -289,13 +278,10 @@ def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
     else:
         raise _UsageError("provide --reference or --wall")
     violations = check_design_rules(target, config.rules)
-    print(f"violations={len(violations)}")
-    for index, violation in enumerate(violations):
-        print(f"violation{index}={violation}")
-    if violations:
-        return 1
-    print("result=pass")
-    return 0
+    stats = {"violations": len(violations)}
+    stats.update({f"violation{i}": v for i, v in enumerate(violations)} if violations else {"result": "pass"})
+    _print_stats(stats)
+    return 1 if violations else 0
 
 
 def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
@@ -309,18 +295,20 @@ def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
     )
     step = args.step_nm * _NM_TO_M if args.step_nm is not None else None
     trace = simulate_droplet(design, droplet, material, step=step, max_steps=args.max_steps)
-    print(f"volume_ul={args.volume_ul:.3f}")
-    print(f"hysteresis_deg={_deg(material.hysteresis)}")
-    print(f"records={len(trace.steps)}")
-    print(f"moves={trace.moves}")
-    print(f"terminal_reason={trace.terminal_reason.value}")
-    print(f"start_position_mm={args.start_mm:.6f}")
-    print(f"final_position_mm={trace.final_position / _MM_TO_M:.6f}")
-    print(f"net_force_start_N={_sci(trace.steps[0].net_force)}")
-    if args.csv:
-        path = _resolve_out_path(args.csv, config)
+    stats = {
+        "volume_ul": f"{args.volume_ul:.3f}",
+        "hysteresis_deg": material.hysteresis,
+        "records": len(trace.steps),
+        "moves": trace.moves,
+        "terminal_reason": trace.terminal_reason.value,
+        "start_position_mm": args.start_mm,
+        "final_position_mm": trace.final_position / _MM_TO_M,
+        "net_force_start_N": f"{trace.steps[0].net_force:.6e}",
+    }
+    if args.csv is not None:
+        stats["csv"] = path = _resolve_out_path(args.csv, config)
         path.write_text(trace_to_csv(trace), encoding="utf-8")
-        print(f"csv={path}")
+    _print_stats(stats)
     return 0
 
 
@@ -389,11 +377,13 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
             raise _violation_error("mask", violations)
 
     default_name = "lotus_mask.gds" if args.format == "gdsii" else "lotus_mask.svg"
-    path = _resolve_out_path(args.out if args.out else default_name, config)
+    path = _resolve_out_path(args.out if args.out is not None else default_name, config)
     path.write_bytes(payload)
-    print(f"format={args.format}")
-    print(f"out={path}")
-    print(f"bytes={len(payload)}")
+    _print_stats({
+        "format": args.format,
+        "out": path,
+        "bytes": len(payload),
+    })
     return 0
 
 
@@ -421,9 +411,9 @@ def _cmd_report(args: argparse.Namespace, config: ProjectConfig) -> int:
             f"{row.predicted_linear_deg:>15.2f} {row.predicted_area_deg:>13.2f} "
             f"{row.deviation_linear_deg:>+14.2f} {row.deviation_area_deg:>+12.2f}"
         )
-    print(f"drc={'pass' if not report.drc_violations else 'FAIL'}")
-    for index, violation in enumerate(report.drc_violations):
-        print(f"drc_violation{index}={violation}")
+    stats = {"drc": "FAIL" if report.drc_violations else "pass"}
+    stats.update({f"drc_violation{i}": v for i, v in enumerate(report.drc_violations)})
+    _print_stats(stats)
     print(
         "note: deviations are signed (predicted - measured); the model is "
         "not fitted to, and need not match, the measurements."

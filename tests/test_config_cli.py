@@ -634,6 +634,186 @@ cassie_angle_start_deg=141.285986
 cassie_angle_end_deg=119.607780
 """
 
+_SIMULATE = [
+    "simulate", "--length-nm", "4000000", "--width-nm", "2000000", "--f-start", "0.10",
+    "--f-end", "0.25", "--measure", "linear_ratio", "--start-mm", "1.2",
+]
+
+# name -> (argv, exit code, full stdout), with LOTUS_OUT_DIR at {out}: one
+# row for each kind of ``key=value`` line that a command prints.
+GOLDEN_STDOUT = {
+    "fraction pillars": (
+        ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"],
+        0,
+        """\
+pillar_width_nm=1000
+pillar_spacing_nm=3000
+solid_fraction=0.062500000
+""",
+    ),
+    "fraction monte carlo": (
+        ["fraction", "--wall", "400", "--mc-samples", "20000", "--seed", "3"],
+        0,
+        """\
+pitch_nm=4000
+wall_nm=400
+comb_diameter_nm=3600
+linear_ratio=0.100000000
+area_fraction=0.190000000
+mc_samples=20000
+mc_seed=3
+mc_fraction=0.187650000
+mc_stderr=2.760774e-03
+""",
+    ),
+    "check violations": (
+        ["check", "--wall", "300"],
+        1,
+        """\
+violations=2
+violation0=spec: max_aspect_ratio: value 13.333333333333334 violates limit 10.0
+violation1=spec: min_wall: value 300 violates limit 400
+""",
+    ),
+    "design two-zone drc": (
+        ["design", "two-zone", "--wall-a", "300", "--wall-b", "405"],
+        0,
+        """\
+label=two-zone
+material=water on PMMA
+theta_flat_deg=81.000000
+zone_count=2
+total_cells=14455000
+zone0.origin_nm=0,0
+zone0.size_nm=10000000,10000000
+zone0.pitch_nm=4000
+zone0.wall_nm=300
+zone0.comb_diameter_nm=3700
+zone0.height_nm=4000
+zone0.cell_count=7227500
+zone0.linear_ratio=0.075000000
+zone0.area_fraction=0.144375000
+zone0.aspect_ratio=13.333333
+zone0.cassie_angle_linear_deg=155.960863
+zone0.cassie_angle_area_deg=146.412274
+zone1.origin_nm=10000000,0
+zone1.size_nm=10000000,10000000
+zone1.pitch_nm=4000
+zone1.wall_nm=405
+zone1.comb_diameter_nm=3595
+zone1.height_nm=4000
+zone1.cell_count=7227500
+zone1.linear_ratio=0.101250000
+zone1.area_fraction=0.192248438
+zone1.aspect_ratio=9.876543
+zone1.cassie_angle_linear_deg=151.995536
+zone1.cassie_angle_area_deg=141.048399
+drc_violations=3
+drc0=zone@(0,0)nm: max_aspect_ratio: value 13.333333333333334 violates limit 10.0
+drc1=zone@(0,0)nm: min_wall: value 300 violates limit 400
+drc2=zone@(10000000,0)nm: fabrication_grid(wall): value 405 violates limit 10
+""",
+    ),
+    "simulate reached_end csv": (
+        [*_SIMULATE, "--csv", "trace.csv"],
+        0,
+        """\
+volume_ul=1.100
+hysteresis_deg=0.000000
+records=589
+moves=588
+terminal_reason=reached_end
+start_position_mm=1.200000
+final_position_mm=3.552000
+net_force_start_N=1.503037e-06
+csv={out}/trace.csv
+""",
+    ),
+    "simulate hysteresis volume": (
+        [*_SIMULATE, "--hysteresis-deg", "5", "--volume-ul", "0.7"],
+        0,
+        """\
+volume_ul=0.700
+hysteresis_deg=5.000000
+records=604
+moves=603
+terminal_reason=reached_end
+start_position_mm=1.200000
+final_position_mm=3.612000
+net_force_start_N=1.292820e-06
+""",
+    ),
+    "simulate max_steps": (
+        [*_SIMULATE, "--max-steps", "7"],
+        0,
+        """\
+volume_ul=1.100
+hysteresis_deg=0.000000
+records=7
+moves=7
+terminal_reason=max_steps
+start_position_mm=1.200000
+final_position_mm=1.224000
+net_force_start_N=1.503037e-06
+""",
+    ),
+    "export gdsii": (
+        ["export", "--reference", "--out", "mask.gds"],
+        0,
+        """\
+format=gdsii
+out={out}/mask.gds
+bytes=580
+""",
+    ),
+    "export svg": (
+        ["export", "--reference", "--format", "svg", "--crop-um", "40", "--out", "mask.svg"],
+        0,
+        """\
+format=svg
+out={out}/mask.svg
+bytes=28884
+""",
+    ),
+    "report": (
+        ["report"],
+        0,
+        """\
+material: water on PMMA (flat contact angle 81.00 deg)
+sample                        wall_nm     measured_deg pred_linear_deg pred_area_deg dev_linear_deg dev_area_deg
+----------------------------------------------------------------------------------------------------------------
+flat reference (unstructured)       -     81.0 +/- 4.0           81.00         81.00          +0.00        +0.00
+honeycomb, 1000 nm walls         1000     87.0 +/- 2.0          135.31        119.61         +48.31       +32.61
+honeycomb, 400 nm walls           400    107.0 +/- 6.0          152.17        141.29         +45.17       +34.29
+drc=pass
+note: deviations are signed (predicted - measured); the model is not fitted to, and need not match, the measurements.
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_STDOUT)
+def test_golden_stdout(name, capsys, monkeypatch, tmp_path):
+    argv, code, stdout = GOLDEN_STDOUT[name]
+    monkeypatch.setenv("LOTUS_OUT_DIR", str(tmp_path))
+    assert run(argv) == code
+    assert capsys.readouterr().out == stdout.replace("{out}", str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*_SIMULATE, "--max-steps", "7", "--csv", ""], ["export", "--reference", "--out", ""]],
+    ids=["simulate --csv", "export --out"],
+)
+def test_empty_output_path_is_the_output_directory(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("LOTUS_OUT_DIR", str(tmp_path))
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 
 class TestCliDesignAndCheck:
     def test_reference_two_zone_summary(self, capsys):
