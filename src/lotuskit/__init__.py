@@ -39,6 +39,7 @@ _EXPORTS = {
     "GradientDesign": "gradient",
     "SimulationTrace": "gradient",
     "TraceStep": "gradient",
+    "TraceInterval": "gradient",
     "wall_for_fraction": "gradient",
     "design_linear_gradient": "gradient",
     "local_apparent_angle": "gradient",

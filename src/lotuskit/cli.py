@@ -298,12 +298,12 @@ def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
     stats = {
         "volume_ul": f"{args.volume_ul:.3f}",
         "hysteresis_deg": material.hysteresis,
-        "records": len(trace.steps),
+        "records": trace.records,
         "moves": trace.moves,
         "terminal_reason": trace.terminal_reason.value,
         "start_position_mm": args.start_mm,
         "final_position_mm": trace.final_position / _MM_TO_M,
-        "net_force_start_N": f"{trace.steps[0].net_force:.6e}",
+        "net_force_start_N": f"{trace.intervals[0].net_force:.6e}",
     }
     if args.csv is not None:
         stats["csv"] = path = _resolve_out_path(args.csv, config)

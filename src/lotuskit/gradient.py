@@ -35,9 +35,11 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import deque
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import groupby
+from itertools import accumulate, groupby, repeat
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
@@ -66,6 +68,7 @@ __all__ = [
     "GradientSpec",
     "GradientDesign",
     "TraceStep",
+    "TraceInterval",
     "SimulationTrace",
     "TerminalReason",
     "FootprintError",
@@ -284,27 +287,92 @@ class TraceStep:
 
 
 @dataclass(frozen=True)
-class SimulationTrace:
-    """Time-ordered simulation record plus the reason stepping stopped."""
+class TraceInterval:
+    """Consecutive trace records that share one solved state.
 
-    steps: tuple[TraceStep, ...]
+    The records stand at ``first``, ``first + step``, ... : ``count``
+    positions, each the float sum of the one before and ``step``.  They
+    share both angles and the retention.  On a cap root (``edges`` is None)
+    they share the footprint radius and the net force too.  On a root on a
+    jump the footprint reaches the nearer of two run edges, so a record at
+    x has ``radius = min(edges[0] - x, x - edges[1])`` and ``net_force =
+    tension * radius * (cos(theta_front) - cos(theta_rear))``;
+    ``footprint_radius`` and ``net_force`` are then the first record's.
+    """
+
+    first: float  # m
+    count: int
+    step: float  # m, signed
+    theta_front: float  # degrees
+    theta_rear: float  # degrees
+    footprint_radius: float  # m
+    net_force: float  # N
+    retention: float  # N, >= 0
+    tension: float  # N/m, twice the surface tension
+    edges: tuple[float, float] | None = None  # m: (front edge, rear edge)
+
+    def positions(self) -> Iterator[float]:
+        """The records' positions, made by the same float adds as stepping."""
+        return accumulate(repeat(self.step, self.count - 1), initial=self.first)
+
+    def solved(self) -> Iterator[tuple[float, float, float]]:
+        """``(position, footprint_radius, net_force)`` of each record."""
+        if self.edges is None:
+            radius, force = self.footprint_radius, self.net_force
+            return ((x, radius, force) for x in self.positions())
+        return self._on_jump()
+
+    def _on_jump(self) -> Iterator[tuple[float, float, float]]:
+        front_edge, rear_edge = self.edges
+        tension = self.tension
+        delta = math.cos(math.radians(self.theta_front)) - math.cos(
+            math.radians(self.theta_rear)
+        )
+        for x in self.positions():
+            radius = min(front_edge - x, x - rear_edge)
+            yield x, radius, tension * radius * delta
+
+
+@dataclass(frozen=True)
+class SimulationTrace:
+    """Time-ordered simulation record plus the reason stepping stopped.
+
+    The records are stored as ``intervals``, runs of records that share one
+    solved state; :attr:`steps` expands them into one :class:`TraceStep` per
+    record.
+    """
+
+    intervals: tuple[TraceInterval, ...]
     terminal_reason: TerminalReason
 
     @property
+    def records(self) -> int:
+        return sum(interval.count for interval in self.intervals)
+
+    @property
+    def steps(self) -> tuple[TraceStep, ...]:
+        """One record per position, expanded from ``intervals``."""
+        return tuple(
+            TraceStep(x, interval.theta_front, interval.theta_rear, force, radius, interval.retention)
+            for interval in self.intervals
+            for x, radius, force in interval.solved()
+        )
+
+    @property
     def positions(self) -> list[float]:
-        return [step.position for step in self.steps]
+        return [x for interval in self.intervals for x in interval.positions()]
 
     @property
     def final_position(self) -> float:
-        return self.steps[-1].position
+        return deque(self.intervals[-1].positions(), maxlen=1)[0]
 
     @property
     def moves(self) -> int:
         """Steps the droplet took: one after each record but the last, and
         one after the last too when stepping stopped at ``max_steps``."""
         if self.terminal_reason is TerminalReason.MAX_STEPS:
-            return len(self.steps)
-        return max(len(self.steps) - 1, 0)
+            return self.records
+        return max(self.records - 1, 0)
 
 
 def wall_for_fraction(
@@ -414,6 +482,11 @@ class _FootprintSolver:
     run i.  ``r_max`` is the distance to the nearer design edge; a cap
     above it there means the droplet cannot fit, which raises
     FootprintError.
+
+    :meth:`walk` makes those decisions at a position and returns them as
+    its walk path; :meth:`record` turns a path into the solved state.
+    Positions with one path share the state, but for the radius and force
+    of a root on a jump, which follow the position.
     """
 
     def __init__(
@@ -438,7 +511,7 @@ class _FootprintSolver:
     def run(self, x_m: float) -> int:
         """Index of the run containing ``x_m`` (meters).
 
-        The quantization is :meth:`GradientDesign.column_index`'s.  :meth:`solve`
+        The quantization is :meth:`GradientDesign.column_index`'s.  :meth:`walk`
         asks only for x and x ± min(x, length - x), all inside [0, length].
         """
         return bisect_right(self._starts_nm, round(x_m * _NM_PER_M)) - 1
@@ -454,8 +527,14 @@ class _FootprintSolver:
             self._caps[front, rear] = radius
         return radius
 
-    def solve(self, position_m: float) -> TraceStep:
-        """The droplet solved at ``position_m``: footprint, angles and forces."""
+    def walk(self, position_m: float) -> tuple[int, ...]:
+        """The walk path at ``position_m``: every decision that the solve makes.
+
+        The path is the (front, rear) run pair of the no-fit check, each
+        (front, rear) pair that the walk stands on, from (center, center)
+        outward, and last 1 for a root on a jump or 0 for a cap.  Raises
+        FootprintError where the droplet does not fit.
+        """
         length_m = self.length_m
         if not 0.0 <= position_m <= length_m:
             raise FootprintError(
@@ -466,34 +545,50 @@ class _FootprintSolver:
         if r_max <= 0.0:
             raise _no_fit(position_m, r_max)
         run, cap_radius, edges = self.run, self.cap_radius, self._edges_m
-        if cap_radius(run(position_m + r_max), run(position_m - r_max)) > r_max:
+        path = [run(position_m + r_max), run(position_m - r_max)]
+        if cap_radius(*path) > r_max:
             raise _no_fit(position_m, r_max)
 
-        center = front = rear = run(position_m)
+        front = rear = run(position_m)
         edge = 0.0  # the walk stands here, on the pair beyond this edge
         while True:
+            path += (front, rear)
             radius = cap_radius(front, rear)
             if radius <= edge:  # a root on a jump
-                radius = edge
-                break
+                path.append(1)
+                return tuple(path)
             front_edge = edges[front + 1] - position_m
             rear_edge = position_m - edges[rear]
             edge = min(front_edge, rear_edge)
             if radius < edge:
-                break
+                path.append(0)
+                return tuple(path)
             if front_edge == edge:
                 front += 1
             if rear_edge == edge:
                 rear -= 1
+
+    def record(self, path: tuple[int, ...], position_m: float) -> TraceInterval:
+        """The droplet solved at ``position_m``, whose walk path is ``path``,
+        as an interval of one record: footprint, angles and forces."""
+        front, rear, on_jump = path[-3:]
+        edges = None
+        if on_jump:  # the footprint reaches the edge the walk last crossed
+            edges = (self._edges_m[path[-5] + 1], self._edges_m[path[-4]])
+            radius = min(edges[0] - position_m, position_m - edges[1])
+        else:
+            radius = self.cap_radius(front, rear)
         front, rear = self._run_angles[front], self._run_angles[rear]
         cos_front = math.cos(math.radians(front))
         cos_rear = math.cos(math.radians(rear))
-        force = self.material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
+        tension = self.material.surface_tension * 2.0
+        force = tension * radius * (cos_front - cos_rear)
+        center = path[2]
         holding = self._retention[center]
         if holding is None:
             holding = retention_force(self._droplet, self.material, self.design.fractions[center])
             self._retention[center] = holding
-        return TraceStep(position_m, front, rear, force, radius, holding)
+        return TraceInterval(position_m, 1, 0.0, front, rear, radius, force, holding, tension, edges)
 
 
 def retention_force(droplet: Droplet, material: Material, f_local: float) -> float:
@@ -531,6 +626,11 @@ def simulate_droplet(
     :attr:`SimulationTrace.moves` counts the moves, which on ``max_steps``
     include one past the last record.
 
+    The footprint is solved once per walk path (see
+    :meth:`_FootprintSolver.walk`), not once per position: the positions on
+    one path share their solved state, and the trace stores them as one
+    :class:`TraceInterval`.
+
     The droplet never returns to a position it held.  A design's walls
     follow its ramp, so the solid fraction is monotone along x, and with it
     the Cassie angle: the front angle stays on one side of the rear angle,
@@ -560,22 +660,73 @@ def simulate_droplet(
         raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
 
     solver = _FootprintSolver(design, droplet.volume, material)
-    record = solver.solve(droplet.position)
-    steps: list[TraceStep] = []
-    for _ in range(max_steps):
-        steps.append(record)
-        if abs(record.net_force) <= record.retention:
-            return SimulationTrace(tuple(steps), TerminalReason.FORCE_BALANCE)
-        position = record.position + math.copysign(step, record.net_force)
-        if position == record.position:
-            raise ValueError(
-                f"step {step!r} m does not move the droplet from {record.position!r} m"
-            )
+    position = droplet.position
+    path = solver.walk(position)
+    intervals: list[TraceInterval] = []
+    room = max_steps  # records still allowed
+    while True:
+        interval = solver.record(path, position)
+        if abs(interval.net_force) <= interval.retention:
+            intervals.append(interval)
+            return SimulationTrace(tuple(intervals), TerminalReason.FORCE_BALANCE)
+        move = math.copysign(step, interval.net_force)
+        count, last, path = _path_extent(solver, path, position, move, room)
+        interval = replace(interval, count=count, step=move)
+        # On a jump the force varies.  On a design whose walls follow its
+        # ramp the radius grows along the move there, so only the first
+        # record can balance; the scan checks each rather than assume it.
+        if interval.edges is not None:
+            for index, (_, _, force) in enumerate(interval.solved()):
+                if abs(force) <= interval.retention:
+                    intervals.append(replace(interval, count=index + 1))
+                    return SimulationTrace(tuple(intervals), TerminalReason.FORCE_BALANCE)
+        intervals.append(interval)
+        room -= count
+        position = last + move
+        if position == last:
+            raise ValueError(f"step {step!r} m does not move the droplet from {last!r} m")
+        if path is None:
+            return SimulationTrace(tuple(intervals), TerminalReason.REACHED_END)
+        if not room:
+            return SimulationTrace(tuple(intervals), TerminalReason.MAX_STEPS)
+
+
+def _path_extent(
+    solver: _FootprintSolver, path: tuple[int, ...], first: float, move: float, limit: int
+) -> tuple[int, float, tuple[int, ...] | None]:
+    """How many of the positions ``first``, ``first + move``, ... (at most
+    ``limit``) the walk ``path`` holds on, the last of them, and the walk
+    path at the position after it (None where the droplet does not fit).
+
+    Each comparison of the walk is monotone in x, so one path holds on one
+    interval of x, and its positions are a prefix of these.  Gallop over
+    them, probing 1, 2, 4, ... positions past the last one known on the
+    path, then bisect below the first probe off it.  A probe's position is
+    made by the same float adds as stepping makes; a position that the move
+    no longer changes ends the prefix, since stepping refuses it.
+    """
+
+    def walk(x: float) -> tuple[int, ...] | None:
         try:
-            record = solver.solve(position)
+            return solver.walk(x)
         except FootprintError:
-            return SimulationTrace(tuple(steps), TerminalReason.REACHED_END)
-    return SimulationTrace(tuple(steps), TerminalReason.MAX_STEPS)
+            return None
+
+    index, last, stride, end = 0, first, 1, limit  # off the path from ``end`` on
+    galloping = True
+    while index + 1 < end and last + move != last:
+        probe = min(index + stride, end - 1) if galloping else (index + end) // 2
+        x = last
+        for _ in range(probe - index):
+            x += move
+        probed = walk(x)
+        if probed == path:
+            index, last, stride = probe, x, 2 * stride
+        else:
+            end, after, galloping = probe, probed, False
+    if end == limit:  # the position after the last was not probed
+        after = walk(last + move)
+    return index + 1, last, after
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
@@ -588,10 +739,13 @@ def trace_to_csv(trace: SimulationTrace) -> str:
     traces.
     """
     lines = ["position_m,theta_front_deg,theta_rear_deg,net_force_N,moved"]
-    moves = trace.moves
-    for index, record in enumerate(trace.steps):
-        lines.append(
-            f"{record.position!r},{record.theta_front!r},{record.theta_rear!r},"
-            f"{record.net_force!r},{int(index < moves)}"
-        )
+    for interval in trace.intervals:
+        angles = f",{interval.theta_front!r},{interval.theta_rear!r},"
+        if interval.edges is None:
+            row = f"{angles}{interval.net_force!r},1"
+            lines += [f"{x!r}{row}" for x in interval.positions()]
+        else:
+            lines += [f"{x!r}{angles}{force!r},1" for x, _, force in interval.solved()]
+    if trace.moves < trace.records:  # no move after the last record
+        lines[-1] = lines[-1][:-1] + "0"
     return "\n".join(lines) + "\n"

@@ -93,6 +93,8 @@ _MAX_NM = 2**31 - 1
 
 def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     """Coerce a length to integer nanometers in ``[minimum, _MAX_NM]``, refusing fractions."""
+    if type(value) is int and minimum <= value <= _MAX_NM:  # the common case, ahead of the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
         raise TypeError(f"{name} must be a number in integer nanometers, got {value!r}")
     if isinstance(value, float) and not value.is_integer():  # also NaN and inf

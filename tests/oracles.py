@@ -3,8 +3,9 @@
 Each inverts or re-derives a library quantity by another route, so a test
 can check the library against it: the solid fraction behind an apparent
 angle, the volume behind a footprint radius, the driving force of one
-footprint solve, the footprint found column by column, and the
-one-wall-per-column design that runs replaced.
+footprint solve, the footprint found column by column, the stepping loop
+that solved every position, and the one-wall-per-column design that runs
+replaced.
 """
 
 import math
@@ -17,6 +18,7 @@ from lotuskit.gradient import (
     Measure,
     _FootprintSolver,
     local_apparent_angle,
+    retention_force,
     wall_for_fraction,
 )
 from lotuskit.lattice import (
@@ -118,7 +120,7 @@ def net_driving_force(
         If the footprint would overhang either end of the design.
     """
     solver = _FootprintSolver(design, droplet.volume, material)
-    return solver.solve(droplet.position).net_force
+    return solver.record(solver.walk(droplet.position), droplet.position).net_force
 
 
 def oracle_force_state(design, position_m, volume_m3, material):
@@ -179,6 +181,36 @@ def oracle_force_state(design, position_m, volume_m3, material):
     cos_rear = math.cos(math.radians(rear))
     force = material.surface_tension * 2.0 * radius * (cos_front - cos_rear)
     return radius, front, rear, force, on_jump
+
+
+def oracle_trace(design, droplet, material, step, max_steps):
+    """The quasi-static stepping loop that solved every position afresh.
+
+    A frozen copy of ``simulate_droplet``'s loop from before its trace
+    became intervals, with each position solved by :func:`oracle_force_state`
+    and :func:`retention_force` at the fraction under the center.  Returns
+    ``(records, reason)``: one ``(position, theta_front, theta_rear,
+    net_force, footprint_radius, retention)`` per record and the terminal
+    reason's value.  Raises what that loop raised.
+    """
+    records = []
+    position = droplet.position
+    state = oracle_force_state(design, position, droplet.volume, material)
+    for _ in range(max_steps):
+        radius, front, rear, force, _ = state
+        holding = retention_force(droplet, material, design.fraction_at(position))
+        records.append((position, front, rear, force, radius, holding))
+        if abs(force) <= holding:
+            return records, "force_balance"
+        following = position + math.copysign(step, force)
+        if following == position:
+            raise ValueError(f"step {step!r} m does not move the droplet from {position!r} m")
+        try:
+            state = oracle_force_state(design, following, droplet.volume, material)
+        except FootprintError:
+            return records, "reached_end"
+        position = following
+    return records, "max_steps"
 
 
 def runs_of(walls) -> tuple[tuple[int, int], ...]:

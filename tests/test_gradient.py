@@ -38,7 +38,7 @@ from lotuskit.wetting import (
     spherical_cap_footprint_radius,
 )
 
-from oracles import net_driving_force, oracle_force_state, runs_of
+from oracles import net_driving_force, oracle_force_state, oracle_trace, runs_of
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -474,6 +474,67 @@ class TestRetentionForce:
             assert retention_force(Droplet(volume=1.1e-9), material, 0.19) >= 0.0
 
 
+def random_transport(rng, walls):
+    """A droplet on a design of 4 um columns with the rising ``walls``.
+
+    The ramp is rising, falling (the walls reversed) or uniform (the first
+    wall throughout) at random, and so are the fraction measure, the
+    material and the droplet.  Returns ``(ramp, design, material, droplet)``.
+    """
+    columns = len(walls)
+    ramp = rng.choice(("rising", "falling", "uniform"))
+    f_start, f_end = {"rising": (0.2, 0.4), "falling": (0.4, 0.2), "uniform": (0.3, 0.3)}[ramp]
+    if ramp == "falling":
+        walls = walls[::-1]
+    elif ramp == "uniform":
+        walls = [walls[0]] * columns
+    spec = GradientSpec(
+        length=4000 * columns, lateral_width=100_000, pitch=4000,
+        f_start=f_start, f_end=f_end, measure=rng.choice(list(Measure)),
+    )
+    design = GradientDesign(runs=runs_of(walls), spec=spec)
+    material = Material(
+        name="probe",
+        theta_flat=rng.uniform(70.0, 120.0),
+        hysteresis=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+    )
+    droplet = Droplet(
+        volume=rng.uniform(2e-14, 1e-13),
+        position=rng.uniform(0.3, 0.7) * design.length_m,
+    )
+    return ramp, design, material, droplet
+
+
+def assert_trace_matches_oracle(design, droplet, material, step, max_steps):
+    """Simulate, and hold the trace to the loop that solved every position.
+
+    Every record must be bit for bit the oracle loop's: position, both
+    angles, force, radius and retention; so must the terminal reason and
+    the CSV, and each interval's radius and force must be its first
+    record's.  Returns the trace.
+    """
+    trace = simulate_droplet(design, droplet, material, step=step, max_steps=max_steps)
+    records, reason = oracle_trace(design, droplet, material, step, max_steps)
+    assert trace.terminal_reason.value == reason
+    assert trace.records == len(records)
+    solved = [
+        (r.position, r.theta_front, r.theta_rear, r.net_force, r.footprint_radius, r.retention)
+        for r in trace.steps
+    ]
+    assert [tuple(map(float.hex, r)) for r in solved] == [
+        tuple(map(float.hex, r)) for r in records
+    ]
+    for interval in trace.intervals:
+        _, radius, force = next(interval.solved())
+        assert (interval.footprint_radius, interval.net_force) == (radius, force)
+    moved = [int(index < trace.moves) for index in range(len(records))]
+    rows = [f"{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r},{m}\n" for r, m in zip(records, moved)]
+    assert trace_to_csv(trace) == (
+        "position_m,theta_front_deg,theta_rear_deg,net_force_N,moved\n" + "".join(rows)
+    )
+    return trace
+
+
 class TestSimulateDroplet:
     def test_uniform_design_balances_immediately(self):
         spec = GradientSpec(
@@ -497,36 +558,11 @@ class TestSimulateDroplet:
         for _ in range(30):
             columns = rng.randint(60, 200)
             walls = sorted(rng.randrange(400, 3000, 10) for _ in range(columns))
-            ramp = rng.choice(("rising", "falling", "uniform"))
-            f_start, f_end = {"rising": (0.2, 0.4), "falling": (0.4, 0.2), "uniform": (0.3, 0.3)}[ramp]
-            if ramp == "falling":
-                walls.reverse()
-            elif ramp == "uniform":
-                walls = [walls[0]] * columns
-            spec = GradientSpec(
-                length=4000 * columns, lateral_width=100_000, pitch=4000,
-                f_start=f_start, f_end=f_end, measure=rng.choice(list(Measure)),
-            )
-            design = GradientDesign(runs=runs_of(walls), spec=spec)
-            material = Material(
-                name="probe",
-                theta_flat=rng.uniform(70.0, 120.0),
-                hysteresis=rng.choice((0.0, rng.uniform(0.0, 3.0))),
-            )
-            droplet = Droplet(
-                volume=rng.uniform(2e-14, 1e-13),
-                position=rng.uniform(0.3, 0.7) * design.length_m,
-            )
-            trace = simulate_droplet(
-                design, droplet, material, step=rng.uniform(1e-6, 4e-6), max_steps=10_000
+            ramp, design, material, droplet = random_transport(rng, walls)
+            trace = assert_trace_matches_oracle(
+                design, droplet, material, rng.uniform(1e-6, 4e-6), 10_000
             )
             assert trace.terminal_reason is not TerminalReason.MAX_STEPS
-            for record in trace.steps:
-                solved = (record.footprint_radius, record.theta_front, record.theta_rear,
-                          record.net_force)
-                assert solved == oracle_force_state(
-                    design, record.position, droplet.volume, material
-                )[:4]
             ends.add(trace.terminal_reason)
             moves = [b - a for a, b in zip(trace.positions, trace.positions[1:])]
             if ramp == "rising":
@@ -608,10 +644,13 @@ class TestSimulateDroplet:
         droplet = Droplet(volume=1.1e-9, position=1e-3)
         material = Material(name="x", theta_flat=81.0, hysteresis=2.0)
         trace = simulate_droplet(design, droplet, material, max_steps=20)
+        solver = _FootprintSolver(design, droplet.volume, material)
         for record in trace.steps:
-            assert record == _FootprintSolver(design, droplet.volume, material).solve(
-                record.position
-            )
+            state = solver.record(solver.walk(record.position), record.position)
+            assert (record.theta_front, record.theta_rear, record.net_force,
+                    record.footprint_radius, record.retention) == (
+                state.theta_front, state.theta_rear, state.net_force,
+                state.footprint_radius, state.retention)
             assert record.retention == retention_force(
                 droplet, material, design.fraction_at(record.position)
             )
@@ -631,6 +670,91 @@ class TestSimulateDroplet:
         assert last.retention > 0.0
         assert abs(last.net_force) <= last.retention
         assert all(abs(r.net_force) > r.retention for r in trace.steps[:-1])
+
+
+class TestTraceMatchesPerPositionLoop:
+    """The interval trace against the loop that solved every position."""
+
+    def test_seeded_designs_under_every_terminal_reason(self):
+        # Two kinds of design.  One run per column, with steps of 2.5-6
+        # pitches: each move crosses several run edges.  A few runs of 8-15
+        # columns with wide wall steps, with steps under a pitch: roots on a
+        # jump then hold over several records, where the radius and force
+        # vary.  Small move budgets stop some runs at max_steps.
+        rng = random.Random(35)
+        reasons, jump_records = set(), 0
+        for _ in range(40):
+            if rng.random() < 0.5:
+                walls = sorted(rng.sample(range(400, 3000, 10), rng.randint(40, 120)))
+                step = rng.uniform(2.5, 6.0) * 4e-6
+            else:
+                width = rng.randint(8, 15)
+                walls = sorted(rng.sample(range(400, 3600, 100), rng.randint(4, 8)))
+                walls = [wall for wall in walls for _ in range(width)]
+                step = rng.uniform(0.1e-6, 0.3e-6)
+            _, design, material, droplet = random_transport(rng, walls)
+            trace = assert_trace_matches_oracle(
+                design, droplet, material, step, rng.choice((1, 5, 10_000, 10_000))
+            )
+            reasons.add(trace.terminal_reason)
+            jump_records += sum(
+                interval.count for interval in trace.intervals
+                if interval.edges is not None and interval.count > 1
+            )
+        assert reasons == set(TerminalReason)
+        assert jump_records > 100
+
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_steps_within_ulps_of_the_far_end(self, ulps):
+        # Past the middle the no-fit check reads the run at x + (L - x).
+        # Steps of a few ulps walk up to the last position that fits; the
+        # search for an interval's end probes positions on both sides of it.
+        design = design_linear_gradient(GradientSpec(
+            length=400_000, lateral_width=100_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        ))
+        volume = 1e-13
+
+        def fits(x):
+            try:
+                oracle_force_state(design, x, volume, WATER_ON_PMMA)
+            except FootprintError:
+                return False
+            return True
+
+        fitting, beyond = 0.5 * design.length_m, design.length_m
+        while (middle := 0.5 * (fitting + beyond)) not in (fitting, beyond):
+            if fits(middle):
+                fitting = middle
+            else:
+                beyond = middle
+        ulp = math.ulp(fitting)
+        for offset in range(ulps):
+            droplet = Droplet(volume=volume, position=fitting - (40 * ulps + offset) * ulp)
+            capped = assert_trace_matches_oracle(design, droplet, WATER_ON_PMMA, ulps * ulp, 40)
+            assert capped.terminal_reason is TerminalReason.MAX_STEPS
+            trace = assert_trace_matches_oracle(design, droplet, WATER_ON_PMMA, ulps * ulp, 10_000)
+            assert trace.terminal_reason is TerminalReason.REACHED_END
+            assert 0.0 <= fitting - trace.final_position < ulps * ulp
+
+
+    def test_a_step_that_stops_moving_is_refused_where_the_loop_refused_it(self):
+        # Below 2**-10 m the step rounds up to one ulp; from 2**-10 on it is
+        # under half an ulp and no longer moves the droplet, 50 records in.
+        design = design_linear_gradient(GradientSpec(
+            length=4_000_000, lateral_width=100_000, pitch=4000,
+            f_start=0.19, f_end=0.4375,
+        ))
+        ulp = math.ulp(2.0**-11)
+        droplet = Droplet(volume=2e-11, position=2.0**-10 - 50 * ulp)
+        for max_steps in (1, 30, 50):
+            trace = assert_trace_matches_oracle(design, droplet, WATER_ON_PMMA, 0.6 * ulp, max_steps)
+            assert trace.terminal_reason is TerminalReason.MAX_STEPS
+        message = f"step {0.6 * ulp!r} m does not move the droplet from 0.0009765625 m"
+        for run in (simulate_droplet, oracle_trace):
+            for max_steps in (51, 10_000):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    run(design, droplet, WATER_ON_PMMA, 0.6 * ulp, max_steps)
 
 
 class TestTraceCsv:
@@ -659,14 +783,14 @@ class TestTraceCsv:
             assert float(parts[3]) == step.net_force
 
     def test_empty_trace_is_header_only(self):
-        trace = SimulationTrace(steps=(), terminal_reason=TerminalReason.MAX_STEPS)
+        trace = SimulationTrace(intervals=(), terminal_reason=TerminalReason.MAX_STEPS)
         assert trace_to_csv(trace) == (
             "position_m,theta_front_deg,theta_rear_deg,net_force_N,moved\n"
         )
 
     @pytest.mark.parametrize("reason", list(TerminalReason))
     def test_empty_trace_has_no_moves(self, reason):
-        assert SimulationTrace(steps=(), terminal_reason=reason).moves == 0
+        assert SimulationTrace(intervals=(), terminal_reason=reason).moves == 0
 
 
 #: The benchmark's 10 mm ramp, the design of every trace pin below.
@@ -729,6 +853,26 @@ class TestPinnedTraceBytes:
         )
 
 
+def test_simulation_memory_does_not_grow_with_the_record_count():
+    # The benchmark ramp to its end at the one-pitch step (2,105 records)
+    # and at a 100 nm step (84,193 records): the trace holds intervals of
+    # one solved state, so the peak differs by a few kB.  A trace of one
+    # record per position peaked at 0.47 MB and 16.3 MB on Python 3.11.
+    design = design_linear_gradient(BENCHMARK_RAMP)
+    peaks = {}
+    for step, records in ((None, 2105), (100e-9, 84_193)):
+        tracemalloc.start()
+        try:
+            trace = simulate_droplet(
+                design, Droplet(volume=1.1e-9, position=1e-3), WATER_ON_PMMA, step=step
+            )
+            peaks[records] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.records == records
+    assert peaks[84_193] - peaks[2105] < 64 * 1024, peaks
+
+
 def assert_solver_matches_oracle(design, volume_m3, material, positions):
     """Solve every position both ways; return how many fitted.
 
@@ -744,10 +888,10 @@ def assert_solver_matches_oracle(design, volume_m3, material, positions):
             )
         except FootprintError as expected:
             with pytest.raises(FootprintError) as actual:
-                solver.solve(position)
+                solver.walk(position)
             assert str(actual.value) == str(expected)
             continue
-        state = solver.solve(position)
+        state = solver.record(solver.walk(position), position)
         assert state.footprint_radius == radius
         assert (state.theta_front, state.theta_rear) == (front, rear)
         assert state.net_force == force
@@ -792,7 +936,7 @@ class TestSolverMatchesColumnWalk:
             radius, front, rear, force, jump = oracle_force_state(
                 design, position, self.VOLUME, material
             )
-            state = solver.solve(position)
+            state = solver.record(solver.walk(position), position)
             assert state.footprint_radius == radius
             assert state.theta_front == front
             assert state.theta_rear == rear
@@ -819,7 +963,7 @@ class TestSolverMatchesColumnWalk:
                 design, position, volume, WATER_ON_PMMA
             )
             assert radius < 2e-6
-            state = solver.solve(position)
+            state = solver.record(solver.walk(position), position)
             assert state.footprint_radius == radius
             assert (state.theta_front, state.theta_rear) == (front, rear)
             assert state.net_force == force
@@ -892,7 +1036,7 @@ class TestSolverMatchesColumnWalk:
         with pytest.raises(FootprintError) as expected:
             oracle_force_state(design, position, self.VOLUME, WATER_ON_PMMA)
         with pytest.raises(FootprintError) as actual:
-            solver.solve(position)
+            solver.walk(position)
         assert str(actual.value) == str(expected.value)
 
 

@@ -300,6 +300,44 @@ class TestSpecs:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 build(-(2**31))
 
+    @pytest.mark.parametrize(
+        ("value", "minimum", "error", "message"),
+        [
+            (True, 1, TypeError, "pitch must be a number in integer nanometers, got True"),
+            (False, 0, TypeError, "pitch must be a number in integer nanometers, got False"),
+            ("4000", 1, TypeError, "pitch must be a number in integer nanometers, got '4000'"),
+            (Fraction(4000), 1, TypeError,
+             "pitch must be a number in integer nanometers, got Fraction(4000, 1)"),
+            (4000.5, 1, ValueError, "pitch must be an integer nanometer count, got 4000.5"),
+            (math.nan, 1, ValueError, "pitch must be an integer nanometer count, got nan"),
+            (math.inf, 1, ValueError, "pitch must be an integer nanometer count, got inf"),
+            (-math.inf, 1, ValueError, "pitch must be an integer nanometer count, got -inf"),
+            (np.float64(1.5), 1, ValueError,
+             f"pitch must be an integer nanometer count, got {np.float64(1.5)!r}"),
+            (np.int64(2**31), 1, ValueError,
+             f"pitch must be <= 2147483647 nm, got {np.int64(2**31)!r}"),
+            (2**31, 1, ValueError, "pitch must be <= 2147483647 nm, got 2147483648"),
+            (0, 1, ValueError, "pitch must be >= 1 nm, got 0"),
+            (-1, 0, ValueError, "pitch must be >= 0 nm, got -1"),
+            (-(2**31), -TOP_NM, ValueError, "pitch must be >= -2147483647 nm, got -2147483648"),
+            (2**1999, 1, ValueError, f"pitch must be <= 2147483647 nm, got {2**1999}"),
+            (2**2000, 1, ValueError, "pitch must be <= 2147483647 nm"),
+            (-(2**2000), 1, ValueError, "pitch must be >= 1 nm"),
+        ],
+    )
+    def test_integer_nm_refusals_keep_their_type_and_message(self, value, minimum, error, message):
+        with pytest.raises(error) as refused:
+            lattice._as_int_nm(value, "pitch", minimum)
+        assert type(refused.value) is error and str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        ("value", "minimum"),
+        [(4000, 1), (TOP_NM, 1), (0, 0), (-TOP_NM, -TOP_NM), (4000.0, 1), (np.int64(4000), 1)],
+    )
+    def test_integer_nm_accepts_exact_integers_as_int(self, value, minimum):
+        coerced = lattice._as_int_nm(value, "pitch", minimum)
+        assert coerced == value and type(coerced) is int
+
     def test_values_too_long_to_print_are_refused_by_field_and_bound(self):
         # 10**5000 has more digits than the interpreter converts to text; the
         # refusal leaves the value out and still names the field and the bound.
