@@ -158,10 +158,10 @@ class GradientDesign:
     (0, pitch), and follow the requested fraction ramp: they rise strictly
     from run to run on a rising ramp and fall strictly on a falling one,
     and a uniform ramp is one run.  ``fractions[i]`` is run i's solid
-    fraction and ``starts[i]`` its first column.  ``zones[i]`` is run i as
-    a zone: ``HoneycombSpec(pitch, wall, height)`` over the run's columns,
-    ``[start*pitch, (start+count)*pitch) x [0, lateral_width)``, so the
-    zones abut and cover ``length_nm``.
+    fraction and ``zones[i]`` run i as a zone, which alone stores its start:
+    ``HoneycombSpec(pitch, wall, height)`` over ``[start*pitch,
+    (start+count)*pitch) x [0, lateral_width)``, so the zones abut and
+    cover ``length_nm``.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -169,7 +169,6 @@ class GradientDesign:
     fabrication_grid: int = DEFAULT_RULES.fabrication_grid
     zones: tuple[Zone, ...] = field(init=False, repr=False)
     fractions: tuple[float, ...] = field(init=False, repr=False)
-    starts: tuple[int, ...] = field(init=False, repr=False)
     n_columns: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -180,7 +179,7 @@ class GradientDesign:
             raise ValueError("a gradient design needs at least one run")
         if spec.f_start == spec.f_end and len(self.runs) > 1:
             raise ValueError(f"a uniform ramp has exactly one run, got {len(self.runs)}")
-        runs, starts, n_columns = [], [], 0
+        runs, n_columns = [], 0
         for index, (count, wall) in enumerate(self.runs):
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
                 raise ValueError(f"run {index} count must be a positive integer, got {count!r}")
@@ -199,7 +198,6 @@ class GradientDesign:
                     f"{'rise' if rising else 'fall'} from run to run on this ramp"
                 )
             runs.append((int(count), wall))
-            starts.append(n_columns)
             n_columns += int(count)
         if n_columns * spec.pitch > _MAX_NM:
             raise ValueError(
@@ -212,8 +210,8 @@ class GradientDesign:
             else honeycomb_area_fraction
         )
         object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "starts", tuple(starts))
         object.__setattr__(self, "n_columns", n_columns)
+        starts = accumulate((count for count, _ in runs), initial=0)
         zones = tuple(
             Zone(
                 HoneycombSpec(pitch=spec.pitch, wall=wall, height=spec.height),
@@ -258,7 +256,9 @@ class GradientDesign:
 
     def fraction_at(self, x_m: float) -> float:
         """Solid fraction (in the design's measure convention) at ``x_m`` (meters)."""
-        return self.fractions[bisect_right(self.starts, self.column_index(x_m)) - 1]
+        x_nm = self.column_index(x_m) * self.spec.pitch
+        run = bisect_right(self.zones, x_nm, key=lambda zone: zone.extent.x) - 1
+        return self.fractions[run]
 
 
 class TerminalReason(Enum):
@@ -438,8 +438,8 @@ def design_linear_gradient(
     runs = tuple((sum(1 for _ in group), wall) for wall, group in groupby(walls))
     design = GradientDesign(runs=runs, spec=spec, fabrication_grid=rules.fabrication_grid)
     violations = {}
-    for zone, start in zip(design.zones, design.starts):
-        for violation in _check_spec(zone.spec, rules, f"column {start}"):
+    for zone in design.zones:
+        for violation in _check_spec(zone.spec, rules, f"column {zone.extent.x // spec.pitch}"):
             violations.setdefault((violation.rule, violation.value), violation)
     if violations:
         raise _violation_error("gradient", list(violations.values()))
@@ -478,10 +478,10 @@ class _FootprintSolver:
     walks outward from r = 0 edge by edge and stops at the smallest fixed
     point: a cap short of the next edge, or an edge that the cap of the
     pair beyond it does not exceed (a root on a jump).  Run i's edge is
-    ``starts_nm[i] - 0.5`` nm, where :meth:`run` rounds a position into
-    run i.  ``r_max`` is the distance to the nearer design edge; a cap
-    above it there means the droplet cannot fit, which raises
-    FootprintError.
+    half a nanometer below its start ``zones[i].extent.x``, where
+    :meth:`run` rounds a position into run i.  ``r_max`` is the distance
+    to the nearer design edge; a cap above it there means the droplet
+    cannot fit, which raises FootprintError.
 
     :meth:`walk` makes those decisions at a position and returns them as
     its walk path; :meth:`record` turns a path into the solved state.
@@ -499,7 +499,7 @@ class _FootprintSolver:
             cassie_apparent_angle(fraction, material.theta_flat)
             for fraction in design.fractions
         ]
-        self._starts_nm = [start * design.spec.pitch for start in design.starts]
+        self._starts_nm = [zone.extent.x for zone in design.zones]
         # Where each run begins, in meters; no edge below run 0 or past the last.
         inner = [(start - 0.5) * _M_PER_NM for start in self._starts_nm[1:]]
         self._edges_m = [-math.inf, *inner, math.inf]
@@ -634,9 +634,9 @@ def simulate_droplet(
     The droplet never returns to a position it held.  A design's walls
     follow its ramp, so the solid fraction is monotone along x, and with it
     the Cassie angle: the front angle stays on one side of the rear angle,
-    the net force keeps one sign, and every move goes the same way.  In
+    the net force keeps one sign, and every move goes with the ramp.  In
     floating point this needs ``acos`` and ``cos`` to round monotonically,
-    which a seeded property test checks rather than assumes.
+    which seeded property tests check rather than assume.
 
     Parameters
     ----------
@@ -665,22 +665,21 @@ def simulate_droplet(
     intervals: list[TraceInterval] = []
     room = max_steps  # records still allowed
     while True:
+        # Balance is tested on each interval's first record alone: its
+        # records share angles and retention, and on a cap root the force.
+        # A root on a jump over several records stands on the run edge
+        # behind the droplet (rear on a rising ramp, front on a falling
+        # one): the run past the edge ahead has a lower Cassie angle, so a
+        # larger cap, which passes that edge.  Along the move the radius to
+        # the edge behind cannot fall, nor, under monotone IEEE rounding,
+        # can |net_force| = tension * radius * |cos(front) - cos(rear)|.
         interval = solver.record(path, position)
         if abs(interval.net_force) <= interval.retention:
             intervals.append(interval)
             return SimulationTrace(tuple(intervals), TerminalReason.FORCE_BALANCE)
         move = math.copysign(step, interval.net_force)
         count, last, path = _path_extent(solver, path, position, move, room)
-        interval = replace(interval, count=count, step=move)
-        # On a jump the force varies.  On a design whose walls follow its
-        # ramp the radius grows along the move there, so only the first
-        # record can balance; the scan checks each rather than assume it.
-        if interval.edges is not None:
-            for index, (_, _, force) in enumerate(interval.solved()):
-                if abs(force) <= interval.retention:
-                    intervals.append(replace(interval, count=index + 1))
-                    return SimulationTrace(tuple(intervals), TerminalReason.FORCE_BALANCE)
-        intervals.append(interval)
+        intervals.append(replace(interval, count=count, step=move))
         room -= count
         position = last + move
         if position == last:

@@ -290,7 +290,6 @@ def per_column_arrays(design: GradientDesign) -> list[LatticeArray]:
             array.col_vector,
             array.row_vector,
         )
-        for (count, wall), start in zip(design.runs, design.starts)
-        for k in range(start, start + count)
+        for k, wall in enumerate(design.columns)
         for array in first
     ]

@@ -87,8 +87,6 @@ OPEN_CASES = {
     ("fraction", "--mc-samples", str(2**31 - 1)),
     ("fraction", "--mc-samples", str(2**31)),
     ("fraction", "--mc-samples", str(2**63)),
-    ("design gradient", "--length-nm", str(2**31 - 1)),
-    ("simulate", "--length-nm", str(2**31 - 1)),
     ("export gradient flat", "--length-nm", str(2**31 - 1)),
     ("export gradient flat", "--width-nm", str(2**31 - 1)),
 }

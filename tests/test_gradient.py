@@ -757,6 +757,36 @@ class TestTraceMatchesPerPositionLoop:
                     run(design, droplet, WATER_ON_PMMA, 0.6 * ulp, max_steps)
 
 
+def test_no_later_record_of_a_jump_interval_can_balance():
+    # simulate_droplet tests balance on each interval's first record only.
+    # On a root on a jump over several records, the premise that makes this
+    # enough: the droplet moves with the ramp, the radius is the distance
+    # to the run edge behind it, and |net_force| never falls along the move.
+    # Designs as in TestTraceMatchesPerPositionLoop: runs of 8-15 columns,
+    # wide wall steps, steps under a pitch.
+    rng = random.Random(36)
+    intervals = {"rising": 0, "falling": 0}
+    for _ in range(320):
+        width = rng.randint(8, 15)
+        walls = sorted(rng.sample(range(400, 3600, 100), rng.randint(4, 8)))
+        walls = [wall for wall in walls for _ in range(width)]
+        step = rng.uniform(0.1e-6, 0.3e-6)
+        ramp, design, material, droplet = random_transport(rng, walls)
+        trace = simulate_droplet(design, droplet, material, step=step, max_steps=10_000)
+        for interval in trace.intervals:
+            if interval.edges is None or interval.count < 2:
+                continue
+            intervals[ramp] += 1
+            front_edge, rear_edge = interval.edges
+            assert (interval.step > 0.0) == (ramp == "rising")
+            forces = []
+            for x, radius, force in interval.solved():
+                assert radius == (x - rear_edge if ramp == "rising" else front_edge - x)
+                forces.append(abs(force))
+            assert forces == sorted(forces)
+    assert min(intervals.values()) >= 100, intervals
+
+
 class TestTraceCsv:
     def test_header_and_shape(self):
         design = reference_gradient()

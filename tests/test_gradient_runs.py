@@ -123,11 +123,11 @@ class TestRunArraysMatchPerColumnArrays:
             )
             assert len(design.zones) == len(design.runs)
             x = 0
-            for zone, (count, wall), start, run_fraction in zip(
-                design.zones, design.runs, design.starts, design.fractions
+            for zone, (count, wall), run_fraction in zip(
+                design.zones, design.runs, design.fractions
             ):
                 extent = zone.extent
-                assert (extent.x, extent.width) == (start * spec.pitch, count * spec.pitch)
+                assert extent.width == count * spec.pitch
                 assert (extent.y, extent.height) == (0, spec.lateral_width)
                 assert extent.x == x
                 x = extent.x_max
