@@ -48,6 +48,7 @@ from lotuskit.lattice import (
     Rect,
     Zone,
     _MAX_NM,
+    _as_count,
     _as_int_nm,
     _check_spec,
     _violation_error,
@@ -82,6 +83,13 @@ __all__ = [
 
 _NM_PER_M = 1e9
 _M_PER_NM = 1e-9
+
+
+def _contact_force(tension: float, radius: float, theta_a: float, theta_b: float) -> float:
+    """``tension * radius * (cos(theta_a) - cos(theta_b))``, angles in degrees:
+    the one form of the drive and the retention, with ``tension`` twice the
+    surface tension."""
+    return tension * radius * (math.cos(math.radians(theta_a)) - math.cos(math.radians(theta_b)))
 
 
 class Measure(Enum):
@@ -236,30 +244,6 @@ class GradientDesign:
     def length_m(self) -> float:
         return self.length_nm * _M_PER_NM
 
-    def column_index(self, x_m: float) -> int:
-        """Index of the column containing position ``x_m`` (meters).
-
-        Positions are quantized to the 1 nm geometry grid before lookup;
-        ``x = length`` maps to the last column.  A position that is not
-        finite in nanometers lies outside the design.
-        """
-        try:
-            x_nm = round(x_m * _NM_PER_M)
-        except (OverflowError, ValueError):  # infinite, NaN or beyond the float range
-            x_nm = math.nan
-        if not 0 <= x_nm <= self.length_nm:
-            raise ValueError(
-                f"position {x_m!r} m lies outside the design "
-                f"[0, {self.length_m!r}] m"
-            )
-        return min(x_nm // self.spec.pitch, self.n_columns - 1)
-
-    def fraction_at(self, x_m: float) -> float:
-        """Solid fraction (in the design's measure convention) at ``x_m`` (meters)."""
-        x_nm = self.column_index(x_m) * self.spec.pitch
-        run = bisect_right(self.zones, x_nm, key=lambda zone: zone.extent.x) - 1
-        return self.fractions[run]
-
 
 class TerminalReason(Enum):
     """Why a droplet simulation stopped."""
@@ -324,13 +308,9 @@ class TraceInterval:
 
     def _on_jump(self) -> Iterator[tuple[float, float, float]]:
         front_edge, rear_edge = self.edges
-        tension = self.tension
-        delta = math.cos(math.radians(self.theta_front)) - math.cos(
-            math.radians(self.theta_rear)
-        )
         for x in self.positions():
             radius = min(front_edge - x, x - rear_edge)
-            yield x, radius, tension * radius * delta
+            yield x, radius, _contact_force(self.tension, radius, self.theta_front, self.theta_rear)
 
 
 @dataclass(frozen=True)
@@ -357,10 +337,6 @@ class SimulationTrace:
             for interval in self.intervals
             for x, radius, force in interval.solved()
         )
-
-    @property
-    def positions(self) -> list[float]:
-        return [x for interval in self.intervals for x in interval.positions()]
 
     @property
     def final_position(self) -> float:
@@ -397,6 +373,7 @@ def wall_for_fraction(
             f"target_fraction must lie strictly inside (0, 1), got {target_fraction!r}"
         )
     pitch = _as_int_nm(pitch, "pitch")
+    fabrication_grid = _as_int_nm(fabrication_grid, "fabrication_grid")
     if Measure(measure) is Measure.LINEAR_RATIO:
         exact = target_fraction * pitch
     else:
@@ -451,10 +428,22 @@ def local_apparent_angle(
 ) -> float:
     """Apparent contact angle over the column containing ``x_m`` (meters).
 
-    The fraction field is piecewise constant per column; the angle is its
-    Cassie-Baxter image at the material's flat angle.
+    Positions are quantized to the 1 nm geometry grid before lookup;
+    ``x = length`` lies in the last column.  A position that is not finite
+    in nanometers lies outside the design.  The fraction field is piecewise
+    constant per run; the angle is its Cassie-Baxter image at the
+    material's flat angle.
     """
-    return cassie_apparent_angle(design.fraction_at(x_m), material.theta_flat)
+    try:
+        x_nm = round(x_m * _NM_PER_M)
+    except (OverflowError, ValueError):  # infinite, NaN or beyond the float range
+        x_nm = math.nan
+    if not 0 <= x_nm <= design.length_nm:
+        raise ValueError(
+            f"position {x_m!r} m lies outside the design [0, {design.length_m!r}] m"
+        )
+    run = bisect_right(design.zones, x_nm, key=lambda zone: zone.extent.x) - 1
+    return cassie_apparent_angle(design.fractions[run], material.theta_flat)
 
 
 def _no_fit(position_m: float, r_max: float) -> FootprintError:
@@ -511,7 +500,7 @@ class _FootprintSolver:
     def run(self, x_m: float) -> int:
         """Index of the run containing ``x_m`` (meters).
 
-        The quantization is :meth:`GradientDesign.column_index`'s.  :meth:`walk`
+        The quantization is :func:`local_apparent_angle`'s.  :meth:`walk`
         asks only for x and x ± min(x, length - x), all inside [0, length].
         """
         return bisect_right(self._starts_nm, round(x_m * _NM_PER_M)) - 1
@@ -579,10 +568,8 @@ class _FootprintSolver:
         else:
             radius = self.cap_radius(front, rear)
         front, rear = self._run_angles[front], self._run_angles[rear]
-        cos_front = math.cos(math.radians(front))
-        cos_rear = math.cos(math.radians(rear))
         tension = self.material.surface_tension * 2.0
-        force = tension * radius * (cos_front - cos_rear)
+        force = _contact_force(tension, radius, front, rear)
         center = path[2]
         holding = self._retention[center]
         if holding is None:
@@ -603,9 +590,7 @@ def retention_force(droplet: Droplet, material: Material, f_local: float) -> flo
     radius = spherical_cap_footprint_radius(
         droplet.volume, 0.5 * (advancing + receding)
     )
-    cos_rec = math.cos(math.radians(receding))
-    cos_adv = math.cos(math.radians(advancing))
-    return material.surface_tension * 2.0 * radius * (cos_rec - cos_adv)
+    return _contact_force(material.surface_tension * 2.0, radius, receding, advancing)
 
 
 def simulate_droplet(
@@ -643,7 +628,7 @@ def simulate_droplet(
     step:
         Step length in meters; defaults to one lattice pitch.
     max_steps:
-        Upper bound on droplet moves.
+        Upper bound on droplet moves, an integer >= 1 (a ``bool`` is refused).
 
     Raises
     ------
@@ -656,8 +641,7 @@ def simulate_droplet(
         step = design.spec.pitch * _M_PER_NM
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be a finite length > 0 m, got {step!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps!r}")
+    max_steps = _as_count(max_steps, "max_steps", 1)
 
     solver = _FootprintSolver(design, droplet.volume, material)
     position = droplet.position

@@ -108,6 +108,15 @@ def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     raise ValueError(f"{name} must be {bound} nm{got}")
 
 
+def _as_count(value: object, name: str, minimum: int) -> int:
+    """Refuse a count or budget that is not an integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HoneycombSpec:
     """Unit-cell geometry of a honeycomb pattern, in integer nanometers.
@@ -435,12 +444,10 @@ def monte_carlo_fraction(
     tuple[float, float]
         (solid fraction estimate, binomial standard error).
     """
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples!r}")
-    if seed < 0:
+    samples = _as_count(samples, "samples", 1000)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    workers = _as_count(workers, "workers", 1)
     from concurrent.futures import ThreadPoolExecutor
 
     def count(index: int) -> int:

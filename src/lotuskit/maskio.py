@@ -745,12 +745,9 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
         Rendering guard, an integer of at least 1 (a ``bool`` is refused):
         exceeding it raises with a suggestion to crop.
     """
-    from lotuskit.lattice import hexagon_vertices
+    from lotuskit.lattice import _as_count, hexagon_vertices
 
-    if isinstance(max_cells, bool) or not isinstance(max_cells, numbers.Integral):
-        raise ValueError(f"max_cells must be an integer, got {max_cells!r}")
-    if max_cells < 1:
-        raise ValueError(f"max_cells must be >= 1, got {max_cells!r}")
+    max_cells = _as_count(max_cells, "max_cells", 1)
     total = layout_stats(target)["total_cells"]
     if total > max_cells:
         raise ValueError(

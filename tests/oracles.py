@@ -9,6 +9,7 @@ replaced.
 """
 
 import math
+from bisect import bisect_right
 from itertools import groupby
 
 from lotuskit.gradient import (
@@ -156,7 +157,7 @@ def oracle_force_state(design, position_m, volume_m3, material):
         )
 
     pitch, last = design.spec.pitch, design.n_columns - 1
-    front_column = rear_column = design.column_index(position_m)
+    front_column = rear_column = per_column_index(position_m, pitch, design.n_columns)
     edge, on_jump = 0.0, False
     while True:
         radius, front, rear = cap(
@@ -198,7 +199,7 @@ def oracle_trace(design, droplet, material, step, max_steps):
     state = oracle_force_state(design, position, droplet.volume, material)
     for _ in range(max_steps):
         radius, front, rear, force, _ = state
-        holding = retention_force(droplet, material, design.fraction_at(position))
+        holding = retention_force(droplet, material, fraction_at(design, position))
         records.append((position, front, rear, force, radius, holding))
         if abs(force) <= holding:
             return records, "force_balance"
@@ -265,6 +266,17 @@ def per_column_design(
 def per_column_index(x_m: float, pitch: int, n_columns: int) -> int:
     """The column holding ``x_m`` (meters), as the per-column design looked it up."""
     return min(round(x_m * 1e9) // pitch, n_columns - 1)
+
+
+def fraction_at(design: GradientDesign, x_m: float) -> float:
+    """Solid fraction of the column holding ``x_m`` (meters), inside the design.
+
+    A frozen copy of the lookup that ``GradientDesign.fraction_at`` made
+    before ``local_apparent_angle`` took it over: the column's start, then
+    the run that holds it.
+    """
+    start = per_column_index(x_m, design.spec.pitch, design.n_columns) * design.spec.pitch
+    return design.fractions[bisect_right(design.zones, start, key=lambda zone: zone.extent.x) - 1]
 
 
 def per_column_arrays(design: GradientDesign) -> list[LatticeArray]:

@@ -44,7 +44,7 @@ from lotuskit.wetting import (
     spherical_cap_footprint_radius,
 )
 
-from oracles import invert_cassie_fraction, net_driving_force
+from oracles import fraction_at, invert_cassie_fraction, net_driving_force
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
@@ -239,7 +239,7 @@ def test_criterion_7_gradient_transport():
     material = WATER_ON_PMMA  # zero hysteresis: no retention
     trace = simulate_droplet(design, droplet, material)
 
-    positions = trace.positions
+    positions = [x for interval in trace.intervals for x in interval.positions()]
     monotone = all(b > a for a, b in zip(positions, positions[1:]))
 
     # The simulator's start force must equal the closed-form chain
@@ -271,7 +271,7 @@ def test_criterion_7_gradient_transport():
     pinned = simulate_droplet(design, droplet, sticky)
     peak_drive = net_driving_force(design, droplet, material)
     pinned_retention = retention_force(
-        droplet, sticky, design.fraction_at(droplet.position)
+        droplet, sticky, fraction_at(design, droplet.position)
     )
     elapsed = time.perf_counter() - start
 

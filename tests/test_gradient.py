@@ -35,10 +35,11 @@ from lotuskit.wetting import (
     WATER_ON_PMMA,
     Droplet,
     Material,
+    cassie_apparent_angle,
     spherical_cap_footprint_radius,
 )
 
-from oracles import net_driving_force, oracle_force_state, oracle_trace, runs_of
+from oracles import fraction_at, net_driving_force, oracle_force_state, oracle_trace, runs_of
 
 WATER = Material(name="water", theta_flat=81.0)
 
@@ -115,6 +116,18 @@ class TestWallForFraction:
         for pitch in (2**31, 10**400):
             with pytest.raises(ValueError, match=f"^pitch must be <= 2147483647 nm, got {pitch}$"):
                 wall_for_fraction(0.19, pitch)
+
+    def test_fabrication_grid_follows_the_integer_nm_rules(self):
+        for grid, error, message in (
+            (0, ValueError, "fabrication_grid must be >= 1 nm, got 0"),
+            (2.5, ValueError, "fabrication_grid must be an integer nanometer count, got 2.5"),
+            (True, TypeError, "fabrication_grid must be a number in integer nanometers, got True"),
+        ):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                wall_for_fraction(0.19, 4000, fabrication_grid=grid)
+        for grid in (20.0, np.int64(20)):
+            wall = wall_for_fraction(0.19, 4000, fabrication_grid=grid)
+            assert wall == 400 and type(wall) is int
 
 
 class TestDesignLinearGradient:
@@ -320,20 +333,35 @@ class TestDesignLinearGradient:
             GradientSpec(**{**values, **fields})
 
 
+def one_column_runs() -> tuple[GradientDesign, list[float]]:
+    """360 columns of 4 um, each its own run, and each column's angle in WATER."""
+    walls = range(400, 4000, 10)
+    spec = GradientSpec(
+        length=4000 * len(walls), lateral_width=4000, pitch=4000,
+        f_start=0.1, f_end=0.9, measure=Measure.LINEAR_RATIO,
+    )
+    design = GradientDesign(runs=tuple((1, wall) for wall in walls), spec=spec)
+    angles = [cassie_apparent_angle(fraction, WATER.theta_flat) for fraction in design.fractions]
+    assert len(set(angles)) == len(walls)
+    return design, angles
+
+
 class TestColumnLookup:
-    def test_index_quantization(self):
-        design = reference_gradient()
-        assert design.column_index(0.0) == 0
-        assert design.column_index(3999e-9) == 0
-        assert design.column_index(4000e-9) == 1
-        assert design.column_index(design.length_m) == 2499
+    def test_position_quantization(self):
+        # Positions round to the 1 nm grid, and x = length lies in the last column.
+        design, angles = one_column_runs()
+        for x_m, column in (
+            (0.0, 0), (3999e-9, 0), (3999.4e-9, 0), (3999.6e-9, 1), (4000e-9, 1),
+            (design.length_m - 4000e-9, 359), (design.length_m, 359),
+        ):
+            assert local_apparent_angle(design, x_m, WATER) == angles[column]
 
     def test_out_of_range_rejected(self):
-        design = reference_gradient()
-        with pytest.raises(ValueError):
-            design.column_index(-1e-9)
-        with pytest.raises(ValueError):
-            design.column_index(design.length_m + 1e-9)
+        design, _ = one_column_runs()
+        for x_m in (-1e-9, design.length_m + 1e-9):
+            message = f"^position {re.escape(repr(x_m))} m lies outside the design "
+            with pytest.raises(ValueError, match=message):
+                local_apparent_angle(design, x_m, WATER)
 
     @pytest.mark.parametrize(
         "x_m",
@@ -342,16 +370,10 @@ class TestColumnLookup:
     )
     def test_non_finite_and_huge_positions_lie_outside(self, x_m):
         # x * 1e9 has no finite float value for any of these.
-        design = reference_gradient()
+        design, _ = one_column_runs()
         message = f"^position {re.escape(repr(x_m))} m lies outside the design "
-        lookups = (
-            design.column_index,
-            design.fraction_at,
-            lambda x: local_apparent_angle(design, x, WATER),
-        )
-        for lookup in lookups:
-            with pytest.raises(ValueError, match=message):
-                lookup(x_m)
+        with pytest.raises(ValueError, match=message):
+            local_apparent_angle(design, x_m, WATER)
 
     def test_local_angle_endpoints(self):
         design = reference_gradient()
@@ -564,7 +586,8 @@ class TestSimulateDroplet:
             )
             assert trace.terminal_reason is not TerminalReason.MAX_STEPS
             ends.add(trace.terminal_reason)
-            moves = [b - a for a, b in zip(trace.positions, trace.positions[1:])]
+            positions = [x for interval in trace.intervals for x in interval.positions()]
+            moves = [b - a for a, b in zip(positions, positions[1:])]
             if ramp == "rising":
                 assert all(move > 0.0 for move in moves)
                 assert all(record.net_force >= 0.0 for record in trace.steps)
@@ -580,7 +603,7 @@ class TestSimulateDroplet:
         droplet = Droplet(volume=1.1e-9, position=1e-3)
         trace = simulate_droplet(design, droplet, WATER)
         assert trace.terminal_reason is TerminalReason.REACHED_END
-        positions = trace.positions
+        positions = [x for interval in trace.intervals for x in interval.positions()]
         assert all(b > a for a, b in zip(positions, positions[1:]))
         assert trace.final_position > 9e-3
 
@@ -652,7 +675,7 @@ class TestSimulateDroplet:
                 state.theta_front, state.theta_rear, state.net_force,
                 state.footprint_radius, state.retention)
             assert record.retention == retention_force(
-                droplet, material, design.fraction_at(record.position)
+                droplet, material, fraction_at(design, record.position)
             )
 
     def test_force_balance_stop_is_auditable(self):

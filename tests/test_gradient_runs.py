@@ -2,8 +2,8 @@
 
 * The seeded equivalence test holds ``design_linear_gradient`` to a frozen
   copy of the one-wall-per-column design (``oracles.per_column_design``):
-  the same walls column by column, the same fraction everywhere, and the
-  same DRC error text.
+  the same walls column by column, the same local apparent angle
+  everywhere, and the same DRC error text.
 * The columns test makes ``GradientDesign.columns`` raise and runs every
   consumer of a design: what they write must still hash to the pins.
 * The mask writers take a design as its zones, one per run of equal
@@ -25,9 +25,11 @@ from lotuskit.gradient import (
     GradientSpec,
     Measure,
     design_linear_gradient,
+    local_apparent_angle,
 )
 from lotuskit.lattice import DesignRules, honeycomb_area_fraction, honeycomb_linear_ratio
 from lotuskit.maskio import layout_stats, read_gdsii, write_gdsii, write_svg
+from lotuskit.wetting import WATER_ON_PMMA, cassie_apparent_angle
 
 from oracles import per_column_arrays, per_column_design, per_column_index
 from test_gradient import BENCHMARK_RAMP, BENCHMARK_TRACE_PINS, check_trace
@@ -77,13 +79,15 @@ class TestRunsMatchThePerColumnDesign:
             assert design.columns == walls
             assert design.n_columns == len(walls)
             pitch = spec.pitch
-            # Each column's midpoint and both of its ends.
+            # Each column's midpoint and both of its ends see its fraction's angle.
+            theta = WATER_ON_PMMA.theta_flat
             for x_m in (
                 *(k * pitch * 1e-9 for k in range(len(walls) + 1)),
                 *((k + 0.5) * pitch * 1e-9 for k in range(len(walls))),
             ):
                 expected = fractions[per_column_index(x_m, pitch, len(walls))]
-                assert design.fraction_at(x_m) == expected
+                angle = local_apparent_angle(design, x_m, WATER_ON_PMMA)
+                assert angle == cassie_apparent_angle(expected, theta)
             designed += 1
             # One column on a sloped ramp targets f_start: k / max(N - 1, 1) is 0.
             single += len(walls) == 1 and spec.f_start != spec.f_end

@@ -19,7 +19,13 @@ import pytest
 
 import lotuskit
 from lotuskit import lattice
-from lotuskit.gradient import GradientDesign, GradientSpec, wall_for_fraction
+from lotuskit.gradient import (
+    GradientDesign,
+    GradientSpec,
+    design_linear_gradient,
+    simulate_droplet,
+    wall_for_fraction,
+)
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
@@ -41,6 +47,7 @@ from lotuskit.lattice import (
     snap_to_grid,
     square_pillar_fraction,
 )
+from lotuskit.wetting import WATER_ON_PMMA, Droplet
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
@@ -376,6 +383,50 @@ class TestSpecs:
                 build(grid)
         grid = build(np.int64(10)).fabrication_grid
         assert grid == 10 and type(grid) is int
+
+
+def _simulate_with(max_steps):
+    spec = GradientSpec(length=8000, lateral_width=1000, pitch=4000, f_start=0.19, f_end=0.3)
+    simulate_droplet(
+        design_linear_gradient(spec), Droplet(volume=1e-18, position=4e-6), WATER_ON_PMMA,
+        max_steps=max_steps,
+    )
+
+
+def _monte_carlo_with(**budget):
+    monte_carlo_fraction(FINE, **{"samples": 1000, "seed": 0, "workers": 1, **budget})
+
+
+class TestCountBudgets:
+    @pytest.mark.parametrize(
+        "call, value, message",
+        [
+            (_simulate_with, True, "max_steps must be an integer, got True"),
+            (_simulate_with, 2.5, "max_steps must be an integer, got 2.5"),
+            (_simulate_with, 3.0, "max_steps must be an integer, got 3.0"),
+            (_simulate_with, 0, "max_steps must be >= 1, got 0"),
+            (lambda v: _monte_carlo_with(samples=v), 4000.0, "samples must be an integer, got 4000.0"),
+            (lambda v: _monte_carlo_with(samples=v), 999, "samples must be >= 1000, got 999"),
+            (lambda v: _monte_carlo_with(workers=v), 1.5, "workers must be an integer, got 1.5"),
+            (lambda v: _monte_carlo_with(workers=v), True, "workers must be an integer, got True"),
+            (lambda v: _monte_carlo_with(workers=v), 0, "workers must be >= 1, got 0"),
+            (lambda v: _monte_carlo_with(seed=v), 0.5, "seed must be a non-negative integer, got 0.5"),
+            (lambda v: _monte_carlo_with(seed=v), True, "seed must be a non-negative integer, got True"),
+            (lambda v: _monte_carlo_with(seed=v), -1, "seed must be a non-negative integer, got -1"),
+        ],
+        ids=[
+            "max_steps-True", "max_steps-2.5", "max_steps-3.0", "max_steps-0",
+            "samples-4000.0", "samples-999", "workers-1.5", "workers-True", "workers-0",
+            "seed-0.5", "seed-True", "seed--1",
+        ],
+    )
+    def test_non_integer_or_small_counts_are_refused(self, call, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        _simulate_with(np.int64(1))
+        _monte_carlo_with(samples=np.int64(1000), seed=np.int64(0), workers=np.int32(1))
 
 
 class TestFractions:

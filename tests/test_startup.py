@@ -8,9 +8,11 @@ and run without either, and without the mask codec; ``design`` and every
 ``report`` and the ``--reference`` targets load the reference dataset.
 ``import lotuskit`` itself loads no submodule until one of its names is
 used, and the mask read-back loads the codec and numpy, but neither the
-lattice nor the gradient module.
+lattice nor the gradient module.  Whatever a module imports, at any depth
+of its code, is the standard library, numpy or lotuskit itself.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -166,3 +168,15 @@ def test_package_import_loads_no_submodule():
         print(json.dumps(seen))
     """
     assert _child(probe) == [[], ["lotuskit.wetting"], []]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    imported = set()
+    for path in sorted(Path(lotuskit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert {"numpy", "lotuskit"} <= imported
+    assert imported - {*sys.stdlib_module_names, "numpy", "lotuskit"} == set()
