@@ -800,6 +800,91 @@ def test_golden_stdout(name, capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().out == stdout.replace("{out}", str(tmp_path))
 
 
+# Everything after the DRC keys of ``lotus report --json``: the material and
+# the three rows, whose predictions and deviations are printed as shortest
+# round-trip floats of libm results, so these bytes hold for Linux (glibc)
+# as the trace CSV pins do.
+_REPORT_JSON_TAIL = """\
+  "material": "water on PMMA",
+  "rows": [
+    {
+      "deviation_area_deg": 0.0,
+      "deviation_linear_deg": 0.0,
+      "label": "flat reference (unstructured)",
+      "measured_deg": 81.0,
+      "predicted_area_deg": 81.0,
+      "predicted_linear_deg": 81.0,
+      "uncertainty_deg": 4.0,
+      "wall_nm": null
+    },
+    {
+      "deviation_area_deg": 32.607779587511615,
+      "deviation_linear_deg": 48.30748711240017,
+      "label": "honeycomb, 1000 nm walls",
+      "measured_deg": 87.0,
+      "predicted_area_deg": 119.60777958751162,
+      "predicted_linear_deg": 135.30748711240017,
+      "uncertainty_deg": 2.0,
+      "wall_nm": 1000
+    },
+    {
+      "deviation_area_deg": 34.2859856357785,
+      "deviation_linear_deg": 45.17244227349167,
+      "label": "honeycomb, 400 nm walls",
+      "measured_deg": 107.0,
+      "predicted_area_deg": 141.2859856357785,
+      "predicted_linear_deg": 152.17244227349167,
+      "uncertainty_deg": 6.0,
+      "wall_nm": 400
+    }
+  ],
+  "theta_flat_deg": 81.0
+}
+"""
+
+# name -> (config payload or None, argv, full stdout) of ``lotus report``
+# beyond the default text table in GOLDEN_STDOUT; a 500 nm minimum wall
+# fails the reference layout's 400 nm zone.
+REPORT_STDOUT = {
+    "json": (
+        None,
+        ["report", "--json"],
+        '{\n  "drc_pass": true,\n  "drc_violations": [],\n' + _REPORT_JSON_TAIL,
+    ),
+    "min_wall 500": (
+        {"rules": {"min_wall": 500}},
+        ["report"],
+        """\
+material: water on PMMA (flat contact angle 81.00 deg)
+sample                        wall_nm     measured_deg pred_linear_deg pred_area_deg dev_linear_deg dev_area_deg
+----------------------------------------------------------------------------------------------------------------
+flat reference (unstructured)       -     81.0 +/- 4.0           81.00         81.00          +0.00        +0.00
+honeycomb, 1000 nm walls         1000     87.0 +/- 2.0          135.31        119.61         +48.31       +32.61
+honeycomb, 400 nm walls           400    107.0 +/- 6.0          152.17        141.29         +45.17       +34.29
+drc=FAIL
+drc_violation0=zone@(10000000,0)nm: min_wall: value 400 violates limit 500
+note: deviations are signed (predicted - measured); the model is not fitted to, and need not match, the measurements.
+""",
+    ),
+    "min_wall 500 json": (
+        {"rules": {"min_wall": 500}},
+        ["report", "--json"],
+        '{\n  "drc_pass": false,\n  "drc_violations": [\n'
+        '    "zone@(10000000,0)nm: min_wall: value 400 violates limit 500"\n  ],\n'
+        + _REPORT_JSON_TAIL,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_STDOUT)
+def test_report_stdout_bytes(name, capsys, tmp_path):
+    config, argv, stdout = REPORT_STDOUT[name]
+    if config is not None:
+        argv = ["--config", write_config(tmp_path, config), *argv]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [[*_SIMULATE, "--max-steps", "7", "--csv", ""], ["export", "--reference", "--out", ""]],
