@@ -392,10 +392,10 @@ def _cmd_report(args: argparse.Namespace, config: ProjectConfig) -> int:
 
     report = build_validation_report(config.material, config.rules)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
         return 0
-    print(f"material: {report.material_name} (flat contact angle {report.theta_flat_deg:.2f} deg)")
-    label_width = max(len("sample"), *(len(row.label) for row in report.rows))
+    print(f"material: {report['material']} (flat contact angle {report['theta_flat_deg']:.2f} deg)")
+    label_width = max(len("sample"), *(len(row["label"]) for row in report["rows"]))
     header = (
         f"{'sample':<{label_width}} {'wall_nm':>7} {'measured_deg':>16} "
         f"{'pred_linear_deg':>15} {'pred_area_deg':>13} "
@@ -403,16 +403,16 @@ def _cmd_report(args: argparse.Namespace, config: ProjectConfig) -> int:
     )
     print(header)
     print("-" * len(header))
-    for row in report.rows:
-        wall = str(row.wall_nm) if row.wall_nm is not None else "-"
-        measured = f"{row.measured_deg:.1f} +/- {row.uncertainty_deg:.1f}"
+    for row in report["rows"]:
+        wall = str(row["wall_nm"]) if row["wall_nm"] is not None else "-"
+        measured = f"{row['measured_deg']:.1f} +/- {row['uncertainty_deg']:.1f}"
         print(
-            f"{row.label:<{label_width}} {wall:>7} {measured:>16} "
-            f"{row.predicted_linear_deg:>15.2f} {row.predicted_area_deg:>13.2f} "
-            f"{row.deviation_linear_deg:>+14.2f} {row.deviation_area_deg:>+12.2f}"
+            f"{row['label']:<{label_width}} {wall:>7} {measured:>16} "
+            f"{row['predicted_linear_deg']:>15.2f} {row['predicted_area_deg']:>13.2f} "
+            f"{row['deviation_linear_deg']:>+14.2f} {row['deviation_area_deg']:>+12.2f}"
         )
-    stats = {"drc": "FAIL" if report.drc_violations else "pass"}
-    stats.update({f"drc_violation{i}": v for i, v in enumerate(report.drc_violations)})
+    stats = {"drc": "pass" if report["drc_pass"] else "FAIL"}
+    stats.update({f"drc_violation{i}": v for i, v in enumerate(report["drc_violations"])})
     _print_stats(stats)
     print(
         "note: deviations are signed (predicted - measured); the model is "

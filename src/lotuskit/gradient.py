@@ -639,7 +639,7 @@ def simulate_droplet(
     """
     if step is None:
         step = design.spec.pitch * _M_PER_NM
-    if not (step > 0.0 and math.isfinite(step)):
+    if isinstance(step, bool) or not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"step must be a finite length > 0 m, got {step!r}")
     max_steps = _as_count(max_steps, "max_steps", 1)
 

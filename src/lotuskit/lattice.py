@@ -339,8 +339,7 @@ def aspect_ratio(spec: HoneycombSpec) -> float:
 
 def snap_to_grid(value_nm: float, grid_nm: int) -> int:
     """Round a length to the nearest fabrication-grid multiple, half up."""
-    if grid_nm <= 0:
-        raise ValueError(f"grid_nm must be > 0, got {grid_nm!r}")
+    grid_nm = _as_int_nm(grid_nm, "grid_nm")
     return int(math.floor(value_nm / grid_nm + 0.5)) * grid_nm
 
 
@@ -478,9 +477,7 @@ def row_pitch(pitch: int, fabrication_grid: int) -> int:
     Rounds half up, exactly: ``(isqrt(3 p^2) + g) // 2g`` grid steps, since
     flooring the root first leaves the outer floor unchanged.
     """
-    if fabrication_grid <= 0:
-        raise ValueError(f"fabrication_grid must be > 0, got {fabrication_grid!r}")
-    grid = fabrication_grid
+    grid = _as_int_nm(fabrication_grid, "fabrication_grid")
     spacing = (math.isqrt(3 * pitch * pitch) + grid) // (2 * grid) * grid
     if spacing <= 0:
         raise ValueError(

@@ -11,14 +11,13 @@ instead of pretending they agree.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
     Layout,
-    RuleViolation,
     build_two_zone_layout,
     check_design_rules,
     honeycomb_area_fraction,
@@ -35,8 +34,6 @@ __all__ = [
     "DROPLET_VOLUME_UNCERTAINTY_M3",
     "MeasuredAngle",
     "MEASURED_ANGLES",
-    "ReportRow",
-    "ValidationReport",
     "build_validation_report",
     "reference_two_zone_layout",
 ]
@@ -112,49 +109,24 @@ def reference_two_zone_layout() -> Layout:
     )
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    """Prediction vs measurement for one sample; deviations are signed
-    (predicted minus measured), never assertions of agreement."""
-
-    label: str
-    wall_nm: int | None
-    measured_deg: float
-    uncertainty_deg: float
-    predicted_linear_deg: float
-    predicted_area_deg: float
-    deviation_linear_deg: float
-    deviation_area_deg: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Model-vs-measurement comparison plus design-rule results."""
-
-    material_name: str
-    theta_flat_deg: float
-    rows: tuple[ReportRow, ...]
-    drc_violations: tuple[RuleViolation, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "material": self.material_name,
-            "theta_flat_deg": self.theta_flat_deg,
-            "rows": [asdict(row) for row in self.rows],
-            "drc_violations": [str(v) for v in self.drc_violations],
-            "drc_pass": not self.drc_violations,
-        }
-
-
 def build_validation_report(
     material: Material = WATER_ON_PMMA, rules: DesignRules = DEFAULT_RULES
-) -> ValidationReport:
+) -> dict:
     """Predict apparent angles for the measured samples and compare.
 
     Predictions use both fraction conventions (wall/pitch and true area
     fraction) mapped through the Cassie-Baxter relation at the material's
     flat angle; the flat reference row uses the identity case f = 1.
-    Design-rule results for the reference layout on the rules' grid are attached.
+
+    Returns the dict that ``lotus report --json`` prints: ``material``,
+    ``theta_flat_deg``, ``rows``, ``drc_violations`` and ``drc_pass``.  A
+    row holds a sample's ``label``, ``wall_nm``, ``measured_deg`` and
+    ``uncertainty_deg``, its ``predicted_linear_deg`` and
+    ``predicted_area_deg``, and the ``deviation_linear_deg`` and
+    ``deviation_area_deg`` between them: signed (predicted minus measured),
+    never assertions of agreement.  ``drc_violations`` holds, as text, the
+    design-rule violations of the reference layout on the rules' grid;
+    :func:`~lotuskit.lattice.check_design_rules` gives them as records.
     """
     rows = []
     for entry in MEASURED_ANGLES:
@@ -173,22 +145,22 @@ def build_validation_report(
             predicted_area = cassie_apparent_angle(
                 honeycomb_area_fraction(spec), material.theta_flat
             )
-        rows.append(
-            ReportRow(
-                label=entry.label,
-                wall_nm=entry.wall_nm,
-                measured_deg=entry.angle_deg,
-                uncertainty_deg=entry.uncertainty_deg,
-                predicted_linear_deg=predicted_linear,
-                predicted_area_deg=predicted_area,
-                deviation_linear_deg=predicted_linear - entry.angle_deg,
-                deviation_area_deg=predicted_area - entry.angle_deg,
-            )
-        )
+        rows.append({
+            "label": entry.label,
+            "wall_nm": entry.wall_nm,
+            "measured_deg": entry.angle_deg,
+            "uncertainty_deg": entry.uncertainty_deg,
+            "predicted_linear_deg": predicted_linear,
+            "predicted_area_deg": predicted_area,
+            "deviation_linear_deg": predicted_linear - entry.angle_deg,
+            "deviation_area_deg": predicted_area - entry.angle_deg,
+        })
     layout = replace(reference_two_zone_layout(), fabrication_grid=rules.fabrication_grid)
-    return ValidationReport(
-        material_name=material.name,
-        theta_flat_deg=material.theta_flat,
-        rows=tuple(rows),
-        drc_violations=tuple(check_design_rules(layout, rules)),
-    )
+    violations = [str(violation) for violation in check_design_rules(layout, rules)]
+    return {
+        "material": material.name,
+        "theta_flat_deg": material.theta_flat,
+        "rows": rows,
+        "drc_violations": violations,
+        "drc_pass": not violations,
+    }

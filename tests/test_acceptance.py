@@ -122,7 +122,7 @@ def test_criterion_3_fraction_duality():
 
 def test_criterion_4_model_vs_measurement_report(capsys):
     report = build_validation_report()
-    rows = {row.label: row for row in report.rows}
+    rows = {row["label"]: row for row in report["rows"]}
     flat = rows["flat reference (unstructured)"]
     wide = rows["honeycomb, 1000 nm walls"]
     fine = rows["honeycomb, 400 nm walls"]
@@ -131,22 +131,22 @@ def test_criterion_4_model_vs_measurement_report(capsys):
     table = capsys.readouterr().out
 
     checks = [
-        ("prediction ~119.6 within 0.05", abs(wide.predicted_area_deg - 119.6) <= 0.05),
-        ("prediction ~141.3 within 0.05", abs(fine.predicted_area_deg - 141.3) <= 0.05),
+        ("prediction ~119.6 within 0.05", abs(wide["predicted_area_deg"] - 119.6) <= 0.05),
+        ("prediction ~141.3 within 0.05", abs(fine["predicted_area_deg"] - 141.3) <= 0.05),
         (
             "measured dataset shown",
-            (flat.measured_deg, flat.uncertainty_deg) == (81.0, 4.0)
-            and (wide.measured_deg, wide.uncertainty_deg) == (87.0, 2.0)
-            and (fine.measured_deg, fine.uncertainty_deg) == (107.0, 6.0),
+            (flat["measured_deg"], flat["uncertainty_deg"]) == (81.0, 4.0)
+            and (wide["measured_deg"], wide["uncertainty_deg"]) == (87.0, 2.0)
+            and (fine["measured_deg"], fine["uncertainty_deg"]) == (107.0, 6.0),
         ),
         (
             "deviations are signed predicted-minus-measured",
-            wide.deviation_area_deg == wide.predicted_area_deg - wide.measured_deg
-            and fine.deviation_area_deg == fine.predicted_area_deg - fine.measured_deg,
+            wide["deviation_area_deg"] == wide["predicted_area_deg"] - wide["measured_deg"]
+            and fine["deviation_area_deg"] == fine["predicted_area_deg"] - fine["measured_deg"],
         ),
         (
             "report tolerates large deviations without asserting equality",
-            wide.deviation_area_deg > 30.0 and fine.deviation_area_deg > 30.0,
+            wide["deviation_area_deg"] > 30.0 and fine["deviation_area_deg"] > 30.0,
         ),
         ("table shows measured column", "87.0 +/- 2.0" in table and "107.0 +/- 6.0" in table),
         ("table shows signed deviations", "+32.61" in table and "+34.29" in table),

@@ -648,11 +648,11 @@ class TestSimulateDroplet:
         with pytest.raises(ValueError):
             simulate_droplet(design, droplet, WATER, max_steps=0)
 
-    @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, True, False])
     def test_non_finite_step_rejected(self, step):
         design = reference_gradient()
         droplet = Droplet(volume=1.1e-9, position=1e-3)
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"^step must be a finite length > 0 m, got {step!r}$"):
             simulate_droplet(design, droplet, WATER, step=step)
 
     def test_step_below_the_float_spacing_is_refused(self):

@@ -689,8 +689,9 @@ class TestCounting:
         assert row_pitch(4000, 10) == 3460  # snap(4000 * sqrt(3)/2 = 3464.1)
         assert snap_to_grid(3464.1, 10) == 3460
         assert snap_to_grid(3465.0, 10) == 3470  # round-half-up
+        assert snap_to_grid(3464.1, np.int64(10)) == 3460
         for grid in (0, -10):
-            with pytest.raises(ValueError, match=f"^grid_nm must be > 0, got {grid}$"):
+            with pytest.raises(ValueError, match=f"^grid_nm must be >= 1 nm, got {grid}$"):
                 snap_to_grid(3464.1, grid)
 
     def test_two_cell_example(self):
@@ -849,8 +850,21 @@ class TestIntegerGeometry:
             assert (grid * (2 * steps - 1)) ** 2 <= 3 * length**2 < (grid * (2 * steps + 1)) ** 2
 
     def test_row_pitch_refuses_a_grid_below_one(self):
-        with pytest.raises(ValueError, match="^fabrication_grid must be > 0, got 0$"):
+        with pytest.raises(ValueError, match="^fabrication_grid must be >= 1 nm, got 0$"):
             row_pitch(4000, 0)
+
+    @pytest.mark.parametrize(
+        ("grid", "error", "problem"),
+        [
+            (2.5, ValueError, "must be an integer nanometer count"),
+            (True, TypeError, "must be a number in integer nanometers"),
+        ],
+    )
+    def test_grids_must_be_integer_nanometers(self, grid, error, problem):
+        with pytest.raises(error, match=f"^grid_nm {problem}, got {grid}$"):
+            snap_to_grid(3464.1, grid)
+        with pytest.raises(error, match=f"^fabrication_grid {problem}, got {grid}$"):
+            row_pitch(4000, grid)
 
     def test_lengths_at_the_limit_are_data_and_beyond_it_refused(self):
         tall = HoneycombSpec(pitch=4000, wall=400, height=TOP_NM)
