@@ -33,7 +33,6 @@ cap radius once per (front run, rear run) pair.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
@@ -59,6 +58,7 @@ from lotuskit.lattice import (
 from lotuskit.wetting import (
     Droplet,
     Material,
+    _require_in,
     apparent_advancing_receding,
     cassie_apparent_angle,
     spherical_cap_footprint_radius,
@@ -147,12 +147,8 @@ class GradientSpec:
                 f"length ({self.length} nm) must cover at least one pitch "
                 f"({self.pitch} nm)"
             )
-        for name in ("f_start", "f_end"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(
-                    f"{name} must lie strictly inside (0, 1), got {value!r}"
-                )
+        _require_in(self.f_start, "f_start", 0, 1)
+        _require_in(self.f_end, "f_end", 0, 1)
 
 
 @dataclass(frozen=True)
@@ -189,8 +185,7 @@ class GradientDesign:
             raise ValueError(f"a uniform ramp has exactly one run, got {len(self.runs)}")
         runs, n_columns = [], 0
         for index, (count, wall) in enumerate(self.runs):
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-                raise ValueError(f"run {index} count must be a positive integer, got {count!r}")
+            count = _as_count(count, f"run {index} count", 1)
             wall = _as_int_nm(wall, f"run {index} wall")
             if wall >= spec.pitch:
                 raise ValueError(
@@ -205,8 +200,8 @@ class GradientDesign:
                     f"run {index} wall {wall} nm after {runs[-1][1]} nm: walls must "
                     f"{'rise' if rising else 'fall'} from run to run on this ramp"
                 )
-            runs.append((int(count), wall))
-            n_columns += int(count)
+            runs.append((count, wall))
+            n_columns += count
         if n_columns * spec.pitch > _MAX_NM:
             raise ValueError(
                 f"runs of {spec.pitch} nm columns cover more than {_MAX_NM} nm: "
@@ -368,10 +363,7 @@ def wall_for_fraction(
     stay strictly inside (0, pitch) after snapping; degenerate targets whose
     snapped wall would be 0 (unfabricable) or >= pitch (no opening) raise.
     """
-    if not 0.0 < target_fraction < 1.0:
-        raise ValueError(
-            f"target_fraction must lie strictly inside (0, 1), got {target_fraction!r}"
-        )
+    _require_in(target_fraction, "target_fraction", 0, 1)
     pitch = _as_int_nm(pitch, "pitch")
     fabrication_grid = _as_int_nm(fabrication_grid, "fabrication_grid")
     if Measure(measure) is Measure.LINEAR_RATIO:
@@ -639,8 +631,7 @@ def simulate_droplet(
     """
     if step is None:
         step = design.spec.pitch * _M_PER_NM
-    if isinstance(step, bool) or not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be a finite length > 0 m, got {step!r}")
+    _require_in(step, "step", 0, math.inf, "m")
     max_steps = _as_count(max_steps, "max_steps", 1)
 
     solver = _FootprintSolver(design, droplet.volume, material)

@@ -41,6 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction as _Rational
 from typing import Union
 
+from lotuskit.wetting import _require_in
+
 # numpy is imported by the Monte Carlo sampler alone, and the thread pool by
 # monte_carlo_fraction alone, so the rest of the module starts without either.
 
@@ -108,12 +110,14 @@ def _as_int_nm(value: object, name: str, minimum: int = 1) -> int:
     raise ValueError(f"{name} must be {bound} nm{got}")
 
 
-def _as_count(value: object, name: str, minimum: int) -> int:
-    """Refuse a count or budget that is not an integer (a bool is not) of at least ``minimum``."""
+def _as_count(value: object, name: str, minimum: int, maximum: float = math.inf) -> int:
+    """Refuse a count or budget that is not an integer (a bool is not) in ``minimum..maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -264,10 +268,7 @@ class DesignRules:
         object.__setattr__(
             self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
         )
-        if not self.max_aspect_ratio > 0:
-            raise ValueError(
-                f"max_aspect_ratio must be > 0, got {self.max_aspect_ratio!r}"
-            )
+        _require_in(self.max_aspect_ratio, "max_aspect_ratio", 0, math.inf, ends="(]")
 
 
 #: Default rules: 400 nm minimum wall, aspect ratio up to 10, structures up
@@ -339,6 +340,7 @@ def aspect_ratio(spec: HoneycombSpec) -> float:
 
 def snap_to_grid(value_nm: float, grid_nm: int) -> int:
     """Round a length to the nearest fabrication-grid multiple, half up."""
+    _require_in(value_nm, "value_nm", -math.inf, math.inf, "nm")
     grid_nm = _as_int_nm(grid_nm, "grid_nm")
     return int(math.floor(value_nm / grid_nm + 0.5)) * grid_nm
 
@@ -444,8 +446,7 @@ def monte_carlo_fraction(
         (solid fraction estimate, binomial standard error).
     """
     samples = _as_count(samples, "samples", 1000)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _as_count(seed, "seed", 0)
     workers = _as_count(workers, "workers", 1)
     from concurrent.futures import ThreadPoolExecutor
 

@@ -30,7 +30,6 @@ Conventions
 
 from __future__ import annotations
 
-import numbers
 import struct
 import sys
 from array import array as _array
@@ -461,26 +460,19 @@ def write_gdsii(
     bytes
         The complete stream, byte-reproducible for identical inputs.
     """
-    for name, value in (("layer", layer), ("datatype", datatype)):
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Integral)
-            or not 0 <= value <= 255
-        ):
-            raise ValueError(f"{name} must be an integer in 0..255, got {value!r}")
+    from lotuskit.lattice import _as_count, hexagon_vertices
+
+    layer, datatype = _as_count(layer, "layer", 0, 255), _as_count(datatype, "datatype", 0, 255)
     if mode not in ("flat", "arrayed"):
         raise ValueError(f"mode must be 'flat' or 'arrayed', got {mode!r}")
     if polarity not in ("openings", "walls"):
         raise ValueError(f"polarity must be 'openings' or 'walls', got {polarity!r}")
-    layer, datatype = int(layer), int(datatype)  # datatype + 1 must not wrap
     opening_datatype = datatype + (1 if polarity == "walls" else 0)
     if opening_datatype > 255:
         raise ValueError(
             f"walls polarity places openings on datatype {opening_datatype}, "
             f"beyond 255; pick a lower base datatype"
         )
-
-    from lotuskit.lattice import hexagon_vertices
 
     out = bytearray(_STREAM_HEAD)
 

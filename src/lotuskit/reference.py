@@ -11,6 +11,7 @@ instead of pretending they agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from lotuskit.lattice import (
@@ -23,7 +24,7 @@ from lotuskit.lattice import (
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
 )
-from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
+from lotuskit.wetting import WATER_ON_PMMA, Material, _require_in, cassie_apparent_angle
 
 __all__ = [
     "REFERENCE_PITCH_NM",
@@ -81,13 +82,8 @@ class MeasuredAngle:
     provenance: str = _PROVENANCE
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.angle_deg < 180.0:
-            raise ValueError(f"angle_deg must lie in (0, 180), got {self.angle_deg!r}")
-        if not self.uncertainty_deg > 0.0:
-            raise ValueError(
-                f"every measured angle must carry a positive uncertainty, "
-                f"got {self.uncertainty_deg!r}"
-            )
+        _require_in(self.angle_deg, "angle_deg", 0, 180, "degrees")
+        _require_in(self.uncertainty_deg, "uncertainty_deg", 0, math.inf, "degrees")
 
 
 #: Read-only measured dataset for the reference designs.

@@ -19,6 +19,7 @@ exactly once on the way in and once on the way out of each function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -29,6 +30,24 @@ __all__ = [
     "apparent_advancing_receding",
     "spherical_cap_footprint_radius",
 ]
+
+
+def _require_in(
+    value: float, name: str, low: float, high: float, unit: str = "", ends: str = "()"
+) -> None:
+    """Refuse a bool, a non-real, NaN or a value outside the interval ``low``..``high``.
+
+    ``ends`` brackets the interval as the message prints it: ``"[)"`` takes
+    ``low`` in and leaves ``high`` out.
+    """
+    if type(value) is float and low < value < high:  # the common case, ahead of the ABC check
+        return
+    if not isinstance(value, bool) and isinstance(value, numbers.Real) and (
+        low < value < high or value == low and ends[0] == "[" or value == high and ends[1] == "]"
+    ):
+        return
+    interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}" + (f" {unit}" if unit else "")
+    raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,27 +76,11 @@ class Material:
     surface_tension: float = 72.8e-3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta_flat < 180.0:
-            raise ValueError(
-                f"theta_flat must lie strictly between 0 and 180 degrees, "
-                f"got {self.theta_flat!r}"
-            )
-        if not self.hysteresis >= 0.0:
-            raise ValueError(f"hysteresis must be >= 0 degrees, got {self.hysteresis!r}")
-        if self.theta_flat - self.hysteresis / 2.0 <= 0.0:
-            raise ValueError(
-                f"receding flat angle theta_flat - hysteresis/2 = "
-                f"{self.theta_flat - self.hysteresis / 2.0!r} degrees must stay above 0"
-            )
-        if self.theta_flat + self.hysteresis / 2.0 >= 180.0:
-            raise ValueError(
-                f"advancing flat angle theta_flat + hysteresis/2 = "
-                f"{self.theta_flat + self.hysteresis / 2.0!r} degrees must stay below 180"
-            )
-        if not 0.0 < self.surface_tension < math.inf:
-            raise ValueError(
-                f"surface_tension must be finite and > 0 N/m, got {self.surface_tension!r}"
-            )
+        _require_in(self.theta_flat, "theta_flat", 0, 180, "degrees")
+        _require_in(self.hysteresis, "hysteresis", 0, math.inf, "degrees", "[)")
+        _require_in(self.receding_flat, "theta_flat - hysteresis/2", 0, 180, "degrees")
+        _require_in(self.advancing_flat, "theta_flat + hysteresis/2", 0, 180, "degrees")
+        _require_in(self.surface_tension, "surface_tension", 0, math.inf, "N/m")
 
     @property
     def advancing_flat(self) -> float:
@@ -113,22 +116,8 @@ class Droplet:
     position: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.volume < math.inf:
-            raise ValueError(f"volume must be finite and > 0 m^3, got {self.volume!r}")
-        if not math.isfinite(self.position):
-            raise ValueError(f"position must be finite, got {self.position!r}")
-
-
-def _require_fraction(value: float, name: str = "solid_fraction") -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
-def _require_open_angle(value: float, name: str) -> None:
-    if not 0.0 < value < 180.0:
-        raise ValueError(
-            f"{name} must lie strictly between 0 and 180 degrees, got {value!r}"
-        )
+        _require_in(self.volume, "volume", 0, math.inf, "m^3")
+        _require_in(self.position, "position", -math.inf, math.inf, "m")
 
 
 def cassie_apparent_angle(solid_fraction: float, theta_flat: float) -> float:
@@ -154,8 +143,8 @@ def cassie_apparent_angle(solid_fraction: float, theta_flat: float) -> float:
     ValueError
         If either input leaves its domain.
     """
-    _require_fraction(solid_fraction)
-    _require_open_angle(theta_flat, "theta_flat")
+    _require_in(solid_fraction, "solid_fraction", 0, 1, ends="[]")
+    _require_in(theta_flat, "theta_flat", 0, 180, "degrees")
     # With f in [0, 1] and |cos| <= 1, rounding is monotone at each step:
     # f*cos lands in [-f, f], adding f in [0, 2f], subtracting 1 in [-1, 1].
     cos_apparent = (
@@ -182,7 +171,6 @@ def apparent_advancing_receding(
         ``(advancing, receding)`` apparent angles in degrees, with
         ``advancing >= receding``.
     """
-    _require_fraction(solid_fraction)
     advancing = cassie_apparent_angle(solid_fraction, material.advancing_flat)
     receding = cassie_apparent_angle(solid_fraction, material.receding_flat)
     return advancing, receding
@@ -224,7 +212,6 @@ def spherical_cap_footprint_radius(volume: float, theta: float) -> float:
     float
         Footprint (contact-patch) radius in meters.
     """
-    if not volume > 0.0:
-        raise ValueError(f"volume must be > 0 m^3, got {volume!r}")
-    _require_open_angle(theta, "theta")
+    _require_in(volume, "volume", 0, math.inf, "m^3")
+    _require_in(theta, "theta", 0, 180, "degrees")
     return (3.0 * volume / (math.pi * _cap_shape(theta))) ** (1.0 / 3.0)

@@ -39,7 +39,7 @@ from lotuskit.wetting import (
     Droplet,
     Material,
     _cap_shape,
-    _require_open_angle,
+    _require_in,
     spherical_cap_footprint_radius,
 )
 
@@ -75,7 +75,7 @@ def invert_cassie_fraction(apparent_angle: float, theta_flat: float) -> float:
         If ``apparent_angle`` exceeds 180 degrees or lies below
         ``theta_flat`` (no composite-state solution exists there).
     """
-    _require_open_angle(theta_flat, "theta_flat")
+    _require_in(theta_flat, "theta_flat", 0, 180, "degrees")
     if not 0.0 < apparent_angle <= 180.0:
         raise ValueError(
             f"apparent_angle must lie in (0, 180] degrees, got {apparent_angle!r}"
@@ -101,7 +101,7 @@ def spherical_cap_volume(footprint_radius: float, theta: float) -> float:
     """
     if not footprint_radius > 0.0:
         raise ValueError(f"footprint_radius must be > 0 m, got {footprint_radius!r}")
-    _require_open_angle(theta, "theta")
+    _require_in(theta, "theta", 0, 180, "degrees")
     return math.pi * footprint_radius**3 * _cap_shape(theta) / 3.0
 
 

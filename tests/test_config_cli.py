@@ -563,7 +563,7 @@ class TestCliFraction:
         [
             (["--mc-samples", "999"], "samples must be >= 1000, got 999"),
             (["--mc-samples", "1000", "--workers", "0"], "workers must be >= 1, got 0"),
-            (["--mc-samples", "1000", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["--mc-samples", "1000", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_refused_monte_carlo_prints_nothing(self, capsys, flags, message):
@@ -1088,7 +1088,7 @@ class TestCliSimulate:
         assert code == 1
         captured = capsys.readouterr()
         assert "terminal_reason" not in captured.out
-        assert "step must be a finite length" in captured.err
+        assert captured.err == "error: step must lie in (0, inf) m, got inf\n"
 
     def test_infinite_volume_is_a_domain_error(self, capsys):
         code = run(
@@ -1098,7 +1098,7 @@ class TestCliSimulate:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: volume must be finite and > 0 m^3, got inf\n"
+        assert captured.err == "error: volume must lie in (0, inf) m^3, got inf\n"
 
     def test_step_that_does_not_move_is_a_domain_error(self, capsys, tmp_path):
         csv_path = tmp_path / "t.csv"

@@ -100,9 +100,9 @@ class TestWallForFraction:
     @pytest.mark.parametrize(
         "fraction, pitch, message",
         [
-            (0.0, 4000, "target_fraction must lie strictly inside (0, 1), got 0.0"),
-            (1.0, 4000, "target_fraction must lie strictly inside (0, 1), got 1.0"),
-            (math.nan, 4000, "target_fraction must lie strictly inside (0, 1), got nan"),
+            (0.0, 4000, "target_fraction must lie in (0, 1), got 0.0"),
+            (1.0, 4000, "target_fraction must lie in (0, 1), got 1.0"),
+            (math.nan, 4000, "target_fraction must lie in (0, 1), got nan"),
             (0.19, 0, "pitch must be >= 1 nm, got 0"),
             (0.19, -4000, "pitch must be >= 1 nm, got -4000"),
         ],
@@ -231,10 +231,10 @@ class TestDesignLinearGradient:
         "runs, f_end, message",
         [
             ((), 0.2, "a gradient design needs at least one run"),
-            (((0, 400),), 0.2, "run 0 count must be a positive integer, got 0"),
-            (((1, 400), (-2, 410)), 0.2, "run 1 count must be a positive integer, got -2"),
-            (((True, 400),), 0.2, "run 0 count must be a positive integer, got True"),
-            (((2.5, 400),), 0.2, "run 0 count must be a positive integer, got 2.5"),
+            (((0, 400),), 0.2, "run 0 count must be >= 1, got 0"),
+            (((1, 400), (-2, 410)), 0.2, "run 1 count must be >= 1, got -2"),
+            (((True, 400),), 0.2, "run 0 count must be an integer, got True"),
+            (((2.5, 400),), 0.2, "run 0 count must be an integer, got 2.5"),
             (((1, 400), (1, 400.5)), 0.2, "run 1 wall must be an integer nanometer count, got 400.5"),
             (((1, 400), (1, 4000)), 0.2, "run 1 wall must be below the 4000 nm pitch, got 4000"),
             (((1, 400), (1, 405)), 0.2, "run 1 wall 405 nm is off the 10 nm fabrication grid"),
@@ -320,10 +320,10 @@ class TestDesignLinearGradient:
         "fields, message",
         [
             ({"length": 3999}, "length (3999 nm) must cover at least one pitch (4000 nm)"),
-            ({"f_start": 0.0}, "f_start must lie strictly inside (0, 1), got 0.0"),
-            ({"f_start": math.nan}, "f_start must lie strictly inside (0, 1), got nan"),
-            ({"f_end": 1.0}, "f_end must lie strictly inside (0, 1), got 1.0"),
-            ({"f_end": -0.1}, "f_end must lie strictly inside (0, 1), got -0.1"),
+            ({"f_start": 0.0}, "f_start must lie in (0, 1), got 0.0"),
+            ({"f_start": math.nan}, "f_start must lie in (0, 1), got nan"),
+            ({"f_end": 1.0}, "f_end must lie in (0, 1), got 1.0"),
+            ({"f_end": -0.1}, "f_end must lie in (0, 1), got -0.1"),
         ],
         ids=["short", "f_start-0", "f_start-nan", "f_end-1", "f_end-negative"],
     )
@@ -652,7 +652,7 @@ class TestSimulateDroplet:
     def test_non_finite_step_rejected(self, step):
         design = reference_gradient()
         droplet = Droplet(volume=1.1e-9, position=1e-3)
-        with pytest.raises(ValueError, match=f"^step must be a finite length > 0 m, got {step!r}$"):
+        with pytest.raises(ValueError, match=f"^step must lie in \\(0, inf\\) m, got {step!r}$"):
             simulate_droplet(design, droplet, WATER, step=step)
 
     def test_step_below_the_float_spacing_is_refused(self):

@@ -410,9 +410,9 @@ class TestCountBudgets:
             (lambda v: _monte_carlo_with(workers=v), 1.5, "workers must be an integer, got 1.5"),
             (lambda v: _monte_carlo_with(workers=v), True, "workers must be an integer, got True"),
             (lambda v: _monte_carlo_with(workers=v), 0, "workers must be >= 1, got 0"),
-            (lambda v: _monte_carlo_with(seed=v), 0.5, "seed must be a non-negative integer, got 0.5"),
-            (lambda v: _monte_carlo_with(seed=v), True, "seed must be a non-negative integer, got True"),
-            (lambda v: _monte_carlo_with(seed=v), -1, "seed must be a non-negative integer, got -1"),
+            (lambda v: _monte_carlo_with(seed=v), 0.5, "seed must be an integer, got 0.5"),
+            (lambda v: _monte_carlo_with(seed=v), True, "seed must be an integer, got True"),
+            (lambda v: _monte_carlo_with(seed=v), -1, "seed must be >= 0, got -1"),
         ],
         ids=[
             "max_steps-True", "max_steps-2.5", "max_steps-3.0", "max_steps-0",
@@ -693,6 +693,9 @@ class TestCounting:
         for grid in (0, -10):
             with pytest.raises(ValueError, match=f"^grid_nm must be >= 1 nm, got {grid}$"):
                 snap_to_grid(3464.1, grid)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^value_nm must lie in \(-inf, inf\) nm, got {value}$"):
+                snap_to_grid(value, 10)
 
     def test_two_cell_example(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 4000, 3464))
@@ -1020,7 +1023,7 @@ class TestDesignRules:
 
     @pytest.mark.parametrize("limit", [0, -1.0, math.nan])
     def test_rejects_nonpositive_aspect_limit(self, limit):
-        message = f"max_aspect_ratio must be > 0, got {limit!r}"
+        message = f"max_aspect_ratio must lie in (0, inf], got {limit!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DesignRules(max_aspect_ratio=limit)
 

@@ -327,9 +327,9 @@ class TestWriteGdsii:
         # As for lengths in nanometers: a bool is no number here, while a
         # numpy integer is one.
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
-        with pytest.raises(ValueError, match=r"layer must be an integer in 0\.\.255, got True"):
+        with pytest.raises(ValueError, match=r"^layer must be an integer, got True$"):
             write_gdsii(zone, layer=True)
-        with pytest.raises(ValueError, match=r"datatype must be an integer in 0\.\.255, got False"):
+        with pytest.raises(ValueError, match=r"^datatype must be an integer, got False$"):
             write_gdsii(zone, datatype=False)
         assert write_gdsii(zone, layer=np.int64(7)) == write_gdsii(zone, layer=7)
         with pytest.raises(ValueError, match="openings on datatype 256, beyond 255"):

@@ -203,28 +203,29 @@ class TestMaterial:
 
     @pytest.mark.parametrize("theta", [0.0, 180.0, math.nan])
     def test_rejects_flat_angle_outside_domain(self, theta):
-        message = f"theta_flat must lie strictly between 0 and 180 degrees, got {theta!r}"
+        message = f"theta_flat must lie in (0, 180) degrees, got {theta!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Material(name="x", theta_flat=theta)
 
     @pytest.mark.parametrize("hysteresis", [-1.0, math.nan])
     def test_rejects_negative_hysteresis(self, hysteresis):
-        message = f"hysteresis must be >= 0 degrees, got {hysteresis!r}"
+        message = f"hysteresis must lie in [0, inf) degrees, got {hysteresis!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Material(name="x", theta_flat=81.0, hysteresis=hysteresis)
 
     def test_rejects_nonpositive_tension(self):
         for tension in (0.0, -1.0, math.inf, math.nan):
-            message = f"surface_tension must be finite and > 0 N/m, got {tension!r}"
+            message = f"surface_tension must lie in (0, inf) N/m, got {tension!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Material(name="x", theta_flat=81.0, surface_tension=tension)
 
     def test_droplet_requires_positive_volume(self):
         for volume in (0.0, -1e-9, math.inf, math.nan):
-            message = f"volume must be finite and > 0 m^3, got {volume!r}"
+            message = f"volume must lie in (0, inf) m^3, got {volume!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Droplet(volume=volume)
         assert Droplet(volume=1.1e-9).position == 0.0
         for position in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"^position must be finite, got {position!r}$"):
+            message = f"position must lie in (-inf, inf) m, got {position!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 Droplet(volume=1.1e-9, position=position)
