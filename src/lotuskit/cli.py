@@ -28,10 +28,10 @@ byte-identical output.  Output files land in --out if absolute, else under
 the config ``out_dir``, ``LOTUS_OUT_DIR``, or the working directory.
 
 The mask writers are imported by the ``design`` and ``export`` handlers
-only, and the reference dataset by ``report`` and the ``--reference``
+only, the gradient module by ``design gradient``, ``simulate`` and ``export
+--gradient``, and the reference dataset by ``report`` and the ``--reference``
 targets.  numpy and the thread pool (``concurrent.futures``) are loaded
-only by ``fraction --mc-samples``; ``design``, every ``export`` and the
-other commands start without either.
+only by ``fraction --mc-samples``; the other commands start without either.
 """
 
 from __future__ import annotations
@@ -53,17 +53,10 @@ from lotuskit.config import (
     load_config,
     resolve_out_dir,
 )
-from lotuskit.gradient import (
-    GradientDesign,
-    GradientSpec,
-    Measure,
-    design_linear_gradient,
-    simulate_droplet,
-    trace_to_csv,
-)
 from lotuskit.lattice import (
     HoneycombSpec,
     Layout,
+    Measure,
     PillarSpec,
     Rect,
     Zone,
@@ -166,6 +159,8 @@ def _add_gradient_flags(parser: argparse.ArgumentParser, required: bool) -> None
 
 
 def _gradient_from_args(args: argparse.Namespace, config: ProjectConfig) -> GradientDesign:
+    from lotuskit.gradient import GradientSpec, design_linear_gradient
+
     if args.length_nm is None or args.f_start is None or args.f_end is None:
         raise _UsageError("a gradient needs --length-nm, --f-start, and --f-end")
     spec = GradientSpec(
@@ -285,6 +280,8 @@ def _cmd_check(args: argparse.Namespace, config: ProjectConfig) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, config: ProjectConfig) -> int:
+    from lotuskit.gradient import simulate_droplet, trace_to_csv
+
     design = _gradient_from_args(args, config)
     material = config.material
     if args.hysteresis_deg is not None:

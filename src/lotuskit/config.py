@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from lotuskit.gradient import Measure
-from lotuskit.lattice import DEFAULT_RULES, DesignRules, _MAX_NM
+from lotuskit.lattice import DEFAULT_RULES, DesignRules, Measure, _MAX_NM
 from lotuskit.wetting import WATER_ON_PMMA, Material
 
 __all__ = [

@@ -44,6 +44,7 @@ from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    Measure,
     Rect,
     Zone,
     _MAX_NM,
@@ -90,19 +91,6 @@ def _contact_force(tension: float, radius: float, theta_a: float, theta_b: float
     the one form of the drive and the retention, with ``tension`` twice the
     surface tension."""
     return tension * radius * (math.cos(math.radians(theta_a)) - math.cos(math.radians(theta_b)))
-
-
-class Measure(Enum):
-    """Which solid-fraction convention a gradient is specified in.
-
-    ``LINEAR_RATIO`` is the one-dimensional wall/pitch ratio; ``AREA_FRACTION``
-    is the true plan-area solid fraction ``2q - q^2``.  The two conventions
-    give different walls for the same target number, so a gradient spec must
-    say which it means.
-    """
-
-    LINEAR_RATIO = "linear_ratio"
-    AREA_FRACTION = "area_fraction"
 
 
 class FootprintError(ValueError):
@@ -422,12 +410,12 @@ def local_apparent_angle(
 
     Positions are quantized to the 1 nm geometry grid before lookup;
     ``x = length`` lies in the last column.  A position that is not finite
-    in nanometers lies outside the design.  The fraction field is piecewise
-    constant per run; the angle is its Cassie-Baxter image at the
-    material's flat angle.
+    in nanometers lies outside the design, and so does a bool.  The fraction
+    field is piecewise constant per run; the angle is its Cassie-Baxter
+    image at the material's flat angle.
     """
     try:
-        x_nm = round(x_m * _NM_PER_M)
+        x_nm = math.nan if isinstance(x_m, bool) else round(x_m * _NM_PER_M)
     except (OverflowError, ValueError):  # infinite, NaN or beyond the float range
         x_nm = math.nan
     if not 0 <= x_nm <= design.length_nm:

@@ -38,6 +38,7 @@ import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction as _Rational
 from typing import Union
 
@@ -60,6 +61,7 @@ __all__ = [
     "square_pillar_fraction",
     "honeycomb_linear_ratio",
     "honeycomb_area_fraction",
+    "Measure",
     "monte_carlo_fraction",
     "snap_to_grid",
     "row_pitch",
@@ -330,6 +332,17 @@ def honeycomb_area_fraction(spec: HoneycombSpec) -> float:
     return float(2 * q - q * q)
 
 
+class Measure(Enum):
+    """Which solid-fraction convention a gradient is specified in: the
+    wall/pitch ratio of :func:`honeycomb_linear_ratio` or the true plan-area
+    fraction ``2q - q^2`` of :func:`honeycomb_area_fraction`.  The two give
+    different walls for the same target, so a gradient spec must say which.
+    """
+
+    LINEAR_RATIO = "linear_ratio"
+    AREA_FRACTION = "area_fraction"
+
+
 def aspect_ratio(spec: HoneycombSpec) -> float:
     """Structure height over wall thickness (the demolding-risk number).
 
@@ -478,7 +491,7 @@ def row_pitch(pitch: int, fabrication_grid: int) -> int:
     Rounds half up, exactly: ``(isqrt(3 p^2) + g) // 2g`` grid steps, since
     flooring the root first leaves the outer floor unchanged.
     """
-    grid = _as_int_nm(fabrication_grid, "fabrication_grid")
+    pitch, grid = _as_int_nm(pitch, "pitch"), _as_int_nm(fabrication_grid, "fabrication_grid")
     spacing = (math.isqrt(3 * pitch * pitch) + grid) // (2 * grid) * grid
     if spacing <= 0:
         raise ValueError(
@@ -495,6 +508,7 @@ def hexagon_vertices(comb: int) -> list[tuple[int, int]]:
     rounds half to even; ``comb*sqrt(3)/6`` and ``comb*sqrt(3)/3`` never
     tie and round to nearest, exactly, as in :func:`row_pitch`.
     """
+    comb = _as_int_nm(comb, "comb")
     half_width = round(_Rational(comb, 2))
     edge_y = (math.isqrt(3 * comb * comb) + 3) // 6
     apex_y = (math.isqrt(12 * comb * comb) + 3) // 6

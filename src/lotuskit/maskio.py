@@ -65,9 +65,9 @@ from lotuskit.gdsii import (
 )
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 
-# numpy is imported where arrays are built (the read-back and expand), and
-# lattice and gradient by the writers and layout_stats: every writer runs
-# without numpy, and the read-back loads neither lattice nor gradient.
+# numpy is imported where arrays are built (the read-back and expand), lattice
+# by the writers and layout_stats, and gradient only to recognize a design:
+# no writer loads numpy, and the read-back loads neither lattice nor gradient.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -247,13 +247,18 @@ def _placed(cell_runs: list[_Run], offsets: np.ndarray) -> list[_Run]:
 # Geometry enumeration shared by the writers
 # --------------------------------------------------------------------------
 
-def _as_layout(target: Layout | Zone) -> Layout:
+def _as_layout(target: Target) -> Layout | None:
+    """The layout of a zone or layout target, or ``None`` for a gradient design."""
     from lotuskit.lattice import Layout, Zone
 
     if isinstance(target, Zone):
         return Layout(zones=(target,), label="zone")
     if isinstance(target, Layout):
         return target
+    from lotuskit.gradient import GradientDesign  # loaded by the design's maker
+
+    if isinstance(target, GradientDesign):
+        return None
     raise TypeError(
         f"expected Layout, Zone, or GradientDesign, got {type(target).__name__}"
     )
@@ -268,14 +273,13 @@ def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, i
     extent, its whole ramp; a layout one per zone.  The rectangles are
     ``(x, y, x_max, y_max)``.
     """
-    from lotuskit.gradient import GradientDesign
     from lotuskit.lattice import lattice_arrays
 
-    if isinstance(target, GradientDesign):
+    layout = _as_layout(target)
+    if layout is None:
         zones, grid = target.zones, target.fabrication_grid
         rects = [(0, 0, target.length_nm, target.spec.lateral_width)]
     else:
-        layout = _as_layout(target)
         zones, grid = layout.zones, layout.fabrication_grid
         rects = [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
     return [array for zone in zones for array in lattice_arrays(zone, grid)], rects
@@ -740,22 +744,18 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
     from lotuskit.lattice import _as_count, hexagon_vertices
 
     max_cells = _as_count(max_cells, "max_cells", 1)
-    total = layout_stats(target)["total_cells"]
+    arrays, rects = _emitted(target)
+    total = sum(a.cols * a.rows for a in arrays)
     if total > max_cells:
         raise ValueError(
             f"{total} cells exceed max_cells={max_cells}; render a cropped "
             f"extent or raise max_cells"
         )
-    arrays, rects = _emitted(target)
 
-    if not rects:
-        min_x = min_y = 0
-        max_x = max_y = 1
-    else:
-        min_x = min(r[0] for r in rects)
-        min_y = min(r[1] for r in rects)
-        max_x = max(r[2] for r in rects)
-        max_y = max(r[3] for r in rects)
+    min_x = min((r[0] for r in rects), default=0)
+    min_y = min((r[1] for r in rects), default=0)
+    max_x = max((r[2] for r in rects), default=1)
+    max_y = max((r[3] for r in rects), default=1)
     scale = max((max_x - min_x) / 800.0, 1.0)
 
     def px(x: int) -> float:
@@ -813,7 +813,6 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     Counts and the row pitch are those of the mask that :func:`write_gdsii`
     and :func:`write_svg` emit for the same target.
     """
-    from lotuskit.gradient import GradientDesign
     from lotuskit.lattice import (
         aspect_ratio,
         honeycomb_area_fraction,
@@ -823,7 +822,8 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
     )
 
     theta = material.theta_flat
-    if isinstance(target, GradientDesign):
+    layout = _as_layout(target)
+    if layout is None:
         spec = target.spec
         # Every zone spans the same rows, and each of its columns holds one
         # cell per row: even rows at x = k*pitch, odd rows at k*pitch + pitch/2.
@@ -849,7 +849,6 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             "cassie_angle_end_deg": cassie_apparent_angle(target.fractions[-1], theta),
         }
 
-    layout = _as_layout(target)
     grid = layout.fabrication_grid
     zones = []
     for zone in layout.zones:

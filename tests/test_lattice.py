@@ -841,10 +841,12 @@ class TestIntegerGeometry:
         assert [x for x, _ in hexagon_vertices(3001)] == [1500, 1500, 0, -1500, -1500, 0]
         assert [x for x, _ in hexagon_vertices(3003)] == [1502, 1502, 0, -1502, -1502, 0]
 
-    @pytest.mark.parametrize("length", [2**53 + 1, 10**400, 10**400 + 1])
-    def test_rounding_holds_beyond_the_float_range(self, length):
+    @pytest.mark.parametrize("length", [123_456_789, 2**31 - 2, 2**31 - 1])
+    def test_rounding_holds_past_the_exact_float_integers(self, length):
         # Nearest-integer rounding of x = sqrt(n) / d, checked by squaring:
         # (d (k - 1/2))^2 <= n < (d (k + 1/2))^2, with no tie for n > 0.
+        # Each n = 3 length^2 or 12 length^2 exceeds 2**53, past the integers
+        # a float holds exactly; 2**31 - 1 nm is the largest length.
         _, (_, edge), (_, apex), *_ = hexagon_vertices(length)
         assert (6 * edge - 3) ** 2 < 3 * length**2 < (6 * edge + 3) ** 2
         assert (6 * apex - 3) ** 2 < 12 * length**2 < (6 * apex + 3) ** 2
@@ -975,6 +977,13 @@ class TestPublicNames:
         assert (write_gdsii, MaskGeometry, layout_stats) == (
             maskio.write_gdsii, maskio.MaskGeometry, maskio.layout_stats,
         )
+
+    def test_measure_lives_in_lattice_and_gradient_reexports_it(self):
+        from lotuskit import gradient, lattice
+
+        assert "Measure" in lattice.__all__
+        assert lattice.Measure.__module__ == "lotuskit.lattice"
+        assert gradient.Measure is lattice.Measure
 
     def test_star_import_binds_every_exported_name(self):
         namespace: dict = {}

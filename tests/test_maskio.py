@@ -23,6 +23,7 @@ from lotuskit.gdsii import GdsParseError
 from lotuskit.gradient import GradientDesign, GradientSpec, Measure, design_linear_gradient
 from lotuskit.lattice import (
     HoneycombSpec,
+    LatticeArray,
     Layout,
     Rect,
     Zone,
@@ -38,10 +39,18 @@ from lotuskit.maskio import (
     write_gdsii,
     write_svg,
 )
+from lotuskit.reference import reference_two_zone_layout
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
 CROP = Rect(0, 0, 100_000, 100_000)
+# The 2,500-column ramp of the benchmark, and a falling one of 150 columns.
+BENCHMARK_RAMP = design_linear_gradient(GradientSpec(
+    length=10_000_000, lateral_width=200_000, pitch=4000, f_start=0.19, f_end=0.4375,
+))
+FALLING_RAMP = design_linear_gradient(GradientSpec(
+    length=602_000, lateral_width=101_000, pitch=4000, f_start=0.4375, f_end=0.19,
+))
 
 ROW_SPACING = 3460  # snap(4000 * sqrt(3)/2, 10 nm grid)
 
@@ -644,13 +653,13 @@ class TestWriteSvg:
         with pytest.raises(ValueError, match="max_cells"):
             write_svg(layout)
 
-    def test_cell_budget_refused_before_arrays_are_built(self, monkeypatch):
-        import lotuskit.maskio as maskio
+    def test_cell_budget_refused_before_cells_are_drawn(self, monkeypatch):
+        # The budget counts the cells of the emitted arrays, records of an
+        # origin, counts and vectors, before any center is enumerated.
+        def refuse(array):
+            raise AssertionError("a cell center was enumerated")
 
-        def refuse(target):
-            raise AssertionError("_emitted built the arrays")
-
-        monkeypatch.setattr(maskio, "_emitted", refuse)
+        monkeypatch.setattr(LatticeArray, "centers", refuse)
         ramp = design_linear_gradient(GradientSpec(
             length=100_000_000, lateral_width=200_000, pitch=4000,
             f_start=0.19, f_end=0.4375,
@@ -659,6 +668,21 @@ class TestWriteSvg:
             write_svg(ramp)
         with pytest.raises(ValueError, match="exceed max_cells=20000;"):
             write_svg(build_two_zone_layout(WIDE, FINE))
+
+    @pytest.mark.parametrize(
+        "target, cells",
+        [
+            pytest.param(BENCHMARK_RAMP, 145_000, id="benchmark-ramp"),
+            pytest.param(FALLING_RAMP, 4500, id="falling-ramp"),
+            pytest.param(reference_two_zone_layout(), 14_455_000, id="reference"),
+            pytest.param(Zone(spec=WIDE, extent=Rect(-7000, 2500, 30_000, 9_000)), 23, id="offset-zone"),
+        ],
+    )
+    def test_cell_budget_counts_the_census(self, target, cells):
+        # The cells the writer draws are the layout_stats census.
+        assert layout_stats(target)["total_cells"] == cells
+        with pytest.raises(ValueError, match=f"^{cells} cells exceed max_cells={cells - 1};"):
+            write_svg(target, max_cells=cells - 1)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_cell_budget_below_one_is_refused(self, budget):

@@ -1,7 +1,7 @@
 """One refusal table over every number that the library checks.
 
-Each checked number goes through one of three checkers, each with one
-message shape:
+Each checked number goes through one of three checkers, or is a position
+on a gradient design, each with one message shape:
 
 * a real value: ``<name> must lie in (low, high) <unit>, got <value>``, the
   brackets telling which ends belong to the interval;
@@ -10,7 +10,8 @@ message shape:
 * a length in integer nanometers: ``<name> must be >= <minimum> nm`` or
   ``<= 2147483647 nm``, a fraction ``must be an integer nanometer count``,
   and a non-number a ``TypeError``: ``must be a number in integer
-  nanometers``.
+  nanometers``;
+* a position: ``position <value> m lies outside the design [0, <length>] m``.
 
 A bool is never a number here, and NaN lies in no interval.  Each row
 below names an argument and the call that passes a value to it; the cases
@@ -29,6 +30,7 @@ from lotuskit.gradient import (
     GradientSpec,
     Measure,
     design_linear_gradient,
+    local_apparent_angle,
     simulate_droplet,
     wall_for_fraction,
 )
@@ -39,6 +41,7 @@ from lotuskit.lattice import (
     PillarSpec,
     Rect,
     Zone,
+    hexagon_vertices,
     monte_carlo_fraction,
     row_pitch,
     snap_to_grid,
@@ -61,6 +64,10 @@ _ZONE = Zone(spec=HoneycombSpec(pitch=4000, wall=1000, height=4000), extent=Rect
 def _spec(**fields):
     values = dict(length=8000, lateral_width=1000, pitch=4000, f_start=0.19, f_end=0.3)
     return GradientSpec(**{**values, **fields})
+
+
+# A 1 m design of one run, within which True read as 1 m would lie.
+_METER = GradientDesign(runs=((250_000, 400),), spec=_spec(length=1_000_000_000))
 
 
 def _simulate(**options):
@@ -141,7 +148,9 @@ LENGTHS = [
     ("DesignRules.fabrication_grid", lambda v: DesignRules(fabrication_grid=v),
      "fabrication_grid", 1),
     ("snap_to_grid.grid_nm", lambda v: snap_to_grid(3464.1, v), "grid_nm", 1),
+    ("row_pitch.pitch", lambda v: row_pitch(v, 10), "pitch", 1),
     ("row_pitch.fabrication_grid", lambda v: row_pitch(4000, v), "fabrication_grid", 1),
+    ("hexagon_vertices.comb", hexagon_vertices, "comb", 1),
     ("GradientSpec.length", lambda v: _spec(length=v), "length", 1),
     ("GradientSpec.lateral_width", lambda v: _spec(lateral_width=v), "lateral_width", 1),
     ("GradientSpec.pitch", lambda v: _spec(pitch=v), "pitch", 1),
@@ -154,6 +163,13 @@ LENGTHS = [
     ("wall_for_fraction.pitch", lambda v: wall_for_fraction(0.19, v), "pitch", 1),
     ("wall_for_fraction.fabrication_grid",
      lambda v: wall_for_fraction(0.19, 4000, Measure.AREA_FRACTION, v), "fabrication_grid", 1),
+]
+
+# (argument, call with the value, the design's length in m): a position
+# outside [0, length] is refused, and a bool lies in no design.
+POSITIONS = [
+    ("local_apparent_angle.x_m", lambda v: local_apparent_angle(_METER, v, WATER_ON_PMMA),
+     _METER.length_m),
 ]
 
 # The two ends of the flat hysteresis band are derived, not passed: each is
@@ -203,8 +219,16 @@ def _length_cases():
             yield pytest.param(call, value, error, message, id=f"{argument}={value!r}")
 
 
+def _position_cases():
+    for argument, call, length in POSITIONS:
+        for value in (True, math.nan, -1e-9, length + 1e-9):
+            message = f"position {value!r} m lies outside the design [0, {length!r}] m"
+            yield pytest.param(call, value, ValueError, message, id=f"{argument}={value!r}")
+
+
 @pytest.mark.parametrize(
-    "call, value, error, message", [*_real_cases(), *_count_cases(), *_length_cases()]
+    "call, value, error, message",
+    [*_real_cases(), *_count_cases(), *_length_cases(), *_position_cases()],
 )
 def test_refusal(call, value, error, message):
     with pytest.raises(error) as excinfo:

@@ -1,15 +1,17 @@
 """Start-up cost of the ``lotus`` commands.
 
 Every ``lotus`` command is a fresh interpreter, so what it imports is part
-of its run time.  Of the commands, only Monte Carlo fractions load numpy
-and the thread pool (``concurrent.futures``).  The scalar commands start
-and run without either, and without the mask codec; ``design`` and every
-``export`` (arrayed, flat and SVG) load the mask codec but not numpy.  Only
-``report`` and the ``--reference`` targets load the reference dataset.
-``import lotuskit`` itself loads no submodule until one of its names is
-used, and the mask read-back loads the codec and numpy, but neither the
-lattice nor the gradient module.  Whatever a module imports, at any depth
-of its code, is the standard library, numpy or lotuskit itself.
+of its run time.  ``import lotuskit.cli`` loads the command line, the
+config, the lattice and the wetting modules, and each command adds only
+what it runs.  Only Monte Carlo fractions load numpy and the thread pool
+(``concurrent.futures``).  Only ``design`` and ``export`` load the mask
+codec, only ``report`` and the ``--reference`` targets the reference
+dataset, and only ``design gradient``, ``simulate`` and ``export
+--gradient`` the gradient module.  ``import lotuskit`` itself loads no
+submodule until one of its names is used, and the mask read-back loads the
+codec and numpy, but neither the lattice nor the gradient module.
+Whatever a module imports, at any depth of its code, is the standard
+library, numpy or lotuskit itself.
 """
 
 import ast
@@ -20,32 +22,27 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import lotuskit
 
 _SRC = str(Path(lotuskit.__file__).resolve().parent.parent)
 
-# Each command runs in the same child after ``import lotuskit.cli``; the
-# child prints, as JSON, the exit code of each and which of numpy, the mask
-# codec modules, the thread pool and the reference dataset were loaded once
-# it had finished.
-_PROBE = textwrap.dedent(
-    """
+# A fresh child runs ``import lotuskit.cli``, then the command if there is
+# one, and prints as JSON its exit code and the sorted lotuskit modules,
+# numpy and the thread pool that were loaded once it had finished.
+_PROBE = """
     import contextlib, io, json, sys
     import lotuskit.cli
-    def loaded():
-        watched = (
-            "numpy", "lotuskit.gdsii", "lotuskit.maskio", "concurrent.futures",
-            "lotuskit.reference",
-        )
-        return [name for name in watched if name in sys.modules]
-    seen = [["import lotuskit.cli", 0, loaded()]]
-    for argv in json.loads(sys.argv[1]):
+    argv = json.loads(sys.argv[1])
+    code = 0
+    if argv:
         with contextlib.redirect_stdout(io.StringIO()):
             code = lotuskit.cli.run(argv)
-        seen.append([" ".join(argv), code, loaded()])
-    print(json.dumps(seen))
-    """
-)
+    watched = ("numpy", "concurrent.futures")
+    loaded = sorted(m for m in sys.modules if m in watched or m.startswith("lotuskit."))
+    print(json.dumps([code, loaded]))
+"""
 
 
 def _child(probe: str, *args: str, **env: str):
@@ -61,69 +58,51 @@ def _child(probe: str, *args: str, **env: str):
     return json.loads(result.stdout)
 
 
-def _probe(commands: list[list[str]], out_dir: Path) -> list[list]:
-    return _child(_PROBE, json.dumps(commands), LOTUS_OUT_DIR=str(out_dir))
+_CLI = ["lotuskit.cli", "lotuskit.config", "lotuskit.lattice", "lotuskit.wetting"]
+_REFERENCE = sorted([*_CLI, "lotuskit.reference"])
+_ZONE_MASK = sorted([*_REFERENCE, "lotuskit.gdsii", "lotuskit.maskio"])
+_SIMULATE = sorted([*_CLI, "lotuskit.gradient"])
+_GRADIENT_MASK = sorted([*_SIMULATE, "lotuskit.gdsii", "lotuskit.maskio"])
+_RAMP = ["--length-nm", "10000000", "--f-start", "0.19", "--f-end", "0.4375", "--width-nm", "200000"]
+
+# (argv, the modules loaded once it has run); no argv is the bare import.
+# design and arrayed export read each lattice array by its origin, pitch
+# and counts, and flat and SVG export enumerate its centers in plain
+# Python, so no mask command loads numpy.
+COMMANDS = [
+    ([], _CLI),
+    (["angle", "--f", "0.19"], _CLI),
+    (["fraction", "--wall", "400"], _CLI),
+    (["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"], _CLI),
+    (
+        ["fraction", "--wall", "400", "--mc-samples", "1000"],
+        sorted(["concurrent.futures", *_CLI, "numpy"]),
+    ),
+    (["check", "--wall", "400"], _CLI),
+    (["check", "--reference"], _REFERENCE),
+    (["report"], _REFERENCE),
+    (["design", "two-zone", "--reference"], _ZONE_MASK),
+    (["export", "--reference"], _ZONE_MASK),
+    (["export", "--reference", "--mode", "flat", "--crop-um", "20"], _ZONE_MASK),
+    (["export", "--reference", "--format", "svg", "--crop-um", "20"], _ZONE_MASK),
+    (["design", "gradient", *_RAMP], _GRADIENT_MASK),
+    (["simulate", *_RAMP, "--csv", "trace.csv"], _SIMULATE),
+    (["export", "--gradient", *_RAMP, "--polarity", "walls"], _GRADIENT_MASK),
+    (
+        ["export", "--gradient", "--length-nm", "200000", "--f-start", "0.19",
+         "--f-end", "0.4375", "--width-nm", "50000", "--format", "svg"],
+        _GRADIENT_MASK,
+    ),
+]
 
 
-def test_scalar_commands_run_without_numpy(tmp_path):
-    # Only report and the --reference targets load the reference dataset,
-    # so the commands without it run first.
-    csv = str(tmp_path / "trace.csv")
-    commands = [
-        ["angle", "--f", "0.19"],
-        ["fraction", "--wall", "400"],
-        ["fraction", "--pillar-width", "1000", "--pillar-spacing", "3000"],
-        [
-            "simulate", "--length-nm", "10000000", "--f-start", "0.19",
-            "--f-end", "0.4375", "--width-nm", "200000", "--csv", csv,
-        ],
-        ["check", "--reference"],
-        ["report", "--json"],
-    ]
-    seen = _probe(commands, tmp_path)
-    assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
-        (" ".join(argv), 0) for argv in commands
-    ]
-    assert [loaded for _, _, loaded in seen] == [[]] * 5 + [["lotuskit.reference"]] * 2
-    assert Path(csv).read_text(encoding="utf-8").startswith("position_m,")
-
-
-def test_mask_commands_without_arrays_run_without_numpy(tmp_path):
-    # design and arrayed export read each lattice array by its origin, pitch
-    # and counts, and flat and SVG export enumerate its centers in plain
-    # Python: they load the mask codec, but neither numpy nor the pool.
-    ramp = [
-        "--length-nm", "10000000", "--f-start", "0.19", "--f-end", "0.4375",
-        "--width-nm", "200000",
-    ]
-    commands = [
-        ["design", "gradient", *ramp],
-        [
-            "export", "--gradient", *ramp, "--polarity", "walls",
-            "--out", str(tmp_path / "gradient.gds"),
-        ],
-        ["design", "two-zone", "--reference"],
-        ["export", "--reference", "--out", str(tmp_path / "reference.gds")],
-        ["export", "--reference", "--mode", "flat", "--crop-um", "20"],
-        ["export", "--reference", "--format", "svg", "--crop-um", "20"],
-    ]
-    seen = _probe(commands, tmp_path)
-    assert [(name, code) for name, code, _ in seen] == [("import lotuskit.cli", 0)] + [
-        (" ".join(argv), 0) for argv in commands
-    ]
-    codec = ["lotuskit.gdsii", "lotuskit.maskio"]
-    assert [loaded for _, _, loaded in seen] == [[]] + [codec] * 2 + [
-        [*codec, "lotuskit.reference"]
-    ] * 4
-
-
-def test_array_commands_still_load_numpy(tmp_path):
-    # Only Monte Carlo builds numpy arrays, and only it loads the thread pool.
-    seen = _probe([["fraction", "--wall", "400", "--mc-samples", "1000"]], tmp_path)
-    assert [
-        (code, "numpy" in loaded, "concurrent.futures" in loaded)
-        for _, code, loaded in seen
-    ] == [(0, False, False), (0, True, True)]
+@pytest.mark.parametrize(
+    "argv, modules",
+    COMMANDS,
+    ids=[" ".join(argv) or "import lotuskit.cli" for argv, _ in COMMANDS],
+)
+def test_each_command_loads_only_what_it_runs(argv, modules, tmp_path):
+    assert _child(_PROBE, json.dumps(argv), LOTUS_OUT_DIR=str(tmp_path)) == [0, modules]
 
 
 def test_read_back_loads_only_the_codec(tmp_path):
