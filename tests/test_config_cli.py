@@ -1,7 +1,9 @@
 """Project configuration loading and the command-line interface."""
 
+import hashlib
 import itertools
 import json
+import random
 import shlex
 import struct
 import sys
@@ -267,6 +269,65 @@ CONFIG_RESULTS = [
     ),
 ]
 
+# Values that the seeded configs draw from.  Each key has values inside its
+# range, its ends and one step beyond them; any key may also take one of
+# _ODD_VALUES: every JSON type, non-finite numbers and integers beyond the
+# float range.
+_GOOD_VALUES = {
+    "material": {
+        "name": ["glycerol on PDMS", "x"],
+        "theta_flat": [0.5, 1, 81, 100.0, 170, 179.9],
+        "hysteresis": [0, 0.0, 12, 30.5, 170.0, 359],
+        "surface_tension": [0.0634, 1, 72.8e-3, 1e-300],
+    },
+    "rules": {
+        "min_wall": [1, 200, 400, 2**31 - 1],
+        "max_aspect_ratio": [0.5, 10, 25.0, 1e308],
+        "max_height": [1, 4000, 8000, 2**31 - 1],
+        "fabrication_grid": [1, 5, 10, 40],
+    },
+    "pitch": [2, 3, 2000, 4000, 2**31 - 1],
+    "height": [1, 3000, 4000],
+    "measure": ["linear_ratio", "area_fraction"],
+    "out_dir": ["artifacts", "/pinned"],
+}
+_BAD_VALUES = {
+    "theta_flat": [0, 180, -1, 180.5],
+    "hysteresis": [-0.5, -1],
+    "surface_tension": [0, -0.1],
+    "max_aspect_ratio": [0, -1.0],
+    "pitch": [1, 0, 2**31],
+    "measure": ["volume_fraction", "AREA_FRACTION"],
+}
+_ODD_VALUES = [
+    True, False, None, "", "81", [], {}, 0, -1, 1.5, 4000.0, 2**31,
+    float("nan"), float("inf"), float("-inf"), 10**400, -(10**309),
+]
+
+
+def _seeded_section(rng: random.Random, good: dict) -> object:
+    """One config object over ``good``'s keys, or now and then a non-object."""
+    if rng.random() < 0.05:
+        return rng.choice([[], "fine", None, 3])
+    section = {}
+    for key, values in good.items():
+        draw = rng.random()
+        if isinstance(values, dict):
+            if draw < 0.8:
+                section[key] = _seeded_section(rng, values)
+        elif draw < 0.5:
+            section[key] = rng.choice(values)
+        elif draw < 0.6:
+            section[key] = rng.choice(_BAD_VALUES.get(key, []) + _ODD_VALUES)
+    if rng.random() < 0.05:
+        section["color"] = 1
+    return section
+
+
+def _seeded_config(rng: random.Random) -> object:
+    config = _seeded_section(rng, _GOOD_VALUES)
+    return config if isinstance(config, dict) else {"material": config}
+
 
 # --------------------------------------------------------------------------
 # Configuration
@@ -343,6 +404,21 @@ class TestConfig:
         config = load_config(write_config(tmp_path, payload))
         assert config == expected
         assert repr(config) == repr(expected)
+
+    def test_seeded_configs_keep_their_verdicts(self, tmp_path):
+        # The verdict of each seeded config is "refused" or the repr of the
+        # ProjectConfig it loads to; the digest pins the whole sequence, so
+        # every refused config stays refused and every accepted one equal.
+        rng = random.Random(41)
+        verdicts = []
+        for _ in range(2000):
+            try:
+                verdicts.append(repr(load_config(write_config(tmp_path, _seeded_config(rng)))))
+            except ConfigError:
+                verdicts.append("refused")
+        digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+        assert len(verdicts) - verdicts.count("refused") == 449
+        assert digest == "55ddb3193e2d297081cd41a45a48619cd7b41e663c66ca99aa864910bed8230e"
 
     def test_json_syntax_error_reports_line_and_column(self, tmp_path):
         path = write_config(tmp_path, '{\n  "pitch": 4000,\n}\n')
