@@ -6,6 +6,15 @@ their units in the key names' documented meaning.  A missing config or a
 minimal one (for example only the material name) falls back to defaults:
 distilled water on flat PMMA (81 degrees, 72.8e-3 N/m, zero hysteresis),
 the standard design rules, and the reference 4000 nm pitch / 4000 nm height.
+
+Only JSON is checked here: keys, types, finite numbers and printable text.
+Each value's range is checked by the dataclass that holds it (``Material``,
+``DesignRules`` or ``ProjectConfig``), first alone on that section's default,
+then together with the section's other valid values.  A problem reads
+``<key>: <message>``, with the dataclass's own message for a value out of
+range.  So a ``theta_flat ± hysteresis/2`` band outside (0, 180) degrees is
+reported under ``material.hysteresis`` when hysteresis alone breaks it, and
+under ``material`` when the values are each valid but not together.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-from lotuskit.lattice import DEFAULT_RULES, DesignRules, Measure, _MAX_NM
+from lotuskit.lattice import DEFAULT_RULES, DesignRules, Measure, _as_int_nm
 from lotuskit.wetting import WATER_ON_PMMA, Material
 
 __all__ = [
@@ -50,22 +59,15 @@ class ProjectConfig:
     measure: Measure = Measure.AREA_FRACTION
     out_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        # A pitch holds a wall and an opening of at least 1 nm each.
+        object.__setattr__(self, "pitch", _as_int_nm(self.pitch, "pitch", minimum=2))
+        object.__setattr__(self, "height", _as_int_nm(self.height, "height"))
+
 
 def default_config() -> ProjectConfig:
     """The built-in preset: water on PMMA and the reference geometry."""
     return ProjectConfig(material=WATER_ON_PMMA, rules=DEFAULT_RULES)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_text(value: object) -> bool:
-    return isinstance(value, str) and value != ""
 
 
 class _LongInteger:
@@ -90,129 +92,97 @@ def _read_int(text: str) -> int | _LongInteger:
         return _LongInteger(text)
 
 
-def _float_problem(value: object) -> str | None:
-    """Why a number cannot become a finite float, or None if it can.
+# Each reader returns a JSON value as its dataclass field takes it, or
+# raises ValueError with the problem.
 
-    JSON admits ``Infinity``, ``NaN`` and integers of any size.
-    """
+
+def _text(value: object) -> str:
+    if not isinstance(value, str) or value == "":
+        raise ValueError(f"must be a non-empty string, got {value!r}")
+    try:  # JSON admits lone surrogates, which no output can print
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"must be text that UTF-8 can encode, got {value!r}") from None
+    return value
+
+
+def _integer(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _number(value: object) -> float:
+    """A JSON number as a finite float; JSON admits ``Infinity``, ``NaN`` and integers of any size."""
     if isinstance(value, _LongInteger):
         digits = value.digits
-    elif not _is_number(value):
-        return None
+    elif type(value) not in (int, float):
+        raise ValueError(f"must be a number, got {value!r}")
     else:
         try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
+            number = float(value)
+        except OverflowError:
             digits = len(str(abs(value)))
         else:
-            return None if finite else f"must be a finite number, got {value!r}"
-    return f"must be a number within the float range, got an integer of {digits} digits"
+            if not math.isfinite(number):
+                raise ValueError(f"must be a finite number, got {value!r}")
+            return number
+    raise ValueError(f"must be a number within the float range, got an integer of {digits} digits")
 
 
-# key -> (check on the raw JSON value, problem text, conversion), or None
-# for a nested section.  The problem text is formatted with the raw value.
-# A number for a key converted by ``float`` must be finite first.
-_Entry = tuple[Callable[[object], bool], str, Callable[[object], object]]
 _MEASURES = [m.value for m in Measure]
-_POSITIVE_NM: _Entry = (
-    lambda v: _is_int(v) and 1 <= v <= _MAX_NM,
-    f"must be an integer in 1..{_MAX_NM} nm, got {{!r}}",
-    int,
-)
 
-# One table per section; "" is the top level.  The allowed keys of a section
-# are its table's keys, and its bad keys are reported in table order.
-_SCHEMA: dict[str, dict[str, _Entry | None]] = {
-    "": {
-        "material": None,
-        "rules": None,
-        "pitch": (
-            lambda v: _is_int(v) and 2 <= v <= _MAX_NM,
-            f"must be an integer in 2..{_MAX_NM} nm, got {{!r}}",
-            int,
-        ),
-        "height": _POSITIVE_NM,
-        "measure": (lambda v: v in _MEASURES, f"must be one of {_MEASURES!r}, got {{!r}}", Measure),
-        "out_dir": (_is_text, "must be a non-empty string, got {!r}", str),
-    },
-    "material": {
-        "name": (_is_text, "must be a non-empty string", str),
-        "theta_flat": (
-            lambda v: _is_number(v) and 0.0 < v < 180.0,
-            "must be a number strictly between 0 and 180 degrees, got {!r}",
-            float,
-        ),
-        "hysteresis": (
-            lambda v: _is_number(v) and not v < 0.0,
-            "must be a number >= 0 degrees, got {!r}",
-            float,
-        ),
-        "surface_tension": (
-            lambda v: _is_number(v) and not v <= 0.0,
-            "must be a number > 0 N/m, got {!r}",
-            float,
-        ),
-    },
-    "rules": {
-        "min_wall": _POSITIVE_NM,
-        "max_height": _POSITIVE_NM,
-        "fabrication_grid": _POSITIVE_NM,
-        "max_aspect_ratio": (
-            lambda v: _is_number(v) and not v <= 0.0, "must be a number > 0, got {!r}", float
-        ),
-    },
+
+def _measure(value: object) -> Measure:
+    if value not in _MEASURES:
+        raise ValueError(f"must be one of {_MEASURES!r}, got {value!r}")
+    return Measure(value)
+
+
+# One table per section; "" is the top level.  Each key has the reader of
+# its JSON value, or None for a nested section.  The allowed keys of a
+# section are its table's keys, and its bad keys are reported in table order.
+_SCHEMA: dict[str, dict[str, Callable[[object], object] | None]] = {
+    "": {"material": None, "rules": None, "pitch": _integer, "height": _integer,
+         "measure": _measure, "out_dir": _text},
+    "material": {"name": _text, "theta_flat": _number, "hysteresis": _number,
+                 "surface_tension": _number},
+    "rules": {"min_wall": _integer, "max_height": _integer, "fabrication_grid": _integer,
+              "max_aspect_ratio": _number},
 }
 
 
-def _band_problems(raw: dict, values: dict) -> list[str]:
-    """The advancing/receding band check of a material section.
-
-    It runs when both raw angles are numbers or absent, on the validated
-    value of each, or its default where that value was rejected.
-    """
-    if not all(_is_number(raw.get(key, 0.0)) for key in ("theta_flat", "hysteresis")):
-        return []
-    theta_flat = values.get("theta_flat", WATER_ON_PMMA.theta_flat)
-    hysteresis = values.get("hysteresis", WATER_ON_PMMA.hysteresis)
-    if theta_flat - hysteresis / 2.0 <= 0.0 or theta_flat + hysteresis / 2.0 >= 180.0:
-        return [
-            f"material: theta_flat {theta_flat} with hysteresis "
-            f"{hysteresis} pushes the advancing/receding band outside "
-            f"(0, 180) degrees"
-        ]
-    return []
-
-
-def _walk(raw: object, section: str, problems: list[str]) -> dict:
-    """Check one config section; return its valid keys, converted.
+def _section(raw: object, section: str, default: object, problems: list[str]) -> object:
+    """One config section as the dataclass of ``default``, built from its valid keys.
 
     Appends to ``problems`` a non-object section, then unknown keys in
-    sorted order, then each bad key in table order, walking a nested
-    section where its table entry stands.
+    sorted order, then each bad key in table order (walking a nested
+    section where it stands), then what the valid keys break together.
     """
     table = _SCHEMA[section]
     head = f"{section}: " if section else ""
     if not isinstance(raw, dict):
         problems.append(f"{head}must be an object, got {type(raw).__name__}")
-        return {}
+        return default
     for key in sorted(raw.keys() - table.keys()):
         problems.append(f"{head}unknown key {key!r} (allowed: {sorted(table)})")
     values = {}
-    for key, entry in table.items():
-        if entry is None:
-            values[key] = _walk(raw.get(key, {}), key, problems)
+    for key, read in table.items():
+        if read is None:
+            values[key] = _section(raw.get(key, {}), key, getattr(default, key), problems)
         elif key in raw:
-            check, problem, convert = entry
-            value = raw[key]
-            failure = _float_problem(value) if convert is float else None
-            if failure is None and check(value):
-                values[key] = convert(value)
+            try:
+                value = read(raw[key])
+                replace(default, **{key: value})  # its range, alone on the default
+            except ValueError as exc:
+                problems.append(f"{section}.{key}: {exc}" if section else f"{key}: {exc}")
             else:
-                label = f"{section}.{key}" if section else key
-                problems.append(f"{label}: " + (failure or problem.format(value)))
-    if section == "material":
-        problems.extend(_band_problems(raw, values))
-    return values
+                values[key] = value
+    try:  # what the valid values break together, such as the hysteresis band
+        return replace(default, **values)
+    except ValueError as exc:
+        problems.append(f"{head}{exc}")
+        return default
 
 
 def load_config(path: str | Path) -> ProjectConfig:
@@ -221,35 +191,29 @@ def load_config(path: str | Path) -> ProjectConfig:
     Raises
     ------
     ConfigError
-        On JSON syntax errors (with line/column) or schema violations;
-        ``problems`` enumerates every offending key, not only the first.
+        On a file that is not UTF-8 (with the byte offset), JSON syntax
+        errors (with line/column) or schema violations; ``problems``
+        enumerates every offending key, not only the first.
     OSError
         If the file cannot be read.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"{path.name}: byte {exc.start}: not UTF-8 ({exc.reason})"]) from None
     try:
         raw = json.loads(text, parse_int=_read_int)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"{path.name}:{exc.lineno}:{exc.colno}: {exc.msg}"]
-        ) from None
+        raise ConfigError([f"{path.name}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
     if not isinstance(raw, dict):
-        raise ConfigError(
-            [f"top level must be a JSON object, got {type(raw).__name__}"]
-        )
+        raise ConfigError([f"top level must be a JSON object, got {type(raw).__name__}"])
 
     problems: list[str] = []
-    top = _walk(raw, "", problems)
+    config = _section(raw, "", default_config(), problems)
     if problems:
         raise ConfigError(problems)
-
-    try:
-        material = replace(WATER_ON_PMMA, **top.pop("material"))
-        rules = replace(DEFAULT_RULES, **top.pop("rules"))
-    except ValueError as exc:  # safety net; the checks above should catch all
-        raise ConfigError([str(exc)]) from None
-    return ProjectConfig(material=material, rules=rules, **top)
+    return config
 
 
 def resolve_out_dir(config: ProjectConfig) -> Path:

@@ -46,7 +46,6 @@ _RULES_ALLOWED = (
     "(allowed: ['fabrication_grid', 'max_aspect_ratio', 'max_height', 'min_wall'])"
 )
 _MEASURES = "['linear_ratio', 'area_fraction']"
-_BAND = "pushes the advancing/receding band outside (0, 180) degrees"
 
 # (config payload, the exact ConfigError.problems list).  Together the
 # cases reach every message of every key, in the order they are reported:
@@ -65,9 +64,9 @@ CONFIG_PROBLEMS = [
         [
             f"unknown key 'mystery' {_TOP_ALLOWED}",
             f"material: unknown key 'color' {_MATERIAL_ALLOWED}",
-            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 200.0",
-            "rules.min_wall: must be an integer in 1..2147483647 nm, got -3",
-            "pitch: must be an integer in 2..2147483647 nm, got 1",
+            "material.theta_flat: theta_flat must lie in (0, 180) degrees, got 200.0",
+            "rules.min_wall: min_wall must be >= 1 nm, got -3",
+            "pitch: pitch must be >= 2 nm, got 1",
             f"measure: must be one of {_MEASURES}, got 'volume_fraction'",
             "out_dir: must be a non-empty string, got ''",
         ],
@@ -92,29 +91,37 @@ CONFIG_PROBLEMS = [
         [
             f"material: unknown key 'alpha' {_MATERIAL_ALLOWED}",
             f"material: unknown key 'zeta' {_MATERIAL_ALLOWED}",
-            "material.name: must be a non-empty string",
-            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got '81'",
-            "material.hysteresis: must be a number >= 0 degrees, got -1",
-            "material.surface_tension: must be a number > 0 N/m, got 0",
+            "material.name: must be a non-empty string, got ''",
+            "material.theta_flat: must be a number, got '81'",
+            "material.hysteresis: hysteresis must lie in [0, inf) degrees, got -1.0",
+            "material.surface_tension: surface_tension must lie in (0, inf) N/m, got 0.0",
         ],
         id="every-material-key",
     ),
     pytest.param(
         {"material": {"theta_flat": 200.0, "hysteresis": 170.0}},
         [
-            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 200.0",
-            f"material: theta_flat 81.0 with hysteresis 170.0 {_BAND}",
+            "material.theta_flat: theta_flat must lie in (0, 180) degrees, got 200.0",
+            "material.hysteresis: theta_flat - hysteresis/2 must lie in (0, 180) degrees, got -4.0",
         ],
         id="band-uses-default-for-bad-theta",
     ),
     pytest.param(
         {"material": {"theta_flat": 170, "hysteresis": 30}},
-        [f"material: theta_flat 170.0 with hysteresis 30.0 {_BAND}"],
+        ["material: theta_flat + hysteresis/2 must lie in (0, 180) degrees, got 185.0"],
         id="band-above-180",
     ),
     pytest.param(
+        {"material": {"theta_flat": "81", "hysteresis": 170}},
+        [
+            "material.theta_flat: must be a number, got '81'",
+            "material.hysteresis: theta_flat - hysteresis/2 must lie in (0, 180) degrees, got -4.0",
+        ],
+        id="band-checked-for-hysteresis-alone",
+    ),
+    pytest.param(
         {"material": {"theta_flat": 1.0, "hysteresis": True}},
-        ["material.hysteresis: must be a number >= 0 degrees, got True"],
+        ["material.hysteresis: must be a number, got True"],
         id="band-skipped-for-non-number",
     ),
     pytest.param(
@@ -129,18 +136,18 @@ CONFIG_PROBLEMS = [
         },
         [
             f"rules: unknown key 'extra' {_RULES_ALLOWED}",
-            "rules.min_wall: must be an integer in 1..2147483647 nm, got 0",
-            "rules.max_height: must be an integer in 1..2147483647 nm, got 1.5",
-            "rules.fabrication_grid: must be an integer in 1..2147483647 nm, got True",
-            "rules.max_aspect_ratio: must be a number > 0, got 0",
+            "rules.min_wall: min_wall must be >= 1 nm, got 0",
+            "rules.max_height: must be an integer, got 1.5",
+            "rules.fabrication_grid: must be an integer, got True",
+            "rules.max_aspect_ratio: max_aspect_ratio must lie in (0, inf], got 0.0",
         ],
         id="every-rules-key",
     ),
     pytest.param(
         {"out_dir": 5, "measure": [], "height": 0, "pitch": 4000.0},
         [
-            "pitch: must be an integer in 2..2147483647 nm, got 4000.0",
-            "height: must be an integer in 1..2147483647 nm, got 0",
+            "pitch: must be an integer, got 4000.0",
+            "height: height must be >= 1 nm, got 0",
             f"measure: must be one of {_MEASURES}, got []",
             "out_dir: must be a non-empty string, got 5",
         ],
@@ -154,11 +161,11 @@ CONFIG_PROBLEMS = [
             "rules": {"max_aspect_ratio": True},
         },
         [
-            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got True",
-            "material.surface_tension: must be a number > 0 N/m, got False",
-            "rules.max_aspect_ratio: must be a number > 0, got True",
-            "pitch: must be an integer in 2..2147483647 nm, got True",
-            "height: must be an integer in 1..2147483647 nm, got False",
+            "material.theta_flat: must be a number, got True",
+            "material.surface_tension: must be a number, got False",
+            "rules.max_aspect_ratio: must be a number, got True",
+            "pitch: must be an integer, got True",
+            "height: must be an integer, got False",
         ],
         id="booleans-are-not-numbers",
     ),
@@ -189,16 +196,16 @@ CONFIG_PROBLEMS = [
         [
             "material.hysteresis: must be a number within the float range, "
             "got an integer of 5001 digits",
-            "pitch: must be an integer in 2..2147483647 nm, got an integer too long to read (5001 digits)",
+            "pitch: must be an integer, got an integer too long to read (5001 digits)",
         ],
         id="integers-beyond-the-digit-limit",
     ),
     pytest.param(
         {"pitch": 2**31, "rules": {"max_height": 3_000_000_000}, "material": {"theta_flat": 0}},
         [
-            "material.theta_flat: must be a number strictly between 0 and 180 degrees, got 0",
-            "rules.max_height: must be an integer in 1..2147483647 nm, got 3000000000",
-            "pitch: must be an integer in 2..2147483647 nm, got 2147483648",
+            "material.theta_flat: theta_flat must lie in (0, 180) degrees, got 0.0",
+            "rules.max_height: max_height must be <= 2147483647 nm, got 3000000000",
+            "pitch: pitch must be <= 2147483647 nm, got 2147483648",
         ],
         id="lengths-beyond-2**31-1",
     ),
@@ -207,8 +214,8 @@ CONFIG_PROBLEMS = [
         [
             f"unknown key 'a' {_TOP_ALLOWED}",
             f"unknown key 'z' {_TOP_ALLOWED}",
-            "material.name: must be a non-empty string",
-            "rules.min_wall: must be an integer in 1..2147483647 nm, got '400'",
+            "material.name: must be a non-empty string, got 7",
+            "rules.min_wall: must be an integer, got '400'",
             f"measure: must be one of {_MEASURES}, got None",
         ],
         id="wrong-types",
@@ -431,11 +438,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match="top level must be a JSON object"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ({"material": {"name": "a\ud800"}},
+             "material.name: must be text that UTF-8 can encode, got 'a\\ud800'"),
+            ({"out_dir": "\udcff"}, "out_dir: must be text that UTF-8 can encode, got '\\udcff'"),
+        ],
+        ids=["name", "out_dir"],
+    )
+    def test_a_lone_surrogate_is_refused(self, tmp_path, payload, problem):
+        # Valid JSON, but no output can print it.
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, payload))
+        assert info.value.problems == [problem]
+
     def test_hysteresis_band_must_stay_physical(self, tmp_path):
         path = write_config(
             tmp_path, {"material": {"theta_flat": 10.0, "hysteresis": 30.0}}
         )
-        with pytest.raises(ConfigError, match="advancing/receding band"):
+        with pytest.raises(ConfigError, match=r"theta_flat - hysteresis/2 must lie in \(0, 180\)"):
             load_config(path)
 
     def test_booleans_are_not_numbers(self, tmp_path):
@@ -1644,6 +1666,22 @@ class TestCliWithConfig:
             "  - material.hysteresis: must be a number within the float range, "
             "got an integer of 5001 digits\n"
         )
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b'{"material": {"name": "a\\ud800"}}',
+             "material.name: must be text that UTF-8 can encode, got 'a\\ud800'"),
+            (b'{"material": {"name": "caf\xe9"}}',
+             "project.json: byte 26: not UTF-8 (invalid continuation byte)"),
+        ],
+        ids=["lone-surrogate", "not-utf8"],
+    )
+    def test_unreadable_text_is_a_config_problem(self, capsys, tmp_path, content, problem):
+        config_path = tmp_path / "project.json"
+        config_path.write_bytes(content)
+        assert run(["--config", str(config_path), "report"]) == 1
+        assert capsys.readouterr() == ("", f"error: invalid configuration\n  - {problem}\n")
 
     def test_missing_config_file_exits_one(self, capsys, tmp_path):
         code = run(["--config", str(tmp_path / "nope.json"), "report"])

@@ -16,15 +16,19 @@ on a gradient design, each with one message shape:
 A bool is never a number here, and NaN lies in no interval.  Each row
 below names an argument and the call that passes a value to it; the cases
 are a bool, NaN, each open end of the interval, and one value beyond each
-finite end.
+finite end.  A config file sets the fields of ``Material``, ``DesignRules``
+and ``ProjectConfig``, and refuses each of their cases too.
 """
 
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
+from lotuskit.cli import run
+from lotuskit.config import ConfigError, ProjectConfig, load_config
 from lotuskit.gradient import (
     GradientDesign,
     GradientSpec,
@@ -35,6 +39,7 @@ from lotuskit.gradient import (
     wall_for_fraction,
 )
 from lotuskit.lattice import (
+    DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
     Layout,
@@ -147,6 +152,10 @@ LENGTHS = [
     ("DesignRules.max_height", lambda v: DesignRules(max_height=v), "max_height", 1),
     ("DesignRules.fabrication_grid", lambda v: DesignRules(fabrication_grid=v),
      "fabrication_grid", 1),
+    ("ProjectConfig.pitch", lambda v: ProjectConfig(WATER_ON_PMMA, DEFAULT_RULES, pitch=v),
+     "pitch", 2),
+    ("ProjectConfig.height", lambda v: ProjectConfig(WATER_ON_PMMA, DEFAULT_RULES, height=v),
+     "height", 1),
     ("snap_to_grid.grid_nm", lambda v: snap_to_grid(3464.1, v), "grid_nm", 1),
     ("row_pitch.pitch", lambda v: row_pitch(v, 10), "pitch", 1),
     ("row_pitch.fabrication_grid", lambda v: row_pitch(4000, v), "fabrication_grid", 1),
@@ -192,8 +201,7 @@ def _real_cases():
         values += [low - 1.0] if math.isfinite(low) else []
         values += [high + 1.0] if math.isfinite(high) else []
         for value in values:
-            message = f"{refusal}, got {value!r}"
-            yield pytest.param(call, value, ValueError, message, id=f"{argument}={value!r}")
+            yield argument, call, value, ValueError, f"{refusal}, got {value!r}"
 
 
 def _count_cases():
@@ -202,8 +210,7 @@ def _count_cases():
         cases += [(minimum - 1, f"be >= {minimum}")]
         cases += [(maximum + 1, f"be <= {maximum}")] if maximum is not None else []
         for value, rule in cases:
-            message = f"{name} must {rule}, got {value!r}"
-            yield pytest.param(call, value, ValueError, message, id=f"{argument}={value!r}")
+            yield argument, call, value, ValueError, f"{name} must {rule}, got {value!r}"
 
 
 def _length_cases():
@@ -215,26 +222,61 @@ def _length_cases():
             (_MAX_NM + 1, ValueError, f"be <= {_MAX_NM} nm"),
         ]
         for value, error, rule in cases:
-            message = f"{name} must {rule}, got {value!r}"
-            yield pytest.param(call, value, error, message, id=f"{argument}={value!r}")
+            yield argument, call, value, error, f"{name} must {rule}, got {value!r}"
 
 
 def _position_cases():
     for argument, call, length in POSITIONS:
         for value in (True, math.nan, -1e-9, length + 1e-9):
             message = f"position {value!r} m lies outside the design [0, {length!r}] m"
-            yield pytest.param(call, value, ValueError, message, id=f"{argument}={value!r}")
+            yield argument, call, value, ValueError, message
 
 
 @pytest.mark.parametrize(
     "call, value, error, message",
-    [*_real_cases(), *_count_cases(), *_length_cases(), *_position_cases()],
+    [
+        pytest.param(call, value, error, message, id=f"{argument}={value!r}")
+        for argument, call, value, error, message in [
+            *_real_cases(), *_count_cases(), *_length_cases(), *_position_cases()
+        ]
+    ],
 )
 def test_refusal(call, value, error, message):
     with pytest.raises(error) as excinfo:
         call(value)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+
+
+# The config section whose keys set each dataclass's fields; "" is the top level.
+_CONFIG_SECTIONS = {"Material": "material", "DesignRules": "rules", "ProjectConfig": ""}
+
+
+def _config_cases():
+    for argument, _, value, _, message in [*_real_cases(), *_length_cases()]:
+        owner, _, key = argument.partition(".")
+        if owner in _CONFIG_SECTIONS:
+            section = _CONFIG_SECTIONS[owner]
+            yield pytest.param(section, key, value, message, id=f"{argument}={value!r}")
+
+
+@pytest.mark.parametrize("section, key, value, message", _config_cases())
+def test_config_refusal(tmp_path, capsys, section, key, value, message):
+    # A finite number in a config file reaches the dataclass, and its refusal
+    # is the dataclass's own, under the config key.  A bool, NaN or infinity
+    # is refused as JSON, under the same key.
+    path = tmp_path / "project.json"
+    path.write_text(json.dumps({section: {key: value}} if section else {key: value}))
+    label = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    (problem,) = excinfo.value.problems
+    if isinstance(value, bool) or not math.isfinite(value):
+        assert problem.startswith(f"{label}: must be ")
+    else:
+        assert problem == f"{label}: {message}"
+    assert run(["--config", str(path), "angle", "--f", "0.5"]) == 1
+    assert capsys.readouterr() == ("", f"error: invalid configuration\n  - {problem}\n")
 
 
 @pytest.mark.parametrize("theta_flat, hysteresis, name, end", BAND_ENDS)
