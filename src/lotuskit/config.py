@@ -1,20 +1,18 @@
 """Project configuration: strict JSON, exhaustive validation, safe defaults.
 
-The config format is deliberately rigid — unknown keys are errors, every
-violation is reported (not just the first), and all physical values carry
-their units in the key names' documented meaning.  A missing config or a
-minimal one (for example only the material name) falls back to defaults:
-distilled water on flat PMMA (81 degrees, 72.8e-3 N/m, zero hysteresis),
-the standard design rules, and the reference 4000 nm pitch / 4000 nm height.
+The format is rigid: unknown keys are errors, and every violation is reported,
+not just the first.  A missing or minimal config falls back to water on flat
+PMMA (81 degrees, 72.8e-3 N/m, zero hysteresis), the standard design rules and
+the reference 4000 nm pitch and height.
 
 Only JSON is checked here: keys, types, finite numbers and printable text.
-Each value's range is checked by the dataclass that holds it (``Material``,
-``DesignRules`` or ``ProjectConfig``), first alone on that section's default,
-then together with the section's other valid values.  A problem reads
-``<key>: <message>``, with the dataclass's own message for a value out of
-range.  So a ``theta_flat ± hysteresis/2`` band outside (0, 180) degrees is
-reported under ``material.hysteresis`` when hysteresis alone breaks it, and
-under ``material`` when the values are each valid but not together.
+Ranges are checked by the dataclass a section builds (``Material``,
+``DesignRules``, ``ProjectConfig``) on all of the section's values at once; if
+it refuses them, each value is tried alone on the section's default to name the
+key at fault, then the rest together.  A problem reads ``<key>: <message>``.
+So a ``theta_flat ± hysteresis/2`` band that ``Material`` refuses is reported
+under ``material.hysteresis`` when hysteresis breaks it even with the default
+``theta_flat``, and under ``material`` when the values are each valid.
 """
 
 from __future__ import annotations
@@ -29,13 +27,7 @@ from typing import Callable
 from lotuskit.lattice import DEFAULT_RULES, DesignRules, Measure, _as_int_nm
 from lotuskit.wetting import WATER_ON_PMMA, Material
 
-__all__ = [
-    "ConfigError",
-    "ProjectConfig",
-    "default_config",
-    "load_config",
-    "resolve_out_dir",
-]
+__all__ = ["ConfigError", "ProjectConfig", "default_config", "load_config", "resolve_out_dir"]
 
 
 class ConfigError(ValueError):
@@ -43,9 +35,7 @@ class ConfigError(ValueError):
 
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
-        super().__init__(
-            "invalid configuration: " + "; ".join(self.problems)
-        )
+        super().__init__("invalid configuration: " + "; ".join(self.problems))
 
 
 @dataclass(frozen=True)
@@ -92,8 +82,7 @@ def _read_int(text: str) -> int | _LongInteger:
         return _LongInteger(text)
 
 
-# Each reader returns a JSON value as its dataclass field takes it, or
-# raises ValueError with the problem.
+# Each reader returns a JSON value as its field takes it, or raises ValueError.
 
 
 def _text(value: object) -> str:
@@ -160,29 +149,41 @@ def _section(raw: object, section: str, default: object, problems: list[str]) ->
     section where it stands), then what the valid keys break together.
     """
     table = _SCHEMA[section]
-    head = f"{section}: " if section else ""
+    head, dot = (f"{section}: ", f"{section}.") if section else ("", "")
     if not isinstance(raw, dict):
         problems.append(f"{head}must be an object, got {type(raw).__name__}")
         return default
     for key in sorted(raw.keys() - table.keys()):
         problems.append(f"{head}unknown key {key!r} (allowed: {sorted(table)})")
-    values = {}
+    values, found = {}, {}
     for key, read in table.items():
         if read is None:
-            values[key] = _section(raw.get(key, {}), key, getattr(default, key), problems)
+            found[key] = []
+            values[key] = _section(raw.get(key, {}), key, getattr(default, key), found[key])
         elif key in raw:
             try:
-                value = read(raw[key])
-                replace(default, **{key: value})  # its range, alone on the default
+                values[key] = read(raw[key])
             except ValueError as exc:
-                problems.append(f"{section}.{key}: {exc}" if section else f"{key}: {exc}")
-            else:
-                values[key] = value
-    try:  # what the valid values break together, such as the hysteresis band
-        return replace(default, **values)
+                found[key] = [f"{dot}{key}: {exc}"]
+    built, refusal = _build(default, values)
+    if refusal:  # name each key whose range fails alone on the default, then try the rest
+        for key in list(values):
+            if alone := _build(default, {key: values[key]})[1]:
+                found[key] = [f"{dot}{key}: {alone}"]
+                del values[key]
+        built, refusal = _build(default, values)
+    problems.extend(problem for key in table for problem in found.get(key, []))
+    if refusal:  # what the valid values break together, such as the hysteresis band
+        problems.append(f"{head}{refusal}")
+    return built
+
+
+def _build(default: object, values: dict) -> tuple[object, str | None]:
+    """``replace(default, **values)`` and None, or ``default`` and the dataclass's refusal."""
+    try:
+        return replace(default, **values), None
     except ValueError as exc:
-        problems.append(f"{head}{exc}")
-        return default
+        return default, str(exc)
 
 
 def load_config(path: str | Path) -> ProjectConfig:

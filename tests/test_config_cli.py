@@ -254,6 +254,11 @@ CONFIG_RESULTS = [
         ),
     ),
     (
+        # The band holds with the file's theta_flat, though not with the default 81.
+        {"material": {"theta_flat": 90, "hysteresis": 170}},
+        ProjectConfig(material=Material("water on PMMA", 90.0, 170.0), rules=DEFAULT_RULES),
+    ),
+    (
         {"material": {"hysteresis": 20.5}, "rules": {"fabrication_grid": 20}, "pitch": 2},
         ProjectConfig(
             material=Material("water on PMMA", 81.0, 20.5, 72.8e-3),
