@@ -27,11 +27,12 @@ with units in its key; identical inputs (argv + config + seed) give
 byte-identical output.  Output files land in --out if absolute, else under
 the config ``out_dir``, ``LOTUS_OUT_DIR``, or the working directory.
 
-The mask writers are imported by the ``design`` and ``export`` handlers
-only, the gradient module by ``design gradient``, ``simulate`` and ``export
---gradient``, and the reference dataset by ``report`` and the ``--reference``
-targets.  numpy and the thread pool (``concurrent.futures``) are loaded
-only by ``fraction --mc-samples``; the other commands start without either.
+The mask writers are imported by the ``design two-zone`` and ``export``
+handlers only, the gradient module by ``design gradient``, ``simulate`` and
+``export --gradient``, and the reference dataset by ``report`` and the
+``--reference`` targets.  numpy and the thread pool (``concurrent.futures``)
+are loaded only by ``fraction --mc-samples``; the other commands start
+without either.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ from lotuskit.lattice import (
     check_design_rules,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
+    lattice_arrays,
     monte_carlo_fraction,
+    row_pitch,
     square_pillar_fraction,
 )
 from lotuskit.wetting import Droplet, cassie_apparent_angle
@@ -258,10 +261,30 @@ def _cmd_design_two_zone(args: argparse.Namespace, config: ProjectConfig) -> int
 
 
 def _cmd_design_gradient(args: argparse.Namespace, config: ProjectConfig) -> int:
-    from lotuskit.maskio import layout_stats
-
     design = _gradient_from_args(args, config)
-    _print_stats(layout_stats(design, config.material))
+    spec, grid, theta = design.spec, design.fabrication_grid, config.material.theta_flat
+    # Every run spans the same rows, and each of its columns holds one cell
+    # per row: even rows at x = k*pitch, odd rows at k*pitch + pitch/2.
+    rows = sum(a.rows for a in lattice_arrays(design.zones[0], grid))
+    _print_stats({
+        "material": config.material.name,
+        "theta_flat_deg": theta,
+        "measure": spec.measure.value,
+        "columns": design.n_columns,
+        "pitch_nm": spec.pitch,
+        "length_nm": design.length_nm,
+        "lateral_width_nm": spec.lateral_width,
+        "height_nm": spec.height,
+        "row_pitch_nm": row_pitch(spec.pitch, grid),
+        "lattice_rows": rows,
+        "total_cells": design.n_columns * rows,
+        "wall_start_nm": design.runs[0][1],
+        "wall_end_nm": design.runs[-1][1],
+        "fraction_start": design.fractions[0],
+        "fraction_end": design.fractions[-1],
+        "cassie_angle_start_deg": cassie_apparent_angle(design.fractions[0], theta),
+        "cassie_angle_end_deg": cassie_apparent_angle(design.fractions[-1], theta),
+    })
     return 0
 
 
@@ -341,10 +364,7 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         if crop_nm < 1:
             raise _UsageError("--crop-um must round to at least 1 nm")
 
-    if wants_gradient:
-        target: Layout | GradientDesign = _gradient_from_args(args, config)
-    else:
-        target = _two_zone_from_args(args, config)
+    target = _gradient_from_args(args, config) if wants_gradient else _two_zone_from_args(args, config)
     if crop_nm is not None:
         target = dataclasses.replace(
             target,
@@ -366,12 +386,9 @@ def _cmd_export(args: argparse.Namespace, config: ProjectConfig) -> int:
         payload = write_gdsii(target, **settings)
     else:
         payload = write_svg(target, **settings).encode("utf-8")
-    # After the writers, so that their own refusals come first; gradients
-    # were checked by design_linear_gradient.
-    if wants_two_zone:
-        violations = check_design_rules(target, config.rules)
-        if violations:
-            raise _violation_error("mask", violations)
+    violations = check_design_rules(target, config.rules)  # after the writers' own refusals
+    if violations:
+        raise _violation_error("mask", violations)
 
     default_name = "lotus_mask.gds" if args.format == "gdsii" else "lotus_mask.svg"
     path = _resolve_out_path(args.out if args.out is not None else default_name, config)

@@ -88,10 +88,8 @@ def _read_int(text: str) -> int | _LongInteger:
 def _text(value: object) -> str:
     if not isinstance(value, str) or value == "":
         raise ValueError(f"must be a non-empty string, got {value!r}")
-    try:  # JSON admits lone surrogates, which no output can print
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"must be text that UTF-8 can encode, got {value!r}") from None
+    if not value.isprintable():  # a newline would forge an output line, a lone surrogate fail it
+        raise ValueError(f"must be printable text, got {value!r}")
     return value
 
 

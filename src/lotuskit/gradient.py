@@ -44,6 +44,7 @@ from lotuskit.lattice import (
     DEFAULT_RULES,
     DesignRules,
     HoneycombSpec,
+    Layout,
     Measure,
     Rect,
     Zone,
@@ -139,9 +140,9 @@ class GradientSpec:
         _require_in(self.f_end, "f_end", 0, 1)
 
 
-@dataclass(frozen=True)
-class GradientDesign:
-    """A realized gradient as runs of equal walls.
+@dataclass(frozen=True, kw_only=True)
+class GradientDesign(Layout):
+    """A realized gradient as runs of equal walls: a layout labelled ``gradient``.
 
     ``runs[i] = (count, wall)``: ``count`` consecutive lattice columns with
     one wall.  Columns are pitch-wide strips starting at x = 0, so column k
@@ -153,19 +154,19 @@ class GradientDesign:
     fraction and ``zones[i]`` run i as a zone, which alone stores its start:
     ``HoneycombSpec(pitch, wall, height)`` over ``[start*pitch,
     (start+count)*pitch) x [0, lateral_width)``, so the zones abut and
-    cover ``length_nm``.
+    cover ``length_nm``.  The zones and the label are derived, never set;
+    ``fabrication_grid`` is the layout's (default 10 nm).
     """
 
+    zones: tuple[Zone, ...] = field(init=False, repr=False)
+    label: str = field(default="gradient", init=False, repr=False)
     runs: tuple[tuple[int, int], ...]
     spec: GradientSpec
-    fabrication_grid: int = DEFAULT_RULES.fabrication_grid
-    zones: tuple[Zone, ...] = field(init=False, repr=False)
     fractions: tuple[float, ...] = field(init=False, repr=False)
     n_columns: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        grid = _as_int_nm(self.fabrication_grid, "fabrication_grid")
-        object.__setattr__(self, "fabrication_grid", grid)
+        grid = _as_int_nm(self.fabrication_grid, "fabrication_grid")  # stored by Layout's check
         spec, rising = self.spec, self.spec.f_end > self.spec.f_start
         if not self.runs:
             raise ValueError("a gradient design needs at least one run")
@@ -212,6 +213,7 @@ class GradientDesign:
         )
         object.__setattr__(self, "zones", zones)
         object.__setattr__(self, "fractions", tuple(fraction(zone.spec) for zone in zones))
+        super().__post_init__()
 
     @property
     def columns(self) -> tuple[int, ...]:

@@ -222,6 +222,9 @@ class Layout:
     """An ordered set of pattern zones with pairwise non-overlapping extents.
 
     Row pitches are written on ``fabrication_grid`` nm (default 10).
+    Overlaps are found by one sweep over the extents in x order, which keeps
+    active only the extents still open at the current x; of the overlapping
+    pairs the least ``(i, j)`` is reported, as a scan of every pair would.
     """
 
     zones: tuple[Zone, ...]
@@ -233,12 +236,26 @@ class Layout:
         object.__setattr__(
             self, "fabrication_grid", _as_int_nm(self.fabrication_grid, "fabrication_grid")
         )
-        for i, a in enumerate(self.zones):
-            for b in self.zones[i + 1 :]:
-                if a.extent.overlaps(b.extent):
-                    raise ValueError(
-                        f"zone extents overlap: {a.extent} and {b.extent}"
-                    )
+        extents = [zone.extent for zone in self.zones]
+        active: list[int] = []
+        overlaps = []
+        for j in sorted(range(len(extents)), key=lambda k: extents[k].x):
+            b = extents[j]
+            active = [i for i in active if extents[i].x_max > b.x]
+            overlaps += [(min(i, j), max(i, j)) for i in active if extents[i].overlaps(b)]
+            active.append(j)
+        if overlaps:
+            i, j = min(overlaps)
+            raise ValueError(f"zone extents overlap: {extents[i]} and {extents[j]}")
+
+
+def _as_layout(target: Layout | Zone) -> Layout:
+    """A layout as is, and a zone as the one-zone layout ``zone``."""
+    if isinstance(target, Zone):
+        return Layout(zones=(target,), label="zone")
+    if isinstance(target, Layout):
+        return target
+    raise TypeError(f"expected Layout or Zone, got {type(target).__name__}")
 
 
 @dataclass(frozen=True)
@@ -644,7 +661,7 @@ def _check_spec(
 def check_design_rules(
     target: Union[HoneycombSpec, Zone, Layout], rules: DesignRules = DEFAULT_RULES
 ) -> list[RuleViolation]:
-    """Check a spec, zone, or whole layout against fabrication rules.
+    """Check a spec, zone, or whole layout (a gradient design is one) against fabrication rules.
 
     Returns a list of violations (empty = pass), sorted by (subject, rule)
     so the result is independent of zone ordering.  Limits are boundary
@@ -652,16 +669,15 @@ def check_design_rules(
     is one on the default grid) must carry the rules' ``fabrication_grid``,
     so that its written row pitches lie on that grid and never collapse.
     """
-    if isinstance(target, Zone):
-        target = Layout(zones=(target,))
     if isinstance(target, HoneycombSpec):
         violations = _check_spec(target, rules, "spec")
-    elif isinstance(target, Layout):
+    elif isinstance(target, (Zone, Layout)):
+        layout = _as_layout(target)
         violations = []
-        for zone in target.zones:
+        for zone in layout.zones:
             subject = f"zone@({zone.extent.x},{zone.extent.y})nm"
             violations.extend(_check_spec(zone.spec, rules, subject))
-        grid = target.fabrication_grid
+        grid = layout.fabrication_grid
         if grid != rules.fabrication_grid:
             violations.append(
                 RuleViolation("fabrication_grid(layout)", grid, rules.fabrication_grid, "layout")

@@ -1,10 +1,9 @@
 """Mask export and inspection: GDSII streams, SVG previews, layout stats.
 
-Writes honeycomb layouts and gradient designs as standards-conformant GDSII
-stream files, reads them back for round-trip verification, renders SVG
-previews, and summarizes layouts numerically.  A gradient design is written
-as its zones, one per run of equal walls, as a layout is written as its
-zones.
+Writes honeycomb layouts (a bare zone is a one-zone layout, and a gradient
+design a layout of one zone per run of equal walls) as standards-conformant
+GDSII stream files, reads them back for round-trip verification, renders SVG
+previews, and summarizes layouts numerically.
 
 Conventions
 -----------
@@ -23,9 +22,11 @@ Conventions
 * Output bytes depend only on inputs and options: timestamps are always
   zeroed, the library is ``LOTUS`` and the top cell is ``TOP``.
 * Resist polarity: by default the hexagonal *openings* are the drawn
-  regions.  ``polarity="walls"`` instead marks the solid field: each extent
-  is drawn as a background rectangle on the base datatype with the openings
-  on datatype + 1, for downstream XOR.
+  regions.  ``polarity="walls"`` instead marks the solid field: the extents
+  are drawn as background rectangles on the base datatype with the openings
+  on datatype + 1, for downstream XOR.  Each zone's extent is one rectangle,
+  but that a zone abutting the previous rectangle on the right over the same
+  y-span extends it, so a gradient design's runs draw one ramp rectangle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import struct
 import sys
 from array import array as _array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from lotuskit.gdsii import (
     AREF,
@@ -65,16 +66,15 @@ from lotuskit.gdsii import (
 )
 from lotuskit.wetting import WATER_ON_PMMA, Material, cassie_apparent_angle
 
-# numpy is imported where arrays are built (the read-back and expand), lattice
-# by the writers and layout_stats, and gradient only to recognize a design:
-# no writer loads numpy, and the read-back loads neither lattice nor gradient.
+# numpy is imported where arrays are built (the read-back and expand), and
+# lattice by the writers and layout_stats: no writer loads numpy, and the
+# read-back does not load lattice.
 if TYPE_CHECKING:
     import numpy as np
 
-    from lotuskit.gradient import GradientDesign
     from lotuskit.lattice import LatticeArray, Layout, Zone
 
-    Target = Union[Layout, Zone, GradientDesign]
+    Target = Layout | Zone
 
 __all__ = [
     "CellArray",
@@ -247,42 +247,26 @@ def _placed(cell_runs: list[_Run], offsets: np.ndarray) -> list[_Run]:
 # Geometry enumeration shared by the writers
 # --------------------------------------------------------------------------
 
-def _as_layout(target: Target) -> Layout | None:
-    """The layout of a zone or layout target, or ``None`` for a gradient design."""
-    from lotuskit.lattice import Layout, Zone
+def _emitted(target: Target) -> tuple[list[LatticeArray], list[list[int]]]:
+    """The lattice arrays a target is written as, and its background rectangles.
 
-    if isinstance(target, Zone):
-        return Layout(zones=(target,), label="zone")
-    if isinstance(target, Layout):
-        return target
-    from lotuskit.gradient import GradientDesign  # loaded by the design's maker
-
-    if isinstance(target, GradientDesign):
-        return None
-    raise TypeError(
-        f"expected Layout, Zone, or GradientDesign, got {type(target).__name__}"
-    )
-
-
-def _emitted(target: Target) -> tuple[list[LatticeArray], list[tuple[int, int, int, int]]]:
-    """The lattice arrays a target is written as, and its extent rectangles.
-
-    A layout is its zones and a design is its runs' zones, so both are
-    written as the arrays of :func:`~lotuskit.lattice.lattice_arrays`, zone
-    by zone on the target's own ``fabrication_grid``.  A design has one
-    extent, its whole ramp; a layout one per zone.  The rectangles are
-    ``(x, y, x_max, y_max)``.
+    The arrays are each zone's :func:`~lotuskit.lattice.lattice_arrays` on
+    the layout's ``fabrication_grid``.  The rectangles are ``[x, y, x_max,
+    y_max]``, one per zone's extent, but that a zone abutting the previous
+    rectangle on the right over the same y-span extends it.
     """
-    from lotuskit.lattice import lattice_arrays
+    from lotuskit.lattice import _as_layout, lattice_arrays
 
     layout = _as_layout(target)
-    if layout is None:
-        zones, grid = target.zones, target.fabrication_grid
-        rects = [(0, 0, target.length_nm, target.spec.lateral_width)]
-    else:
-        zones, grid = layout.zones, layout.fabrication_grid
-        rects = [(z.extent.x, z.extent.y, z.extent.x_max, z.extent.y_max) for z in zones]
-    return [array for zone in zones for array in lattice_arrays(zone, grid)], rects
+    rects: list[list[int]] = []
+    for zone in layout.zones:
+        x, y, x_max, y_max = zone.extent.x, zone.extent.y, zone.extent.x_max, zone.extent.y_max
+        if rects and rects[-1][1:] == [y, x, y_max]:  # abuts the last one, same y-span
+            rects[-1][2] = x_max
+        else:
+            rects.append([x, y, x_max, y_max])
+    grid = layout.fabrication_grid
+    return [array for zone in layout.zones for array in lattice_arrays(zone, grid)], rects
 
 
 # --------------------------------------------------------------------------
@@ -440,24 +424,24 @@ def write_gdsii(
     mode: str = "arrayed",
     polarity: str = "openings",
 ) -> bytes:
-    """Emit a layout or gradient design as a GDSII stream.
+    """Emit a layout (a gradient design is one) or a zone as a GDSII stream.
 
     Parameters
     ----------
     target:
-        A :class:`Layout`, single :class:`Zone`, or :class:`GradientDesign`.
+        A :class:`Layout` or a single :class:`Zone`.
     layer, datatype:
         Layer/datatype pair for drawn polygons, each an integer in 0..255;
         a ``bool`` is refused, a numpy integer accepted.
     mode:
         ``"arrayed"`` (default) writes one hexagon structure per opening
-        size plus two array references per zone (a gradient design has
-        one zone per run of equal walls), tiled at 32,767 columns and
-        rows; ``"flat"`` writes every hexagon as an explicit boundary.
+        size plus two array references per zone, tiled at 32,767 columns
+        and rows; ``"flat"`` writes every hexagon as an explicit boundary.
     polarity:
         ``"openings"`` (default) draws the hexagonal openings;
-        ``"walls"`` additionally draws each extent as a background rectangle
-        on the base datatype and moves the openings to datatype + 1.
+        ``"walls"`` additionally draws the extents as background rectangles
+        on the base datatype (see the module notes) and moves the openings
+        to datatype + 1.
 
     Returns
     -------
@@ -726,10 +710,10 @@ _SVG_OPENING = "#a3d5ff"  # air-filled openings
 
 
 def write_svg(target: Target, max_cells: int = 20000) -> str:
-    """Render a layout or gradient design as an SVG 1.1 document.
+    """Render a layout (a gradient design is one) or a zone as an SVG 1.1 document.
 
-    One ``<path>`` element per opening over a solid background rectangle
-    per extent.  Openings are drawn as whole hexagons — exactly the
+    One ``<path>`` element per opening over the solid background rectangles
+    of the walls polarity.  Openings are drawn as whole hexagons — exactly the
     polygons :func:`write_gdsii` emits — so the preview shows the mask
     content faithfully (including cells straddling zone boundaries);
     the viewBox crops the visual at the extents.  The drawing is about
@@ -804,51 +788,24 @@ def write_svg(target: Target, max_cells: int = 20000) -> str:
 # --------------------------------------------------------------------------
 
 def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
-    """Numeric summary of a layout or gradient design.
+    """Numeric summary of a layout (a gradient design is one) or a zone.
 
-    For layouts: per-zone extents, cell counts, both fraction measures,
-    aspect ratios, and predicted composite-state contact angles for the
-    given material.  For gradient designs: the column census and endpoint
-    geometry/fractions/angles.  Output is a plain JSON-ready dict.
-    Counts and the row pitch are those of the mask that :func:`write_gdsii`
-    and :func:`write_svg` emit for the same target.
+    Per-zone extents, cell counts, both fraction measures, aspect ratios,
+    and predicted composite-state contact angles for the given material,
+    under the layout's label; a design's zones are its runs.  Output is a
+    plain JSON-ready dict.  Counts are those of the mask that
+    :func:`write_gdsii` and :func:`write_svg` emit for the same target.
     """
     from lotuskit.lattice import (
+        _as_layout,
         aspect_ratio,
         honeycomb_area_fraction,
         honeycomb_linear_ratio,
         lattice_arrays,
-        row_pitch,
     )
 
     theta = material.theta_flat
     layout = _as_layout(target)
-    if layout is None:
-        spec = target.spec
-        # Every zone spans the same rows, and each of its columns holds one
-        # cell per row: even rows at x = k*pitch, odd rows at k*pitch + pitch/2.
-        rows = sum(a.rows for a in lattice_arrays(target.zones[0], target.fabrication_grid))
-        return {
-            "kind": "gradient",
-            "material": material.name,
-            "theta_flat_deg": theta,
-            "measure": spec.measure.value,
-            "columns": target.n_columns,
-            "pitch_nm": spec.pitch,
-            "length_nm": target.length_nm,
-            "lateral_width_nm": spec.lateral_width,
-            "height_nm": spec.height,
-            "row_pitch_nm": row_pitch(spec.pitch, target.fabrication_grid),
-            "lattice_rows": rows,
-            "total_cells": target.n_columns * rows,
-            "wall_start_nm": target.runs[0][1],
-            "wall_end_nm": target.runs[-1][1],
-            "fraction_start": target.fractions[0],
-            "fraction_end": target.fractions[-1],
-            "cassie_angle_start_deg": cassie_apparent_angle(target.fractions[0], theta),
-            "cassie_angle_end_deg": cassie_apparent_angle(target.fractions[-1], theta),
-        }
-
     grid = layout.fabrication_grid
     zones = []
     for zone in layout.zones:

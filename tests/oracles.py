@@ -4,8 +4,8 @@ Each inverts or re-derives a library quantity by another route, so a test
 can check the library against it: the solid fraction behind an apparent
 angle, the volume behind a footprint radius, the driving force of one
 footprint solve, the footprint found column by column, the stepping loop
-that solved every position, and the one-wall-per-column design that runs
-replaced.
+that solved every position, the one-wall-per-column design that runs
+replaced, and the pairwise overlap scan that the layout sweep replaced.
 """
 
 import math
@@ -305,3 +305,16 @@ def per_column_arrays(design: GradientDesign) -> list[LatticeArray]:
         for k, wall in enumerate(design.columns)
         for array in first
     ]
+
+
+def oracle_first_overlap(zones) -> str | None:
+    """The refusal of the first overlapping pair of zones, or None.
+
+    A frozen copy of the scan of every pair that ``Layout.__post_init__``
+    once ran: pairs (i, j), i < j, in order, the first overlapping one named.
+    """
+    for i, a in enumerate(zones):
+        for b in zones[i + 1 :]:
+            if a.extent.overlaps(b.extent):
+                return f"zone extents overlap: {a.extent} and {b.extent}"
+    return None

@@ -447,13 +447,33 @@ class TestConfig:
         "payload, problem",
         [
             ({"material": {"name": "a\ud800"}},
-             "material.name: must be text that UTF-8 can encode, got 'a\\ud800'"),
-            ({"out_dir": "\udcff"}, "out_dir: must be text that UTF-8 can encode, got '\\udcff'"),
+             "material.name: must be printable text, got 'a\\ud800'"),
+            ({"out_dir": "\udcff"}, "out_dir: must be printable text, got '\\udcff'"),
         ],
         ids=["name", "out_dir"],
     )
     def test_a_lone_surrogate_is_refused(self, tmp_path, payload, problem):
         # Valid JSON, but no output can print it.
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, payload))
+        assert info.value.problems == [problem]
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ({"material": {"name": "a\nfake_key=1"}},
+             "material.name: must be printable text, got 'a\\nfake_key=1'"),
+            ({"out_dir": "out\ncsv=forged"},
+             "out_dir: must be printable text, got 'out\\ncsv=forged'"),
+            ({"material": {"name": "a\u00a0b"}},
+             "material.name: must be printable text, got 'a\\xa0b'"),
+            ({"material": {"name": "a\u2028b"}},
+             "material.name: must be printable text, got 'a\\u2028b'"),
+        ],
+        ids=["name-newline", "out_dir-newline", "no-break-space", "line-separator"],
+    )
+    def test_unprintable_text_is_refused(self, tmp_path, payload, problem):
+        # A line break in a printed string would forge a key=value line.
         with pytest.raises(ConfigError) as info:
             load_config(write_config(tmp_path, payload))
         assert info.value.problems == [problem]
@@ -1676,7 +1696,7 @@ class TestCliWithConfig:
         "content, problem",
         [
             (b'{"material": {"name": "a\\ud800"}}',
-             "material.name: must be text that UTF-8 can encode, got 'a\\ud800'"),
+             "material.name: must be printable text, got 'a\\ud800'"),
             (b'{"material": {"name": "caf\xe9"}}',
              "project.json: byte 26: not UTF-8 (invalid continuation byte)"),
         ],
@@ -1687,6 +1707,19 @@ class TestCliWithConfig:
         config_path.write_bytes(content)
         assert run(["--config", str(config_path), "report"]) == 1
         assert capsys.readouterr() == ("", f"error: invalid configuration\n  - {problem}\n")
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [({"material": {"name": "a\nfake_key=1"}}, "material.name"),
+         ({"out_dir": "out\nout=forged"}, "out_dir")],
+        ids=["name", "out_dir"],
+    )
+    def test_a_line_break_cannot_forge_stdout(self, capsys, tmp_path, payload, key):
+        assert run(["--config", write_config(tmp_path, payload), "report"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: invalid configuration\n  - {key}: must be printable text")
+        assert err.count("\n") == 2
 
     def test_missing_config_file_exits_one(self, capsys, tmp_path):
         code = run(["--config", str(tmp_path / "nope.json"), "report"])

@@ -4,6 +4,9 @@
   copy of the one-wall-per-column design (``oracles.per_column_design``):
   the same walls column by column, the same local apparent angle
   everywhere, and the same DRC error text.
+* A design is a ``Layout``: seeded designs pass ``check_design_rules``
+  under the rules they were designed under, and its derived ``zones`` and
+  ``label`` cannot be set.
 * The columns test makes ``GradientDesign.columns`` raise and runs every
   consumer of a design: what they write must still hash to the pins.
 * The mask writers take a design as its zones, one per run of equal
@@ -20,6 +23,7 @@ import random
 import pytest
 
 from lotuskit import maskio
+from lotuskit.cli import run
 from lotuskit.gradient import (
     GradientDesign,
     GradientSpec,
@@ -27,11 +31,18 @@ from lotuskit.gradient import (
     design_linear_gradient,
     local_apparent_angle,
 )
-from lotuskit.lattice import DesignRules, honeycomb_area_fraction, honeycomb_linear_ratio
+from lotuskit.lattice import (
+    DesignRules,
+    Layout,
+    check_design_rules,
+    honeycomb_area_fraction,
+    honeycomb_linear_ratio,
+)
 from lotuskit.maskio import layout_stats, read_gdsii, write_gdsii, write_svg
 from lotuskit.wetting import WATER_ON_PMMA, cassie_apparent_angle
 
 from oracles import per_column_arrays, per_column_design, per_column_index
+from test_config_cli import GRADIENT_STDOUT
 from test_gradient import BENCHMARK_RAMP, BENCHMARK_TRACE_PINS, check_trace
 from test_mask_codec import PINNED_EXPORTS
 
@@ -92,6 +103,32 @@ class TestRunsMatchThePerColumnDesign:
             # One column on a sloped ramp targets f_start: k / max(N - 1, 1) is 0.
             single += len(walls) == 1 and spec.f_start != spec.f_end
         assert designed >= 80 and refused >= 20 and single >= 10
+
+
+class TestADesignIsALayout:
+    def test_seeded_designs_pass_the_rules_they_were_designed_under(self):
+        rng = random.Random(42)
+        designed = 0
+        for _ in range(150):
+            spec, rules = random_case(rng)
+            try:
+                design = design_linear_gradient(spec, rules)
+            except ValueError:
+                continue
+            assert isinstance(design, Layout)
+            assert (design.label, design.fabrication_grid) == ("gradient", rules.fabrication_grid)
+            assert check_design_rules(design, rules) == []
+            designed += 1
+        assert designed >= 50
+
+    @pytest.mark.parametrize("field", ["label", "zones"])
+    def test_derived_fields_cannot_be_set(self, field):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            GradientDesign(runs=((1, 400),), spec=BENCHMARK_RAMP, **{field: ()})
+
+    def test_runs_and_spec_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            GradientDesign(((1, 400),), BENCHMARK_RAMP)
 
 
 def polygon_multiset(data: bytes) -> list[tuple[int, int, bytes]]:
@@ -166,7 +203,7 @@ def sha256(data: bytes | str) -> str:
     return hashlib.sha256(data.encode("ascii") if isinstance(data, str) else data).hexdigest()
 
 
-def test_no_production_path_reads_columns(monkeypatch):
+def test_no_production_path_reads_columns(monkeypatch, capsys):
     def refuse(design):
         raise AssertionError("GradientDesign.columns was read")
 
@@ -178,26 +215,11 @@ def test_no_production_path_reads_columns(monkeypatch):
         GradientSpec(length=200_000, lateral_width=40_000, pitch=4000, f_start=0.19, f_end=0.4375)
     )
     assert sha256(write_svg(small)) == SMALL_SVG_DIGEST
-    assert layout_stats(design) == {
-        "kind": "gradient",
-        "material": "water on PMMA",
-        "theta_flat_deg": 81.0,
-        "measure": "area_fraction",
-        "columns": 2500,
-        "pitch_nm": 4000,
-        "length_nm": 10_000_000,
-        "lateral_width_nm": 200_000,
-        "height_nm": 4000,
-        "row_pitch_nm": 3460,
-        "lattice_rows": 58,
-        "total_cells": 145_000,
-        "wall_start_nm": 400,
-        "wall_end_nm": 1000,
-        "fraction_start": 0.19,
-        "fraction_end": 0.4375,
-        "cassie_angle_start_deg": 141.2859856357785,
-        "cassie_angle_end_deg": 119.60777958751162,
-    }
+    stats = layout_stats(design)
+    assert (stats["label"], stats["zone_count"], stats["total_cells"]) == ("gradient", 61, 145_000)
+    ramp = ["--length-nm", "10000000", "--f-start", "0.19", "--f-end", "0.4375", "--width-nm", "200000"]
+    assert run(["design", "gradient", *ramp]) == 0
+    assert capsys.readouterr().out == GRADIENT_STDOUT
     for pin in BENCHMARK_TRACE_PINS:
         check_trace(design, 1000 * 1e-9, *pin)
     with pytest.raises(AssertionError, match="columns was read"):

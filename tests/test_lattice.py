@@ -9,7 +9,9 @@ import concurrent.futures
 import importlib
 import math
 import pkgutil
+import random
 import re
+import time
 import tracemalloc
 from concurrent.futures import Executor, Future
 from fractions import Fraction
@@ -48,6 +50,8 @@ from lotuskit.lattice import (
     square_pillar_fraction,
 )
 from lotuskit.wetting import WATER_ON_PMMA, Droplet
+
+from oracles import oracle_first_overlap
 
 WIDE = HoneycombSpec(pitch=4000, wall=1000, height=4000)
 FINE = HoneycombSpec(pitch=4000, wall=400, height=4000)
@@ -188,6 +192,41 @@ def old_row_pitch(pitch: int, fabrication_grid: int) -> int:
     return int(math.floor(spacing / fabrication_grid + 0.5)) * fabrication_grid
 
 
+def random_extents(rng: random.Random) -> list[Rect]:
+    """Zero to 17 extents, negative coordinates included, that often touch.
+
+    Half are a shuffled tiling of abutting cells (columns stacked in y),
+    with at times one cell nudged by 1 nm into a neighbour or repeated;
+    half are scattered on a coarse grid, which lands many edges together,
+    with widths up to 16 times the narrowest.
+    """
+    if rng.random() < 0.5:
+        xs = [rng.randint(-30, 0)]
+        for _ in range(rng.randint(1, 4)):
+            xs.append(xs[-1] + rng.randint(1, 6))
+        ys = [rng.randint(-30, 0)]
+        for _ in range(rng.randint(1, 4)):
+            ys.append(ys[-1] + rng.randint(1, 6))
+        extents = [
+            Rect(x0, y0, x1 - x0, y1 - y0)
+            for x0, x1 in zip(xs, xs[1:])
+            for y0, y1 in zip(ys, ys[1:])
+        ]
+        rng.shuffle(extents)
+        if rng.random() < 0.6:
+            k = rng.randrange(len(extents))
+            e = extents[k]
+            dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+            extents[k] = Rect(e.x + dx, e.y + dy, e.width, e.height)
+        if rng.random() < 0.2:
+            extents.insert(rng.randrange(len(extents) + 1), rng.choice(extents))
+        return extents
+    return [
+        Rect(2 * rng.randint(-8, 8), 2 * rng.randint(-8, 8), 2 * rng.randint(1, 16), 2 * rng.randint(1, 3))
+        for _ in range(rng.choice((0, 1, 2, rng.randint(3, 6))))
+    ]
+
+
 class FixedPoints:
     """Stands in for a numpy Generator whose ``random`` returns given points.
 
@@ -289,6 +328,28 @@ class TestSpecs:
 
     def test_empty_layout_allowed(self):
         assert Layout(zones=()).zones == ()
+
+    def test_overlap_sweep_matches_the_pairwise_scan(self):
+        rng = random.Random(20)
+        refused = 0
+        for _ in range(1000):
+            zones = [Zone(WIDE, extent) for extent in random_extents(rng)]
+            expected = oracle_first_overlap(zones)
+            if expected is None:
+                Layout(zones=tuple(zones))
+            else:
+                refused += 1
+                with pytest.raises(ValueError) as info:
+                    Layout(zones=tuple(zones))
+                assert str(info.value) == expected
+        assert 200 <= refused <= 800  # both verdicts are common
+
+    def test_many_abutting_zones_build_in_a_second(self):
+        # The column count and pitch of the largest design CI exports.
+        zones = tuple(Zone(WIDE, Rect(k * 46_340, 0, 46_340, 20_000)) for k in range(45_415))
+        start = time.perf_counter()
+        assert Layout(zones=zones).zones == zones
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "field, build, top", NM_ENTRY_POINTS.values(), ids=NM_ENTRY_POINTS.keys()
@@ -1023,6 +1084,11 @@ class TestDesignRules:
     def test_reference_designs_pass(self):
         assert check_design_rules(WIDE) == []
         assert check_design_rules(FINE) == []
+
+    def test_a_target_that_is_no_spec_zone_or_layout_is_refused(self):
+        message = "expected HoneycombSpec, Zone, or Layout, got Rect"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            check_design_rules(Rect(0, 0, 10, 10))
         assert check_design_rules(build_two_zone_layout(WIDE, FINE)) == []
 
     def test_aspect_limit_is_boundary_inclusive(self):

@@ -1,8 +1,8 @@
 """Mask codec contract: pinned artifact bytes, expansion order, strict decoding.
 
 * The sha256 pins freeze the GDSII and SVG bytes of the benchmark's mask
-  artifacts (seed 0) plus a walls-polarity crop, built through ``lotus
-  export``.  Any codec rewrite must reproduce them exactly.
+  artifacts (seed 0) plus a walls-polarity crop and the uncropped
+  walls-polarity reference, built through ``lotus export``.  Any codec rewrite must reproduce them exactly.
 * ``old_expand`` is a frozen copy of the original one-instance-at-a-time
   walk of :meth:`MaskGeometry.expand`; expansion order is compared against
   it element by element, never through an order-free canonical form, on
@@ -64,6 +64,12 @@ PINNED_EXPORTS = {
         ["--reference", "--mode", "flat", "--polarity", "walls", "--crop-um", "100"],
         "34eeca162d7d7a49f81f0ee43e1d9c8405ed6808089925f4ecedf0a461c69626",
         116_236,
+    ),
+    # The two abutting zones draw one background rectangle.
+    "walls_uncropped.gds": (
+        ["--reference", "--polarity", "walls"],
+        "e4a9829f06047b7c16391be23f5ec04521d9d0aefd7dbc8c68cf07421718a98f",
+        644,
     ),
 }
 

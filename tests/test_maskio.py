@@ -13,6 +13,7 @@ Independence of the checks:
 """
 
 import math
+import random
 import struct
 import xml.etree.ElementTree as ElementTree
 
@@ -58,6 +59,39 @@ ROW_SPACING = 3460  # snap(4000 * sqrt(3)/2, 10 nm grid)
 # --------------------------------------------------------------------------
 # Independent oracles
 # --------------------------------------------------------------------------
+
+def random_layout(rng: random.Random) -> Layout:
+    """Some cells of a tiling whose columns and rows vary in size, in row
+    order (so that neighbours in a row meet in turn) or shuffled."""
+    xs, ys = [4000 * rng.randint(-3, 3)], [2000 * rng.randint(-3, 3)]
+    for _ in range(rng.randint(1, 5)):
+        xs.append(xs[-1] + 4000 * rng.randint(1, 3))
+    for _ in range(rng.randint(1, 3)):
+        ys.append(ys[-1] + 2000 * rng.randint(1, 4))
+    zones = [
+        Zone(rng.choice((WIDE, FINE)), Rect(x0, y0, x1 - x0, y1 - y0))
+        for y0, y1 in zip(ys, ys[1:])
+        for x0, x1 in zip(xs, xs[1:])
+        if rng.random() < 0.8
+    ]
+    if rng.random() < 0.5:
+        rng.shuffle(zones)
+    return Layout(zones=tuple(zones))
+
+
+def walls_backgrounds(target) -> list[Rect]:
+    """The background rectangles of a walls-polarity stream, read back."""
+    runs = read_gdsii(write_gdsii(target, polarity="walls")).cells["TOP"].runs
+    rects = []
+    for _, datatype, block in runs:
+        for points in block if datatype == 0 else ():
+            (x0, y0), (x1, y1) = points.min(axis=0), points.max(axis=0)
+            assert len(points) == 4 and sorted(map(tuple, points.tolist())) == [
+                (x0, y0), (x0, y1), (x1, y0), (x1, y1)
+            ]
+            rects.append(Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0)))
+    return rects
+
 
 def walk_records(data: bytes) -> list[tuple[int, int, bytes]]:
     """Minimal stand-alone GDSII record walker sharing no package code."""
@@ -564,6 +598,35 @@ class TestRoundTrip:
         assert rects[0][:, 0].max() == 20_000
         assert len(openings) == sum(a.cols * a.rows for a in lattice_arrays(zone, 10))
 
+    def test_walls_backgrounds_cover_the_zones_once(self):
+        rng = random.Random(19)
+        merged = 0
+        for _ in range(120):
+            layout = random_layout(rng)
+            rects = walls_backgrounds(layout)
+            assert all(not a.overlaps(b) for i, a in enumerate(rects) for b in rects[i + 1 :])
+            area = sum(zone.extent.width * zone.extent.height for zone in layout.zones)
+            assert sum(rect.width * rect.height for rect in rects) == area
+            merged += len(rects) < len(layout.zones)
+        assert merged >= 20
+
+    def test_a_design_draws_one_ramp_rectangle(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            low, high = sorted(rng.uniform(0.2, 0.45) for _ in range(2))
+            spec = GradientSpec(
+                length=rng.randint(4000, 160_000), lateral_width=rng.randint(1000, 30_000),
+                pitch=4000, f_start=rng.choice((low, high)), f_end=rng.choice((low, high)),
+            )
+            design = design_linear_gradient(spec)
+            expected = [Rect(0, 0, design.length_nm, spec.lateral_width)]
+            assert walls_backgrounds(design) == expected
+
+    @pytest.mark.parametrize("writer", [write_gdsii, write_svg, layout_stats])
+    def test_only_a_layout_or_a_zone_is_a_target(self, writer):
+        with pytest.raises(TypeError, match=r"^expected Layout or Zone, got HoneycombSpec$"):
+            writer(WIDE)
+
     def test_custom_layer_round_trips(self):
         zone = Zone(spec=WIDE, extent=Rect(0, 0, 8000, 4000))
         geometry = read_gdsii(
@@ -773,11 +836,15 @@ class TestLayoutStats:
             length=10_000_000, lateral_width=2_000_000, pitch=4000,
             f_start=0.10, f_end=0.25, measure=Measure.LINEAR_RATIO,
         )
-        stats = layout_stats(design_linear_gradient(spec))
-        assert stats["kind"] == "gradient"
-        assert stats["columns"] == 2500
-        assert stats["wall_start_nm"] == 400
-        assert stats["wall_end_nm"] == 1000
-        assert stats["row_pitch_nm"] == ROW_SPACING
-        assert stats["fraction_start"] == pytest.approx(0.10, abs=1e-12)
-        assert stats["fraction_end"] == pytest.approx(0.25, abs=1e-12)
+        design = design_linear_gradient(spec)
+        stats = layout_stats(design)
+        # A design is a layout: its zones are its runs.
+        assert (stats["kind"], stats["label"]) == ("layout", "gradient")
+        assert stats["zone_count"] == len(design.runs)
+        first, last = stats["zones"][0], stats["zones"][-1]
+        assert (first["wall_nm"], last["wall_nm"]) == (400, 1000)
+        assert sum(zone["size_nm"][0] for zone in stats["zones"]) == 10_000_000
+        rows = -(-2_000_000 // ROW_SPACING)
+        assert stats["total_cells"] == 2500 * rows
+        assert first["linear_ratio"] == pytest.approx(0.10, abs=1e-12)
+        assert last["linear_ratio"] == pytest.approx(0.25, abs=1e-12)

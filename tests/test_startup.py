@@ -4,8 +4,8 @@ Every ``lotus`` command is a fresh interpreter, so what it imports is part
 of its run time.  ``import lotuskit.cli`` loads the command line, the
 config, the lattice and the wetting modules, and each command adds only
 what it runs.  Only Monte Carlo fractions load numpy and the thread pool
-(``concurrent.futures``).  Only ``design`` and ``export`` load the mask
-codec, only ``report`` and the ``--reference`` targets the reference
+(``concurrent.futures``).  Only ``design two-zone`` and ``export`` load the
+mask codec, only ``report`` and the ``--reference`` targets the reference
 dataset, and only ``design gradient``, ``simulate`` and ``export
 --gradient`` the gradient module.  ``import lotuskit`` itself loads no
 submodule until one of its names is used, and the mask read-back loads the
@@ -85,7 +85,7 @@ COMMANDS = [
     (["export", "--reference"], _ZONE_MASK),
     (["export", "--reference", "--mode", "flat", "--crop-um", "20"], _ZONE_MASK),
     (["export", "--reference", "--format", "svg", "--crop-um", "20"], _ZONE_MASK),
-    (["design", "gradient", *_RAMP], _GRADIENT_MASK),
+    (["design", "gradient", *_RAMP], _SIMULATE),
     (["simulate", *_RAMP, "--csv", "trace.csv"], _SIMULATE),
     (["export", "--gradient", *_RAMP, "--polarity", "walls"], _GRADIENT_MASK),
     (
