@@ -36,9 +36,9 @@ import math
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 
 from lotuskit.lattice import (
     DEFAULT_RULES,
@@ -55,7 +55,6 @@ from lotuskit.lattice import (
     _violation_error,
     honeycomb_area_fraction,
     honeycomb_linear_ratio,
-    snap_to_grid,
 )
 from lotuskit.wetting import (
     Droplet,
@@ -356,11 +355,8 @@ def wall_for_fraction(
     _require_in(target_fraction, "target_fraction", 0, 1)
     pitch = _as_int_nm(pitch, "pitch")
     fabrication_grid = _as_int_nm(fabrication_grid, "fabrication_grid")
-    if Measure(measure) is Measure.LINEAR_RATIO:
-        exact = target_fraction * pitch
-    else:
-        exact = pitch * (1.0 - math.sqrt(1.0 - target_fraction))
-    wall = snap_to_grid(exact, fabrication_grid)
+    linear = Measure(measure) is Measure.LINEAR_RATIO
+    wall = _snapped_wall(target_fraction, pitch, linear, fabrication_grid)
     if not 0 < wall < pitch:
         raise ValueError(
             f"fraction {target_fraction!r} maps to wall {wall} nm after snapping "
@@ -370,6 +366,35 @@ def wall_for_fraction(
     return wall
 
 
+def _snapped_wall(target: float, pitch: int, linear: bool, grid: int) -> int:
+    """:func:`wall_for_fraction`'s inverse and grid snap, with no check of
+    its arguments or its result; ``target`` lies in [0, 1].  Each step is
+    monotone under round-to-nearest, so the wall is monotone in ``target``."""
+    exact = target * pitch if linear else pitch * (1.0 - math.sqrt(1.0 - target))
+    return math.floor(exact / grid + 0.5) * grid  # snap_to_grid's rounding
+
+
+def _last_holding(holds, first: int, stop: int) -> int:
+    """The last index in [first, stop) at which ``holds`` is true, where it
+    holds at ``first`` and on a prefix from there.
+
+    Gallop, probing first + 1, + 2, + 4, ..., then bisect below the first
+    probe where it fails: O(log n) probes for a prefix of n, and one probe
+    when n is 1.  Every probe lies above the last index known to hold.
+    """
+    low, stride = first, 1
+    while low + stride < stop and holds(low + stride):
+        low, stride = low + stride, 2 * stride
+    high = min(low + stride, stop)  # the first index known to fail, or stop
+    while high - low > 1:
+        middle = (low + high) // 2
+        if holds(middle):
+            low = middle
+        else:
+            high = middle
+    return low
+
+
 def design_linear_gradient(
     spec: GradientSpec, rules: DesignRules = DEFAULT_RULES
 ) -> GradientDesign:
@@ -377,25 +402,46 @@ def design_linear_gradient(
 
     One column per lattice period: N = floor(length / pitch) columns, column
     k targeting ``f_k = f_start + (f_end - f_start) * k / (N - 1)`` (a single
-    column gets f_start).  Each target is converted by
-    :func:`wall_for_fraction`, equal consecutive walls form one run, and each
-    run's zone spec is checked against the design rules as
-    :func:`~lotuskit.lattice.check_design_rules` checks a spec.  Any
-    violation aborts the design; the error lists each (rule, value) once,
-    under the first column that breaks it.
+    column gets f_start), whose wall :func:`wall_for_fraction` gives.  Equal
+    consecutive walls form one run, and each run's zone spec is checked
+    against the design rules as :func:`~lotuskit.lattice.check_design_rules`
+    checks a spec.  Any violation aborts the design; the error lists each
+    (rule, value) once, under the first column that breaks it.
+
+    The walls are found run by run, not column by column.  The target, the
+    inverse and the snap are each monotone under round-to-nearest, so the
+    wall is monotone in k, and each run's last column is found by galloping
+    and then bisecting from its first (:func:`_last_holding`): O(runs *
+    log N) unchecked inverses.  A column whose target or wall lies outside
+    (0, 1) or (0, pitch) starts a run; it is refused by
+    :func:`wall_for_fraction`, with the message a column-by-column design
+    gave at its first refused column.
     """
     n_columns = spec.length // spec.pitch
-    walls = []
-    for index in range(n_columns):
-        target = spec.f_start + (spec.f_end - spec.f_start) * index / max(
-            n_columns - 1, 1
-        )
-        walls.append(
-            wall_for_fraction(target, spec.pitch, spec.measure, rules.fabrication_grid)
-        )
+    pitch, grid, span = spec.pitch, rules.fabrication_grid, max(n_columns - 1, 1)
+    linear, slope = spec.measure is Measure.LINEAR_RATIO, spec.f_end - spec.f_start
 
-    runs = tuple((sum(1 for _ in group), wall) for wall, group in groupby(walls))
-    design = GradientDesign(runs=runs, spec=spec, fabrication_grid=rules.fabrication_grid)
+    def target(index: int) -> float:
+        return spec.f_start + slope * index / span
+
+    def wall(index: int) -> int | None:
+        """Column ``index``'s wall, or None where the column is refused."""
+        fraction = target(index)
+        if 0 < fraction < 1:
+            snapped = _snapped_wall(fraction, pitch, linear, grid)
+            if 0 < snapped < pitch:
+                return snapped
+        return None
+
+    runs, start = [], 0
+    while start < n_columns:
+        run_wall = wall(start)
+        if run_wall is None:  # raises, naming the column's target
+            wall_for_fraction(target(start), pitch, spec.measure, grid)
+        end = 1 + _last_holding(lambda index: wall(index) == run_wall, start, n_columns)
+        runs.append((end - start, run_wall))
+        start = end
+    design = GradientDesign(runs=tuple(runs), spec=spec, fabrication_grid=grid)
     violations = {}
     for zone in design.zones:
         for violation in _check_spec(zone.spec, rules, f"column {zone.extent.x // spec.pitch}"):
@@ -455,9 +501,12 @@ class _FootprintSolver:
     cannot fit, which raises FootprintError.
 
     :meth:`walk` makes those decisions at a position and returns them as
-    its walk path; :meth:`record` turns a path into the solved state.
-    Positions with one path share the state, but for the radius and force
-    of a root on a jump, which follow the position.
+    its walk path; :meth:`solve` and :meth:`record` turn a path into the
+    solved state.  Positions with one path share the state, but for the
+    radius and force of a root on a jump, which follow the position.  Each
+    decision compares a position-free cap or edge with a distance that is
+    monotone in the position, so :meth:`horizon` can name the nearest
+    position at which one of them flips.
     """
 
     def __init__(
@@ -515,7 +564,7 @@ class _FootprintSolver:
         r_max = min(position_m, length_m - position_m)
         if r_max <= 0.0:
             raise _no_fit(position_m, r_max)
-        run, cap_radius, edges = self.run, self.cap_radius, self._edges_m
+        run, cap_radius, caps, edges = self.run, self.cap_radius, self._caps, self._edges_m
         path = [run(position_m + r_max), run(position_m - r_max)]
         if cap_radius(*path) > r_max:
             raise _no_fit(position_m, r_max)
@@ -524,13 +573,13 @@ class _FootprintSolver:
         edge = 0.0  # the walk stands here, on the pair beyond this edge
         while True:
             path += (front, rear)
-            radius = cap_radius(front, rear)
+            radius = caps.get((front, rear)) or cap_radius(front, rear)  # a radius is > 0
             if radius <= edge:  # a root on a jump
                 path.append(1)
                 return tuple(path)
             front_edge = edges[front + 1] - position_m
             rear_edge = position_m - edges[rear]
-            edge = min(front_edge, rear_edge)
+            edge = front_edge if front_edge < rear_edge else rear_edge
             if radius < edge:
                 path.append(0)
                 return tuple(path)
@@ -539,9 +588,72 @@ class _FootprintSolver:
             if rear_edge == edge:
                 rear -= 1
 
+    def horizon(self, path: tuple[int, ...], position_m: float, move: float) -> float:
+        """The nearest position past ``position_m``, in the direction of
+        ``move``, at which a comparison that the walk ``path`` made flips.
+
+        Moving toward +x, the distances to front edges shrink and those to
+        rear edges grow.  So the comparisons that can flip are: the center
+        passing the next run edge; the run that the no-fit check reads at
+        ``2x`` below the middle, or at ``2x - length`` above it, passing
+        its next edge; ``r_max = length - x`` falling to the no-fit cap; a
+        crossed rear edge's distance growing past the cap before it, past
+        the front edge's distance (where the crossing order turns) and past
+        the cap beyond it, unless that is a root on a jump; a crossed front
+        edge's distance falling below the cap of a root on a jump beyond
+        it; and a cap root's front edge distance falling to the cap.  Toward
+        -x the roles mirror.
+
+        The thresholds are exact reals rounded once, so the result is an
+        estimate for :func:`_path_extent` to verify.  A walk that crossed a
+        front and a rear edge at once, a tie, gives ``position_m`` itself,
+        and a path whose comparisons all hold onward an infinity.
+        """
+        edges, caps, length_m = self._edges_m, self._caps, self.length_m
+        near_front, near_rear, center = path[:3]
+        no_fit = caps[near_front, near_rear]  # every pair on the path has its cap cached
+        forward = move > 0.0
+        if forward:
+            ahead = [
+                edges[center + 1], 0.5 * edges[near_front + 1],
+                0.5 * (edges[near_rear + 1] + length_m), length_m - no_fit,
+            ]
+        else:
+            ahead = [edges[center], 0.5 * edges[near_front], 0.5 * (edges[near_rear] + length_m), no_fit]
+        fronts, rears = path[2:-1:2], path[3:-1:2]
+        last_crossing, on_jump = len(fronts) - 2, path[-1] == 1
+        for index, (front, rear, next_front, next_rear) in enumerate(
+            zip(fronts, rears, fronts[1:], rears[1:])
+        ):
+            if next_front != front and next_rear != rear:
+                return position_m
+            if next_front == front:  # crossed a rear edge, at distance x - edge
+                edge, toward = edges[rear], 1.0
+            else:  # crossed a front edge, at distance edge - x
+                edge, toward = edges[front + 1], -1.0
+            grows = (toward > 0.0) == forward
+            if grows:  # past the cap before the edge and the other side's distance
+                ahead += (edge + toward * caps[front, rear], 0.5 * (edges[front + 1] + edges[rear]))
+            if grows != (on_jump and index == last_crossing):  # the cap beyond the edge
+                ahead.append(edge + toward * caps[next_front, next_rear])
+        if not on_jump:  # a cap root lies short of both edges
+            front, rear = fronts[-1], rears[-1]
+            ahead.append(
+                edges[front + 1] - caps[front, rear] if forward else edges[rear] + caps[front, rear]
+            )
+        return min(ahead) if forward else max(ahead)
+
     def record(self, path: tuple[int, ...], position_m: float) -> TraceInterval:
         """The droplet solved at ``position_m``, whose walk path is ``path``,
         as an interval of one record: footprint, angles and forces."""
+        return TraceInterval(position_m, 1, 0.0, *self.solve(path, position_m))
+
+    def solve(
+        self, path: tuple[int, ...], position_m: float
+    ) -> tuple[float, float, float, float, float, float, tuple[float, float] | None]:
+        """The fields of :meth:`record` after its position, count and step:
+        both angles, the footprint radius, the net force, the retention,
+        the tension and the jump edges."""
         front, rear, on_jump = path[-3:]
         edges = None
         if on_jump:  # the footprint reaches the edge the walk last crossed
@@ -557,7 +669,7 @@ class _FootprintSolver:
         if holding is None:
             holding = retention_force(self._droplet, self.material, self.design.fractions[center])
             self._retention[center] = holding
-        return TraceInterval(position_m, 1, 0.0, front, rear, radius, force, holding, tension, edges)
+        return front, rear, radius, force, holding, tension, edges
 
 
 def retention_force(droplet: Droplet, material: Material, f_local: float) -> float:
@@ -596,7 +708,9 @@ def simulate_droplet(
     The footprint is solved once per walk path (see
     :meth:`_FootprintSolver.walk`), not once per position: the positions on
     one path share their solved state, and the trace stores them as one
-    :class:`TraceInterval`.
+    :class:`TraceInterval`.  Where that interval ends is predicted from the
+    path's thresholds and verified by two walks (:func:`_path_extent`), so
+    a simulation walks about twice per interval, whatever the step.
 
     The droplet never returns to a position it held.  A design's walls
     follow its ramp, so the solid fraction is monotone along x, and with it
@@ -638,13 +752,14 @@ def simulate_droplet(
         # larger cap, which passes that edge.  Along the move the radius to
         # the edge behind cannot fall, nor, under monotone IEEE rounding,
         # can |net_force| = tension * radius * |cos(front) - cos(rear)|.
-        interval = solver.record(path, position)
-        if abs(interval.net_force) <= interval.retention:
-            intervals.append(interval)
+        state = solver.solve(path, position)
+        force, holding = state[3:5]
+        if abs(force) <= holding:
+            intervals.append(TraceInterval(position, 1, 0.0, *state))
             return SimulationTrace(tuple(intervals), TerminalReason.FORCE_BALANCE)
-        move = math.copysign(step, interval.net_force)
+        move = math.copysign(step, force)
         count, last, path = _path_extent(solver, path, position, move, room)
-        intervals.append(replace(interval, count=count, step=move))
+        intervals.append(TraceInterval(position, count, move, *state))
         room -= count
         position = last + move
         if position == last:
@@ -663,34 +778,59 @@ def _path_extent(
     path at the position after it (None where the droplet does not fit).
 
     Each comparison of the walk is monotone in x, so one path holds on one
-    interval of x, and its positions are a prefix of these.  Gallop over
-    them, probing 1, 2, 4, ... positions past the last one known on the
-    path, then bisect below the first probe off it.  A probe's position is
-    made by the same float adds as stepping makes; a position that the move
-    no longer changes ends the prefix, since stepping refuses it.
+    interval of x, and its positions are a prefix of these.  The prefix is
+    predicted: :meth:`_FootprintSolver.horizon` gives the nearest position
+    at which a comparison flips, and one divide turns it into a count.  The
+    prediction is then verified by walking its last position and the one
+    after it: on the path and off it, unless the prefix ends at ``limit``.
+    A position is made by the same float adds as stepping makes, and one
+    that the move no longer changes ends the prefix, since stepping refuses
+    it.  A failed check falls back to :func:`_path_gallop`, so the result
+    never rests on the prediction.
     """
+    ahead = (solver.horizon(path, first, move) - first) / move
+    count = limit if ahead >= limit else max(math.ceil(ahead), 1)
+    last = first
+    for index in range(1, count):
+        following = last + move
+        if following == last:
+            count = index
+            break
+        last = following
+    if count == 1 or _walk_or_none(solver, last) == path:
+        after = _walk_or_none(solver, last + move)
+        if after != path or count == limit or last + move == last:
+            return count, last, after
+    return _path_gallop(solver, path, first, move, limit)
 
-    def walk(x: float) -> tuple[int, ...] | None:
-        try:
-            return solver.walk(x)
-        except FootprintError:
-            return None
 
-    index, last, stride, end = 0, first, 1, limit  # off the path from ``end`` on
-    galloping = True
-    while index + 1 < end and last + move != last:
-        probe = min(index + stride, end - 1) if galloping else (index + end) // 2
-        x = last
-        for _ in range(probe - index):
+def _path_gallop(
+    solver: _FootprintSolver, path: tuple[int, ...], first: float, move: float, limit: int
+) -> tuple[int, float, tuple[int, ...] | None]:
+    """:func:`_path_extent` found by search alone: gallop over the positions
+    and bisect (:func:`_last_holding`), each probe walked."""
+    known = [0, first]  # the last index known on the path, and its position
+
+    def holds(index: int) -> bool:
+        known_index, x = known
+        for _ in range(index - known_index):
+            if x + move == x:
+                return False
             x += move
-        probed = walk(x)
-        if probed == path:
-            index, last, stride = probe, x, 2 * stride
-        else:
-            end, after, galloping = probe, probed, False
-    if end == limit:  # the position after the last was not probed
-        after = walk(last + move)
-    return index + 1, last, after
+        if _walk_or_none(solver, x) != path:
+            return False
+        known[:] = index, x
+        return True
+
+    count = 1 + _last_holding(holds, 0, limit)
+    return count, known[1], _walk_or_none(solver, known[1] + move)
+
+
+def _walk_or_none(solver: _FootprintSolver, position_m: float) -> tuple[int, ...] | None:
+    try:
+        return solver.walk(position_m)
+    except FootprintError:
+        return None
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

@@ -557,6 +557,40 @@ def assert_trace_matches_oracle(design, droplet, material, step, max_steps):
     return trace
 
 
+@pytest.fixture
+def walk_counts(monkeypatch):
+    """Counts of the solver's walks, of the fallback gallops, and of the
+    walks that those gallops made, as a simulation runs."""
+    import lotuskit.gradient as gradient
+
+    counts = {"walks": 0, "fallbacks": 0, "fallback_walks": 0}
+    walk, gallop = _FootprintSolver.walk, gradient._path_gallop
+
+    def counted_walk(self, position_m):
+        counts["walks"] += 1
+        return walk(self, position_m)
+
+    def counted_gallop(*args):
+        counts["fallbacks"] += 1
+        before = counts["walks"]
+        try:
+            return gallop(*args)
+        finally:
+            counts["fallback_walks"] += counts["walks"] - before
+
+    monkeypatch.setattr(_FootprintSolver, "walk", counted_walk)
+    monkeypatch.setattr(gradient, "_path_gallop", counted_gallop)
+    return counts
+
+
+def walks_within_two_per_interval(counts, trace):
+    """Outside the fallbacks, each interval walks its first position and,
+    if it holds more records, its last; a run that did not stop in balance
+    also walks the position after its last record."""
+    ended_walking = trace.terminal_reason is not TerminalReason.FORCE_BALANCE
+    return counts["walks"] - counts["fallback_walks"] <= 2 * len(trace.intervals) + ended_walking
+
+
 class TestSimulateDroplet:
     def test_uniform_design_balances_immediately(self):
         spec = GradientSpec(
@@ -761,6 +795,92 @@ class TestTraceMatchesPerPositionLoop:
             assert 0.0 <= fitting - trace.final_position < ulps * ulp
 
 
+    def moving_transport(self, rng, width, runs):
+        """A rising or falling design of ``runs`` runs, ``width`` columns
+        each, and a zero-hysteresis material, so the droplet moves, from a
+        center where it fits.  Returns ``(ramp, design, material, droplet)``."""
+        while True:
+            walls = sorted(rng.sample(range(400, 3600, 20), runs))
+            walls = [wall for wall in walls for _ in range(width)]
+            ramp, design, material, droplet = random_transport(rng, walls)
+            if ramp != "uniform" and self.fits(design, material, droplet.volume, droplet.position):
+                return ramp, design, dataclasses.replace(material, hysteresis=0.0), droplet
+
+    @staticmethod
+    def fits(design, material, volume, x):
+        try:
+            oracle_force_state(design, x, volume, material)
+        except FootprintError:
+            return False
+        return True
+
+    def test_steps_that_land_on_a_run_edge(self, walk_counts):
+        # Steps of 2**-30 m added to E -/+ k steps land exactly on the run
+        # edge E = (start - 0.5) * 1e-9, where the center rounds into the
+        # next run: the float adds are exact at these magnitudes.
+        rng = random.Random(43)
+        landed = 0
+        for _ in range(30):
+            ramp, design, material, droplet = self.moving_transport(
+                rng, rng.randint(8, 15), rng.randint(4, 8)
+            )
+            starts = [zone.extent.x for zone in design.zones[1:]]
+            edge = (rng.choice(starts) - 0.5) * 1e-9
+            step, k = 2.0**-30, rng.randint(1, 40)
+            position = edge - k * step if ramp == "rising" else edge + k * step
+            if not self.fits(design, material, droplet.volume, position):
+                continue
+            droplet = Droplet(volume=droplet.volume, position=position)
+            walk_counts.update(walks=0, fallback_walks=0)
+            trace = assert_trace_matches_oracle(design, droplet, material, step, 2 * k + 5)
+            assert walks_within_two_per_interval(walk_counts, trace)
+            landed += edge in [record.position for record in trace.steps]
+        assert landed >= 15
+
+    def test_steps_longer_than_a_run(self, walk_counts):
+        rng = random.Random(44)
+        crossings = 0
+        for _ in range(30):
+            width = rng.randint(2, 5)
+            ramp, design, material, droplet = self.moving_transport(rng, width, rng.randint(20, 60))
+            step = rng.uniform(1.2, 3.0) * width * 4e-6
+            walk_counts.update(walks=0, fallback_walks=0)
+            trace = assert_trace_matches_oracle(design, droplet, material, step, 10_000)
+            assert walks_within_two_per_interval(walk_counts, trace)
+            crossings += trace.moves
+        assert crossings >= 50
+
+    def test_starts_next_to_the_no_fit_boundary(self, walk_counts):
+        # The lowest and the highest position that fits, found by bisection,
+        # and starts a few steps inside them: toward the boundary the first
+        # or a later record is the last that fits, away from it the no-fit
+        # check's threshold is the first to pass.
+        rng = random.Random(45)
+        reasons = set()
+        for _ in range(12):
+            ramp, design, material, droplet = self.moving_transport(
+                rng, rng.randint(8, 15), rng.randint(4, 8)
+            )
+            length, volume = design.length_m, droplet.volume
+            for fitting, beyond in ((0.5 * length, 0.0), (0.5 * length, length)):
+                while (middle := 0.5 * (fitting + beyond)) not in (fitting, beyond):
+                    if self.fits(design, material, volume, middle):
+                        fitting = middle
+                    else:
+                        beyond = middle
+                inward = math.copysign(1.0, 0.5 * length - fitting)
+                step = rng.uniform(0.05e-6, 0.5e-6)
+                for offset in (0, 1, rng.randint(2, 30)):
+                    position = fitting + inward * offset * step
+                    if not self.fits(design, material, volume, position):
+                        continue
+                    droplet = Droplet(volume=volume, position=position)
+                    walk_counts.update(walks=0, fallback_walks=0)
+                    trace = assert_trace_matches_oracle(design, droplet, material, step, 10_000)
+                    assert walks_within_two_per_interval(walk_counts, trace)
+                    reasons.add(trace.terminal_reason)
+        assert TerminalReason.REACHED_END in reasons
+
     def test_a_step_that_stops_moving_is_refused_where_the_loop_refused_it(self):
         # Below 2**-10 m the step rounds up to one ulp; from 2**-10 on it is
         # under half an ulp and no longer moves the droplet, 50 records in.
@@ -904,6 +1024,23 @@ class TestPinnedTraceBytes:
         check_trace(
             design_linear_gradient(self.SPEC), 1000 * 1e-9, hysteresis, reason, records, digest
         )
+
+
+@pytest.mark.parametrize(("hysteresis", "reason", "records", "digest"), BENCHMARK_TRACE_PINS)
+def test_benchmark_traces_walk_twice_per_interval(walk_counts, hysteresis, reason, records, digest):
+    # Each interval's end is predicted, then verified by walking its last
+    # position and the one after it.  The gallop that searched for each end
+    # made 2,957 and 965 walks on these two traces; the prediction is right
+    # on every interval of both, so no fallback runs.
+    design = design_linear_gradient(BENCHMARK_RAMP)
+    material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
+    trace = simulate_droplet(
+        design, Droplet(volume=1.1e-9, position=1e-3), material, step=1000 * 1e-9
+    )
+    assert (trace.terminal_reason, trace.records) == (reason, records)
+    assert hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest() == digest
+    assert walk_counts["fallbacks"] == 0
+    assert walks_within_two_per_interval(walk_counts, trace)
 
 
 def test_simulation_memory_does_not_grow_with_the_record_count():

@@ -4,6 +4,10 @@
   copy of the one-wall-per-column design (``oracles.per_column_design``):
   the same walls column by column, the same local apparent angle
   everywhere, and the same DRC error text.
+* The worst cases of the run search hold to the same oracle: a ramp of
+  one-column runs, the 250,000-column 1 m ramp, a falling ramp, a single
+  column and a ramp refused at its last column.  The 10 mm ramp is found
+  with O(runs * log N) unchecked inverses and no checked one.
 * A design is a ``Layout``: seeded designs pass ``check_design_rules``
   under the rules they were designed under, and its derived ``zones`` and
   ``label`` cannot be set.
@@ -18,11 +22,12 @@
 """
 
 import hashlib
+import math
 import random
 
 import pytest
 
-from lotuskit import maskio
+from lotuskit import gradient, maskio
 from lotuskit.cli import run
 from lotuskit.gradient import (
     GradientDesign,
@@ -41,7 +46,7 @@ from lotuskit.lattice import (
 from lotuskit.maskio import layout_stats, read_gdsii, write_gdsii, write_svg
 from lotuskit.wetting import WATER_ON_PMMA, cassie_apparent_angle
 
-from oracles import per_column_arrays, per_column_design, per_column_index
+from oracles import per_column_arrays, per_column_design, per_column_index, runs_of
 from test_config_cli import GRADIENT_STDOUT
 from test_gradient import BENCHMARK_RAMP, BENCHMARK_TRACE_PINS, check_trace
 from test_mask_codec import PINNED_EXPORTS
@@ -103,6 +108,77 @@ class TestRunsMatchThePerColumnDesign:
             # One column on a sloped ramp targets f_start: k / max(N - 1, 1) is 0.
             single += len(walls) == 1 and spec.f_start != spec.f_end
         assert designed >= 80 and refused >= 20 and single >= 10
+
+
+class TestRunSearchWorstCases:
+    """Ramps at the edges of the run search, each held to the per-column design."""
+
+    RAMP = dict(length=10_000_000, lateral_width=200_000, pitch=4000)
+
+    @pytest.mark.parametrize(
+        ("spec", "rules", "runs"),
+        [
+            pytest.param(
+                # Walls 40 to 3960 nm on a 1 nm grid: every column its own run.
+                GradientSpec(length=2000 * 4000, lateral_width=20_000, pitch=4000,
+                             f_start=0.01, f_end=0.99, measure=Measure.LINEAR_RATIO),
+                DesignRules(min_wall=1, max_aspect_ratio=1000.0, fabrication_grid=1),
+                2000, id="one-column-runs",
+            ),
+            pytest.param(
+                GradientSpec(**{**RAMP, "length": 1_000_000_000}, f_start=0.19, f_end=0.4375),
+                DesignRules(), 61, id="1m-ramp",
+            ),
+            pytest.param(
+                GradientSpec(**RAMP, f_start=0.4375, f_end=0.19), DesignRules(), 61,
+                id="falling",
+            ),
+            pytest.param(
+                GradientSpec(length=4000, lateral_width=20_000, pitch=4000,
+                             f_start=0.19, f_end=0.4375),
+                DesignRules(), 1, id="single-column",
+            ),
+        ],
+    )
+    def test_runs_are_the_per_column_walls(self, spec, rules, runs):
+        walls, _ = per_column_design(spec, rules)
+        design = design_linear_gradient(spec, rules)
+        assert design.runs == runs_of(walls)
+        assert len(design.runs) == runs
+
+    def test_a_ramp_refused_at_its_last_column(self):
+        # 0.999 * 4000 = 3996 nm snaps to the 4000 nm pitch; the column
+        # before it targets 0.9985, 3994 nm, which snaps to 3990.
+        spec = GradientSpec(length=1000 * 4000, lateral_width=20_000, pitch=4000,
+                            f_start=0.5, f_end=0.999, measure=Measure.LINEAR_RATIO)
+        with pytest.raises(ValueError) as expected:
+            per_column_design(spec)
+        with pytest.raises(ValueError) as actual:
+            design_linear_gradient(spec)
+        assert str(actual.value) == str(expected.value)
+        assert str(actual.value).startswith("fraction 0.999 maps to wall 4000 nm")
+
+    def test_inverse_calls_grow_with_runs_and_log_columns(self, monkeypatch):
+        # The benchmark ramp: 2,500 columns in 61 runs.  Gallop and bisect
+        # take at most 2 * ceil(log2 N) probes per run, and its first column
+        # one more, where one wall per column took 2,500; no column is
+        # checked again once the spec is.
+        calls = []
+        inverse = gradient._snapped_wall
+
+        def counted(*args):
+            calls.append(args)
+            return inverse(*args)
+
+        def refuse(*args):
+            raise AssertionError("a column was checked again")
+
+        monkeypatch.setattr(gradient, "_snapped_wall", counted)
+        monkeypatch.setattr(gradient, "wall_for_fraction", refuse)
+        design = design_linear_gradient(BENCHMARK_RAMP)
+        assert (design.n_columns, len(design.runs)) == (2500, 61)
+        assert len(calls) <= 61 * (2 * math.ceil(math.log2(2500)) + 1)
+        assert len(calls) < 1000
 
 
 class TestADesignIsALayout:
