@@ -45,7 +45,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from lotuskit.config import (
     ConfigError,
@@ -73,6 +73,9 @@ from lotuskit.lattice import (
     square_pillar_fraction,
 )
 from lotuskit.wetting import Droplet, cassie_apparent_angle
+
+if TYPE_CHECKING:  # the commands that need the gradient module import it
+    from lotuskit.gradient import GradientDesign
 
 __all__ = ["main", "run"]
 
@@ -181,21 +184,21 @@ def _gradient_from_args(args: argparse.Namespace, config: ProjectConfig) -> Grad
 def _print_stats(stats: dict, prefix: str = "") -> None:
     """Print a dict as ``key=value`` lines, in key order: the module's one such printer.
 
-    A :func:`layout_stats` dict's zones are printed as ``zone<i>.`` entries
-    and its ``kind`` is skipped.  Lists are joined with commas, ratios and
-    fractions get 9 decimals and other floats 6; other formats come as text.
+    A :func:`layout_stats` dict's zones are printed as ``zone<i>.`` entries.
+    Lists are joined with commas, ratios and fractions get 9 decimals and
+    other floats 6; other formats come as text.
     """
     for key, value in stats.items():
         if key == "zones":
             for index, zone in enumerate(value):
                 _print_stats(zone, f"zone{index}.")
-        elif key != "kind":
-            if isinstance(value, list):
-                value = ",".join(str(item) for item in value)
-            elif isinstance(value, float):
-                fractional = key != "aspect_ratio" and ("ratio" in key or "fraction" in key)
-                value = f"{value:.9f}" if fractional else f"{value:.6f}"
-            print(f"{prefix}{key}={value}")
+            continue
+        if isinstance(value, list):
+            value = ",".join(str(item) for item in value)
+        elif isinstance(value, float):
+            fractional = key != "aspect_ratio" and ("ratio" in key or "fraction" in key)
+            value = f"{value:.9f}" if fractional else f"{value:.6f}"
+        print(f"{prefix}{key}={value}")
 
 
 # --------------------------------------------------------------------------

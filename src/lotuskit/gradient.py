@@ -605,9 +605,10 @@ class _FootprintSolver:
         -x the roles mirror.
 
         The thresholds are exact reals rounded once, so the result is an
-        estimate for :func:`_path_extent` to verify.  A walk that crossed a
-        front and a rear edge at once, a tie, gives ``position_m`` itself,
-        and a path whose comparisons all hold onward an infinity.
+        estimate, where :func:`_path_extent` starts its search.  A walk
+        that crossed a front and a rear edge at once, a tie, gives
+        ``position_m`` itself, and a path whose comparisons all hold onward
+        an infinity.
         """
         edges, caps, length_m = self._edges_m, self._caps, self.length_m
         near_front, near_rear, center = path[:3]
@@ -709,8 +710,9 @@ def simulate_droplet(
     :meth:`_FootprintSolver.walk`), not once per position: the positions on
     one path share their solved state, and the trace stores them as one
     :class:`TraceInterval`.  Where that interval ends is predicted from the
-    path's thresholds and verified by two walks (:func:`_path_extent`), so
-    a simulation walks about twice per interval, whatever the step.
+    path's thresholds, and a search from there finds it (:func:`_path_extent`).
+    A right prediction costs two walks, so a simulation walks about twice
+    per interval, whatever the step.
 
     The droplet never returns to a position it held.  A design's walls
     follow its ramp, so the solid fraction is monotone along x, and with it
@@ -778,52 +780,44 @@ def _path_extent(
     path at the position after it (None where the droplet does not fit).
 
     Each comparison of the walk is monotone in x, so one path holds on one
-    interval of x, and its positions are a prefix of these.  The prefix is
-    predicted: :meth:`_FootprintSolver.horizon` gives the nearest position
-    at which a comparison flips, and one divide turns it into a count.  The
-    prediction is then verified by walking its last position and the one
-    after it: on the path and off it, unless the prefix ends at ``limit``.
-    A position is made by the same float adds as stepping makes, and one
-    that the move no longer changes ends the prefix, since stepping refuses
-    it.  A failed check falls back to :func:`_path_gallop`, so the result
-    never rests on the prediction.
+    interval of x, and its positions are a prefix of these, which
+    :func:`_last_holding` finds.  The search starts at the last index of
+    the prefix that :meth:`_FootprintSolver.horizon` predicts, turned into
+    an index by one divide: upward from there if the path holds there,
+    else upward from ``first`` below it.  So the result never rests on the
+    prediction, and a right one costs two walks: the predicted last
+    position and the one after it, whose walk is the next interval's path.
+
+    A probe reaches its position by the same float adds as stepping makes,
+    and one that the move no longer changes ends the prefix, since stepping
+    refuses it.  The caller, not the search, raises for it: a probe can
+    meet it past where the trace ends.
     """
     ahead = (solver.horizon(path, first, move) - first) / move
-    count = limit if ahead >= limit else max(math.ceil(ahead), 1)
-    last = first
-    for index in range(1, count):
-        following = last + move
-        if following == last:
-            count = index
-            break
-        last = following
-    if count == 1 or _walk_or_none(solver, last) == path:
-        after = _walk_or_none(solver, last + move)
-        if after != path or count == limit or last + move == last:
-            return count, last, after
-    return _path_gallop(solver, path, first, move, limit)
-
-
-def _path_gallop(
-    solver: _FootprintSolver, path: tuple[int, ...], first: float, move: float, limit: int
-) -> tuple[int, float, tuple[int, ...] | None]:
-    """:func:`_path_extent` found by search alone: gallop over the positions
-    and bisect (:func:`_last_holding`), each probe walked."""
-    known = [0, first]  # the last index known on the path, and its position
+    guess = limit - 1 if ahead >= limit else math.ceil(ahead) - 1 if ahead > 1.0 else 0
+    on, last = 0, first  # the last index known on the path, and its position
+    off, after = 0, None  # the lowest index probed off it (0: none), and its walk path
 
     def holds(index: int) -> bool:
-        known_index, x = known
-        for _ in range(index - known_index):
-            if x + move == x:
+        nonlocal on, last, off, after
+        x = last
+        for _ in range(index - on):
+            following = x + move
+            if following == x:
                 return False
-            x += move
-        if _walk_or_none(solver, x) != path:
+            x = following
+        walked = _walk_or_none(solver, x)
+        if walked != path:
+            off, after = index, walked
             return False
-        known[:] = index, x
+        on, last = index, x
         return True
 
-    count = 1 + _last_holding(holds, 0, limit)
-    return count, known[1], _walk_or_none(solver, known[1] + move)
+    start, stop = (guess, limit) if guess == 0 or holds(guess) else (0, guess)
+    count = 1 + _last_holding(holds, start, stop)
+    if off != count:  # no probe walked past the prefix: it ends at limit, or stepping stays
+        after = _walk_or_none(solver, last + move)
+    return count, last, after
 
 
 def _walk_or_none(solver: _FootprintSolver, position_m: float) -> tuple[int, ...] | None:

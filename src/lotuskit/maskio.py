@@ -829,7 +829,6 @@ def layout_stats(target: Target, material: Material = WATER_ON_PMMA) -> dict:
             }
         )
     return {
-        "kind": "layout",
         "label": layout.label,
         "material": material.name,
         "theta_flat_deg": theta,

@@ -559,36 +559,48 @@ def assert_trace_matches_oracle(design, droplet, material, step, max_steps):
 
 @pytest.fixture
 def walk_counts(monkeypatch):
-    """Counts of the solver's walks, of the fallback gallops, and of the
-    walks that those gallops made, as a simulation runs."""
-    import lotuskit.gradient as gradient
-
-    counts = {"walks": 0, "fallbacks": 0, "fallback_walks": 0}
-    walk, gallop = _FootprintSolver.walk, gradient._path_gallop
+    """The solver's walks as a simulation runs: ``walks`` in all, and for
+    each search for an interval's end, which begins with its
+    :meth:`_FootprintSolver.horizon`, the walks that it made."""
+    counts = {"walks": 0, "searches": []}
+    walk, horizon = _FootprintSolver.walk, _FootprintSolver.horizon
 
     def counted_walk(self, position_m):
         counts["walks"] += 1
+        if counts["searches"]:
+            counts["searches"][-1] += 1
         return walk(self, position_m)
 
-    def counted_gallop(*args):
-        counts["fallbacks"] += 1
-        before = counts["walks"]
-        try:
-            return gallop(*args)
-        finally:
-            counts["fallback_walks"] += counts["walks"] - before
+    def counted_horizon(self, *args):
+        counts["searches"].append(0)
+        return horizon(self, *args)
 
     monkeypatch.setattr(_FootprintSolver, "walk", counted_walk)
-    monkeypatch.setattr(gradient, "_path_gallop", counted_gallop)
+    monkeypatch.setattr(_FootprintSolver, "horizon", counted_horizon)
     return counts
 
 
-def walks_within_two_per_interval(counts, trace):
-    """Outside the fallbacks, each interval walks its first position and,
-    if it holds more records, its last; a run that did not stop in balance
-    also walks the position after its last record."""
+def missed_searches(counts, trace):
+    """The walks of each search that walked more than a right prediction
+    does: the interval's last position, if it holds more than one, and the
+    position after it.  The i-th search ends the i-th interval."""
+    return [
+        walks for walks, interval in zip(counts["searches"], trace.intervals)
+        if walks > min(interval.count, 2)
+    ]
+
+
+def walks_within_bound(counts, trace, max_steps):
+    """Each interval walks its first position and, if it holds more
+    records, its last; a run that did not stop in balance also walks the
+    position after its last record.  A search that missed its prediction
+    costs at most two more walks per bit of ``max_steps``: it gallops, then
+    bisects, over at most that many positions."""
     ended_walking = trace.terminal_reason is not TerminalReason.FORCE_BALANCE
-    return counts["walks"] - counts["fallback_walks"] <= 2 * len(trace.intervals) + ended_walking
+    misses = len(missed_searches(counts, trace))
+    return counts["walks"] <= (
+        2 * len(trace.intervals) + ended_walking + 2 * max_steps.bit_length() * misses
+    )
 
 
 class TestSimulateDroplet:
@@ -831,9 +843,9 @@ class TestTraceMatchesPerPositionLoop:
             if not self.fits(design, material, droplet.volume, position):
                 continue
             droplet = Droplet(volume=droplet.volume, position=position)
-            walk_counts.update(walks=0, fallback_walks=0)
+            walk_counts.update(walks=0, searches=[])
             trace = assert_trace_matches_oracle(design, droplet, material, step, 2 * k + 5)
-            assert walks_within_two_per_interval(walk_counts, trace)
+            assert walks_within_bound(walk_counts, trace, 2 * k + 5)
             landed += edge in [record.position for record in trace.steps]
         assert landed >= 15
 
@@ -844,9 +856,9 @@ class TestTraceMatchesPerPositionLoop:
             width = rng.randint(2, 5)
             ramp, design, material, droplet = self.moving_transport(rng, width, rng.randint(20, 60))
             step = rng.uniform(1.2, 3.0) * width * 4e-6
-            walk_counts.update(walks=0, fallback_walks=0)
+            walk_counts.update(walks=0, searches=[])
             trace = assert_trace_matches_oracle(design, droplet, material, step, 10_000)
-            assert walks_within_two_per_interval(walk_counts, trace)
+            assert walks_within_bound(walk_counts, trace, 10_000)
             crossings += trace.moves
         assert crossings >= 50
 
@@ -875,9 +887,9 @@ class TestTraceMatchesPerPositionLoop:
                     if not self.fits(design, material, volume, position):
                         continue
                     droplet = Droplet(volume=volume, position=position)
-                    walk_counts.update(walks=0, fallback_walks=0)
+                    walk_counts.update(walks=0, searches=[])
                     trace = assert_trace_matches_oracle(design, droplet, material, step, 10_000)
-                    assert walks_within_two_per_interval(walk_counts, trace)
+                    assert walks_within_bound(walk_counts, trace, 10_000)
                     reasons.add(trace.terminal_reason)
         assert TerminalReason.REACHED_END in reasons
 
@@ -1028,10 +1040,11 @@ class TestPinnedTraceBytes:
 
 @pytest.mark.parametrize(("hysteresis", "reason", "records", "digest"), BENCHMARK_TRACE_PINS)
 def test_benchmark_traces_walk_twice_per_interval(walk_counts, hysteresis, reason, records, digest):
-    # Each interval's end is predicted, then verified by walking its last
-    # position and the one after it.  The gallop that searched for each end
-    # made 2,957 and 965 walks on these two traces; the prediction is right
-    # on every interval of both, so no fallback runs.
+    # Each interval's end is predicted, and the search for it starts there:
+    # a right prediction walks the last position and the one after it.  A
+    # gallop from each interval's first position made 2,957 and 965 walks
+    # on these two traces; the prediction is right on every interval of
+    # both, so no search misses.
     design = design_linear_gradient(BENCHMARK_RAMP)
     material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
     trace = simulate_droplet(
@@ -1039,8 +1052,51 @@ def test_benchmark_traces_walk_twice_per_interval(walk_counts, hysteresis, reaso
     )
     assert (trace.terminal_reason, trace.records) == (reason, records)
     assert hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest() == digest
-    assert walk_counts["fallbacks"] == 0
-    assert walks_within_two_per_interval(walk_counts, trace)
+    assert missed_searches(walk_counts, trace) == []
+    assert walks_within_bound(walk_counts, trace, 1_000_000)
+
+
+@pytest.mark.parametrize(
+    ("ramp", "step_nm", "hysteresis"),
+    [
+        *[("rising", step_nm, hysteresis) for step_nm in (1000, 100) for hysteresis in (0.0, 5.0)],
+        ("falling", 1000, 0.0),
+    ],
+)
+def test_wrong_predictions_move_no_byte(monkeypatch, ramp, step_nm, hysteresis):
+    # The search for an interval's end starts where the horizon predicts
+    # it, so the trace must not rest on the prediction.  Here every
+    # prediction is wrong in one of four ways: the position itself, either
+    # infinity, or up to 1,000 records too short or too long.  An infinite
+    # prediction is probed at the last allowed position, so max_steps is
+    # the number of steps that cross the design, which no trace reaches.
+    spec = BENCHMARK_RAMP
+    if ramp == "falling":
+        spec = dataclasses.replace(spec, f_start=spec.f_end, f_end=spec.f_start)
+    design = design_linear_gradient(spec)
+    material = dataclasses.replace(WATER_ON_PMMA, hysteresis=hysteresis)
+    start = 1e-3 if ramp == "rising" else design.length_m - 1e-3
+
+    def simulate():
+        return simulate_droplet(
+            design, Droplet(volume=1.1e-9, position=start), material,
+            step=step_nm * 1e-9, max_steps=design.length_nm // step_nm,
+        )
+
+    expected = simulate()
+    assert expected.terminal_reason is not TerminalReason.MAX_STEPS and len(expected.intervals) > 100
+    rng, horizon = random.Random(46), _FootprintSolver.horizon
+
+    def wrong_horizon(self, path, position_m, move):
+        right = horizon(self, path, position_m, move)
+        return rng.choice((
+            position_m, math.inf, -math.inf, right + rng.uniform(-1000.0, 1000.0) * move,
+        ))
+
+    monkeypatch.setattr(_FootprintSolver, "horizon", wrong_horizon)
+    trace = simulate()
+    assert trace.terminal_reason is expected.terminal_reason
+    assert trace_to_csv(trace) == trace_to_csv(expected)
 
 
 def test_simulation_memory_does_not_grow_with_the_record_count():

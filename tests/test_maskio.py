@@ -812,8 +812,7 @@ class TestWriteSvg:
 class TestLayoutStats:
     def test_reference_layout_values(self):
         stats = layout_stats(build_two_zone_layout(WIDE, FINE))
-        assert stats["kind"] == "layout"
-        assert stats["zone_count"] == 2
+        assert (stats["label"], stats["zone_count"]) == ("two-zone", 2)
         a, b = stats["zones"]
         assert a["linear_ratio"] == 0.25 and b["linear_ratio"] == 0.10
         assert a["area_fraction"] == pytest.approx(0.4375, abs=1e-12)
@@ -839,7 +838,7 @@ class TestLayoutStats:
         design = design_linear_gradient(spec)
         stats = layout_stats(design)
         # A design is a layout: its zones are its runs.
-        assert (stats["kind"], stats["label"]) == ("layout", "gradient")
+        assert stats["label"] == "gradient"
         assert stats["zone_count"] == len(design.runs)
         first, last = stats["zones"][0], stats["zones"][-1]
         assert (first["wall_nm"], last["wall_nm"]) == (400, 1000)

@@ -15,6 +15,7 @@ library, numpy or lotuskit itself.
 """
 
 import ast
+import builtins
 import json
 import os
 import subprocess
@@ -159,3 +160,54 @@ def test_numpy_is_the_only_runtime_dependency():
                 imported.add(node.module.partition(".")[0])
     assert {"numpy", "lotuskit"} <= imported
     assert imported - {*sys.stdlib_module_names, "numpy", "lotuskit"} == set()
+
+
+def _bound_at_module_level(tree: ast.Module) -> set[str]:
+    """Every name that a module's top-level code binds, in any branch: an
+    import (under ``if TYPE_CHECKING:`` too), a def, a class or a target."""
+    bound, pending = set(), list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)  # its body binds the names of another scope
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+        else:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            pending.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _annotation_names(annotation: ast.expr):
+    """The names that an annotation reads, within string annotations too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval").body)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(lotuskit.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_annotation_name_is_bound(path):
+    # Annotations are not evaluated at run time, so an unbound name in one
+    # fails only where something resolves it, as typing.get_type_hints does.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    known = _bound_at_module_level(tree) | set(dir(builtins))
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    unbound = {
+        (name, annotation.lineno)
+        for annotation in annotations
+        for name in _annotation_names(annotation)
+        if name not in known
+    }
+    assert sorted(unbound) == []
